@@ -11,13 +11,10 @@ from .elements import (
     CONVENTIONS,
     ONE_ARM,
     SYMMETRIC,
+    GridEvolution,
     InterferometerPipeline,
-    PhaseSlot,
-    SplitterStage,
     beam_splitter,
-    mach_zehnder,
     mach_zehnder_pipeline,
-    phase_only_pipeline,
     phase_shifter,
 )
 from .estimation import (
@@ -31,6 +28,7 @@ from .estimation import (
     ensemble_sensitivity,
     min_sensitivity,
     observable_noon_flip,
+    phase_sweep,
     posterior_mean,
     posterior_std,
     sample_outcomes,

@@ -11,17 +11,16 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import estimation, rosetta
 from .elements import CONVENTIONS, ONE_ARM, beam_splitter
-from .fock import apply, expectation, make_basis_state, variance
+from .fock import apply, make_basis_state
 from .lithography import InsufficientGridError, deposition_rate, fringe_period
 from .schemes import NOON_FRAMINGS, build_setup
-from .states import SCHEME_NAMES, SchemeTag, TruncationError, noon
+from .states import SCHEME_NAMES, SchemeTag, TruncationError
 
 OUTDIR_ENV = "FOCKMZI_OUTDIR"
 
@@ -153,14 +152,6 @@ def write_table(path: Path | None, header: list[str], rows: list[list[str]], foo
         path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def grid_map(fn, items, threads: int):
-    """Map over sweep points on a worker pool; results keep grid order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _scheme_tag(cfg: dict) -> SchemeTag:
     try:
         return SchemeTag(cfg["scheme"], cfg["n"])
@@ -187,24 +178,16 @@ def run_sensitivity(args) -> int:
     cfg = resolve(args, {
         "scheme": "single-port-fock", "n": 1, "phi-grid": "0:3.1415926535897931:100",
         "convention": ONE_ARM, "invert-second-bs": False, "noon-framing": "post-bs",
-        "cutoff": 0, "threads": os.cpu_count() or 1, "output": None,
+        "cutoff": 0, "output": None,
     })
     grid = parse_grid(cfg["phi-grid"])
     out_path = resolve_output_path(cfg["output"])
     tag = _scheme_tag(cfg)
     setup = _setup(cfg, tag)
-    generator = setup.analysis.output_generator(setup.cutoff)
-
-    def point(phi: float):
-        evolved = setup.analysis.evolve(setup.input_state, phi)
-        mean = expectation(setup.observable, evolved)
-        var = variance(setup.observable, evolved)
-        dphi = estimation.sensitivity(evolved, setup.observable, generator)
-        return mean, var, dphi
-
+    sweep = estimation.phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
     rows = [
         [tag.name, fmt(tag.n), fmt(phi), fmt(mean), fmt(var), fmt(dphi)]
-        for phi, (mean, var, dphi) in zip(grid, grid_map(point, list(grid), cfg["threads"]))
+        for phi, mean, var, dphi in zip(grid, *sweep)
     ]
     write_table(out_path, ["scheme", "n", "phi", "expectation", "variance", "sensitivity"], rows, [])
     return 0
@@ -214,7 +197,7 @@ def run_scaling(args) -> int:
     cfg = resolve(args, {
         "scheme": "noon", "n-range": "1:20", "phi-grid": "0.005:3.1365926535897931:800",
         "metric": "auto", "convention": ONE_ARM, "invert-second-bs": False,
-        "noon-framing": "post-bs", "cutoff": 0, "threads": os.cpu_count() or 1, "output": None,
+        "noon-framing": "post-bs", "cutoff": 0, "output": None,
     })
     ns = parse_n_range(cfg["n-range"])
     if len(ns) < 3:
@@ -234,11 +217,11 @@ def run_scaling(args) -> int:
     def point(tag: SchemeTag) -> float:
         setup = _setup(cfg, tag)
         if metric == "fisher":
-            return max(estimation.classical_fisher(setup.sampling, setup.input_state, phi) for phi in grid)
+            return float(np.max(estimation.classical_fisher(setup.sampling, setup.input_state, grid)))
         curve = estimation.sensitivity_curve(setup.analysis, setup.input_state, setup.observable, grid)
         return estimation.min_sensitivity(curve)[1]
 
-    values = grid_map(point, tags, cfg["threads"])
+    values = [point(tag) for tag in tags]
     slope, intercept = estimation.scaling_fit(list(zip(ns, values)))
     column = "fisher" if metric == "fisher" else "min_sensitivity"
     rows = [[cfg["scheme"], fmt(n), fmt(v)] for n, v in zip(ns, values)]
@@ -298,25 +281,19 @@ def run_litho(args) -> int:
 
 
 def run_rosetta(args) -> int:
-    cfg = resolve(args, {
-        "n-max": 12, "phi-grid": "0:6.2831853071795862:100",
-        "threads": os.cpu_count() or 1, "output": None,
-    })
+    cfg = resolve(args, {"n-max": 12, "phi-grid": "0:6.2831853071795862:100", "output": None})
     if not 1 <= cfg["n-max"] <= rosetta.MAX_QUBITS:
         raise UsageError(f"--n-max must be in [1, {rosetta.MAX_QUBITS}], got {cfg['n-max']}")
     grid = parse_grid(cfg["phi-grid"])
     out_path = resolve_output_path(cfg["output"])
 
-    def row(task):
-        n, phi = task
-        qubit_value = rosetta.expect_flip_product(rosetta.collective_phase(rosetta.ghz_prepare(n), phi))
-        fock_value = expectation(estimation.observable_noon_flip(n), noon(n, phi, n))
-        return n, phi, qubit_value, fock_value, abs(qubit_value - fock_value)
-
-    tasks = [(n, phi) for n in range(1, cfg["n-max"] + 1) for phi in grid]
-    results = grid_map(row, tasks, cfg["threads"])
-    rows = [[fmt(n), fmt(phi), fmt(q), fmt(f), fmt(d)] for n, phi, q, f, d in results]
-    worst = max(d for *_, d in results)
+    rows, worst = [], 0.0
+    for n in range(1, cfg["n-max"] + 1):
+        for phi in grid:
+            qubit_value, fock_value = rosetta.flip_expectations(n, phi)
+            discrepancy = abs(qubit_value - fock_value)
+            rows.append([fmt(n), fmt(phi), fmt(qubit_value), fmt(fock_value), fmt(discrepancy)])
+            worst = max(worst, discrepancy)
     write_table(out_path, ["n", "phi", "qubit_value", "fock_value", "discrepancy"], rows,
                 [f"max_discrepancy={fmt(worst)}"])
     return 0
@@ -332,6 +309,8 @@ def run_sample(args) -> int:
         raise UsageError(f"--shots must be nonnegative, got {cfg['shots']}")
     if cfg["estimator"] not in ("none", "bayes"):
         raise UsageError(f"unknown estimator {cfg['estimator']!r}")
+    if cfg["bayes-points"] < 2:
+        raise UsageError(f"--bayes-points must be >= 2, got {cfg['bayes-points']}")
     out_path = resolve_output_path(cfg["output"])
     tag = _scheme_tag(cfg)
     setup = _setup(cfg, tag)
@@ -346,6 +325,9 @@ def run_sample(args) -> int:
         footers.append(f"posterior_std={fmt(estimation.posterior_std(posterior))}")
     write_table(out_path, ["n_a", "n_b", "count"], rows, footers)
     return 0
+
+
+_THREADS_HELP = "accepted for compatibility; has no effect (BLAS threads follow the environment)"
 
 
 def _add_scheme_options(sub):
@@ -369,7 +351,7 @@ def build_parser() -> _Parser:
     s = subs.add_parser("sensitivity", help="phase sweep of expectation/variance/sensitivity")
     _add_scheme_options(s)
     s.add_argument("--phi-grid", help="start:stop:count, inclusive endpoints")
-    s.add_argument("--threads", type=int)
+    s.add_argument("--threads", type=int, help=_THREADS_HELP)
     _add_common(s)
     s.set_defaults(run=run_sensitivity)
 
@@ -378,7 +360,7 @@ def build_parser() -> _Parser:
     s.add_argument("--n-range", help="start:stop[:step], inclusive")
     s.add_argument("--phi-grid", help="phase grid searched per size")
     s.add_argument("--metric", choices=("auto", "min-sensitivity", "fisher"))
-    s.add_argument("--threads", type=int)
+    s.add_argument("--threads", type=int, help=_THREADS_HELP)
     _add_common(s)
     s.set_defaults(run=run_scaling)
 
@@ -396,7 +378,7 @@ def build_parser() -> _Parser:
     s = subs.add_parser("rosetta", help="qubit-circuit vs Fock cross-check table")
     s.add_argument("--n-max", type=int)
     s.add_argument("--phi-grid")
-    s.add_argument("--threads", type=int)
+    s.add_argument("--threads", type=int, help=_THREADS_HELP)
     _add_common(s)
     s.set_defaults(run=run_rosetta)
 

@@ -1,21 +1,12 @@
-"""Optical elements and interferometer pipelines built from block unitaries."""
+"""Optical elements and the canonical interferometer U_after . exp(i phi G) . U_before."""
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from typing import Callable
+from functools import lru_cache
 
 import numpy as np
 
-from .fock import (
-    BlockObservable,
-    BlockUnitary,
-    TwoModeState,
-    apply,
-    build_j_operator,
-    j_observable,
-    number_observable,
-)
+from .fock import BlockObservable, BlockUnitary, TwoModeState, apply, block_labels, build_j_operator
 
 BALANCED = math.pi / 2  # splitter angle of the 50/50 beam splitter
 
@@ -45,123 +36,106 @@ def beam_splitter(theta: float, cutoff: int) -> BlockUnitary:
     return BlockUnitary(blocks)
 
 
-def phase_shifter(phi: float, convention: str, cutoff: int) -> BlockUnitary:
-    """Phase shifter: exp(i phi J_z) for 'symmetric', exp(i phi n_b) for 'one-arm'."""
+def phase_exponent(convention: str, n: int) -> np.ndarray:
+    """Diagonal of the phase generator on block n: n_b for 'one-arm', J_z = n/2 - n_b for 'symmetric'."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}, expected one of {CONVENTIONS}")
-    blocks = {}
-    for n in range(cutoff + 1):
-        n_b = np.arange(n + 1)
-        exponent = n_b if convention == ONE_ARM else (n / 2.0 - n_b)
-        blocks[n] = np.diag(np.exp(1j * phi * exponent))
-    return BlockUnitary(blocks)
+    n_b = np.arange(n + 1)
+    return n_b if convention == ONE_ARM else (n / 2.0 - n_b)
 
 
-def compose(*unitaries: BlockUnitary) -> BlockUnitary:
-    """Compose unitaries listed in application order (first applied first)."""
-    if not unitaries:
-        raise ValueError("need at least one unitary")
-    keys = set(unitaries[0].blocks)
-    for u in unitaries[1:]:
-        if set(u.blocks) != keys:
-            raise ValueError("unitaries cover different blocks")
-    blocks = {n: reduce(lambda acc, u: u.blocks[n] @ acc, unitaries[1:], unitaries[0].blocks[n]) for n in keys}
-    return BlockUnitary(blocks)
-
-
-def mach_zehnder(phi: float, convention: str = ONE_ARM, invert_second_bs: bool = False, cutoff: int = 0) -> BlockUnitary:
-    """Full interferometer BS . PS(phi) . BS, optionally with the second splitter inverted."""
-    second = -BALANCED if invert_second_bs else BALANCED
-    return compose(
-        beam_splitter(BALANCED, cutoff),
-        phase_shifter(phi, convention, cutoff),
-        beam_splitter(second, cutoff),
-    )
+def phase_shifter(phi: float, convention: str, cutoff: int) -> BlockUnitary:
+    """Phase shifter: exp(i phi J_z) for 'symmetric', exp(i phi n_b) for 'one-arm'."""
+    return BlockUnitary({n: np.diag(np.exp(1j * phi * phase_exponent(convention, n))) for n in range(cutoff + 1)})
 
 
 @dataclass(frozen=True)
-class SplitterStage:
-    theta: float
+class GridEvolution:
+    """Output amplitudes over a phase grid, one (n+1) x P array per populated block.
 
-    def unitary(self, phi: float, cutoff: int) -> BlockUnitary:
-        return beam_splitter(self.theta, cutoff)
+    Column p of amplitudes[n] is block n of the output state at phi_grid[p];
+    generated[n] is G_out applied to it, so d amplitudes / d phi = i * generated.
+    """
 
+    phi_grid: np.ndarray
+    amplitudes: dict[int, np.ndarray]
+    generated: dict[int, np.ndarray]
 
-@dataclass(frozen=True)
-class PhaseSlot:
-    """The stage that receives the swept phase; also owns its generator."""
-
-    convention: str = ONE_ARM
-
-    def unitary(self, phi: float, cutoff: int) -> BlockUnitary:
-        return phase_shifter(phi, self.convention, cutoff)
-
-    def generator(self, cutoff: int) -> BlockObservable:
-        if self.convention == ONE_ARM:
-            return number_observable("b", cutoff)
-        return j_observable("z", cutoff)
+    def probabilities(self) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """Outcome labels (n_a, n_b) in canonical order, and their probabilities with one column per phase."""
+        labels = [label for n in self.amplitudes for label in block_labels(n)]
+        return labels, np.abs(np.vstack(list(self.amplitudes.values()))) ** 2
 
 
-@dataclass(frozen=True)
-class FixedStage:
-    """A phase-independent custom element, e.g. a diagnostic readout rotation."""
-
-    name: str
-    build: Callable[[int], BlockUnitary]
-
-    def unitary(self, phi: float, cutoff: int) -> BlockUnitary:
-        return self.build(cutoff)
+def _block(unitary: BlockUnitary, n: int) -> np.ndarray:
+    mat = unitary.blocks.get(n)
+    if mat is None:
+        raise ValueError(f"unitary has no block for total photon number {n} (cutoff mismatch)")
+    return mat
 
 
 @dataclass(frozen=True)
 class InterferometerPipeline:
-    """Ordered stages with exactly one PhaseSlot receiving the swept phase."""
+    """The canonical interferometer U_after . exp(i phi G) . U_before.
 
-    stages: tuple
+    G is the convention's phase generator, n_b ('one-arm') or J_z
+    ('symmetric'), diagonal in the number basis.  The fixed unitaries are
+    built, and checked unitary, once when the pipeline is made; None stands
+    for the identity.
+    """
+
+    convention: str = ONE_ARM
+    before: BlockUnitary | None = None
+    after: BlockUnitary | None = None
 
     def __post_init__(self):
-        slots = [i for i, s in enumerate(self.stages) if isinstance(s, PhaseSlot)]
-        if len(slots) != 1:
-            raise ValueError(f"pipeline needs exactly one PhaseSlot, found {len(slots)}")
-        object.__setattr__(self, "stages", tuple(self.stages))
+        phase_exponent(self.convention, 0)  # rejects an unknown convention
 
-    @property
-    def phase_slot(self) -> int:
-        return next(i for i, s in enumerate(self.stages) if isinstance(s, PhaseSlot))
+    def evolve_grid(self, state: TwoModeState, phi_grid) -> GridEvolution:
+        """Output over the whole phase grid, one column per phase.
 
-    def unitary(self, phi: float, cutoff: int) -> BlockUnitary:
-        return compose(*(stage.unitary(phi, cutoff) for stage in self.stages))
+        psi_1 = U_before psi is formed once; each block then takes
+        U_after . (e^{i phi g} * psi_1) as one (n+1) x P product, and
+        G_out psi as U_after . (g * e^{i phi g} * psi_1).
+        """
+        grid = np.asarray(phi_grid, dtype=float)
+        first = state if self.before is None else apply(self.before, state)
+        amplitudes, generated = {}, {}
+        for n, vec in first.blocks.items():
+            g = phase_exponent(self.convention, n)
+            phased = np.exp(1j * np.outer(g, grid)) * vec[:, None]
+            moved = g[:, None] * phased
+            if self.after is not None:
+                u = _block(self.after, n)
+                phased, moved = u @ phased, u @ moved
+            amplitudes[n], generated[n] = phased, moved
+        return GridEvolution(grid, amplitudes, generated)
 
     def evolve(self, state: TwoModeState, phi: float) -> TwoModeState:
-        for stage in self.stages:
-            state = apply(stage.unitary(phi, state.cutoff), state)
-        return state
+        """Output state at one phase: the single-column case of evolve_grid."""
+        out = self.evolve_grid(state, [phi])
+        return TwoModeState(state.cutoff, {n: amps[:, 0] for n, amps in out.amplitudes.items()})
 
     def output_generator(self, cutoff: int) -> BlockObservable:
-        """Phase-slot generator conjugated into the output frame.
+        """Phase generator conjugated into the output frame, U_after G U_after†.
 
-        With U_after the composed stages downstream of the slot, the evolved
-        output state obeys d|psi>/dphi = i (U_after G U_after†) |psi>, so the
-        returned observable drives exact phase derivatives of expectations.
+        The evolved output state obeys d|psi>/dphi = i (U_after G U_after†) |psi>,
+        so the returned observable drives exact phase derivatives of expectations.
         """
-        gen = self.stages[self.phase_slot].generator(cutoff)
-        after = self.stages[self.phase_slot + 1 :]
-        if not after:
-            return gen
-        u_after = compose(*(stage.unitary(0.0, cutoff) for stage in after))
         blocks = {}
-        for n, g in gen.blocks.items():
-            u = u_after.blocks[n]
-            m = u @ g @ u.conj().T
+        for n in range(cutoff + 1):
+            g = phase_exponent(self.convention, n)
+            if self.after is None:
+                blocks[n] = np.diag(g).astype(np.complex128)
+                continue
+            u = _block(self.after, n)
+            m = (u * g) @ u.conj().T
             blocks[n] = (m + m.conj().T) / 2.0  # re-hermitize roundoff
         return BlockObservable(blocks)
 
 
-def mach_zehnder_pipeline(convention: str = ONE_ARM, invert_second_bs: bool = False) -> InterferometerPipeline:
-    second = -BALANCED if invert_second_bs else BALANCED
-    return InterferometerPipeline((SplitterStage(BALANCED), PhaseSlot(convention), SplitterStage(second)))
-
-
-def phase_only_pipeline(convention: str = ONE_ARM) -> InterferometerPipeline:
-    """Bare phase accumulation, for states injected past the first splitter."""
-    return InterferometerPipeline((PhaseSlot(convention),))
+def mach_zehnder_pipeline(cutoff: int, convention: str = ONE_ARM, invert_second_bs: bool = False) -> InterferometerPipeline:
+    """Balanced splitter, phase, balanced splitter; the second splitter optionally inverted."""
+    first = beam_splitter(BALANCED, cutoff)
+    second = beam_splitter(-BALANCED, cutoff) if invert_second_bs else first
+    return InterferometerPipeline(convention, before=first, after=second)

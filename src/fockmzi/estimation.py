@@ -1,10 +1,11 @@
-"""Phase-sensitivity evaluation, Fisher-information cross-checks, seeded
-outcome sampling, and Bayesian post-processing.
+"""Phase-sensitivity evaluation, Fisher information, seeded outcome
+sampling, and Bayesian post-processing.
 
 The central quantity is the error-propagation sensitivity
 delta_phi = sqrt(Var A) / |d<A>/dphi|, with the derivative taken exactly as
 the expectation of i[A, G] for the phase generator G, never by finite
-differences (those are kept as a test oracle only).
+differences (those are kept as a test oracle only).  Sweeps, Fisher
+information and posteriors evaluate the whole phase grid in one batch.
 """
 
 import math
@@ -12,14 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import FixedStage, InterferometerPipeline
-from .fock import (
-    BlockObservable,
-    BlockUnitary,
-    TwoModeState,
-    expectation,
-    variance,
-)
+from .elements import InterferometerPipeline
+from .fock import BlockObservable, BlockUnitary, TwoModeState, variance
 from .states import SchemeTag
 
 DERIVATIVE_FLOOR = 1e-14
@@ -125,10 +120,6 @@ def noon_readout(n: int, cutoff: int) -> BlockUnitary:
     return BlockUnitary(blocks)
 
 
-def noon_readout_stage(n: int) -> FixedStage:
-    return FixedStage("noon-readout", lambda cutoff: noon_readout(n, cutoff))
-
-
 def phase_derivative(state: TwoModeState, observable: BlockObservable, generator: BlockObservable) -> float:
     """Exact d<A>/dphi for evolution exp(i phi G): the expectation of i[A, G]."""
     val = 0j
@@ -154,6 +145,38 @@ def sensitivity(state: TwoModeState, observable: BlockObservable, generator: Blo
     return math.sqrt(variance(observable, state)) / deriv
 
 
+def phase_sweep(
+    pipeline: InterferometerPipeline,
+    input_state: TwoModeState,
+    observable: BlockObservable,
+    phi_grid,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """<A>, Var A and delta_phi at every grid point, from one batched evolution.
+
+    The variance keeps the residual form ||(A - <A>)|psi>||^2 column by
+    column.  The derivative is the exact <i[A, G_out]> = -2 Im <A psi|G_out psi>,
+    and delta_phi is +inf where its magnitude falls below 1e-14.
+    """
+    evolution = pipeline.evolve_grid(input_state, phi_grid)
+    size = evolution.phi_grid.size
+    mean, deriv = np.zeros(size), np.zeros(size)
+    applied = {}
+    for n, psi in evolution.amplitudes.items():
+        a = observable.blocks.get(n)
+        applied[n] = np.zeros_like(psi) if a is None else a @ psi
+        mean += np.sum(psi.conj() * applied[n], axis=0).real
+        deriv -= 2.0 * np.sum(applied[n].conj() * evolution.generated[n], axis=0).imag
+    var = np.zeros(size)
+    for n, psi in evolution.amplitudes.items():
+        resid = applied[n] - mean * psi
+        var += np.sum((resid.conj() * resid).real, axis=0)
+    slope = np.abs(deriv)
+    divergent = slope < DERIVATIVE_FLOOR
+    delta = np.sqrt(var) / np.where(divergent, 1.0, slope)
+    delta[divergent] = math.inf
+    return mean, var, delta
+
+
 def sensitivity_curve(
     pipeline: InterferometerPipeline,
     input_state: TwoModeState,
@@ -164,9 +187,8 @@ def sensitivity_curve(
 ) -> SensitivityCurve:
     """Pointwise sensitivity of the pipeline output over a phase grid."""
     grid = np.asarray(phi_grid, dtype=float)
-    gen = pipeline.output_generator(input_state.cutoff)
-    vals = np.array([sensitivity(pipeline.evolve(input_state, phi), observable, gen) for phi in grid])
-    return SensitivityCurve(scheme, observable_name, grid, vals)
+    _, _, delta = phase_sweep(pipeline, input_state, observable, grid)
+    return SensitivityCurve(scheme, observable_name, grid, delta)
 
 
 def min_sensitivity(curve: SensitivityCurve) -> tuple[float, float]:
@@ -197,24 +219,21 @@ def output_distribution(pipeline: InterferometerPipeline, input_state: TwoModeSt
     return pipeline.evolve(input_state, phi).probabilities()
 
 
-def classical_fisher(pipeline: InterferometerPipeline, input_state: TwoModeState, phi: float, dphi: float = 1e-5) -> float:
+def classical_fisher(pipeline: InterferometerPipeline, input_state: TwoModeState, phi):
     """Fisher information of the output number distribution at phi.
 
-    The derivative of each outcome probability is taken by central difference
-    at step dphi; outcomes with probability below 1e-15 are skipped.
+    phi is one phase (a float is returned) or a grid (an array is returned).
+    Each outcome's slope is exact, dp_k/dphi = -2 Im(psi_k* (G_out psi)_k);
+    outcomes with probability below 1e-15 are skipped.
     """
-    if dphi <= 0:
-        raise ValueError(f"dphi must be positive, got {dphi}")
-    center = output_distribution(pipeline, input_state, phi)
-    plus = output_distribution(pipeline, input_state, phi + dphi)
-    minus = output_distribution(pipeline, input_state, phi - dphi)
-    info = 0.0
-    for outcome, p in center.items():
-        if p < PROBABILITY_FLOOR:
-            continue
-        slope = (plus.get(outcome, 0.0) - minus.get(outcome, 0.0)) / (2.0 * dphi)
-        info += slope * slope / p
-    return info
+    evolution = pipeline.evolve_grid(input_state, np.atleast_1d(np.asarray(phi, dtype=float)))
+    info = np.zeros(evolution.phi_grid.size)
+    for n, psi in evolution.amplitudes.items():
+        probs = np.abs(psi) ** 2
+        slopes = -2.0 * (psi.conj() * evolution.generated[n]).imag
+        kept = probs >= PROBABILITY_FLOOR
+        info += np.sum(np.divide(slopes * slopes, probs, out=np.zeros_like(probs), where=kept), axis=0)
+    return float(info[0]) if np.ndim(phi) == 0 else info
 
 
 def sample_outcomes(
@@ -256,18 +275,15 @@ def bayes_posterior(
     one period of the scheme's likelihood.
     """
     grid = np.asarray(phi_grid, dtype=float)
-    observed = list(hist.counts.items())
+    labels, probs = pipeline.evolve_grid(input_state, grid).probabilities()
+    row = {label: i for i, label in enumerate(labels)}
     log_like = np.zeros(grid.size)
-    for i, phi in enumerate(grid):
-        dist = output_distribution(pipeline, input_state, phi)
-        total = 0.0
-        for outcome, count in observed:
-            p = dist.get(outcome, 0.0)
-            if p <= 0.0:
-                total = -math.inf
-                break
-            total += count * math.log(p)
-        log_like[i] = total
+    for outcome, count in hist.counts.items():
+        if outcome not in row:
+            log_like[:] = -math.inf
+            break
+        with np.errstate(divide="ignore"):
+            log_like += count * np.log(probs[row[outcome]])
     peak = np.max(log_like)
     if not np.isfinite(peak):
         raise ModelMismatchError("observed outcomes have zero likelihood everywhere on the grid")

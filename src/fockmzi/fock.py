@@ -13,7 +13,6 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
-_VARIANCE_CLAMP = 1e-12
 
 J_AXES = ("x", "y", "z", "squared")
 NUMBER_MODES = ("a", "b", "total")
@@ -201,7 +200,7 @@ def expectation(observable: BlockObservable, state: TwoModeState) -> float:
 
 
 def variance(observable: BlockObservable, state: TwoModeState) -> float:
-    """<A^2> - <A>^2, evaluated as ||(A - <A>)|s>||^2 and clamped at zero.
+    """<A^2> - <A>^2, evaluated as ||(A - <A>)|s>||^2, a sum of squares.
 
     The residual form avoids the cancellation of the textbook difference of
     moments near eigenstates, where <A^2> and <A>^2 nearly coincide.
@@ -212,6 +211,4 @@ def variance(observable: BlockObservable, state: TwoModeState) -> float:
         mat = observable.blocks.get(n)
         resid = (mat @ vec - mean * vec) if mat is not None else (-mean) * vec
         total += float(np.vdot(resid, resid).real)
-    if -_VARIANCE_CLAMP < total < 0.0:
-        return 0.0
     return total

@@ -111,13 +111,19 @@ def expect_flip_sum(reg: QubitRegister) -> float:
     return total
 
 
-def rosetta_equivalence(n: int, phi: float) -> float:
-    """Discrepancy between the qubit circuit and the Fock simulator.
+def flip_expectations(n: int, phi: float) -> tuple[float, float]:
+    """<flip> after a collective phase, from the qubit circuit and from the Fock simulator.
 
-    Compares the GHZ flip-product expectation after a collective phase with
-    the Fock expectation of the flip observable on the phase-evolved
-    path-entangled state.  Both evaluate cos(N phi) through independent code.
+    The GHZ flip-product expectation after a collective phase and the Fock
+    expectation of the flip observable on the phase-evolved path-entangled
+    state both evaluate cos(N phi), through independent code.
     """
     qubit_value = expect_flip_product(collective_phase(ghz_prepare(n), phi))
     fock_value = expectation(observable_noon_flip(n), noon(n, phi, n))
+    return qubit_value, fock_value
+
+
+def rosetta_equivalence(n: int, phi: float) -> float:
+    """Discrepancy between the qubit circuit and the Fock simulator."""
+    qubit_value, fock_value = flip_expectations(n, phi)
     return abs(qubit_value - fock_value)

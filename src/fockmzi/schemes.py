@@ -1,23 +1,16 @@
 """Wiring from scheme tags to concrete inputs, pipelines, and observables.
 
 Each scheme carries two pipelines: 'analysis' feeds the scheme observable
-(expectation/variance/sensitivity), 'sampling' appends whatever readout makes
+(expectation/variance/sensitivity), 'sampling' ends in whatever readout makes
 the phase visible in number-resolved detection (identical for all schemes
-except the path-entangled one, which needs its flip-basis rotation).
+except the path-entangled one, whose U_after is its flip-basis rotation).
 """
 
 import math
 from dataclasses import dataclass
 
-from .elements import (
-    BALANCED,
-    ONE_ARM,
-    InterferometerPipeline,
-    PhaseSlot,
-    SplitterStage,
-    beam_splitter,
-)
-from .estimation import noon_readout_stage, observable_noon_flip
+from .elements import BALANCED, ONE_ARM, InterferometerPipeline, beam_splitter, mach_zehnder_pipeline
+from .estimation import noon_readout, observable_noon_flip
 from .fock import BlockObservable, TwoModeState, apply, j_observable
 from .states import (
     SchemeTag,
@@ -69,21 +62,17 @@ def build_setup(
     if tag.name == "noon":
         # Entangled state prepared at the phase stage by default; the 'input'
         # framing pulls it back through an inverted splitter to the input port.
-        readout = noon_readout_stage(tag.n)
         if noon_framing == "post-bs":
-            inp = noon(tag.n, 0.0, cut)
-            analysis = InterferometerPipeline((PhaseSlot(convention),))
-            sampling = InterferometerPipeline((PhaseSlot(convention), readout))
+            inp, before = noon(tag.n, 0.0, cut), None
         else:
             inp = apply(beam_splitter(-BALANCED, cut), noon(tag.n, 0.0, cut))
-            analysis = InterferometerPipeline((SplitterStage(BALANCED), PhaseSlot(convention)))
-            sampling = InterferometerPipeline((SplitterStage(BALANCED), PhaseSlot(convention), readout))
+            before = beam_splitter(BALANCED, cut)
         return SchemeSetup(
             tag=tag,
             cutoff=cut,
             input_state=inp,
-            analysis=analysis,
-            sampling=sampling,
+            analysis=InterferometerPipeline(convention, before=before),
+            sampling=InterferometerPipeline(convention, before=before, after=noon_readout(tag.n, cut)),
             observable=observable_noon_flip(tag.n),
             observable_name="noon-flip",
             likelihood_period=2.0 * math.pi / tag.n,
@@ -102,8 +91,7 @@ def build_setup(
     else:
         raise ValueError(f"unhandled scheme {tag.name!r}")
 
-    second = -BALANCED if invert_second_bs else BALANCED
-    mz = InterferometerPipeline((SplitterStage(BALANCED), PhaseSlot(convention), SplitterStage(second)))
+    mz = mach_zehnder_pipeline(cut, convention, invert_second_bs)
     return SchemeSetup(
         tag=tag,
         cutoff=cut,

@@ -1,5 +1,6 @@
 """Factories for the interferometer input states, plus the scheme tag they travel under."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,9 +21,12 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 class TruncationError(ValueError):
-    """Raised when a Fock cutoff discards more probability mass than allowed."""
+    """Raised when a Fock cutoff discards more probability mass than allowed.
 
-    def __init__(self, message: str, required_cutoff: int, tail_mass: float):
+    required_cutoff is None when no cutoff below the search cap suffices.
+    """
+
+    def __init__(self, message: str, required_cutoff: int | None, tail_mass: float):
         super().__init__(message)
         self.required_cutoff = required_cutoff
         self.tail_mass = tail_mass
@@ -99,30 +103,55 @@ def yurke_bosonic(n: int, cutoff: int) -> TwoModeState:
     return TwoModeState(cutoff, {n: vec})
 
 
+def _poisson_mass(lam: float, ks) -> float:
+    """Sum of the Poisson weights e^-lam lam^k / k! along ks, which run away from the mode.
+
+    Each weight comes from its logarithm, so none underflows early; the sum
+    stops once the weights, falling monotonically, are negligible.
+    """
+    terms = []
+    for k in ks:
+        terms.append(math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)))
+        if terms[-1] <= 1e-17 * terms[0]:
+            break
+    return math.fsum(terms)
+
+
 def coherent_tail_mass(alpha: complex, cutoff: int) -> float:
-    """Probability mass of the Poisson photon distribution beyond the cutoff."""
+    """Probability mass of the Poisson photon distribution beyond the cutoff.
+
+    From just below the mean upward the dropped weights are summed directly,
+    so a small tail never comes from a cancellation.  Further below the mean
+    the kept mass is under about one half, and 1 minus it loses nothing.
+    """
     lam = abs(alpha) ** 2
-    term = math.exp(-lam)
-    cum = term
-    for k in range(1, cutoff + 1):
-        term *= lam / k
-        cum += term
-    return max(0.0, 1.0 - cum)
+    if lam == 0.0:
+        return 0.0
+    if cutoff + 1 < lam:
+        return 1.0 - _poisson_mass(lam, range(cutoff, -1, -1))
+    return min(1.0, _poisson_mass(lam, itertools.count(cutoff + 1)))  # lgamma roundoff can pass 1
 
 
 def required_coherent_cutoff(alpha: complex, tail_tol: float, hard_cap: int = 100_000) -> int:
-    """Smallest cutoff whose truncated Poisson tail is below tail_tol."""
-    lam = abs(alpha) ** 2
-    term = math.exp(-lam)
-    cum = term
-    k = 0
-    while 1.0 - cum >= tail_tol:
-        k += 1
-        if k > hard_cap:
-            raise ValueError(f"no cutoff below {hard_cap} reaches tail tolerance {tail_tol}")
-        term *= lam / k
-        cum += term
-    return k
+    """Smallest cutoff whose truncated Poisson tail is below tail_tol.
+
+    Raises TruncationError when no cutoff up to hard_cap is enough.
+    """
+    tail = coherent_tail_mass(alpha, hard_cap)
+    if tail >= tail_tol:
+        raise TruncationError(
+            f"no cutoff up to {hard_cap} keeps the coherent tail mass below {tail_tol:.1e}",
+            required_cutoff=None,
+            tail_mass=tail,
+        )
+    lo, hi = -1, hard_cap  # tail(lo) >= tail_tol > tail(hi); the tail falls with the cutoff
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if coherent_tail_mass(alpha, mid) < tail_tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def coherent_vacuum(alpha: complex, cutoff: int, tail_tol: float = 1e-12) -> TwoModeState:

@@ -166,6 +166,16 @@ def test_sample_bayes_footer(tmp_path):
     assert any(f.startswith("posterior_std=") for f in footers)
 
 
+def test_bayes_points_below_two_is_usage_error(tmp_path, capsys):
+    for points in ("1", "0", "-3"):
+        out = tmp_path / f"never{points}.csv"
+        code = main(["sample", "--scheme", "single-port-fock", "--n", "1", "--estimator", "bayes",
+                     "--bayes-points", points, "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert "--bayes-points" in capsys.readouterr().err
+
+
 def test_threads_do_not_change_output(tmp_path):
     base = ("sensitivity", "--scheme", "yurke-bosonic", "--n", "6",
             "--phi-grid", "0.05:3:50")

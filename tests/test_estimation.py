@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fockmzi.elements import ONE_ARM
+from fockmzi.elements import BALANCED, CONVENTIONS, ONE_ARM
 from fockmzi.estimation import (
     ModelMismatchError,
     NoPhaseInformationError,
@@ -12,9 +12,11 @@ from fockmzi.estimation import (
     classical_fisher,
     ensemble_sensitivity,
     min_sensitivity,
+    noon_readout,
     observable_noon_flip,
     output_distribution,
     phase_derivative,
+    phase_sweep,
     posterior_mean,
     posterior_std,
     sample_outcomes,
@@ -27,12 +29,14 @@ from fockmzi.fock import (
     TwoModeState,
     apply,
     expectation,
+    j_observable,
     make_basis_state,
     number_observable,
     spectral_exponential,
+    variance,
 )
-from fockmzi.schemes import build_setup
-from fockmzi.states import SchemeTag, noon
+from fockmzi.schemes import NOON_FRAMINGS, build_setup
+from fockmzi.states import SCHEME_NAMES, SchemeTag, noon
 
 
 def random_hermitian(rng, dim):
@@ -168,6 +172,14 @@ def test_single_photon_fisher_is_one():
         assert classical_fisher(setup.sampling, setup.input_state, phi) == pytest.approx(1.0, abs=1e-7)
 
 
+def test_dual_fock_fisher_is_exactly_holland_burnett():
+    # exact slopes give F = 2N(N+1) for twin Fock input at every phase
+    for n in range(1, 7):
+        setup = build_setup(SchemeTag("dual-fock", n))
+        fisher = classical_fisher(setup.sampling, setup.input_state, np.array([0.05, 0.37, 1.2, 2.6]))
+        assert fisher == pytest.approx(np.full(4, 2.0 * n * (n + 1)), rel=1e-12)
+
+
 def test_noon_fisher_reaches_heisenberg_bound():
     # oracle: the readout produces the two-outcome distribution (1 +/- cos(N phi))/2
     for n in (2, 3, 5):
@@ -210,6 +222,69 @@ def test_cramer_rao_bound_holds():
             assert dphi >= 1 / math.sqrt(fisher) - 1e-9
 
 
+# ---------------------------------------------------------------- batched path vs per-point reference
+
+SCHEME_SIZES = {"single-port-fock": 3, "coherent": 2, "dual-fock": 2, "noon": 3,
+                "yurke-fermionic-analog": 3, "yurke-bosonic": 4}
+assert set(SCHEME_SIZES) == set(SCHEME_NAMES)
+REFERENCE_GRID = np.concatenate(([0.0], np.linspace(0.1, 3.0, 9)))
+
+
+def reference_elements(tag, cutoff, invert, framing):
+    """U_before, analysis U_after and sampling U_after, built independently of the pipeline code."""
+    jx = j_observable("x", cutoff)
+    if tag.name == "noon":
+        before = spectral_exponential(jx, BALANCED) if framing == "input" else None
+        return before, None, noon_readout(tag.n, cutoff)
+    after = spectral_exponential(jx, -BALANCED if invert else BALANCED)
+    return spectral_exponential(jx, BALANCED), after, after
+
+
+def reference_output(state, before, generator, after, phi):
+    out = state if before is None else apply(before, state)
+    out = apply(spectral_exponential(generator, phi), out)
+    return out if after is None else apply(after, out)
+
+
+def conjugated(generator, unitary):
+    blocks = {}
+    for n, u in unitary.blocks.items():
+        m = u @ generator.blocks[n] @ u.conj().T
+        blocks[n] = (m + m.conj().T) / 2
+    return BlockObservable(blocks)
+
+
+def close(value, ref):
+    return abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("framing", NOON_FRAMINGS)
+@pytest.mark.parametrize("invert", [False, True])
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("scheme", sorted(SCHEME_SIZES))
+def test_batched_path_matches_per_point_reference(scheme, convention, invert, framing):
+    tag = SchemeTag(scheme, SCHEME_SIZES[scheme])
+    setup = build_setup(tag, convention=convention, invert_second_bs=invert, noon_framing=framing)
+    cut = setup.cutoff
+    generator = number_observable("b", cut) if convention == ONE_ARM else j_observable("z", cut)
+    before, after, readout = reference_elements(tag, cut, invert, framing)
+    out_generator = generator if after is None else conjugated(generator, after)
+
+    means, variances, deltas = phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)
+    labels, probs = setup.sampling.evolve_grid(setup.input_state, REFERENCE_GRID).probabilities()
+    for p, phi in enumerate(REFERENCE_GRID):
+        out = reference_output(setup.input_state, before, generator, after, phi)
+        assert close(means[p], expectation(setup.observable, out))
+        assert close(variances[p], variance(setup.observable, out))
+        ref_delta = sensitivity(out, setup.observable, out_generator)
+        assert math.isinf(deltas[p]) == math.isinf(ref_delta)
+        if math.isfinite(ref_delta):
+            assert close(deltas[p], ref_delta)
+        dist = reference_output(setup.input_state, before, generator, readout, phi).probabilities()
+        assert labels == list(dist)
+        assert all(close(probs[k, p], dist[label]) for k, label in enumerate(labels))
+
+
 # ---------------------------------------------------------------- sampling
 
 def test_sample_counts_sum_to_shots():
@@ -234,9 +309,9 @@ def test_negative_seed_is_accepted():
 
 
 def test_hom_interference_null_never_fires():
-    from fockmzi.elements import BALANCED, InterferometerPipeline, PhaseSlot, SplitterStage
+    from fockmzi.elements import BALANCED, InterferometerPipeline, beam_splitter
 
-    pipeline = InterferometerPipeline((PhaseSlot(ONE_ARM), SplitterStage(BALANCED)))
+    pipeline = InterferometerPipeline(ONE_ARM, after=beam_splitter(BALANCED, 2))
     twin = make_basis_state(1, 1, 2)
     for seed in range(5):
         hist = sample_outcomes(pipeline, twin, 0.0, 2000, seed=seed)
@@ -244,10 +319,10 @@ def test_hom_interference_null_never_fires():
 
 
 def test_empirical_binomial_within_four_sigma():
-    from fockmzi.elements import BALANCED, InterferometerPipeline, PhaseSlot, SplitterStage
+    from fockmzi.elements import BALANCED, InterferometerPipeline, beam_splitter
 
     n, shots = 6, 100_000
-    pipeline = InterferometerPipeline((PhaseSlot(ONE_ARM), SplitterStage(BALANCED)))
+    pipeline = InterferometerPipeline(ONE_ARM, after=beam_splitter(BALANCED, n))
     hist = sample_outcomes(pipeline, make_basis_state(n, 0, n), 0.0, shots, seed=2024)
     for k in range(n + 1):
         p = math.comb(n, k) / 2**n

@@ -145,6 +145,23 @@ def test_required_coherent_cutoff_is_tight():
     assert coherent_tail_mass(2.0, needed - 1) >= 1e-12
 
 
+def test_coherent_tail_matches_poisson_survival():
+    poisson = pytest.importorskip("scipy.stats").poisson
+    # (740, 817) lost its whole tail to underflow when summed forward from exp(-lam)
+    for lam, cutoff in [(0.001, 0), (4.0, 2), (2.0, 10), (25.0, 68), (740.0, 817), (800.0, 1000)]:
+        assert coherent_tail_mass(math.sqrt(lam), cutoff) == pytest.approx(poisson.sf(cutoff, lam), rel=1e-10)
+    for lam in (0.3, 4.0, 25.0, 740.0):
+        needed = required_coherent_cutoff(math.sqrt(lam), 1e-12)
+        assert poisson.sf(needed, lam) < 1e-12 <= poisson.sf(needed - 1, lam)
+
+
+def test_required_coherent_cutoff_past_cap_is_truncation_error():
+    with pytest.raises(TruncationError) as excinfo:
+        required_coherent_cutoff(math.sqrt(800.0), 1e-12, hard_cap=900)
+    assert excinfo.value.required_cutoff is None
+    assert excinfo.value.tail_mass > 1e-12
+
+
 def test_scheme_tag_validation():
     SchemeTag("noon", 3)
     SchemeTag("yurke-fermionic-analog", 5)
