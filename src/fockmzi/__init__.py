@@ -65,7 +65,6 @@ from .rosetta import (
     ghz_prepare,
     hadamard,
     phase_gate,
-    rosetta_equivalence,
 )
 from .schemes import SchemeSetup, build_setup
 from .states import (

@@ -55,15 +55,17 @@ def parse_grid(spec: str) -> np.ndarray:
     """Phase grid 'start:stop:count' with inclusive endpoints."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise UsageError(f"grid spec {spec!r} must be start:stop:count")
+        raise UsageError(f"--phi-grid {spec!r} must be start:stop:count")
     try:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise UsageError(f"grid spec {spec!r}: {exc}") from None
+        raise UsageError(f"--phi-grid {spec!r}: {exc}") from None
     if count < 2:
-        raise UsageError(f"grid spec {spec!r}: count must be >= 2")
+        raise UsageError(f"--phi-grid {spec!r}: count must be >= 2")
+    if not math.isfinite(stop - start):  # also catches an infinite or NaN endpoint
+        raise UsageError(f"--phi-grid {spec!r}: endpoints and their span must be finite")
     if not start < stop:
-        raise UsageError(f"grid spec {spec!r}: start must be below stop")
+        raise UsageError(f"--phi-grid {spec!r}: start must be below stop")
     return np.linspace(start, stop, count)
 
 
@@ -160,6 +162,8 @@ def _scheme_tag(cfg: dict) -> SchemeTag:
 
 
 def _setup(cfg: dict, tag: SchemeTag):
+    if cfg["cutoff"] < 0:
+        raise UsageError(f"--cutoff must be >= 0 (0 = per-scheme default), got {cfg['cutoff']}")
     try:
         return build_setup(
             tag,
@@ -246,6 +250,8 @@ def run_litho(args) -> int:
         raise UsageError(f"--n must be >= 1, got {n}")
     if points < 192:
         raise UsageError(f"--points must be >= 192 (three periods at 64 points each), got {points}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise UsageError(f"--wavelength must be positive and finite, got {lam}")
     out_path = resolve_output_path(cfg["output"])
     single_period = 2.0 * lam
 
@@ -289,11 +295,11 @@ def run_rosetta(args) -> int:
 
     rows, worst = [], 0.0
     for n in range(1, cfg["n-max"] + 1):
-        for phi in grid:
-            qubit_value, fock_value = rosetta.flip_expectations(n, phi)
-            discrepancy = abs(qubit_value - fock_value)
-            rows.append([fmt(n), fmt(phi), fmt(qubit_value), fmt(fock_value), fmt(discrepancy)])
-            worst = max(worst, discrepancy)
+        qubit_values, fock_values = rosetta.flip_expectations(n, grid)
+        discrepancy = np.abs(qubit_values - fock_values)
+        rows.extend([fmt(n), fmt(phi), fmt(q), fmt(f), fmt(d)]
+                    for phi, q, f, d in zip(grid, qubit_values, fock_values, discrepancy))
+        worst = max(worst, float(np.max(discrepancy)))
     write_table(out_path, ["n", "phi", "qubit_value", "fock_value", "discrepancy"], rows,
                 [f"max_discrepancy={fmt(worst)}"])
     return 0
@@ -305,6 +311,8 @@ def run_sample(args) -> int:
         "estimator": "none", "bayes-points": 2048, "convention": ONE_ARM,
         "invert-second-bs": False, "noon-framing": "post-bs", "cutoff": 0, "output": None,
     })
+    if not math.isfinite(cfg["phi"]):
+        raise UsageError(f"--phi must be finite, got {cfg['phi']}")
     if cfg["shots"] < 0:
         raise UsageError(f"--shots must be nonnegative, got {cfg['shots']}")
     if cfg["estimator"] not in ("none", "bayes"):

@@ -15,11 +15,11 @@ import numpy as np
 
 from .elements import InterferometerPipeline
 from .fock import BlockObservable, BlockUnitary, TwoModeState, variance
-from .states import SchemeTag
 
 DERIVATIVE_FLOOR = 1e-14
 PROBABILITY_FLOOR = 1e-15
 _ENSEMBLE_SIN_TOL = 1e-12
+_GRID_SPACING_RTOL = 1e-9
 
 
 class NoPhaseInformationError(RuntimeError):
@@ -32,10 +32,8 @@ class ModelMismatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class SensitivityCurve:
-    """Sampled map phi -> delta_phi for one scheme/observable pair."""
+    """Sampled map phi -> delta_phi."""
 
-    scheme: SchemeTag | None
-    observable_name: str
     phi_grid: np.ndarray
     delta_phi: np.ndarray
 
@@ -73,7 +71,7 @@ class OutcomeHistogram:
 
 @dataclass(frozen=True)
 class PosteriorDistribution:
-    """Normalized posterior weights over a phase grid covering one period."""
+    """Normalized posterior weights over a uniform phase grid covering one period."""
 
     phi_grid: np.ndarray
     weights: np.ndarray
@@ -83,6 +81,13 @@ class PosteriorDistribution:
         w = np.asarray(self.weights, dtype=float)
         if grid.shape != w.shape or grid.ndim != 1:
             raise ValueError("grid and weights must be matching 1-d arrays")
+        if grid.size < 2:
+            raise ValueError(f"posterior grid needs at least 2 points, got {grid.size}")
+        steps = np.diff(grid)
+        if not np.all(steps > 0):
+            raise ValueError("posterior grid must be finite and strictly increasing")
+        if not np.all(np.abs(steps - steps[0]) <= _GRID_SPACING_RTOL * steps[0]):
+            raise ValueError("posterior grid must be uniformly spaced")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-10:
@@ -182,13 +187,11 @@ def sensitivity_curve(
     input_state: TwoModeState,
     observable: BlockObservable,
     phi_grid,
-    scheme: SchemeTag | None = None,
-    observable_name: str = "",
 ) -> SensitivityCurve:
     """Pointwise sensitivity of the pipeline output over a phase grid."""
     grid = np.asarray(phi_grid, dtype=float)
     _, _, delta = phase_sweep(pipeline, input_state, observable, grid)
-    return SensitivityCurve(scheme, observable_name, grid, delta)
+    return SensitivityCurve(grid, delta)
 
 
 def min_sensitivity(curve: SensitivityCurve) -> tuple[float, float]:

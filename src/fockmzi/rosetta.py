@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import observable_noon_flip
-from .fock import expectation
+from .elements import ONE_ARM, InterferometerPipeline
+from .estimation import observable_noon_flip, phase_sweep
 from .states import noon
 
 MAX_QUBITS = 14
@@ -111,19 +111,17 @@ def expect_flip_sum(reg: QubitRegister) -> float:
     return total
 
 
-def flip_expectations(n: int, phi: float) -> tuple[float, float]:
+def flip_expectations(n: int, phi_grid) -> tuple[np.ndarray, np.ndarray]:
     """<flip> after a collective phase, from the qubit circuit and from the Fock simulator.
 
     The GHZ flip-product expectation after a collective phase and the Fock
     expectation of the flip observable on the phase-evolved path-entangled
-    state both evaluate cos(N phi), through independent code.
+    state both evaluate cos(N phi), through independent code.  The GHZ
+    register is prepared once and the phase gates run per grid point; the
+    Fock side is one batched sweep of the canonical interferometer.
     """
-    qubit_value = expect_flip_product(collective_phase(ghz_prepare(n), phi))
-    fock_value = expectation(observable_noon_flip(n), noon(n, phi, n))
-    return qubit_value, fock_value
-
-
-def rosetta_equivalence(n: int, phi: float) -> float:
-    """Discrepancy between the qubit circuit and the Fock simulator."""
-    qubit_value, fock_value = flip_expectations(n, phi)
-    return abs(qubit_value - fock_value)
+    grid = np.asarray(phi_grid, dtype=float)
+    ghz = ghz_prepare(n)
+    qubit_values = np.array([expect_flip_product(collective_phase(ghz, phi)) for phi in grid])
+    fock_values = phase_sweep(InterferometerPipeline(ONE_ARM), noon(n, 0.0, n), observable_noon_flip(n), grid)[0]
+    return qubit_values, fock_values

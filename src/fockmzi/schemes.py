@@ -35,7 +35,6 @@ class SchemeSetup:
     analysis: InterferometerPipeline
     sampling: InterferometerPipeline
     observable: BlockObservable
-    observable_name: str
     likelihood_period: float
 
 
@@ -74,7 +73,6 @@ def build_setup(
             analysis=InterferometerPipeline(convention, before=before),
             sampling=InterferometerPipeline(convention, before=before, after=noon_readout(tag.n, cut)),
             observable=observable_noon_flip(tag.n),
-            observable_name="noon-flip",
             likelihood_period=2.0 * math.pi / tag.n,
         )
 
@@ -99,6 +97,5 @@ def build_setup(
         analysis=mz,
         sampling=mz,
         observable=j_observable("z", cut),
-        observable_name="jz",
         likelihood_period=2.0 * math.pi,
     )

@@ -176,6 +176,33 @@ def test_bayes_points_below_two_is_usage_error(tmp_path, capsys):
         assert "--bayes-points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config, flag", [
+    (["sensitivity", "--phi-grid", "0:inf:5"], None, "--phi-grid"),
+    (["sensitivity"], "phi-grid = -inf:0:5\n", "--phi-grid"),
+    (["sensitivity", "--phi-grid", "0:nan:5"], None, "--phi-grid"),
+    (["rosetta", "--phi-grid", "0:inf:3"], None, "--phi-grid"),
+    (["sample", "--phi", "nan"], None, "--phi"),
+    (["sample", "--phi", "inf"], None, "--phi"),
+    (["sample"], "phi = -inf\n", "--phi"),
+    (["sensitivity", "--cutoff", "-5"], None, "--cutoff"),
+    (["scaling", "--n-range", "1:3"], "cutoff = -1\n", "--cutoff"),
+    (["litho", "--wavelength", "-1"], None, "--wavelength"),
+    (["litho", "--wavelength", "0"], None, "--wavelength"),
+    (["litho", "--wavelength", "nan"], None, "--wavelength"),
+    (["litho"], "wavelength = inf\n", "--wavelength"),
+])
+def test_non_finite_or_out_of_range_numbers_are_usage_errors(tmp_path, capsys, argv, config, flag):
+    out = tmp_path / "never.csv"
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        argv = argv + ["--config", str(cfg)]
+    code = main(argv + ["--output", str(out)])
+    assert code == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threads_do_not_change_output(tmp_path):
     base = ("sensitivity", "--scheme", "yurke-bosonic", "--n", "6",
             "--phi-grid", "0.05:3:50")

@@ -150,10 +150,10 @@ def test_sensitivity_curve_validation():
     from fockmzi.estimation import SensitivityCurve
 
     with pytest.raises(ValueError):
-        SensitivityCurve(None, "jz", np.array([0.2, 0.1]), np.array([1.0, 1.0]))
+        SensitivityCurve(np.array([0.2, 0.1]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        SensitivityCurve(None, "jz", np.array([0.1, 0.2]), np.array([1.0, -1.0]))
-    SensitivityCurve(None, "jz", np.array([0.1, 0.2]), np.array([1.0, math.inf]))
+        SensitivityCurve(np.array([0.1, 0.2]), np.array([1.0, -1.0]))
+    SensitivityCurve(np.array([0.1, 0.2]), np.array([1.0, math.inf]))
 
 
 def test_ensemble_sensitivity_values():
@@ -402,6 +402,19 @@ def test_posterior_mean_wraps_across_period_seam():
     mean = posterior_mean(post)
     assert min(abs(mean - 0.0), abs(mean - 1.0)) < 0.01
     assert posterior_std(post) < 0.05  # wrap-safe, not ~0.5
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([0.5], "at least 2 points"),
+    ([0.0, 0.1, 0.2, 3.0], "uniformly spaced"),
+    ([0.3, 0.2, 0.1, 0.0], "strictly increasing"),
+])
+def test_posterior_rejects_grids_without_a_uniform_period(grid, message):
+    from fockmzi.estimation import PosteriorDistribution
+
+    weights = np.full(len(grid), 1.0 / len(grid))
+    with pytest.raises(ValueError, match=message):
+        PosteriorDistribution(np.array(grid), weights)
 
 
 # ---------------------------------------------------------------- scaling fit

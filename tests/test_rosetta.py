@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from fockmzi.estimation import observable_noon_flip
+from fockmzi.fock import expectation
 from fockmzi.rosetta import (
     MAX_QUBITS,
     QubitRegister,
@@ -10,12 +12,13 @@ from fockmzi.rosetta import (
     collective_phase,
     expect_flip_product,
     expect_flip_sum,
+    flip_expectations,
     ghz_prepare,
     hadamard,
     phase_gate,
-    rosetta_equivalence,
     zero_register,
 )
+from fockmzi.states import noon
 
 
 def register_from_bits(bits):
@@ -131,13 +134,24 @@ def test_hadamard_and_cnot_are_involutions():
         assert np.max(np.abs(twice.amplitudes - reg.amplitudes)) < 1e-12
 
 
-def test_rosetta_equivalence_across_sizes():
+def test_flip_expectations_agree_across_sizes():
     grid = np.linspace(0.0, 2 * math.pi, 100)
     for n in range(1, 13):
-        worst = max(rosetta_equivalence(n, phi) for phi in grid)
-        assert worst < 1e-12
+        qubit_values, fock_values = flip_expectations(n, grid)
+        assert np.max(np.abs(qubit_values - fock_values)) < 1e-12
 
 
-def test_rosetta_equivalence_trivial_points():
-    assert rosetta_equivalence(1, 0.0) < 1e-14
-    assert rosetta_equivalence(4, 0.0) < 1e-14
+def test_flip_expectations_agree_at_trivial_points():
+    for n in (1, 4):
+        qubit_values, fock_values = flip_expectations(n, [0.0])
+        assert abs(qubit_values[0] - fock_values[0]) < 1e-14
+
+
+def test_batched_flip_expectations_match_per_point_evaluation():
+    grid = np.linspace(0.0, 2 * math.pi, 33)
+    for n in range(1, 9):
+        qubit_values, fock_values = flip_expectations(n, grid)
+        assert qubit_values.shape == fock_values.shape == grid.shape
+        for phi, q, f in zip(grid, qubit_values, fock_values):
+            assert q == expect_flip_product(collective_phase(ghz_prepare(n), phi))
+            assert abs(f - expectation(observable_noon_flip(n), noon(n, phi, n))) <= 1e-15
