@@ -37,6 +37,12 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting; flags must be spelled in full, so
+    `scaling --n` is an error, not an abbreviation of `--n-range`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -73,14 +79,14 @@ def parse_n_range(spec: str) -> list[int]:
     """Inclusive integer range 'start:stop[:step]'."""
     parts = spec.split(":")
     if len(parts) not in (2, 3):
-        raise UsageError(f"n-range {spec!r} must be start:stop[:step]")
+        raise UsageError(f"--n-range {spec!r} must be start:stop[:step]")
     try:
         start, stop = int(parts[0]), int(parts[1])
         step = int(parts[2]) if len(parts) == 3 else 1
     except ValueError as exc:
-        raise UsageError(f"n-range {spec!r}: {exc}") from None
+        raise UsageError(f"--n-range {spec!r}: {exc}") from None
     if step < 1 or stop < start:
-        raise UsageError(f"n-range {spec!r}: need stop >= start and step >= 1")
+        raise UsageError(f"--n-range {spec!r}: need stop >= start and step >= 1")
     return list(range(start, stop + 1, step))
 
 
@@ -102,34 +108,28 @@ def load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Option precedence: explicit flag, then config file, then builtin default."""
-    config = load_config_file(args.config) if getattr(args, "config", None) else {}
-    out = {}
-    for key, builtin in defaults.items():
-        flag_value = getattr(args, key.replace("-", "_"), None)
-        if flag_value is not None:
-            out[key] = flag_value
-        elif key in config:
-            out[key] = _coerce(config[key], builtin)
+_BOOLEAN_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_NOT_OPTIONS = ("command", "run", "config")
+
+
+def _config_flags(path: str, options: dict) -> list[str]:
+    """Config entries as flags of the subcommand whose parsed `options` are given.
+
+    A key becomes `--key=value` (so values starting with '-' parse), a boolean key
+    `--key` or `--no-key`; keys the subcommand does not define are skipped.
+    """
+    flags = []
+    for key, value in load_config_file(path).items():
+        dest = key.replace("-", "_")
+        if "_" in key or dest in _NOT_OPTIONS or dest not in options:
+            continue
+        if isinstance(options[dest], bool):
+            if value.lower() not in _BOOLEAN_WORDS:
+                raise UsageError(f"config key {key!r}: expected true/1/yes or false/0/no, got {value!r}")
+            flags.append(f"--{key}" if _BOOLEAN_WORDS[value.lower()] else f"--no-{key}")
         else:
-            out[key] = builtin
-    return out
-
-
-def _coerce(text: str, like):
-    if isinstance(like, bool):
-        lowered = text.lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise UsageError(f"expected a boolean, got {text!r}")
-    if isinstance(like, int):
-        return int(text)
-    if isinstance(like, float):
-        return float(text)
-    return text
+            flags.append(f"--{key}={value}")
+    return flags
 
 
 def resolve_output_path(output: str | None) -> Path | None:
@@ -154,23 +154,23 @@ def write_table(path: Path | None, header: list[str], rows: list[list[str]], foo
         path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _scheme_tag(cfg: dict) -> SchemeTag:
+def _scheme_tag(args) -> SchemeTag:
     try:
-        return SchemeTag(cfg["scheme"], cfg["n"])
+        return SchemeTag(args.scheme, args.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _setup(cfg: dict, tag: SchemeTag):
-    if cfg["cutoff"] < 0:
-        raise UsageError(f"--cutoff must be >= 0 (0 = per-scheme default), got {cfg['cutoff']}")
+def _setup(args, tag: SchemeTag):
+    if args.cutoff < 0:
+        raise UsageError(f"--cutoff must be >= 0 (0 = per-scheme default), got {args.cutoff}")
     try:
         return build_setup(
             tag,
-            convention=cfg["convention"],
-            invert_second_bs=cfg["invert-second-bs"],
-            noon_framing=cfg["noon-framing"],
-            cutoff=cfg["cutoff"] if cfg["cutoff"] > 0 else None,
+            convention=args.convention,
+            invert_second_bs=args.invert_second_bs,
+            noon_framing=args.noon_framing,
+            cutoff=args.cutoff if args.cutoff > 0 else None,
         )
     except TruncationError:
         raise
@@ -179,15 +179,10 @@ def _setup(cfg: dict, tag: SchemeTag):
 
 
 def run_sensitivity(args) -> int:
-    cfg = resolve(args, {
-        "scheme": "single-port-fock", "n": 1, "phi-grid": "0:3.1415926535897931:100",
-        "convention": ONE_ARM, "invert-second-bs": False, "noon-framing": "post-bs",
-        "cutoff": 0, "output": None,
-    })
-    grid = parse_grid(cfg["phi-grid"])
-    out_path = resolve_output_path(cfg["output"])
-    tag = _scheme_tag(cfg)
-    setup = _setup(cfg, tag)
+    grid = parse_grid(args.phi_grid)
+    out_path = resolve_output_path(args.output)
+    tag = _scheme_tag(args)
+    setup = _setup(args, tag)
     sweep = estimation.phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
     rows = [
         [tag.name, fmt(tag.n), fmt(phi), fmt(mean), fmt(var), fmt(dphi)]
@@ -198,28 +193,21 @@ def run_sensitivity(args) -> int:
 
 
 def run_scaling(args) -> int:
-    cfg = resolve(args, {
-        "scheme": "noon", "n-range": "1:20", "phi-grid": "0.005:3.1365926535897931:800",
-        "metric": "auto", "convention": ONE_ARM, "invert-second-bs": False,
-        "noon-framing": "post-bs", "cutoff": 0, "output": None,
-    })
-    ns = parse_n_range(cfg["n-range"])
+    ns = parse_n_range(args.n_range)
     if len(ns) < 3:
-        raise UsageError(f"n-range {cfg['n-range']!r} must contain at least 3 sizes")
-    grid = parse_grid(cfg["phi-grid"])
-    out_path = resolve_output_path(cfg["output"])
-    metric = cfg["metric"]
+        raise UsageError(f"--n-range {args.n_range!r} must contain at least 3 sizes")
+    grid = parse_grid(args.phi_grid)
+    out_path = resolve_output_path(args.output)
+    metric = args.metric
     if metric == "auto":
-        metric = "fisher" if cfg["scheme"] == "dual-fock" else "min-sensitivity"
-    if metric not in ("min-sensitivity", "fisher"):
-        raise UsageError(f"unknown metric {metric!r}")
+        metric = "fisher" if args.scheme == "dual-fock" else "min-sensitivity"
     try:
-        tags = [SchemeTag(cfg["scheme"], n) for n in ns]
+        tags = [SchemeTag(args.scheme, n) for n in ns]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
     def point(tag: SchemeTag) -> float:
-        setup = _setup(cfg, tag)
+        setup = _setup(args, tag)
         if metric == "fisher":
             return float(np.max(estimation.classical_fisher(setup.sampling, setup.input_state, grid)))
         curve = estimation.sensitivity_curve(setup.analysis, setup.input_state, setup.observable, grid)
@@ -228,15 +216,14 @@ def run_scaling(args) -> int:
     values = [point(tag) for tag in tags]
     slope, intercept = estimation.scaling_fit(list(zip(ns, values)))
     column = "fisher" if metric == "fisher" else "min_sensitivity"
-    rows = [[cfg["scheme"], fmt(n), fmt(v)] for n, v in zip(ns, values)]
+    rows = [[args.scheme, fmt(n), fmt(v)] for n, v in zip(ns, values)]
     footers = [f"slope={fmt(slope)} intercept={fmt(intercept)} metric={column}"]
     write_table(out_path, ["scheme", "n", column], rows, footers)
     return 0
 
 
 def run_hom(args) -> int:
-    cfg = resolve(args, {"output": None})
-    out_path = resolve_output_path(cfg["output"])
+    out_path = resolve_output_path(args.output)
     out = apply(beam_splitter(math.pi / 2, 2), make_basis_state(1, 1, 2))
     rows = [[fmt(na), fmt(nb), fmt(p)] for (na, nb), p in out.probabilities().items()]
     write_table(out_path, ["n_a", "n_b", "probability"], rows, [])
@@ -244,15 +231,14 @@ def run_hom(args) -> int:
 
 
 def run_litho(args) -> int:
-    cfg = resolve(args, {"n": 2, "points": 512, "wavelength": 1.0, "output": None})
-    n, points, lam = cfg["n"], cfg["points"], cfg["wavelength"]
+    n, points, lam = args.n, args.points, args.wavelength
     if n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
     if points < 192:
         raise UsageError(f"--points must be >= 192 (three periods at 64 points each), got {points}")
     if not (math.isfinite(lam) and lam > 0):
         raise UsageError(f"--wavelength must be positive and finite, got {lam}")
-    out_path = resolve_output_path(cfg["output"])
+    out_path = resolve_output_path(args.output)
     single_period = 2.0 * lam
 
     # shared grid for the table; periods measured on per-kind grids (three
@@ -287,14 +273,13 @@ def run_litho(args) -> int:
 
 
 def run_rosetta(args) -> int:
-    cfg = resolve(args, {"n-max": 12, "phi-grid": "0:6.2831853071795862:100", "output": None})
-    if not 1 <= cfg["n-max"] <= rosetta.MAX_QUBITS:
-        raise UsageError(f"--n-max must be in [1, {rosetta.MAX_QUBITS}], got {cfg['n-max']}")
-    grid = parse_grid(cfg["phi-grid"])
-    out_path = resolve_output_path(cfg["output"])
+    if not 1 <= args.n_max <= rosetta.MAX_QUBITS:
+        raise UsageError(f"--n-max must be in [1, {rosetta.MAX_QUBITS}], got {args.n_max}")
+    grid = parse_grid(args.phi_grid)
+    out_path = resolve_output_path(args.output)
 
     rows, worst = [], 0.0
-    for n in range(1, cfg["n-max"] + 1):
+    for n in range(1, args.n_max + 1):
         qubit_values, fock_values = rosetta.flip_expectations(n, grid)
         discrepancy = np.abs(qubit_values - fock_values)
         rows.extend([fmt(n), fmt(phi), fmt(q), fmt(f), fmt(d)]
@@ -306,28 +291,21 @@ def run_rosetta(args) -> int:
 
 
 def run_sample(args) -> int:
-    cfg = resolve(args, {
-        "scheme": "noon", "n": 2, "phi": 0.0, "shots": 1000, "seed": 0,
-        "estimator": "none", "bayes-points": 2048, "convention": ONE_ARM,
-        "invert-second-bs": False, "noon-framing": "post-bs", "cutoff": 0, "output": None,
-    })
-    if not math.isfinite(cfg["phi"]):
-        raise UsageError(f"--phi must be finite, got {cfg['phi']}")
-    if cfg["shots"] < 0:
-        raise UsageError(f"--shots must be nonnegative, got {cfg['shots']}")
-    if cfg["estimator"] not in ("none", "bayes"):
-        raise UsageError(f"unknown estimator {cfg['estimator']!r}")
-    if cfg["bayes-points"] < 2:
-        raise UsageError(f"--bayes-points must be >= 2, got {cfg['bayes-points']}")
-    out_path = resolve_output_path(cfg["output"])
-    tag = _scheme_tag(cfg)
-    setup = _setup(cfg, tag)
-    hist = estimation.sample_outcomes(setup.sampling, setup.input_state, cfg["phi"], cfg["shots"], cfg["seed"])
+    if not math.isfinite(args.phi):
+        raise UsageError(f"--phi must be finite, got {args.phi}")
+    if args.shots < 0:
+        raise UsageError(f"--shots must be nonnegative, got {args.shots}")
+    if args.bayes_points < 2:
+        raise UsageError(f"--bayes-points must be >= 2, got {args.bayes_points}")
+    out_path = resolve_output_path(args.output)
+    tag = _scheme_tag(args)
+    setup = _setup(args, tag)
+    hist = estimation.sample_outcomes(setup.sampling, setup.input_state, args.phi, args.shots, args.seed)
     ordered = sorted(hist.counts.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))
     rows = [[fmt(na), fmt(nb), fmt(c)] for (na, nb), c in ordered]
     footers = []
-    if cfg["estimator"] == "bayes":
-        grid = np.linspace(0.0, setup.likelihood_period, cfg["bayes-points"], endpoint=False)
+    if args.estimator == "bayes":
+        grid = np.linspace(0.0, setup.likelihood_period, args.bayes_points, endpoint=False)
         posterior = estimation.bayes_posterior(hist, setup.sampling, setup.input_state, grid)
         footers.append(f"posterior_mean={fmt(estimation.posterior_mean(posterior))}")
         footers.append(f"posterior_std={fmt(estimation.posterior_std(posterior))}")
@@ -338,13 +316,15 @@ def run_sample(args) -> int:
 _THREADS_HELP = "accepted for compatibility; has no effect (BLAS threads follow the environment)"
 
 
-def _add_scheme_options(sub):
-    sub.add_argument("--scheme", choices=SCHEME_NAMES)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--convention", choices=CONVENTIONS)
-    sub.add_argument("--invert-second-bs", action=argparse.BooleanOptionalAction)
-    sub.add_argument("--noon-framing", choices=NOON_FRAMINGS)
-    sub.add_argument("--cutoff", type=int, help="Fock cutoff override (0 = per-scheme default)")
+def _add_scheme_options(sub, scheme: str, n: int | None):
+    """Scheme flags with this subcommand's defaults; n=None means no --n (scaling sweeps it)."""
+    sub.add_argument("--scheme", choices=SCHEME_NAMES, default=scheme)
+    if n is not None:
+        sub.add_argument("--n", type=int, default=n)
+    sub.add_argument("--convention", choices=CONVENTIONS, default=ONE_ARM)
+    sub.add_argument("--invert-second-bs", action=argparse.BooleanOptionalAction, default=False)
+    sub.add_argument("--noon-framing", choices=NOON_FRAMINGS, default="post-bs")
+    sub.add_argument("--cutoff", type=int, default=0, help="Fock cutoff override (0 = per-scheme default)")
 
 
 def _add_common(sub):
@@ -357,17 +337,17 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("sensitivity", help="phase sweep of expectation/variance/sensitivity")
-    _add_scheme_options(s)
-    s.add_argument("--phi-grid", help="start:stop:count, inclusive endpoints")
+    _add_scheme_options(s, "single-port-fock", 1)
+    s.add_argument("--phi-grid", default="0:3.1415926535897931:100", help="start:stop:count, inclusive endpoints")
     s.add_argument("--threads", type=int, help=_THREADS_HELP)
     _add_common(s)
     s.set_defaults(run=run_sensitivity)
 
     s = subs.add_parser("scaling", help="photon-number sweep with log-log fit")
-    _add_scheme_options(s)
-    s.add_argument("--n-range", help="start:stop[:step], inclusive")
-    s.add_argument("--phi-grid", help="phase grid searched per size")
-    s.add_argument("--metric", choices=("auto", "min-sensitivity", "fisher"))
+    _add_scheme_options(s, "noon", None)
+    s.add_argument("--n-range", default="1:20", help="start:stop[:step], inclusive")
+    s.add_argument("--phi-grid", default="0.005:3.1365926535897931:800", help="phase grid searched per size")
+    s.add_argument("--metric", choices=("auto", "min-sensitivity", "fisher"), default="auto")
     s.add_argument("--threads", type=int, help=_THREADS_HELP)
     _add_common(s)
     s.set_defaults(run=run_scaling)
@@ -377,26 +357,26 @@ def build_parser() -> _Parser:
     s.set_defaults(run=run_hom)
 
     s = subs.add_parser("litho", help="deposition-rate curves and fringe-period ratios")
-    s.add_argument("--n", type=int, help="photon number of the path-entangled exposure")
-    s.add_argument("--points", type=int, help="samples per curve")
-    s.add_argument("--wavelength", type=float)
+    s.add_argument("--n", type=int, default=2, help="photon number of the path-entangled exposure")
+    s.add_argument("--points", type=int, default=512, help="samples per curve")
+    s.add_argument("--wavelength", type=float, default=1.0)
     _add_common(s)
     s.set_defaults(run=run_litho)
 
     s = subs.add_parser("rosetta", help="qubit-circuit vs Fock cross-check table")
-    s.add_argument("--n-max", type=int)
-    s.add_argument("--phi-grid")
+    s.add_argument("--n-max", type=int, default=12)
+    s.add_argument("--phi-grid", default="0:6.2831853071795862:100")
     s.add_argument("--threads", type=int, help=_THREADS_HELP)
     _add_common(s)
     s.set_defaults(run=run_rosetta)
 
     s = subs.add_parser("sample", help="seeded outcome histogram, optional Bayesian estimate")
-    _add_scheme_options(s)
-    s.add_argument("--phi", type=float, help="true phase used for sampling")
-    s.add_argument("--shots", type=int)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--estimator", choices=("none", "bayes"))
-    s.add_argument("--bayes-points", type=int)
+    _add_scheme_options(s, "noon", 2)
+    s.add_argument("--phi", type=float, default=0.0, help="true phase used for sampling")
+    s.add_argument("--shots", type=int, default=1000)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--estimator", choices=("none", "bayes"), default="none")
+    s.add_argument("--bayes-points", type=int, default=2048)
     _add_common(s)
     s.set_defaults(run=run_sample)
 
@@ -404,9 +384,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # config entries go in as flags ahead of the explicit ones, which therefore win
+            args = parser.parse_args([args.command, *_config_flags(args.config, vars(args)), *argv[1:]])
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

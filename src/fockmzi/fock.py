@@ -88,9 +88,6 @@ class BlockObservable:
             clean[n] = _frozen(mat)
         object.__setattr__(self, "blocks", clean)
 
-    def block(self, n: int) -> np.ndarray | None:
-        return self.blocks.get(n)
-
 
 @dataclass(frozen=True)
 class BlockUnitary:

@@ -64,10 +64,9 @@ def hadamard(reg: QubitRegister, k: int) -> QubitRegister:
 
 def phase_gate(reg: QubitRegister, k: int, phi: float) -> QubitRegister:
     """diag(1, e^{i phi}) on qubit k."""
-    mask = _bit(reg, k)
-    idx = np.arange(reg.amplitudes.size)
-    factor = np.where(idx & mask, np.exp(1j * phi), 1.0)
-    return QubitRegister(reg.n_qubits, reg.amplitudes * factor)
+    _bit(reg, k)
+    factor = np.array([[1.0], [np.exp(1j * phi)]])  # indexed by the value of bit k
+    return QubitRegister(reg.n_qubits, (reg.amplitudes.reshape(2**k, 2, -1) * factor).reshape(-1))
 
 
 def cnot(reg: QubitRegister, control: int, target: int) -> QubitRegister:

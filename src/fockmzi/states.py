@@ -38,7 +38,6 @@ class SchemeTag:
 
     name: str
     n: int
-    extra: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.name not in SCHEME_NAMES:

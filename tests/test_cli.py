@@ -203,6 +203,54 @@ def test_non_finite_or_out_of_range_numbers_are_usage_errors(tmp_path, capsys, a
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("argv, config, flag", [
+    (["sensitivity"], "n = abc\n", "--n"),
+    (["sample"], "shots = 1.5\n", "--shots"),
+    (["scaling", "--n-range", "1:3"], "metric = bogus\n", "--metric"),
+    (["sample"], "estimator = mle\n", "--estimator"),
+    (["sensitivity"], "convention = both\n", "--convention"),
+    (["sensitivity"], "invert-second-bs = maybe\n", "invert-second-bs"),
+    (["scaling"], "n-range = 5:1\n", "--n-range"),
+    (["scaling", "--n-range", "1:2"], None, "--n-range"),
+    (["scaling", "--n", "5", "--n-range", "1:3"], None, "--n"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, config, flag):
+    out = tmp_path / "never.csv"
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        argv = argv + ["--config", str(cfg)]
+    code = main(argv + ["--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    ("sensitivity", "invert-second-bs = true\nconvention = symmetric\nphi-grid = -1:1:7\n",
+     ["--invert-second-bs", "--convention", "symmetric", "--phi-grid=-1:1:7"]),
+    ("sample", "phi = -0.4\nestimator = bayes\n", ["--phi=-0.4", "--estimator", "bayes"]),
+])
+def test_config_and_flags_give_identical_output(tmp_path, command, config, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    code1, via_config = run_cli(tmp_path, command, "--config", str(cfg), name="config.csv")
+    code2, via_flags = run_cli(tmp_path, command, *flags, name="flags.csv")
+    _, defaults = run_cli(tmp_path, command, name="defaults.csv")
+    assert code1 == code2 == 0
+    assert via_config == via_flags != defaults
+
+
+def test_config_keys_of_other_subcommands_are_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n-max = 3\npoints = 7\n", encoding="utf-8")
+    code, via_config = run_cli(tmp_path, "sensitivity", "--config", str(cfg), name="config.csv")
+    _, defaults = run_cli(tmp_path, "sensitivity", name="defaults.csv")
+    assert code == 0
+    assert via_config == defaults
+
 def test_threads_do_not_change_output(tmp_path):
     base = ("sensitivity", "--scheme", "yurke-bosonic", "--n", "6",
             "--phi-grid", "0.05:3:50")

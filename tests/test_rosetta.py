@@ -122,6 +122,17 @@ def test_random_circuits_preserve_norm():
     assert abs(reg.norm() - 1.0) < 1e-12
 
 
+def test_phase_gate_multiplies_the_amplitudes_with_bit_k_set():
+    rng = np.random.default_rng(5)
+    for n in (1, 3, 6):
+        reg = random_register(rng, n)
+        idx = np.arange(2**n)
+        for k in range(n):
+            phi = float(rng.uniform(0, 2 * math.pi))
+            factor = np.where(idx & (1 << (n - 1 - k)), np.exp(1j * phi), 1.0)
+            assert np.array_equal(phase_gate(reg, k, phi).amplitudes, reg.amplitudes * factor)
+
+
 def test_hadamard_and_cnot_are_involutions():
     rng = np.random.default_rng(37)
     for _ in range(10):
