@@ -13,6 +13,7 @@ from .elements import (
     SYMMETRIC,
     GridEvolution,
     InterferometerPipeline,
+    balanced_split,
     beam_splitter,
     mach_zehnder_pipeline,
     phase_shifter,
@@ -43,6 +44,7 @@ from .fock import (
     apply,
     build_j_operator,
     expectation,
+    j_bands,
     j_observable,
     make_basis_state,
     number_observable,
@@ -66,15 +68,17 @@ from .rosetta import (
     hadamard,
     phase_gate,
 )
-from .schemes import SchemeSetup, build_setup
+from .schemes import SchemeSetup, build_setup, pulled_back_jz
 from .states import (
     SCHEME_NAMES,
     SchemeTag,
     TruncationError,
+    coherent_amplitudes,
     coherent_vacuum,
     dual_fock,
     noon,
     single_port_fock,
+    split_port_a,
     yurke_bosonic,
     yurke_fermionic_analog,
 )

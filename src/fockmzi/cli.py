@@ -149,9 +149,12 @@ def write_table(path: Path | None, header: list[str], rows: list[list[str]], foo
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:  # e.g. the path names a directory
+        raise UsageError(f"--output {str(path)!r} cannot be written: {exc.strerror or exc}") from None
 
 
 def _scheme_tag(args) -> SchemeTag:

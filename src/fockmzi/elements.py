@@ -36,6 +36,16 @@ def beam_splitter(theta: float, cutoff: int) -> BlockUnitary:
     return BlockUnitary(blocks)
 
 
+def balanced_split(state: TwoModeState) -> TwoModeState:
+    """The state after the 50/50 splitter, each populated block rotated by its own
+    block of beam_splitter(BALANCED, cutoff); no other block is built."""
+    blocks = {}
+    for n, vec in state.blocks.items():
+        w, v = _jx_eigensystem(n)
+        blocks[n] = ((v * np.exp(1j * BALANCED * w)) @ v.conj().T) @ vec
+    return TwoModeState(state.cutoff, blocks)
+
+
 def phase_exponent(convention: str, n: int) -> np.ndarray:
     """Diagonal of the phase generator on block n: n_b for 'one-arm', J_z = n/2 - n_b for 'symmetric'."""
     if convention not in CONVENTIONS:
@@ -91,25 +101,42 @@ class InterferometerPipeline:
     def __post_init__(self):
         phase_exponent(self.convention, 0)  # rejects an unknown convention
 
-    def evolve_grid(self, state: TwoModeState, phi_grid) -> GridEvolution:
-        """Output over the whole phase grid, one column per phase.
+    def phase_stage(self, state: TwoModeState) -> TwoModeState:
+        """The state as it enters the phase stage, U_before psi."""
+        return state if self.before is None else apply(self.before, state)
 
-        psi_1 = U_before psi is formed once; each block then takes
-        U_after . (e^{i phi g} * psi_1) as one (n+1) x P product, and
-        G_out psi as U_after . (g * e^{i phi g} * psi_1).
+    def evolve_blocks(self, state: TwoModeState, phi_grid):
+        """Yield (n, output block n, G_out applied to it) per populated block, one column per phase.
+
+        psi_1 = U_before psi is formed once.  Block n of the output is
+        U_after . (e^{i phi g} * psi_1) and G_out psi is U_after . (g * e^{i phi g} * psi_1),
+        each one (n+1) x P product.  The factors e^{i phi g} are rows of one
+        table, exp(i phi j/2) for the values j = 2g of the populated blocks
+        (every second one when they share a parity), so each is computed once
+        and not once per block.
         """
         grid = np.asarray(phi_grid, dtype=float)
-        first = state if self.before is None else apply(self.before, state)
-        amplitudes, generated = {}, {}
+        first = self.phase_stage(state)
+        exponents = {n: phase_exponent(self.convention, n) for n in first.blocks}
+        doubled = {n: (2 * g).astype(int) for n, g in exponents.items()}  # g is n_b or n/2 - n_b
+        low = min((j.min() for j in doubled.values()), default=0)
+        high = max((j.max() for j in doubled.values()), default=0)
+        step = 1 if any(np.any((j - low) % 2) for j in doubled.values()) else 2
+        table = np.exp(1j * np.outer(np.arange(low, high + 1, step) / 2.0, grid))
         for n, vec in first.blocks.items():
-            g = phase_exponent(self.convention, n)
-            phased = np.exp(1j * np.outer(g, grid)) * vec[:, None]
-            moved = g[:, None] * phased
+            phased = table[(doubled[n] - low) // step] * vec[:, None]
+            moved = exponents[n][:, None] * phased
             if self.after is not None:
                 u = _block(self.after, n)
                 phased, moved = u @ phased, u @ moved
+            yield n, phased, moved
+
+    def evolve_grid(self, state: TwoModeState, phi_grid) -> GridEvolution:
+        """Output over the whole phase grid: every block evolve_blocks yields."""
+        amplitudes, generated = {}, {}
+        for n, phased, moved in self.evolve_blocks(state, phi_grid):
             amplitudes[n], generated[n] = phased, moved
-        return GridEvolution(grid, amplitudes, generated)
+        return GridEvolution(np.asarray(phi_grid, dtype=float), amplitudes, generated)
 
     def evolve(self, state: TwoModeState, phi: float) -> TwoModeState:
         """Output state at one phase: the single-column case of evolve_grid."""
@@ -126,7 +153,7 @@ class InterferometerPipeline:
         for n in range(cutoff + 1):
             g = phase_exponent(self.convention, n)
             if self.after is None:
-                blocks[n] = np.diag(g).astype(np.complex128)
+                blocks[n] = {0: g}
                 continue
             u = _block(self.after, n)
             m = (u * g) @ u.conj().T

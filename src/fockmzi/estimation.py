@@ -5,7 +5,8 @@ The central quantity is the error-propagation sensitivity
 delta_phi = sqrt(Var A) / |d<A>/dphi|, with the derivative taken exactly as
 the expectation of i[A, G] for the phase generator G, never by finite
 differences (those are kept as a test oracle only).  Sweeps, Fisher
-information and posteriors evaluate the whole phase grid in one batch.
+information and posteriors evaluate the whole phase grid at once, one
+photon-number block at a time.
 """
 
 import math
@@ -13,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import InterferometerPipeline
+from .elements import InterferometerPipeline, phase_exponent
 from .fock import BlockObservable, BlockUnitary, TwoModeState, variance
 
-DERIVATIVE_FLOOR = 1e-14
+DERIVATIVE_RTOL = 1e-14
 PROBABILITY_FLOOR = 1e-15
 _ENSEMBLE_SIN_TOL = 1e-12
 _GRID_SPACING_RTOL = 1e-9
@@ -102,10 +103,7 @@ def observable_noon_flip(n: int) -> BlockObservable:
     """The two-entry flip observable |N,0><0,N| + |0,N><N,0| on block N."""
     if n < 1:
         raise ValueError(f"flip observable needs n >= 1, got {n}")
-    mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    mat[0, n] = 1.0
-    mat[n, 0] = 1.0
-    return BlockObservable({n: mat})
+    return BlockObservable({n: {n: np.ones(1), -n: np.ones(1)}})
 
 
 def noon_readout(n: int, cutoff: int) -> BlockUnitary:
@@ -126,26 +124,31 @@ def noon_readout(n: int, cutoff: int) -> BlockUnitary:
 
 
 def phase_derivative(state: TwoModeState, observable: BlockObservable, generator: BlockObservable) -> float:
-    """Exact d<A>/dphi for evolution exp(i phi G): the expectation of i[A, G]."""
-    val = 0j
+    """Exact d<A>/dphi for evolution exp(i phi G): the expectation of i[A, G], -2 Im <A psi|G psi>."""
+    val = 0.0
     for n, vec in state.blocks.items():
-        a = observable.blocks.get(n)
-        g = generator.blocks.get(n)
-        if a is None or g is None:
-            continue
-        val += 1j * (np.vdot(vec, a @ (g @ vec)) - np.vdot(vec, g @ (a @ vec)))
-    return float(val.real)
+        val -= 2.0 * np.vdot(observable.apply_block(n, vec), generator.apply_block(n, vec)).imag
+    return float(val)
+
+
+def _divergent(slope, observable_bound: float, generator_bound: float):
+    """Where |d<A>/dphi| <= 1e-14 ||A|| ||G||, the roundoff scale of -2 Im <A psi|G psi>.
+
+    The norms are bounds over the populated blocks; a zero slope is always divergent.
+    """
+    return slope <= DERIVATIVE_RTOL * observable_bound * generator_bound
 
 
 def sensitivity(state: TwoModeState, observable: BlockObservable, generator: BlockObservable) -> float:
     """Error-propagation phase uncertainty sqrt(Var A) / |d<A>/dphi|.
 
     The state must already be evolved to the working phase.  Divergence is a
-    value, not an error: +inf is returned when the derivative magnitude falls
-    below 1e-14.
+    value, not an error: +inf is returned where the derivative magnitude is at
+    most 1e-14 ||A|| ||G||, where it cannot be told from roundoff.
     """
     deriv = abs(phase_derivative(state, observable, generator))
-    if deriv < DERIVATIVE_FLOOR:
+    bounds = [max((op.norm_bound(n) for n in state.blocks), default=0.0) for op in (observable, generator)]
+    if _divergent(deriv, *bounds):
         return math.inf
     return math.sqrt(variance(observable, state)) / deriv
 
@@ -156,27 +159,30 @@ def phase_sweep(
     observable: BlockObservable,
     phi_grid,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """<A>, Var A and delta_phi at every grid point, from one batched evolution.
+    """<A>, Var A and delta_phi at every grid point, streamed block by block.
 
-    The variance keeps the residual form ||(A - <A>)|psi>||^2 column by
-    column.  The derivative is the exact <i[A, G_out]> = -2 Im <A psi|G_out psi>,
-    and delta_phi is +inf where its magnitude falls below 1e-14.
+    Pass 1 takes the mean and the exact derivative <i[A, G_out]> =
+    -2 Im <A psi|G_out psi> from each block evolve_blocks yields; pass 2
+    evolves each block again for the residual form ||(A - <A>)|psi>||^2 of
+    the variance, so one block's (n+1) x P arrays are alive at a time.
+    delta_phi is +inf where the derivative is divergent (see sensitivity);
+    ||G_out|| is the largest |g| of the populated blocks.
     """
-    evolution = pipeline.evolve_grid(input_state, phi_grid)
-    size = evolution.phi_grid.size
-    mean, deriv = np.zeros(size), np.zeros(size)
-    applied = {}
-    for n, psi in evolution.amplitudes.items():
-        a = observable.blocks.get(n)
-        applied[n] = np.zeros_like(psi) if a is None else a @ psi
-        mean += np.sum(psi.conj() * applied[n], axis=0).real
-        deriv -= 2.0 * np.sum(applied[n].conj() * evolution.generated[n], axis=0).imag
-    var = np.zeros(size)
-    for n, psi in evolution.amplitudes.items():
-        resid = applied[n] - mean * psi
+    grid = np.asarray(phi_grid, dtype=float)
+    mean, deriv = np.zeros(grid.size), np.zeros(grid.size)
+    observable_bound = generator_bound = 0.0
+    for n, psi, generated in pipeline.evolve_blocks(input_state, grid):
+        applied = observable.apply_block(n, psi)
+        mean += np.sum(psi.conj() * applied, axis=0).real
+        deriv -= 2.0 * np.sum(applied.conj() * generated, axis=0).imag
+        observable_bound = max(observable_bound, observable.norm_bound(n))
+        generator_bound = max(generator_bound, float(np.max(np.abs(phase_exponent(pipeline.convention, n)))))
+    var = np.zeros(grid.size)
+    for n, psi, _ in pipeline.evolve_blocks(input_state, grid):
+        resid = observable.apply_block(n, psi) - mean * psi
         var += np.sum((resid.conj() * resid).real, axis=0)
     slope = np.abs(deriv)
-    divergent = slope < DERIVATIVE_FLOOR
+    divergent = _divergent(slope, observable_bound, generator_bound)
     delta = np.sqrt(var) / np.where(divergent, 1.0, slope)
     delta[divergent] = math.inf
     return mean, var, delta

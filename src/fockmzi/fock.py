@@ -71,22 +71,71 @@ class TwoModeState:
         return probs
 
 
+def _bands(n: int, block) -> dict[int, np.ndarray]:
+    """The nonzero diagonals of block n, given dense or as a map from offset to diagonal."""
+    if isinstance(block, dict):
+        diagonals = {}
+        for k, diag in block.items():
+            diag = np.asarray(diag)
+            if diag.shape != (max(n + 1 - abs(k), 0),):
+                raise ValueError(f"block {n} cannot hold diagonal {k} of shape {diag.shape}")
+            diagonals[k] = diag
+    else:
+        mat = np.asarray(block)
+        if mat.shape != (n + 1, n + 1):
+            raise ValueError(f"block {n} must be {n + 1}x{n + 1}, got {mat.shape}")
+        diagonals = {k: np.diagonal(mat, k) for k in range(-n, n + 1)}
+    return {k: _frozen(diag) for k, diag in sorted(diagonals.items()) if np.any(diag)}
+
+
 @dataclass(frozen=True)
 class BlockObservable:
-    """Hermitian operator stored per total-photon-number block; absent blocks are zero."""
+    """Hermitian operator stored per total-photon-number block as its nonzero diagonals.
 
-    blocks: dict[int, np.ndarray]
+    blocks[n] maps an offset k to the diagonal of entries (i, i + k) of block n.
+    The constructor takes a block either in that form or dense, (n+1) x (n+1),
+    and keeps only the nonzero diagonals.  Absent blocks and absent diagonals
+    are zero.
+    """
+
+    blocks: dict[int, dict[int, np.ndarray]]
 
     def __post_init__(self):
         clean = {}
         for n in sorted(self.blocks):
-            mat = np.asarray(self.blocks[n])
-            if mat.shape != (n + 1, n + 1):
-                raise ValueError(f"block {n} must be {n + 1}x{n + 1}, got {mat.shape}")
-            if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
-                raise ValueError(f"block {n} is not Hermitian within {HERMITIAN_TOL}")
-            clean[n] = _frozen(mat)
+            bands = _bands(n, self.blocks[n])
+            for k, diag in bands.items():
+                mirror = bands.get(-k)
+                mirror = np.zeros_like(diag) if mirror is None else mirror.conj()
+                if np.max(np.abs(diag - mirror)) > HERMITIAN_TOL:
+                    raise ValueError(f"block {n} is not Hermitian within {HERMITIAN_TOL}")
+            clean[n] = bands
         object.__setattr__(self, "blocks", clean)
+
+    def apply_block(self, n: int, x: np.ndarray) -> np.ndarray:
+        """Block n of the operator applied to x, an (n+1)-vector or an (n+1) x P array of columns."""
+        out = np.zeros(x.shape, dtype=np.complex128)
+        for k, diag in self.blocks.get(n, {}).items():
+            diag = diag.reshape(diag.shape + (1,) * (x.ndim - 1))
+            if k >= 0:
+                out[: n + 1 - k] += diag * x[k:]
+            else:
+                out[-k:] += diag * x[: n + 1 + k]
+        return out
+
+    def norm_bound(self, n: int) -> float:
+        """The largest absolute row sum of block n, a bound on its spectral norm."""
+        rows = np.zeros(n + 1)
+        for k, diag in self.blocks.get(n, {}).items():
+            rows[max(-k, 0) : n + 1 - max(k, 0)] += np.abs(diag)
+        return float(rows.max(initial=0.0))
+
+    def dense(self, n: int) -> np.ndarray:
+        """Block n as an (n+1) x (n+1) matrix."""
+        mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
+        for k, diag in self.blocks.get(n, {}).items():
+            mat += np.diag(diag, k)
+        return mat
 
 
 @dataclass(frozen=True)
@@ -117,37 +166,41 @@ def make_basis_state(n_a: int, n_b: int, cutoff: int) -> TwoModeState:
 
 
 def _cross_ladder(n: int) -> np.ndarray:
-    # a†b on block n: takes (n_a, n_b) to (n_a+1, n_b-1) with weight sqrt((n_a+1) n_b)
-    mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    for i in range(1, n + 1):
-        mat[i - 1, i] = math.sqrt((n - i + 1) * i)
-    return mat
+    # a†b on block n, as its offset-1 diagonal: (n_a, n_b) -> (n_a+1, n_b-1) with weight sqrt((n_a+1) n_b)
+    i = np.arange(1, n + 1)
+    return np.sqrt((n - i + 1) * i)
 
 
-def build_j_operator(axis: str, n: int) -> np.ndarray:
-    """One fixed-n block of a Schwinger angular-momentum operator.
+def j_bands(axis: str, n: int) -> dict[int, np.ndarray]:
+    """One fixed-n block of a Schwinger angular-momentum operator, as offset -> diagonal.
 
     'x', 'y', 'z' give J_x = (a†b + b†a)/2, J_y = -i(a†b - b†a)/2 and
     J_z = (a†a - b†b)/2 with standard bosonic ladder matrix elements;
-    'squared' gives J_x^2 + J_y^2 + J_z^2.
+    'squared' gives J_x^2 + J_y^2 + J_z^2 = (n/2)(n/2 + 1).
     """
     if n < 0:
         raise ValueError(f"block index must be nonnegative, got {n}")
     if axis == "z":
-        return np.diag([(n - 2 * i) / 2.0 for i in range(n + 1)]).astype(np.complex128)
-    if axis in ("x", "y"):
+        return {0: (n - 2.0 * np.arange(n + 1)) / 2.0}
+    if axis == "x":
+        half = _cross_ladder(n) / 2.0
+        return {1: half, -1: half}
+    if axis == "y":
         up = _cross_ladder(n)
-        down = up.conj().T
-        return (up + down) / 2.0 if axis == "x" else -0.5j * (up - down)
+        return {1: -0.5j * up, -1: 0.5j * up}
     if axis == "squared":
-        jx, jy, jz = (build_j_operator(a, n) for a in ("x", "y", "z"))
-        return jx @ jx + jy @ jy + jz @ jz
+        return {0: np.full(n + 1, (n / 2.0) * (n / 2.0 + 1.0))}
     raise ValueError(f"unknown axis {axis!r}, expected one of {J_AXES}")
+
+
+def build_j_operator(axis: str, n: int) -> np.ndarray:
+    """j_bands(axis, n) as a dense (n+1) x (n+1) matrix."""
+    return BlockObservable({n: j_bands(axis, n)}).dense(n)
 
 
 def j_observable(axis: str, cutoff: int) -> BlockObservable:
     """Schwinger operator assembled over every block up to the cutoff."""
-    return BlockObservable({n: build_j_operator(axis, n) for n in range(cutoff + 1)})
+    return BlockObservable({n: j_bands(axis, n) for n in range(cutoff + 1)})
 
 
 def number_observable(mode: str, cutoff: int) -> BlockObservable:
@@ -156,21 +209,17 @@ def number_observable(mode: str, cutoff: int) -> BlockObservable:
         raise ValueError(f"unknown mode {mode!r}, expected one of {NUMBER_MODES}")
     blocks = {}
     for n in range(cutoff + 1):
-        if mode == "a":
-            diag = [n - i for i in range(n + 1)]
-        elif mode == "b":
-            diag = list(range(n + 1))
-        else:
-            diag = [n] * (n + 1)
-        blocks[n] = np.diag(diag).astype(np.complex128)
+        n_b = np.arange(n + 1)
+        diag = {"a": n - n_b, "b": n_b, "total": np.full(n + 1, n)}[mode]
+        blocks[n] = {0: diag}
     return BlockObservable(blocks)
 
 
 def spectral_exponential(observable: BlockObservable, scale: float) -> BlockUnitary:
     """exp(i * scale * H) per block, via eigendecomposition of the Hermitian block."""
     blocks = {}
-    for n, mat in observable.blocks.items():
-        w, v = np.linalg.eigh(mat)
+    for n in observable.blocks:
+        w, v = np.linalg.eigh(observable.dense(n))
         blocks[n] = (v * np.exp(1j * scale * w)) @ v.conj().T
     return BlockUnitary(blocks)
 
@@ -190,9 +239,7 @@ def expectation(observable: BlockObservable, state: TwoModeState) -> float:
     """<s|A|s>; the imaginary part (below 1e-12 for Hermitian A) is discarded."""
     val = 0j
     for n, vec in state.blocks.items():
-        mat = observable.blocks.get(n)
-        if mat is not None:
-            val += np.vdot(vec, mat @ vec)
+        val += np.vdot(vec, observable.apply_block(n, vec))
     return float(val.real)
 
 
@@ -205,7 +252,6 @@ def variance(observable: BlockObservable, state: TwoModeState) -> float:
     mean = expectation(observable, state)
     total = 0.0
     for n, vec in state.blocks.items():
-        mat = observable.blocks.get(n)
-        resid = (mat @ vec - mean * vec) if mat is not None else (-mean) * vec
+        resid = observable.apply_block(n, vec) - mean * vec
         total += float(np.vdot(resid, resid).real)
     return total

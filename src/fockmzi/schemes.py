@@ -1,24 +1,31 @@
 """Wiring from scheme tags to concrete inputs, pipelines, and observables.
 
-Each scheme carries two pipelines: 'analysis' feeds the scheme observable
-(expectation/variance/sensitivity), 'sampling' ends in whatever readout makes
-the phase visible in number-resolved detection (identical for all schemes
-except the path-entangled one, whose U_after is its flip-basis rotation).
+Each scheme carries two pipelines sharing one input state.  'analysis' feeds
+the scheme observable (expectation/variance/sensitivity); for the
+balanced-splitter schemes it is the phase stage alone, the input is the
+state after the first splitter, and the observable is J_z pulled back
+through the second splitter, U_after† J_z U_after = -J_y (+J_y when that
+splitter is inverted), which is tridiagonal.  'sampling' appends the readout
+unitary that makes the phase visible in number-resolved detection (the
+second splitter, or the flip-basis rotation of the path-entangled scheme);
+it is built on first use, by Fisher information, sampling and Bayes.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
+from typing import Callable
 
-from .elements import BALANCED, ONE_ARM, InterferometerPipeline, beam_splitter, mach_zehnder_pipeline
+from .elements import BALANCED, ONE_ARM, InterferometerPipeline, balanced_split, beam_splitter
 from .estimation import noon_readout, observable_noon_flip
-from .fock import BlockObservable, TwoModeState, apply, j_observable
+from .fock import BlockObservable, BlockUnitary, TwoModeState, apply, j_bands
 from .states import (
     SchemeTag,
-    coherent_vacuum,
+    coherent_amplitudes,
     dual_fock,
     noon,
     required_coherent_cutoff,
-    single_port_fock,
+    split_port_a,
     yurke_bosonic,
     yurke_fermionic_analog,
 )
@@ -33,9 +40,14 @@ class SchemeSetup:
     cutoff: int
     input_state: TwoModeState
     analysis: InterferometerPipeline
-    sampling: InterferometerPipeline
     observable: BlockObservable
     likelihood_period: float
+    readout: Callable[[], BlockUnitary]  # builds the U_after of the sampling pipeline
+
+    @cached_property
+    def sampling(self) -> InterferometerPipeline:
+        """The analysis pipeline followed by the readout unitary, built on first use."""
+        return replace(self.analysis, after=self.readout())
 
 
 def default_cutoff(tag: SchemeTag) -> int:
@@ -44,6 +56,14 @@ def default_cutoff(tag: SchemeTag) -> int:
     if tag.name == "coherent":
         return required_coherent_cutoff(math.sqrt(tag.n), COHERENT_TAIL_TOL)
     return max(tag.n, 1)
+
+
+def pulled_back_jz(cutoff: int, invert_second_bs: bool = False) -> BlockObservable:
+    """U_after† J_z U_after for U_after = beam_splitter(±BALANCED): -J_y, or +J_y when inverted."""
+    sign = 1.0 if invert_second_bs else -1.0
+    return BlockObservable({
+        n: {k: sign * diag for k, diag in j_bands("y", n).items()} for n in range(cutoff + 1)
+    })
 
 
 def build_setup(
@@ -71,31 +91,31 @@ def build_setup(
             cutoff=cut,
             input_state=inp,
             analysis=InterferometerPipeline(convention, before=before),
-            sampling=InterferometerPipeline(convention, before=before, after=noon_readout(tag.n, cut)),
             observable=observable_noon_flip(tag.n),
             likelihood_period=2.0 * math.pi / tag.n,
+            readout=partial(noon_readout, tag.n, cut),
         )
 
+    # every other input is prepared at the phase stage, after the first splitter
     if tag.name == "single-port-fock":
-        inp = single_port_fock(tag.n, cut)
+        inp = split_port_a({tag.n: 1.0}, cut)
     elif tag.name == "coherent":
-        inp = coherent_vacuum(math.sqrt(tag.n), cut, COHERENT_TAIL_TOL)
+        inp = split_port_a(dict(enumerate(coherent_amplitudes(math.sqrt(tag.n), cut, COHERENT_TAIL_TOL))), cut)
     elif tag.name == "dual-fock":
-        inp = dual_fock(tag.n, cut)
+        inp = balanced_split(dual_fock(tag.n, cut))
     elif tag.name == "yurke-fermionic-analog":
-        inp = yurke_fermionic_analog(tag.n, cut)
+        inp = balanced_split(yurke_fermionic_analog(tag.n, cut))
     elif tag.name == "yurke-bosonic":
-        inp = yurke_bosonic(tag.n, cut)
+        inp = balanced_split(yurke_bosonic(tag.n, cut))
     else:
         raise ValueError(f"unhandled scheme {tag.name!r}")
 
-    mz = mach_zehnder_pipeline(cut, convention, invert_second_bs)
     return SchemeSetup(
         tag=tag,
         cutoff=cut,
         input_state=inp,
-        analysis=mz,
-        sampling=mz,
-        observable=j_observable("z", cut),
+        analysis=InterferometerPipeline(convention),
+        observable=pulled_back_jz(cut, invert_second_bs),
         likelihood_period=2.0 * math.pi,
+        readout=partial(beam_splitter, -BALANCED if invert_second_bs else BALANCED, cut),
     )

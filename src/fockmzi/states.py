@@ -18,6 +18,12 @@ SCHEME_NAMES = (
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _log_factorials(k_max: int) -> np.ndarray:
+    """log k! for k = 0..k_max."""
+    return np.array([math.lgamma(k + 1) for k in range(k_max + 1)])
 
 
 class TruncationError(ValueError):
@@ -153,12 +159,12 @@ def required_coherent_cutoff(alpha: complex, tail_tol: float, hard_cap: int = 10
     return hi
 
 
-def coherent_vacuum(alpha: complex, cutoff: int, tail_tol: float = 1e-12) -> TwoModeState:
-    """Coherent state in port A, vacuum in port B, truncated and renormalized.
+def coherent_amplitudes(alpha: complex, cutoff: int, tail_tol: float = 1e-12) -> np.ndarray:
+    """Photon-number amplitudes c_0..c_cutoff of |alpha>, truncated and renormalized.
 
-    The discarded tail mass must stay below tail_tol; otherwise a
-    TruncationError carrying the required cutoff is raised.  Use
-    coherent_tail_mass() to inspect the mass actually dropped.
+    Each |c_k| comes from its Poisson log-weight, so none underflows before
+    its own value does.  The discarded tail mass must stay below tail_tol;
+    otherwise a TruncationError carrying the required cutoff is raised.
     """
     tail = coherent_tail_mass(alpha, cutoff)
     if tail >= tail_tol:
@@ -168,16 +174,36 @@ def coherent_vacuum(alpha: complex, cutoff: int, tail_tol: float = 1e-12) -> Two
             required_cutoff=needed,
             tail_mass=tail,
         )
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    term = complex(math.exp(-abs(alpha) ** 2 / 2.0))
-    amps[0] = term
-    for k in range(1, cutoff + 1):
-        term *= alpha / math.sqrt(k)
-        amps[k] = term
-    amps /= np.linalg.norm(amps)
+    lam = abs(alpha) ** 2
+    k = np.arange(cutoff + 1)
+    if lam == 0.0:
+        amps = (k == 0).astype(np.complex128)
+    else:
+        log_weights = k * math.log(lam) - lam - _log_factorials(cutoff)
+        amps = np.exp(log_weights / 2.0) * np.exp(1j * k * np.angle(alpha))
+    return amps / np.linalg.norm(amps)
+
+
+def coherent_vacuum(alpha: complex, cutoff: int, tail_tol: float = 1e-12) -> TwoModeState:
+    """Coherent state in port A, vacuum in port B, truncated and renormalized (see coherent_amplitudes)."""
     blocks = {}
-    for k in range(cutoff + 1):
+    for k, amp in enumerate(coherent_amplitudes(alpha, cutoff, tail_tol)):
         vec = np.zeros(k + 1, dtype=np.complex128)
-        vec[0] = amps[k]  # photon count k all in mode a
+        vec[0] = amp  # photon count k all in mode a
         blocks[k] = vec
+    return TwoModeState(cutoff, blocks)
+
+
+def split_port_a(amplitudes: dict[int, complex], cutoff: int) -> TwoModeState:
+    """sum_n c_n |n,0> after the 50/50 splitter exp(i pi/2 J_x), in closed form.
+
+    Block n becomes c_n sqrt(C(n,k)) / 2^{n/2} i^k on |n-k,k>: the binomial
+    weights come from log-factorials and i^k is taken exactly from a table.
+    """
+    log_fact = _log_factorials(max(amplitudes, default=0))
+    blocks = {}
+    for n, c in amplitudes.items():
+        k = np.arange(n + 1)
+        log_binom = log_fact[n] - log_fact[: n + 1] - log_fact[n::-1]
+        blocks[n] = c * np.exp((log_binom - n * math.log(2.0)) / 2.0) * _I_POWERS[k % 4]
     return TwoModeState(cutoff, blocks)

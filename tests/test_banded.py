@@ -1,0 +1,94 @@
+"""Properties of the banded observables and of the inputs prepared at the phase stage."""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from fockmzi.elements import BALANCED, balanced_split, beam_splitter  # noqa: E402
+from fockmzi.fock import BlockObservable, TwoModeState, apply, build_j_operator, make_basis_state  # noqa: E402
+from fockmzi.schemes import pulled_back_jz  # noqa: E402
+from fockmzi.states import (  # noqa: E402
+    coherent_amplitudes,
+    coherent_vacuum,
+    dual_fock,
+    required_coherent_cutoff,
+    split_port_a,
+    yurke_bosonic,
+    yurke_fermionic_analog,
+)
+
+
+def random_banded_hermitian(rng, n, offsets):
+    mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    for k in offsets:
+        if k > n:
+            continue
+        upper = rng.standard_normal(n + 1 - k) + 1j * rng.standard_normal(n + 1 - k)
+        mat += np.diag(upper.real if k == 0 else upper, k)
+        if k:
+            mat += np.diag(upper.conj(), -k)
+    return mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 12),
+    offsets=st.sets(st.integers(0, 12), max_size=4),
+    columns=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_apply_equals_dense_product(n, offsets, columns, seed):
+    rng = np.random.default_rng(seed)
+    mat = random_banded_hermitian(rng, n, offsets)
+    obs = BlockObservable({n: mat})
+    assert np.array_equal(obs.dense(n), mat)
+    assert all(np.any(diag) for diag in obs.blocks[n].values())
+    shape = (n + 1,) if columns == 0 else (n + 1, columns)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.max(np.abs(obs.apply_block(n, x) - mat @ x), initial=0.0) <= 1e-13 * max(1.0, np.max(np.abs(mat @ x), initial=0.0))
+    assert obs.norm_bound(n) >= np.linalg.norm(mat, 2) - 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 80), invert=st.booleans())
+def test_pulled_back_jz_is_minus_or_plus_jy(n, invert):
+    u = beam_splitter(-BALANCED if invert else BALANCED, n).blocks[n]
+    pulled = u.conj().T @ build_j_operator("z", n) @ u
+    assert np.max(np.abs(pulled - pulled_back_jz(n, invert).dense(n))) <= 1e-13 * max(1, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 40), extra=st.integers(0, 3))
+def test_closed_form_split_fock_state_matches_splitter(n, extra):
+    cutoff = n + extra
+    ref = apply(beam_splitter(BALANCED, cutoff), make_basis_state(n, 0, cutoff))
+    split = split_port_a({n: 1.0}, cutoff)
+    assert set(split.blocks) == {n}
+    assert np.max(np.abs(split.blocks[n] - ref.blocks[n])) <= 1e-13
+
+
+@settings(max_examples=20, deadline=None)
+@given(alpha=st.floats(0.0, 5.0), phase=st.floats(-math.pi, math.pi))
+def test_closed_form_split_coherent_state_matches_splitter(alpha, phase):
+    amplitude = alpha * complex(math.cos(phase), math.sin(phase))
+    cutoff = required_coherent_cutoff(amplitude, 1e-12)
+    ref = apply(beam_splitter(BALANCED, cutoff), coherent_vacuum(amplitude, cutoff))
+    split = split_port_a(dict(enumerate(coherent_amplitudes(amplitude, cutoff))), cutoff)
+    assert set(split.blocks) == set(ref.blocks)
+    for n, vec in ref.blocks.items():
+        assert np.max(np.abs(split.blocks[n] - vec)) <= 1e-13
+
+
+@pytest.mark.parametrize("state", [dual_fock(3, 6), dual_fock(5, 10), yurke_fermionic_analog(7, 7),
+                                   yurke_bosonic(8, 9)])
+def test_block_split_matches_splitter(state):
+    ref = apply(beam_splitter(BALANCED, state.cutoff), state)
+    split = balanced_split(state)
+    assert isinstance(split, TwoModeState) and set(split.blocks) == set(state.blocks)
+    for n, vec in ref.blocks.items():
+        assert np.array_equal(split.blocks[n], vec)

@@ -306,6 +306,17 @@ def test_seventeen_digit_cells(tmp_path):
     assert len(mantissa) >= 16
 
 
+@pytest.mark.parametrize("output", ["", "existing-dir"])
+def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys, output):
+    (tmp_path / "existing-dir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FOCKMZI_OUTDIR", raising=False)
+    assert main(["hom", f"--output={output}"]) == 1
+    err = capsys.readouterr().err
+    assert "--output" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_scheme_is_usage_error(tmp_path):
     out = tmp_path / "never.csv"
     code = main(["sensitivity", "--scheme", "thermal", "--n", "2", "--output", str(out)])

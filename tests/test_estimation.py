@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockmzi import elements, fock, schemes
 from fockmzi.elements import BALANCED, CONVENTIONS, ONE_ARM
 from fockmzi.estimation import (
     ModelMismatchError,
@@ -36,7 +37,16 @@ from fockmzi.fock import (
     variance,
 )
 from fockmzi.schemes import NOON_FRAMINGS, build_setup
-from fockmzi.states import SCHEME_NAMES, SchemeTag, noon
+from fockmzi.states import (
+    SCHEME_NAMES,
+    SchemeTag,
+    coherent_vacuum,
+    dual_fock,
+    noon,
+    single_port_fock,
+    yurke_bosonic,
+    yurke_fermionic_analog,
+)
 
 
 def random_hermitian(rng, dim):
@@ -47,14 +57,14 @@ def random_hermitian(rng, dim):
 # ---------------------------------------------------------------- flip observable
 
 def test_flip_observable_is_pauli_x_for_one_photon():
-    mat = observable_noon_flip(1).blocks[1]
+    mat = observable_noon_flip(1).dense(1)
     assert np.allclose(mat, [[0, 1], [1, 0]], atol=0)
 
 
 def test_flip_observable_has_two_entries_and_one_block():
     obs = observable_noon_flip(5)
     assert list(obs.blocks) == [5]
-    assert np.count_nonzero(obs.blocks[5]) == 2
+    assert np.count_nonzero(obs.dense(5)) == 2
 
 
 def test_flip_expectation_is_cos_n_phi():
@@ -67,7 +77,7 @@ def test_flip_expectation_is_cos_n_phi():
 
 def test_flip_squared_is_identity_on_its_span():
     n = 4
-    mat = observable_noon_flip(n).blocks[n]
+    mat = observable_noon_flip(n).dense(n)
     sq = mat @ mat
     assert sq[0, 0] == 1.0 and sq[n, n] == 1.0
     assert np.count_nonzero(sq) == 2
@@ -102,6 +112,27 @@ def test_dual_fock_jz_sensitivity_diverges_everywhere():
     assert np.all(np.isinf(curve.delta_phi))
     with pytest.raises(NoPhaseInformationError):
         min_sensitivity(curve)
+
+
+def test_dual_fock_jz_rows_are_divergent_in_every_frame():
+    # <J_z> is phase-blind for twin Fock inputs, so its slope is roundoff at every phase
+    grid = np.linspace(0.0, math.pi, 100)
+    for n in range(1, 11):
+        for convention in CONVENTIONS:
+            for invert in (False, True):
+                setup = build_setup(SchemeTag("dual-fock", n), convention=convention, invert_second_bs=invert)
+                _, _, delta = phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
+                assert np.all(np.isinf(delta)), (n, convention, invert)
+
+
+def test_noon_sweep_rows_are_one_over_n():
+    grid = np.linspace(0.0, 3.1, 600)
+    for n in (1, 2, 5, 20):
+        setup = build_setup(SchemeTag("noon", n))
+        _, _, delta = phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
+        finite = np.isfinite(delta)
+        assert np.array_equal(finite, np.abs(np.sin(n * grid)) > 1e-12)
+        assert np.max(np.abs(delta[finite] - 1 / n)) <= 1e-12 / n
 
 
 def test_commutator_derivative_matches_finite_difference():
@@ -230,14 +261,28 @@ assert set(SCHEME_SIZES) == set(SCHEME_NAMES)
 REFERENCE_GRID = np.concatenate(([0.0], np.linspace(0.1, 3.0, 9)))
 
 
+PORT_STATES = {
+    "single-port-fock": single_port_fock,
+    "coherent": lambda n, cutoff: coherent_vacuum(math.sqrt(n), cutoff),
+    "dual-fock": dual_fock,
+    "yurke-fermionic-analog": yurke_fermionic_analog,
+    "yurke-bosonic": yurke_bosonic,
+}
+
+
 def reference_elements(tag, cutoff, invert, framing):
-    """U_before, analysis U_after and sampling U_after, built independently of the pipeline code."""
+    """Port state, U_before, analysis U_after, sampling U_after and the observable read
+    after U_after, all built independently of the pipeline code."""
     jx = j_observable("x", cutoff)
     if tag.name == "noon":
-        before = spectral_exponential(jx, BALANCED) if framing == "input" else None
-        return before, None, noon_readout(tag.n, cutoff)
+        port, before = noon(tag.n, 0.0, cutoff), None
+        if framing == "input":
+            port = apply(spectral_exponential(jx, -BALANCED), port)
+            before = spectral_exponential(jx, BALANCED)
+        return port, before, None, noon_readout(tag.n, cutoff), observable_noon_flip(tag.n)
     after = spectral_exponential(jx, -BALANCED if invert else BALANCED)
-    return spectral_exponential(jx, BALANCED), after, after
+    port = PORT_STATES[tag.name](tag.n, cutoff)
+    return port, spectral_exponential(jx, BALANCED), after, after, j_observable("z", cutoff)
 
 
 def reference_output(state, before, generator, after, phi):
@@ -249,7 +294,7 @@ def reference_output(state, before, generator, after, phi):
 def conjugated(generator, unitary):
     blocks = {}
     for n, u in unitary.blocks.items():
-        m = u @ generator.blocks[n] @ u.conj().T
+        m = u @ generator.dense(n) @ u.conj().T
         blocks[n] = (m + m.conj().T) / 2
     return BlockObservable(blocks)
 
@@ -258,31 +303,62 @@ def close(value, ref):
     return abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def check_against_reference(tag, convention, invert, framing):
+    """The setup's sweep and sampling distribution against dense matrices applied per point,
+    starting from the port state; the setup's input must be that state at the phase stage."""
+    setup = build_setup(tag, convention=convention, invert_second_bs=invert, noon_framing=framing)
+    cut = setup.cutoff
+    generator = number_observable("b", cut) if convention == ONE_ARM else j_observable("z", cut)
+    port, before, after, readout, observable = reference_elements(tag, cut, invert, framing)
+    out_generator = generator if after is None else conjugated(generator, after)
+
+    at_phase_stage = port if before is None else apply(before, port)
+    from_setup = setup.analysis.phase_stage(setup.input_state)
+    assert set(from_setup.blocks) == set(at_phase_stage.blocks)
+    for n, vec in at_phase_stage.blocks.items():
+        assert np.max(np.abs(from_setup.blocks[n] - vec)) <= 1e-13
+
+    means, variances, deltas = phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)
+    labels, probs = setup.sampling.evolve_grid(setup.input_state, REFERENCE_GRID).probabilities()
+    for p, phi in enumerate(REFERENCE_GRID):
+        out = reference_output(port, before, generator, after, phi)
+        assert close(means[p], expectation(observable, out))
+        assert close(variances[p], variance(observable, out))
+        ref_delta = sensitivity(out, observable, out_generator)
+        assert math.isinf(deltas[p]) == math.isinf(ref_delta)
+        if math.isfinite(ref_delta):
+            assert close(deltas[p], ref_delta)
+        dist = reference_output(port, before, generator, readout, phi).probabilities()
+        assert labels == list(dist)
+        assert all(close(probs[k, p], dist[label]) for k, label in enumerate(labels))
+
+
 @pytest.mark.parametrize("framing", NOON_FRAMINGS)
 @pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("scheme", sorted(SCHEME_SIZES))
 def test_batched_path_matches_per_point_reference(scheme, convention, invert, framing):
-    tag = SchemeTag(scheme, SCHEME_SIZES[scheme])
-    setup = build_setup(tag, convention=convention, invert_second_bs=invert, noon_framing=framing)
-    cut = setup.cutoff
-    generator = number_observable("b", cut) if convention == ONE_ARM else j_observable("z", cut)
-    before, after, readout = reference_elements(tag, cut, invert, framing)
-    out_generator = generator if after is None else conjugated(generator, after)
+    check_against_reference(SchemeTag(scheme, SCHEME_SIZES[scheme]), convention, invert, framing)
 
-    means, variances, deltas = phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)
-    labels, probs = setup.sampling.evolve_grid(setup.input_state, REFERENCE_GRID).probabilities()
-    for p, phi in enumerate(REFERENCE_GRID):
-        out = reference_output(setup.input_state, before, generator, after, phi)
-        assert close(means[p], expectation(setup.observable, out))
-        assert close(variances[p], variance(setup.observable, out))
-        ref_delta = sensitivity(out, setup.observable, out_generator)
-        assert math.isinf(deltas[p]) == math.isinf(ref_delta)
-        if math.isfinite(ref_delta):
-            assert close(deltas[p], ref_delta)
-        dist = reference_output(setup.input_state, before, generator, readout, phi).probabilities()
-        assert labels == list(dist)
-        assert all(close(probs[k, p], dist[label]) for k, label in enumerate(labels))
+
+@pytest.mark.parametrize("invert", [False, True])
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_batched_path_matches_reference_at_benchmark_size(convention, invert):
+    # coherent nbar = 25 at its default cutoff 68, the size of the dense sweep benchmark
+    check_against_reference(SchemeTag("coherent", 25), convention, invert, "post-bs")
+
+
+def test_sweep_builds_no_splitter(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a splitter or a dense unitary was built")
+
+    for module, name in ((elements, "beam_splitter"), (schemes, "beam_splitter"), (elements, "_jx_eigensystem")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(fock.BlockUnitary, "__post_init__", refuse)
+    for tag in (SchemeTag("coherent", 25), SchemeTag("single-port-fock", 6)):
+        for invert in (False, True):
+            setup = build_setup(tag, invert_second_bs=invert)
+            phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)
 
 
 # ---------------------------------------------------------------- sampling

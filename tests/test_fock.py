@@ -184,7 +184,7 @@ def test_variance_matches_moment_difference():
     obs = j_observable("x", 6)
     for _ in range(10):
         s = random_state(rng, 6)
-        sq = BlockObservable({n: m @ m for n, m in obs.blocks.items()})
+        sq = BlockObservable({n: obs.dense(n) @ obs.dense(n) for n in obs.blocks})
         direct = expectation(sq, s) - expectation(obs, s) ** 2
         assert variance(obs, s) == pytest.approx(direct, abs=1e-10)
 

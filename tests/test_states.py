@@ -8,6 +8,7 @@ from fockmzi.fock import apply, expectation, j_observable, number_observable
 from fockmzi.states import (
     SchemeTag,
     TruncationError,
+    coherent_amplitudes,
     coherent_tail_mass,
     coherent_vacuum,
     dual_fock,
@@ -153,6 +154,25 @@ def test_coherent_tail_matches_poisson_survival():
     for lam in (0.3, 4.0, 25.0, 740.0):
         needed = required_coherent_cutoff(math.sqrt(lam), 1e-12)
         assert poisson.sf(needed, lam) < 1e-12 <= poisson.sf(needed - 1, lam)
+
+
+def test_coherent_amplitudes_match_poisson_pmf_at_large_mean():
+    poisson = pytest.importorskip("scipy.stats").poisson
+    for lam in (1500.0, 5000.0):
+        cutoff = required_coherent_cutoff(math.sqrt(lam), 1e-12)
+        amps = coherent_amplitudes(math.sqrt(lam), cutoff)
+        assert np.all(np.isfinite(amps))
+        assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
+        pmf = poisson.pmf(np.arange(cutoff + 1), lam)
+        kept = pmf > 1e-20
+        assert np.max(np.abs(np.abs(amps[kept]) ** 2 - pmf[kept]) / pmf[kept]) <= 1e-10
+
+
+def test_coherent_state_is_finite_where_the_forward_recurrence_underflowed():
+    # exp(-lam/2) underflows to zero at lam = 1500, which left every amplitude NaN
+    s = coherent_vacuum(math.sqrt(1500.0), 1780)
+    assert all(np.all(np.isfinite(vec)) for vec in s.blocks.values())
+    assert abs(s.norm() - 1.0) <= 1e-12
 
 
 def test_required_coherent_cutoff_past_cap_is_truncation_error():
