@@ -4,14 +4,24 @@ Exact phase-sensitivity curves for classical and entangled inputs (shot-noise
 1/sqrt(N) versus Heisenberg 1/N), Hong-Ou-Mandel interference, seeded outcome
 sampling with Bayesian post-processing, lithography fringe curves, and an
 independent N-qubit circuit cross-check.
+
+Importing the package before numpy runs BLAS on one thread: every product
+here acts on one small block at a time, where OpenBLAS's worker threads
+cost CPU and save no time.  OPENBLAS_NUM_THREADS=1 is set only when none of
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS is set to a
+non-empty value, so an explicit choice wins.
 """
+
+import os
+
+if not any(os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads OpenBLAS
 
 from .elements import (
     BALANCED,
     CONVENTIONS,
     ONE_ARM,
     SYMMETRIC,
-    GridEvolution,
     InterferometerPipeline,
     balanced_split,
     beam_splitter,

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import BlockObservable, BlockUnitary, TwoModeState, apply, block_labels, build_j_operator
+from .fock import BlockObservable, BlockUnitary, TwoModeState, apply, build_j_operator
 
 BALANCED = math.pi / 2  # splitter angle of the 50/50 beam splitter
 
@@ -59,24 +59,6 @@ def phase_shifter(phi: float, convention: str, cutoff: int) -> BlockUnitary:
     return BlockUnitary({n: np.diag(np.exp(1j * phi * phase_exponent(convention, n))) for n in range(cutoff + 1)})
 
 
-@dataclass(frozen=True)
-class GridEvolution:
-    """Output amplitudes over a phase grid, one (n+1) x P array per populated block.
-
-    Column p of amplitudes[n] is block n of the output state at phi_grid[p];
-    generated[n] is G_out applied to it, so d amplitudes / d phi = i * generated.
-    """
-
-    phi_grid: np.ndarray
-    amplitudes: dict[int, np.ndarray]
-    generated: dict[int, np.ndarray]
-
-    def probabilities(self) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """Outcome labels (n_a, n_b) in canonical order, and their probabilities with one column per phase."""
-        labels = [label for n in self.amplitudes for label in block_labels(n)]
-        return labels, np.abs(np.vstack(list(self.amplitudes.values()))) ** 2
-
-
 def _block(unitary: BlockUnitary, n: int) -> np.ndarray:
     mat = unitary.blocks.get(n)
     if mat is None:
@@ -105,43 +87,58 @@ class InterferometerPipeline:
         """The state as it enters the phase stage, U_before psi."""
         return state if self.before is None else apply(self.before, state)
 
-    def evolve_blocks(self, state: TwoModeState, phi_grid):
-        """Yield (n, output block n, G_out applied to it) per populated block, one column per phase.
+    def _phase_stage_over(self, state: TwoModeState, grid: np.ndarray):
+        """psi_1 = U_before psi, and a function giving block n of e^{i phi G} psi_1, one column per phase.
 
-        psi_1 = U_before psi is formed once.  Block n of the output is
-        U_after . (e^{i phi g} * psi_1) and G_out psi is U_after . (g * e^{i phi g} * psi_1),
-        each one (n+1) x P product.  The factors e^{i phi g} are rows of one
-        table, exp(i phi j/2) for the values j = 2g of the populated blocks
-        (every second one when they share a parity), so each is computed once
-        and not once per block.
+        psi_1 is formed once.  The factors e^{i phi g} are rows of one table,
+        exp(i phi j/2) for the values j = 2g of the populated blocks (every
+        second one when they share a parity), so each is computed once and
+        not once per block.
         """
-        grid = np.asarray(phi_grid, dtype=float)
         first = self.phase_stage(state)
-        exponents = {n: phase_exponent(self.convention, n) for n in first.blocks}
-        doubled = {n: (2 * g).astype(int) for n, g in exponents.items()}  # g is n_b or n/2 - n_b
+        # g is n_b or n/2 - n_b, so j = 2g is an integer
+        doubled = {n: (2 * phase_exponent(self.convention, n)).astype(int) for n in first.blocks}
         low = min((j.min() for j in doubled.values()), default=0)
         high = max((j.max() for j in doubled.values()), default=0)
         step = 1 if any(np.any((j - low) % 2) for j in doubled.values()) else 2
         table = np.exp(1j * np.outer(np.arange(low, high + 1, step) / 2.0, grid))
-        for n, vec in first.blocks.items():
-            phased = table[(doubled[n] - low) // step] * vec[:, None]
-            moved = exponents[n][:, None] * phased
+        return first, lambda n: table[(doubled[n] - low) // step] * first.blocks[n][:, None]
+
+    def evolve_blocks(self, state: TwoModeState, phi_grid):
+        """Yield (n, output block n, G_out applied to it) per populated block, one column per phase.
+
+        Block n of the output is U_after . (e^{i phi g} * psi_1) and G_out psi
+        is U_after . (g * e^{i phi g} * psi_1), each one (n+1) x P product.
+        """
+        first, phased_block = self._phase_stage_over(state, np.asarray(phi_grid, dtype=float))
+        for n in first.blocks:
+            phased = phased_block(n)
+            moved = phase_exponent(self.convention, n)[:, None] * phased
             if self.after is not None:
                 u = _block(self.after, n)
                 phased, moved = u @ phased, u @ moved
             yield n, phased, moved
 
-    def evolve_grid(self, state: TwoModeState, phi_grid) -> GridEvolution:
-        """Output over the whole phase grid: every block evolve_blocks yields."""
-        amplitudes, generated = {}, {}
-        for n, phased, moved in self.evolve_blocks(state, phi_grid):
-            amplitudes[n], generated[n] = phased, moved
-        return GridEvolution(np.asarray(phi_grid, dtype=float), amplitudes, generated)
+    def output_rows(self, state: TwoModeState, phi_grid, requests):
+        """Yield, for each (n, rows) of requests in turn, those rows of output block n, one column per phase.
+
+        Only the requested rows are formed: U_after[n][rows] . (e^{i phi g} * psi_1),
+        from the phase table evolve_blocks uses, so every row is bit-identical
+        to the same row of evolve_blocks' block.  Each n must be a populated block.
+        """
+        _, phased_block = self._phase_stage_over(state, np.asarray(phi_grid, dtype=float))
+        for n, rows in requests:
+            phased = phased_block(n)
+            if self.after is None:
+                yield phased[rows]
+                continue
+            # a single row would go to gemv, whose sums can differ from gemm's in the last bit
+            picked = _block(self.after, n)[rows if len(rows) > 1 else [rows[0], rows[0]]]
+            yield (picked @ phased)[: len(rows)]
 
     def evolve(self, state: TwoModeState, phi: float) -> TwoModeState:
-        """Output state at one phase: the single-column case of evolve_grid."""
-        out = self.evolve_grid(state, [phi])
-        return TwoModeState(state.cutoff, {n: amps[:, 0] for n, amps in out.amplitudes.items()})
+        """Output state at one phase: the single column of evolve_blocks."""
+        return TwoModeState(state.cutoff, {n: amps[:, 0] for n, amps, _ in self.evolve_blocks(state, [phi])})
 
     def output_generator(self, cutoff: int) -> BlockObservable:
         """Phase generator conjugated into the output frame, U_after G U_after†.

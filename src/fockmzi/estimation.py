@@ -11,6 +11,7 @@ photon-number block at a time.
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -235,11 +236,11 @@ def classical_fisher(pipeline: InterferometerPipeline, input_state: TwoModeState
     Each outcome's slope is exact, dp_k/dphi = -2 Im(psi_k* (G_out psi)_k);
     outcomes with probability below 1e-15 are skipped.
     """
-    evolution = pipeline.evolve_grid(input_state, np.atleast_1d(np.asarray(phi, dtype=float)))
-    info = np.zeros(evolution.phi_grid.size)
-    for n, psi in evolution.amplitudes.items():
+    grid = np.atleast_1d(np.asarray(phi, dtype=float))
+    info = np.zeros(grid.size)
+    for _, psi, generated in pipeline.evolve_blocks(input_state, grid):
         probs = np.abs(psi) ** 2
-        slopes = -2.0 * (psi.conj() * evolution.generated[n]).imag
+        slopes = -2.0 * (psi.conj() * generated).imag
         kept = probs >= PROBABILITY_FLOOR
         info += np.sum(np.divide(slopes * slopes, probs, out=np.zeros_like(probs), where=kept), axis=0)
     return float(info[0]) if np.ndim(phi) == 0 else info
@@ -280,19 +281,25 @@ def bayes_posterior(
     """Grid posterior over the phase given one histogram of outcomes.
 
     Uniform prior times the product of per-outcome likelihoods, accumulated in
-    log space so large shot counts cannot underflow.  The grid should cover
-    one period of the scheme's likelihood.
+    log space so large shot counts cannot underflow.  Only the observed rows
+    of the output are formed, one block at a time; each run of consecutive
+    outcomes in one block is one product.  The terms are added in the
+    histogram's order.  The grid should cover one period of the scheme's
+    likelihood.
     """
     grid = np.asarray(phi_grid, dtype=float)
-    labels, probs = pipeline.evolve_grid(input_state, grid).probabilities()
-    row = {label: i for i, label in enumerate(labels)}
+    for n_a, n_b in hist.counts:
+        if n_a < 0 or n_b < 0 or n_a + n_b not in input_state.blocks:
+            raise ModelMismatchError(f"observed outcome ({n_a}, {n_b}) has zero likelihood: it is not a "
+                                     f"basis state of a populated block (cutoff {input_state.cutoff})")
+    runs = [(n, list(run)) for n, run in groupby(hist.counts.items(), key=lambda item: sum(item[0]))]
+    requests = ((n, [n_b for (_, n_b), _ in run]) for n, run in runs)
     log_like = np.zeros(grid.size)
-    for outcome, count in hist.counts.items():
-        if outcome not in row:
-            log_like[:] = -math.inf
-            break
-        with np.errstate(divide="ignore"):
-            log_like += count * np.log(probs[row[outcome]])
+    for (_, run), amplitudes in zip(runs, pipeline.output_rows(input_state, grid, requests)):
+        probs = np.abs(amplitudes) ** 2
+        for (_, count), p in zip(run, probs):
+            with np.errstate(divide="ignore"):
+                log_like += count * np.log(p)
     peak = np.max(log_like)
     if not np.isfinite(peak):
         raise ModelMismatchError("observed outcomes have zero likelihood everywhere on the grid")

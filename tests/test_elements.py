@@ -186,3 +186,17 @@ def test_output_generator_drives_exact_derivative():
             - expectation(jz, pipeline.evolve(s, phi - h))
         ) / (2 * h)
         assert abs(exact - fd) < 1e-8
+
+
+@pytest.mark.parametrize("convention", [ONE_ARM, SYMMETRIC])
+@pytest.mark.parametrize("with_after", [False, True])
+def test_output_rows_are_bit_identical_to_rows_of_evolve_blocks(convention, with_after):
+    cutoff = 9
+    state = apply(beam_splitter(BALANCED, cutoff), yurke_bosonic(4, cutoff))
+    pipeline = InterferometerPipeline(convention, after=beam_splitter(BALANCED, cutoff) if with_after else None)
+    grid = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    blocks = {n: psi for n, psi, _ in pipeline.evolve_blocks(state, grid)}
+    requests = [(n, [r]) for n in blocks for r in range(n + 1)]  # one row per product
+    requests += [(n, [n, 0]) for n in blocks] + [(n, list(range(n + 1))) for n in blocks]
+    for (n, rows), got in zip(requests, pipeline.output_rows(state, grid, requests), strict=True):
+        assert np.array_equal(got, blocks[n][rows])

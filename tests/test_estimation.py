@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fockmzi.estimation import (
     ModelMismatchError,
     NoPhaseInformationError,
     OutcomeHistogram,
+    PosteriorDistribution,
     bayes_posterior,
     classical_fisher,
     ensemble_sensitivity,
@@ -299,6 +301,14 @@ def conjugated(generator, unitary):
     return BlockObservable(blocks)
 
 
+def dense_probabilities(pipeline, state, grid):
+    """Outcome labels in canonical order and their probabilities with one column per phase,
+    from every output block over the whole grid stacked into one array."""
+    blocks = [(n, psi) for n, psi, _ in pipeline.evolve_blocks(state, grid)]
+    labels = [label for n, _ in blocks for label in fock.block_labels(n)]
+    return labels, np.abs(np.vstack([psi for _, psi in blocks])) ** 2
+
+
 def close(value, ref):
     return abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -319,7 +329,7 @@ def check_against_reference(tag, convention, invert, framing):
         assert np.max(np.abs(from_setup.blocks[n] - vec)) <= 1e-13
 
     means, variances, deltas = phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)
-    labels, probs = setup.sampling.evolve_grid(setup.input_state, REFERENCE_GRID).probabilities()
+    labels, probs = dense_probabilities(setup.sampling, setup.input_state, REFERENCE_GRID)
     for p, phi in enumerate(REFERENCE_GRID):
         out = reference_output(port, before, generator, after, phi)
         assert close(means[p], expectation(observable, out))
@@ -466,6 +476,55 @@ def test_impossible_data_raises_model_mismatch():
     grid = np.linspace(0.0, setup.likelihood_period, 64, endpoint=False)
     with pytest.raises(ModelMismatchError):
         bayes_posterior(bogus, setup.sampling, setup.input_state, grid)
+
+
+@pytest.mark.parametrize("outcome, message", [
+    ((2, 1), "(2, 1) has zero likelihood"),  # block 3 is inside the cutoff but not populated
+    ((5, 0), "(5, 0) has zero likelihood"),  # block 5 is beyond the cutoff
+    ((1, 1), "zero likelihood everywhere on the grid"),  # populated block, probability 0 at every phase
+])
+def test_model_mismatch_for_outcomes_the_model_cannot_produce(outcome, message):
+    setup = build_setup(SchemeTag("noon", 2), cutoff=4)
+    counts = {(2, 0): 3, outcome: 1, (0, 2): 2}
+    hist = OutcomeHistogram(phi_true=0.2, shots=6, counts=counts, seed=0)
+    grid = np.linspace(0.0, setup.likelihood_period, 64, endpoint=False)
+    with pytest.raises(ModelMismatchError, match=re.escape(message)):
+        bayes_posterior(hist, setup.sampling, setup.input_state, grid)
+
+
+def dense_posterior(hist, pipeline, state, grid):
+    """The posterior from the probabilities of every outcome of every populated block over
+    the grid, with the log-likelihood terms added in the histogram's order."""
+    labels, probs = dense_probabilities(pipeline, state, grid)
+    row = {label: i for i, label in enumerate(labels)}
+    log_like = np.zeros(grid.size)
+    for outcome, count in hist.counts.items():
+        with np.errstate(divide="ignore"):
+            log_like += count * np.log(probs[row[outcome]])
+    weights = np.exp(log_like - np.max(log_like))
+    weights /= weights.sum()
+    return PosteriorDistribution(grid, weights)
+
+
+@pytest.mark.parametrize("invert", [False, True])
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("scheme, n, framing", [
+    ("coherent", 25, "post-bs"), ("single-port-fock", 5, "post-bs"), ("dual-fock", 3, "post-bs"),
+    ("yurke-bosonic", 4, "post-bs"), ("noon", 4, "post-bs"), ("noon", 4, "input"),
+])
+def test_streamed_posterior_equals_dense_posterior(scheme, n, framing, convention, invert):
+    setup = build_setup(SchemeTag(scheme, n), convention=convention, invert_second_bs=invert, noon_framing=framing)
+    grid = np.linspace(0.0, setup.likelihood_period, 512, endpoint=False)
+    hist = sample_outcomes(setup.sampling, setup.input_state, 0.37 * setup.likelihood_period, 3000, seed=n)
+    items = list(hist.counts.items())  # shuffled, so one block's outcomes fall into several runs
+    shuffled = OutcomeHistogram(hist.phi_true, hist.shots,
+                                dict(items[i] for i in np.random.default_rng(n).permutation(len(items))), hist.seed)
+    for data in (hist, shuffled):
+        streamed = bayes_posterior(data, setup.sampling, setup.input_state, grid)
+        dense = dense_posterior(data, setup.sampling, setup.input_state, grid)
+        assert np.array_equal(streamed.weights, dense.weights)
+        assert posterior_mean(streamed) == posterior_mean(dense)
+        assert posterior_std(streamed) == posterior_std(dense)
 
 
 def test_posterior_mean_wraps_across_period_seam():
