@@ -5,17 +5,26 @@ Exact phase-sensitivity curves for classical and entangled inputs (shot-noise
 sampling with Bayesian post-processing, lithography fringe curves, and an
 independent N-qubit circuit cross-check.
 
-Importing the package before numpy runs BLAS on one thread: every product
-here acts on one small block at a time, where OpenBLAS's worker threads
-cost CPU and save no time.  OPENBLAS_NUM_THREADS=1 is set only when none of
-OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS is set to a
-non-empty value, so an explicit choice wins.
+Importing the package before numpy runs BLAS on one thread: most products
+here act on one small block at a time, where OpenBLAS's worker threads cost
+CPU and save no time.  The exception is whole-block work at large cutoffs:
+the eigensolver and products that build the dense output splitter, and
+classical_fisher's (n+1) x (n+1) by (n+1) x P products; a second thread
+saves wall time there.  OPENBLAS_NUM_THREADS=1 is set only while numpy loads
+OpenBLAS, which reads it once, and only when none of OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS is set to a non-empty
+value, so an explicit choice wins.  The environment is left as it was, so
+processes started later are not pinned.
 """
 
 import os
 
-if not any(os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads OpenBLAS
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy  # loads OpenBLAS, which reads its thread count now
+
+    del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .elements import (
     BALANCED,

@@ -316,8 +316,8 @@ def run_sample(args) -> int:
     return 0
 
 
-_THREADS_HELP = ("accepted for compatibility; has no effect (BLAS runs one thread unless "
-                 "OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set)")
+_THREADS_HELP = ("accepted for compatibility; has no effect (BLAS runs one thread unless OPENBLAS_NUM_THREADS, "
+                 "GOTO_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set)")
 
 
 def _add_scheme_options(sub, scheme: str, n: int | None):

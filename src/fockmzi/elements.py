@@ -123,8 +123,11 @@ class InterferometerPipeline:
         """Yield, for each (n, rows) of requests in turn, those rows of output block n, one column per phase.
 
         Only the requested rows are formed: U_after[n][rows] . (e^{i phi g} * psi_1),
-        from the phase table evolve_blocks uses, so every row is bit-identical
-        to the same row of evolve_blocks' block.  Each n must be a populated block.
+        from the phase table evolve_blocks uses, so every row has the same
+        terms as the same row of evolve_blocks' block.  The sums are
+        bit-identical only where the BLAS gives each output row the same sums
+        whatever the row count, as OpenBLAS does at these sizes on one thread;
+        other builds may differ in the last bits.  Each n must be a populated block.
         """
         _, phased_block = self._phase_stage_over(state, np.asarray(phi_grid, dtype=float))
         for n, rows in requests:

@@ -17,21 +17,23 @@ import fockmzi
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(fockmzi.__file__).resolve().parents[1]
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+UNSET = {k: None for k in BLAS_VARS}
 
-PROBE = f"""
+PROBE = """
 import json, os, sys
-import fockmzi
-sys.path.insert(0, {str(ROOT / "perfbench")!r})
+{imports}
+sys.path.insert(0, {perfbench!r})
 from probe_env import blas_info
-print(json.dumps({{"threads": blas_info()["threads"], "env": {{k: os.environ.get(k) for k in {BLAS_VARS!r}}}}}))
+print(json.dumps({{"threads": blas_info()["threads"], "env": {{k: os.environ.get(k) for k in {names!r}}}}}))
 """
 
 
-def probe(**blas_env):
+def probe(imports="import fockmzi", **blas_env):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update(blas_env, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=60, check=True)
+    code = PROBE.format(imports=imports, perfbench=str(ROOT / "perfbench"), names=BLAS_VARS)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     result = json.loads(proc.stdout)
     if result["threads"] is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count getter")
@@ -41,12 +43,19 @@ def probe(**blas_env):
 def test_import_pins_openblas_to_one_thread():
     result = probe()
     assert result["threads"] == 1
-    assert result["env"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+    assert result["env"] == UNSET
+
+
+def test_import_after_numpy_changes_nothing():
+    default = probe(imports="import numpy")["threads"]
+    result = probe(imports="import numpy\nimport fockmzi")
+    assert result["threads"] == default
+    assert result["env"] == UNSET
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS caps its thread count at the CPUs it sees")
-@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
 def test_explicit_thread_count_wins_and_environment_is_kept(var):
     result = probe(**{var: "2"})
     assert result["threads"] == 2
-    assert result["env"] == {k: ("2" if k == var else None) for k in BLAS_VARS}
+    assert result["env"] == {**UNSET, var: "2"}

@@ -512,7 +512,7 @@ def dense_posterior(hist, pipeline, state, grid):
     ("coherent", 25, "post-bs"), ("single-port-fock", 5, "post-bs"), ("dual-fock", 3, "post-bs"),
     ("yurke-bosonic", 4, "post-bs"), ("noon", 4, "post-bs"), ("noon", 4, "input"),
 ])
-def test_streamed_posterior_equals_dense_posterior(scheme, n, framing, convention, invert):
+def test_streamed_posterior_equals_dense_posterior(scheme, n, framing, convention, invert, assert_same_products):
     setup = build_setup(SchemeTag(scheme, n), convention=convention, invert_second_bs=invert, noon_framing=framing)
     grid = np.linspace(0.0, setup.likelihood_period, 512, endpoint=False)
     hist = sample_outcomes(setup.sampling, setup.input_state, 0.37 * setup.likelihood_period, 3000, seed=n)
@@ -522,9 +522,9 @@ def test_streamed_posterior_equals_dense_posterior(scheme, n, framing, conventio
     for data in (hist, shuffled):
         streamed = bayes_posterior(data, setup.sampling, setup.input_state, grid)
         dense = dense_posterior(data, setup.sampling, setup.input_state, grid)
-        assert np.array_equal(streamed.weights, dense.weights)
-        assert posterior_mean(streamed) == posterior_mean(dense)
-        assert posterior_std(streamed) == posterior_std(dense)
+        assert_same_products(streamed.weights, dense.weights, rtol=1e-9, atol=1e-300)
+        assert_same_products(posterior_mean(streamed), posterior_mean(dense), rtol=1e-12)
+        assert_same_products(posterior_std(streamed), posterior_std(dense), rtol=1e-9)
 
 
 def test_posterior_mean_wraps_across_period_seam():
