@@ -82,7 +82,6 @@ from .rosetta import (
     cnot,
     collective_phase,
     expect_flip_product,
-    expect_flip_sum,
     ghz_prepare,
     hadamard,
     phase_gate,

@@ -8,6 +8,7 @@ failure.
 """
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -23,6 +24,7 @@ from .schemes import NOON_FRAMINGS, build_setup
 from .states import SCHEME_NAMES, SchemeTag, TruncationError
 
 OUTDIR_ENV = "FOCKMZI_OUTDIR"
+_LINES_PER_WRITE = 1000
 
 _NUMERICAL_FAILURES = (
     TruncationError,
@@ -51,10 +53,7 @@ def fmt(value) -> str:
     """One numeric cell: ints verbatim, floats at 17 significant digits."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.17g}"
+    return f"{float(value):.17g}"
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -143,18 +142,24 @@ def resolve_output_path(output: str | None) -> Path | None:
 
 
 def write_table(path: Path | None, header: list[str], rows: list[list[str]], footers: list[str]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    lines.extend(f"# {footer}" for footer in footers)
-    text = "\n".join(lines) + "\n"
+    lines = itertools.chain([",".join(header)], (",".join(row) for row in rows),
+                            (f"# {footer}" for footer in footers))
     if path is None:
-        sys.stdout.write(text)
+        _write_lines(sys.stdout, lines)
         return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="\n")
+        with path.open("w", encoding="utf-8", newline="\n") as out:
+            _write_lines(out, lines)
     except OSError as exc:  # e.g. the path names a directory
         raise UsageError(f"--output {str(path)!r} cannot be written: {exc.strerror or exc}") from None
+
+
+def _write_lines(out, lines) -> None:
+    """Write LF-terminated lines, _LINES_PER_WRITE to a write: the text held at
+    once stays bounded, and an unbuffered stream is not written line by line."""
+    while chunk := list(itertools.islice(lines, _LINES_PER_WRITE)):
+        out.write("\n".join(chunk) + "\n")
 
 
 def _scheme_tag(args) -> SchemeTag:

@@ -16,6 +16,8 @@ from .estimation import observable_noon_flip, phase_sweep
 from .states import noon
 
 MAX_QUBITS = 14
+# amplitudes per block of rows in flip_expectations: 256 KB of complex128
+_BLOCK_ENTRIES = 2**14
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -86,28 +88,45 @@ def ghz_prepare(n: int) -> QubitRegister:
     return reg
 
 
-def collective_phase(reg: QubitRegister, phi: float) -> QubitRegister:
-    """Phase gate on every qubit: each |1> picks up e^{i phi}."""
-    for k in range(reg.n_qubits):
-        reg = phase_gate(reg, k, phi)
-    return reg
+def collective_phase(state: QubitRegister | np.ndarray, phi) -> QubitRegister | np.ndarray:
+    """Phase gate on every qubit: each |1> picks up e^{i phi}.
+
+    On a QubitRegister and one phase, one `phase_gate` per qubit, returning
+    the phased register.  On a C-ordered complex (p, 2**n) block of amplitude
+    rows and p phases, row j is phased by phi[j] in place, still gate by
+    gate: one multiply per qubit over the amplitudes whose bit k is set.
+    The block is returned.
+    """
+    if isinstance(state, QubitRegister):
+        for k in range(state.n_qubits):
+            state = phase_gate(state, k, phi)
+        return state
+    phases = np.exp(1j * np.asarray(phi, dtype=float))
+    if not (isinstance(state, np.ndarray) and state.dtype == np.complex128 and state.ndim == 2
+            and state.flags.c_contiguous and state.flags.writeable):
+        raise ValueError("a block of rows must be a writable C-ordered complex128 (p, 2**n) array")
+    p, size = state.shape
+    n = size.bit_length() - 1
+    if size != 2**n or not 1 <= n <= MAX_QUBITS or phases.shape != (p,):
+        raise ValueError(f"need p rows of 2**n amplitudes (1 <= n <= {MAX_QUBITS}) and p phases, "
+                         f"got {state.shape} rows and {phases.shape} phases")
+    for k in range(n):
+        state.reshape(p, 2**k, 2, -1)[:, :, 1] *= phases[:, None, None]
+    return state
 
 
-def expect_flip_product(reg: QubitRegister) -> float:
-    """<X x X x ... x X>: the all-qubit flip correlator."""
-    amps = reg.amplitudes
-    flipped = amps[np.arange(amps.size) ^ (amps.size - 1)]
-    return float(np.vdot(amps, flipped).real)
+def expect_flip_product(state: QubitRegister | np.ndarray) -> float | np.ndarray:
+    """<X x X x ... x X>: the all-qubit flip correlator.
 
-
-def expect_flip_sum(reg: QubitRegister) -> float:
-    """<sum_k X_k>: total of the single-qubit flip observables."""
-    amps = reg.amplitudes
-    idx = np.arange(amps.size)
-    total = 0.0
-    for k in range(reg.n_qubits):
-        total += float(np.vdot(amps, amps[idx ^ _bit(reg, k)]).real)
-    return total
+    Flipping every qubit maps basis index i to i ^ (2**n - 1) = 2**n - 1 - i,
+    so the flipped amplitudes are the reversed ones.  Of a QubitRegister, a
+    float; of a (p, 2**n) block of amplitude rows, an array of p values, one
+    per row.
+    """
+    if isinstance(state, QubitRegister):
+        amps = state.amplitudes
+        return float(np.vdot(amps, amps[::-1]).real)
+    return np.array([np.vdot(row, row[::-1]).real for row in state])
 
 
 def flip_expectations(n: int, phi_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -116,11 +135,19 @@ def flip_expectations(n: int, phi_grid) -> tuple[np.ndarray, np.ndarray]:
     The GHZ flip-product expectation after a collective phase and the Fock
     expectation of the flip observable on the phase-evolved path-entangled
     state both evaluate cos(N phi), through independent code.  The GHZ
-    register is prepared once and the phase gates run per grid point; the
-    Fock side is one batched sweep of the canonical interferometer.
+    register is prepared once and copied into one row per grid point, a
+    block of rows of at most _BLOCK_ENTRIES amplitudes at a time, where the
+    phase gates run in place; the Fock side is one batched sweep of the
+    canonical interferometer.
     """
     grid = np.asarray(phi_grid, dtype=float)
-    ghz = ghz_prepare(n)
-    qubit_values = np.array([expect_flip_product(collective_phase(ghz, phi)) for phi in grid])
+    ghz = ghz_prepare(n).amplitudes
+    block = np.empty((max(1, min(grid.size, _BLOCK_ENTRIES // ghz.size)), ghz.size), dtype=np.complex128)
+    qubit_values = np.empty(grid.size)
+    for start in range(0, grid.size, block.shape[0]):
+        phis = grid[start:start + block.shape[0]]
+        rows = block[:phis.size]
+        rows[:] = ghz
+        qubit_values[start:start + phis.size] = expect_flip_product(collective_phase(rows, phis))
     fock_values = phase_sweep(InterferometerPipeline(ONE_ARM), noon(n, 0.0, n), observable_noon_flip(n), grid)[0]
     return qubit_values, fock_values

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from fockmzi.cli import fmt, main, parse_grid, parse_n_range
+from fockmzi.cli import UsageError, fmt, main, parse_grid, parse_n_range, write_table
 
 
 def run_cli(tmp_path, *argv, name="out.csv"):
@@ -27,6 +28,40 @@ def test_fmt_serialization():
     assert fmt(math.inf) == "inf"
     assert fmt(0.25) == "0.25"
     assert fmt(1 / 3) == "0.33333333333333331"
+
+
+def test_fmt_edge_values():
+    cases = [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (-0.0, "-0"),
+        (5e-324, "4.9406564584124654e-324"), (np.float64(0.1), "0.10000000000000001"),
+        (np.float64(-math.inf), "-inf"), (np.int64(-7), "-7"), (True, "1"),
+    ]
+    for value, text in cases:
+        assert fmt(value) == text
+
+
+def test_write_table_writes_bounded_pieces(tmp_path, monkeypatch):
+    rows = [[str(i), str(i * i)] for i in range(2500)]
+    expected = "".join(line + "\n" for line in ["i,sq", *map(",".join, rows), "# total=2500"])
+
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    out = Recorder()
+    monkeypatch.setattr("sys.stdout", out)
+    write_table(None, ["i", "sq"], rows, ["total=2500"])
+    assert "".join(out.writes) == expected
+    assert len(out.writes) == 3 and max(w.count("\n") for w in out.writes) == 1000
+
+    path = tmp_path / "sub" / "table.csv"
+    write_table(path, ["i", "sq"], rows, ["total=2500"])
+    assert path.read_bytes() == expected.encode("utf-8")
+    with pytest.raises(UsageError, match="cannot be written"):
+        write_table(tmp_path, ["i", "sq"], rows, [])
 
 
 def test_parse_grid():

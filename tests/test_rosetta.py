@@ -11,7 +11,6 @@ from fockmzi.rosetta import (
     cnot,
     collective_phase,
     expect_flip_product,
-    expect_flip_sum,
     flip_expectations,
     ghz_prepare,
     hadamard,
@@ -19,6 +18,8 @@ from fockmzi.rosetta import (
     zero_register,
 )
 from fockmzi.states import noon
+
+from oracles import expect_flip_sum
 
 
 def register_from_bits(bits):
@@ -166,3 +167,49 @@ def test_batched_flip_expectations_match_per_point_evaluation():
         for phi, q, f in zip(grid, qubit_values, fock_values):
             assert q == expect_flip_product(collective_phase(ghz_prepare(n), phi))
             assert abs(f - expectation(observable_noon_flip(n), noon(n, phi, n))) <= 1e-15
+
+
+def per_gate_flip_product(n, phi):
+    reg = ghz_prepare(n)
+    for k in range(n):
+        reg = phase_gate(reg, k, phi)
+    return expect_flip_product(reg)
+
+
+@pytest.mark.parametrize("n, grid", [(n, np.linspace(0.0, 2 * math.pi, 37)) for n in range(9, 15)]
+                         + [(n, np.array([1.3])) for n in (1, 9, 14)])
+def test_flip_expectations_across_row_blocks_match_the_per_gate_circuit(n, grid):
+    qubit_values, _ = flip_expectations(n, grid)
+    assert qubit_values.shape == grid.shape
+    assert np.array_equal(qubit_values, [per_gate_flip_product(n, phi) for phi in grid])
+
+
+def test_collective_phase_on_a_block_of_rows_phases_each_row_in_place():
+    rng = np.random.default_rng(11)
+    n, phis = 4, rng.uniform(0, 2 * math.pi, 5)
+    regs = [random_register(rng, n) for _ in phis]
+    block = np.array([reg.amplitudes for reg in regs])
+    assert collective_phase(block, phis) is block
+    for row, reg, phi in zip(block, regs, phis):
+        assert np.array_equal(row, collective_phase(reg, phi).amplitudes)
+    assert np.array_equal(expect_flip_product(block), [expect_flip_product(QubitRegister(n, row)) for row in block])
+
+
+def test_flip_product_is_the_all_bits_flipped_overlap():
+    rng = np.random.default_rng(13)
+    for n in (1, 5, 11):
+        reg = random_register(rng, n)
+        flipped = reg.amplitudes[np.arange(2**n) ^ (2**n - 1)]
+        assert expect_flip_product(reg) == pytest.approx(np.vdot(reg.amplitudes, flipped).real, abs=1e-15)
+
+
+def test_collective_phase_rejects_blocks_it_cannot_phase_in_place():
+    block = np.zeros((3, 8), dtype=complex)
+    for bad, phis in [(block[:, ::2], np.zeros(3)), (block.real, np.zeros(3)), (block[:, :6], np.zeros(3)),
+                      (block, np.zeros(2)), (block, 0.5), (np.zeros((3, 1), dtype=complex), np.zeros(3))]:
+        with pytest.raises(ValueError):
+            collective_phase(bad, phis)
+    frozen = block.copy()
+    frozen.setflags(write=False)
+    with pytest.raises(ValueError):
+        collective_phase(frozen, np.zeros(3))
