@@ -18,6 +18,7 @@ processes started later are not pinned.
 """
 
 import os
+from importlib import import_module
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
@@ -26,79 +27,55 @@ if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
 
     del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .elements import (
-    BALANCED,
-    CONVENTIONS,
-    ONE_ARM,
-    SYMMETRIC,
-    InterferometerPipeline,
-    balanced_split,
-    beam_splitter,
-    mach_zehnder_pipeline,
-    phase_shifter,
-)
-from .estimation import (
-    ModelMismatchError,
-    NoPhaseInformationError,
-    OutcomeHistogram,
-    PosteriorDistribution,
-    SensitivityCurve,
-    bayes_posterior,
-    classical_fisher,
-    ensemble_sensitivity,
-    min_sensitivity,
-    observable_noon_flip,
-    phase_sweep,
-    posterior_mean,
-    posterior_std,
-    sample_outcomes,
-    scaling_fit,
-    sensitivity,
-    sensitivity_curve,
-)
-from .fock import (
-    BlockObservable,
-    BlockUnitary,
-    TwoModeState,
-    apply,
-    build_j_operator,
-    expectation,
-    j_bands,
-    j_observable,
-    make_basis_state,
-    number_observable,
-    spectral_exponential,
-    variance,
-)
-from .lithography import (
-    DepositionCurve,
-    InsufficientGridError,
-    deposition_rate,
-    fringe_period,
-    noon_fidelity_sweep,
-)
-from .rosetta import (
-    QubitRegister,
-    cnot,
-    collective_phase,
-    expect_flip_product,
-    ghz_prepare,
-    hadamard,
-    phase_gate,
-)
-from .schemes import SchemeSetup, build_setup, pulled_back_jz
-from .states import (
-    SCHEME_NAMES,
-    SchemeTag,
-    TruncationError,
-    coherent_amplitudes,
-    coherent_vacuum,
-    dual_fock,
-    noon,
-    single_port_fock,
-    split_port_a,
-    yurke_bosonic,
-    yurke_fermionic_analog,
-)
+# exported name -> the submodule that defines it; `fockmzi.<name>` imports
+# that submodule on first use, so `import fockmzi` loads none of them
+_EXPORTS = {
+    **dict.fromkeys((
+        "BlockObservable", "BlockUnitary", "TwoModeState", "apply", "build_j_operator",
+        "expectation", "j_bands", "j_observable", "make_basis_state", "number_observable",
+        "spectral_exponential", "variance",
+    ), "fock"),
+    **dict.fromkeys((
+        "BALANCED", "CONVENTIONS", "ONE_ARM", "SYMMETRIC", "InterferometerPipeline",
+        "balanced_split", "beam_splitter", "mach_zehnder_pipeline", "phase_shifter",
+    ), "elements"),
+    **dict.fromkeys((
+        "SCHEME_NAMES", "SchemeTag", "TruncationError", "coherent_amplitudes", "coherent_vacuum",
+        "dual_fock", "noon", "single_port_fock", "split_port_a", "yurke_bosonic",
+        "yurke_fermionic_analog",
+    ), "states"),
+    **dict.fromkeys((
+        "SchemeSetup", "build_setup", "pulled_back_jz",
+    ), "schemes"),
+    **dict.fromkeys((
+        "ModelMismatchError", "NoPhaseInformationError", "OutcomeHistogram",
+        "PosteriorDistribution", "SensitivityCurve", "bayes_posterior", "classical_fisher",
+        "ensemble_sensitivity", "min_sensitivity", "observable_noon_flip", "phase_sweep",
+        "posterior_mean", "posterior_std", "sample_outcomes", "scaling_fit", "sensitivity",
+        "sensitivity_curve",
+    ), "estimation"),
+    **dict.fromkeys((
+        "DepositionCurve", "InsufficientGridError", "deposition_rate", "fringe_period",
+        "noon_fidelity_sweep",
+    ), "lithography"),
+    **dict.fromkeys((
+        "QubitRegister", "cnot", "collective_phase", "expect_flip_product", "ghz_prepare",
+        "hadamard", "phase_gate",
+    ), "rosetta"),
+}
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})
+
 
 __version__ = "0.1.0"

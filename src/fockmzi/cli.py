@@ -12,26 +12,19 @@ import itertools
 import math
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
-from . import estimation, rosetta
+# only the modules the parser needs (and the fock they import); each run_*
+# imports the rest itself, so a command loads only the modules it runs
 from .elements import CONVENTIONS, ONE_ARM, beam_splitter
-from .fock import apply, make_basis_state
-from .lithography import InsufficientGridError, deposition_rate, fringe_period
-from .schemes import NOON_FRAMINGS, build_setup
-from .states import SCHEME_NAMES, SchemeTag, TruncationError
+from .fock import NumericalFailure, apply, make_basis_state
+from .states import NOON_FRAMINGS, SCHEME_NAMES, SchemeTag
 
 OUTDIR_ENV = "FOCKMZI_OUTDIR"
 _LINES_PER_WRITE = 1000
-
-_NUMERICAL_FAILURES = (
-    TruncationError,
-    estimation.NoPhaseInformationError,
-    estimation.ModelMismatchError,
-    InsufficientGridError,
-)
 
 
 class UsageError(ValueError):
@@ -54,6 +47,14 @@ def fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.17g}"
+
+
+def fmt_column(values) -> list[str]:
+    """[fmt(v) for v in values] for a 1-d numeric column, formatted in one pass."""
+    column = np.asarray(values)
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    return list(map(float.__format__, column.astype(float, copy=False).tolist(), itertools.repeat(".17g")))
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -141,7 +142,7 @@ def resolve_output_path(output: str | None) -> Path | None:
     return path
 
 
-def write_table(path: Path | None, header: list[str], rows: list[list[str]], footers: list[str]) -> None:
+def write_table(path: Path | None, header: list[str], rows: list[Sequence[str]], footers: list[str]) -> None:
     lines = itertools.chain([",".join(header)], (",".join(row) for row in rows),
                             (f"# {footer}" for footer in footers))
     if path is None:
@@ -170,6 +171,8 @@ def _scheme_tag(args) -> SchemeTag:
 
 
 def _setup(args, tag: SchemeTag):
+    from .schemes import build_setup
+
     if args.cutoff < 0:
         raise UsageError(f"--cutoff must be >= 0 (0 = per-scheme default), got {args.cutoff}")
     try:
@@ -180,27 +183,28 @@ def _setup(args, tag: SchemeTag):
             noon_framing=args.noon_framing,
             cutoff=args.cutoff if args.cutoff > 0 else None,
         )
-    except TruncationError:
+    except NumericalFailure:
         raise
     except ValueError as exc:  # incompatible flag combination, e.g. cutoff too small
         raise UsageError(str(exc)) from None
 
 
 def run_sensitivity(args) -> int:
+    from . import estimation
+
     grid = parse_grid(args.phi_grid)
     out_path = resolve_output_path(args.output)
     tag = _scheme_tag(args)
     setup = _setup(args, tag)
     sweep = estimation.phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
-    rows = [
-        [tag.name, fmt(tag.n), fmt(phi), fmt(mean), fmt(var), fmt(dphi)]
-        for phi, mean, var, dphi in zip(grid, *sweep)
-    ]
+    rows = list(zip(itertools.repeat(tag.name), itertools.repeat(fmt(tag.n)), *map(fmt_column, (grid, *sweep))))
     write_table(out_path, ["scheme", "n", "phi", "expectation", "variance", "sensitivity"], rows, [])
     return 0
 
 
 def run_scaling(args) -> int:
+    from . import estimation
+
     ns = parse_n_range(args.n_range)
     if len(ns) < 3:
         raise UsageError(f"--n-range {args.n_range!r} must contain at least 3 sizes")
@@ -239,6 +243,8 @@ def run_hom(args) -> int:
 
 
 def run_litho(args) -> int:
+    from .lithography import deposition_rate, fringe_period
+
     n, points, lam = args.n, args.points, args.wavelength
     if n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
@@ -257,10 +263,7 @@ def run_litho(args) -> int:
         "classical_two_photon": deposition_rate("classical-two-photon", 2, shared_x, lam),
         f"noon_{n}": deposition_rate("noon", n, shared_x, lam),
     }
-    rows = [
-        [fmt(shared_x[i])] + [fmt(c.rate[i]) for c in curves.values()]
-        for i in range(points)
-    ]
+    rows = list(zip(*map(fmt_column, (shared_x, *(c.rate for c in curves.values())))))
 
     def measured_period(kind: str, nn: int) -> float:
         period = single_period / (nn if kind == "noon" else 1)
@@ -281,17 +284,19 @@ def run_litho(args) -> int:
 
 
 def run_rosetta(args) -> int:
+    from . import rosetta
+
     if not 1 <= args.n_max <= rosetta.MAX_QUBITS:
         raise UsageError(f"--n-max must be in [1, {rosetta.MAX_QUBITS}], got {args.n_max}")
     grid = parse_grid(args.phi_grid)
     out_path = resolve_output_path(args.output)
 
+    phis = fmt_column(grid)
     rows, worst = [], 0.0
     for n in range(1, args.n_max + 1):
         qubit_values, fock_values = rosetta.flip_expectations(n, grid)
         discrepancy = np.abs(qubit_values - fock_values)
-        rows.extend([fmt(n), fmt(phi), fmt(q), fmt(f), fmt(d)]
-                    for phi, q, f, d in zip(grid, qubit_values, fock_values, discrepancy))
+        rows.extend(zip(itertools.repeat(fmt(n)), phis, *map(fmt_column, (qubit_values, fock_values, discrepancy))))
         worst = max(worst, float(np.max(discrepancy)))
     write_table(out_path, ["n", "phi", "qubit_value", "fock_value", "discrepancy"], rows,
                 [f"max_discrepancy={fmt(worst)}"])
@@ -299,6 +304,8 @@ def run_rosetta(args) -> int:
 
 
 def run_sample(args) -> int:
+    from . import estimation
+
     if not math.isfinite(args.phi):
         raise UsageError(f"--phi must be finite, got {args.phi}")
     if args.shots < 0:
@@ -404,7 +411,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _NUMERICAL_FAILURES as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

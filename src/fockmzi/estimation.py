@@ -16,7 +16,7 @@ from itertools import groupby
 import numpy as np
 
 from .elements import InterferometerPipeline, phase_exponent
-from .fock import BlockObservable, BlockUnitary, TwoModeState, variance
+from .fock import BlockObservable, BlockUnitary, NumericalFailure, TwoModeState, variance
 
 DERIVATIVE_RTOL = 1e-14
 PROBABILITY_FLOOR = 1e-15
@@ -24,11 +24,11 @@ _ENSEMBLE_SIN_TOL = 1e-12
 _GRID_SPACING_RTOL = 1e-9
 
 
-class NoPhaseInformationError(RuntimeError):
+class NoPhaseInformationError(RuntimeError, NumericalFailure):
     """Raised when a sensitivity curve is divergent at every grid point."""
 
 
-class ModelMismatchError(RuntimeError):
+class ModelMismatchError(RuntimeError, NumericalFailure):
     """Raised when observed outcomes have zero likelihood everywhere on the grid."""
 
 

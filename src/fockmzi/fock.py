@@ -18,6 +18,11 @@ J_AXES = ("x", "y", "z", "squared")
 NUMBER_MODES = ("a", "b", "total")
 
 
+class NumericalFailure(Exception):
+    """Base of the errors raised when a computation cannot return a trustworthy
+    number (the command line exits 2 on any of them)."""
+
+
 def block_labels(n: int) -> list[tuple[int, int]]:
     """Occupation pairs (n_a, n_b) of block n in storage order (descending n_a)."""
     return [(n - i, i) for i in range(n + 1)]

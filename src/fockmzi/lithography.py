@@ -7,12 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import _jx_eigensystem
-from .fock import make_basis_state
+from .fock import NumericalFailure, make_basis_state
 
 KINDS = ("single", "classical-two-photon", "noon")
 
 
-class InsufficientGridError(ValueError):
+class InsufficientGridError(ValueError, NumericalFailure):
     """Raised when a curve grid resolves fewer than two fringe maxima."""
 
 
@@ -72,16 +72,14 @@ def fringe_period(curve: DepositionCurve) -> float:
     more maxima exist.
     """
     x, r = curve.x_grid, curve.rate
-    peaks = []
-    for i in range(1, x.size - 1):
-        if r[i] >= r[i - 1] and r[i] > r[i + 1]:
-            denom = r[i - 1] - 2.0 * r[i] + r[i + 1]
-            if denom >= 0.0:
-                continue
-            offset = 0.5 * (r[i - 1] - r[i + 1]) / denom
-            peaks.append(x[i] + offset * (x[i + 1] - x[i]))
-    if len(peaks) < 2:
-        raise InsufficientGridError(f"found {len(peaks)} maxima; the grid must span at least two periods")
+    i = 1 + np.flatnonzero((r[1:-1] >= r[:-2]) & (r[1:-1] > r[2:]))  # interior local maxima
+    denom = r[i - 1] - 2.0 * r[i] + r[i + 1]
+    curved = denom < 0.0
+    i, denom = i[curved], denom[curved]
+    offset = 0.5 * (r[i - 1] - r[i + 1]) / denom
+    peaks = x[i] + offset * (x[i + 1] - x[i])
+    if peaks.size < 2:
+        raise InsufficientGridError(f"found {peaks.size} maxima; the grid must span at least two periods")
     return float(np.mean(np.diff(peaks)))
 
 

@@ -20,6 +20,7 @@ from .elements import BALANCED, ONE_ARM, InterferometerPipeline, balanced_split,
 from .estimation import noon_readout, observable_noon_flip
 from .fock import BlockObservable, BlockUnitary, TwoModeState, apply, j_bands
 from .states import (
+    NOON_FRAMINGS,
     SchemeTag,
     coherent_amplitudes,
     dual_fock,
@@ -30,7 +31,6 @@ from .states import (
     yurke_fermionic_analog,
 )
 
-NOON_FRAMINGS = ("post-bs", "input")
 COHERENT_TAIL_TOL = 1e-12
 
 

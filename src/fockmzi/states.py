@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import TwoModeState, make_basis_state
+from .fock import NumericalFailure, TwoModeState, make_basis_state
 
 SCHEME_NAMES = (
     "single-port-fock",
@@ -16,6 +16,8 @@ SCHEME_NAMES = (
     "yurke-fermionic-analog",
     "yurke-bosonic",
 )
+# where a noon input is prepared: at the phase stage, or pulled back to the input port
+NOON_FRAMINGS = ("post-bs", "input")
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _I_POWERS = np.array([1, 1j, -1, -1j])
@@ -26,7 +28,7 @@ def _log_factorials(k_max: int) -> np.ndarray:
     return np.array([math.lgamma(k + 1) for k in range(k_max + 1)])
 
 
-class TruncationError(ValueError):
+class TruncationError(ValueError, NumericalFailure):
     """Raised when a Fock cutoff discards more probability mass than allowed.
 
     required_cutoff is None when no cutoff below the search cap suffices.

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from fockmzi.lithography import DepositionCurve, InsufficientGridError
 from fockmzi.rosetta import QubitRegister
 
 
@@ -13,3 +14,20 @@ def expect_flip_sum(reg: QubitRegister) -> float:
     for k in range(reg.n_qubits):
         total += float(np.vdot(amps, amps[idx ^ (1 << (reg.n_qubits - 1 - k))]).real)
     return total
+
+
+def fringe_period_loop(curve: DepositionCurve) -> float:
+    """fringe_period one grid point at a time: each interior maximum refined by
+    a three-point quadratic fit, the period the mean distance between them."""
+    x, r = curve.x_grid, curve.rate
+    peaks = []
+    for i in range(1, x.size - 1):
+        if r[i] >= r[i - 1] and r[i] > r[i + 1]:
+            denom = r[i - 1] - 2.0 * r[i] + r[i + 1]
+            if denom >= 0.0:
+                continue
+            offset = 0.5 * (r[i - 1] - r[i + 1]) / denom
+            peaks.append(x[i] + offset * (x[i + 1] - x[i]))
+    if len(peaks) < 2:
+        raise InsufficientGridError(f"found {len(peaks)} maxima; the grid must span at least two periods")
+    return float(np.mean(np.diff(peaks)))

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fockmzi.cli import UsageError, fmt, main, parse_grid, parse_n_range, write_table
+from fockmzi.cli import UsageError, fmt, fmt_column, main, parse_grid, parse_n_range, write_table
+from fockmzi.estimation import ModelMismatchError, NoPhaseInformationError
+from fockmzi.fock import NumericalFailure
+from fockmzi.lithography import InsufficientGridError
+from fockmzi.states import TruncationError
 
 
 def run_cli(tmp_path, *argv, name="out.csv"):
@@ -38,6 +42,16 @@ def test_fmt_edge_values():
     ]
     for value, text in cases:
         assert fmt(value) == text
+
+
+@pytest.mark.parametrize("column", [
+    np.array([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300, 0.1, 1 / 3, 2.0]),
+    np.array([0, -7, 2**62, np.iinfo(np.int64).min], dtype=np.int64),
+    np.array([]),
+    np.array([], dtype=np.int64),
+])
+def test_fmt_column_equals_fmt_of_each_cell(column):
+    assert fmt_column(column) == [fmt(v) for v in column]
 
 
 def test_write_table_writes_bounded_pieces(tmp_path, monkeypatch):
@@ -113,6 +127,25 @@ def test_truncation_failure_exits_2(tmp_path):
     code = main(["sensitivity", "--scheme", "coherent", "--n", "9",
                  "--cutoff", "5", "--output", str(out)])
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cls, base", [
+    (TruncationError, ValueError),
+    (NoPhaseInformationError, RuntimeError),
+    (ModelMismatchError, RuntimeError),
+    (InsufficientGridError, ValueError),
+])
+def test_failure_classes_are_numerical_failures_and_keep_their_base(cls, base):
+    assert issubclass(cls, NumericalFailure) and issubclass(cls, base)
+
+
+def test_no_phase_information_exits_2(tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    code = main(["scaling", "--scheme", "dual-fock", "--metric", "min-sensitivity", "--n-range", "1:3",
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("numerical failure: ")
     assert not out.exists()
 
 

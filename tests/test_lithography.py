@@ -1,14 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fockmzi.lithography import (
+    DepositionCurve,
     InsufficientGridError,
     deposition_rate,
     fringe_period,
     noon_fidelity_sweep,
 )
+from oracles import fringe_period_loop
 
 
 def offset_grid(period, periods=3.0, points=2048):
@@ -77,6 +80,32 @@ def test_fringe_period_needs_two_maxima():
     x = np.linspace(0.5, 3.5, 400)
     with pytest.raises(InsufficientGridError):
         fringe_period(deposition_rate("single", 1, x, 1.0))
+
+
+@pytest.mark.parametrize("n, points", [(8, 6000), (2, 512)])
+def test_fringe_period_equals_the_loop_form_on_the_litho_grids(n, points):
+    # the grids `litho --n N --points P` measures its three periods on (wavelength 1)
+    for kind, nn in (("single", 1), ("classical-two-photon", 2), ("noon", n)):
+        period = 2.0 / (nn if kind == "noon" else 1)
+        curve = deposition_rate(kind, nn, np.linspace(0.25 * period, 3.25 * period, points), 1.0)
+        assert fringe_period(curve) == fringe_period_loop(curve)
+
+
+def test_fringe_period_equals_the_loop_form_on_random_curves():
+    rng = np.random.default_rng(20261018)
+    for trial in range(200):
+        size = int(rng.integers(0, 60))
+        x = np.cumsum(rng.uniform(0.01, 1.0, size))
+        # small integer rates give plateaus, where '>=' on the left and '>' on the right matter
+        rate = rng.integers(0, 4, size).astype(float) if trial % 2 else rng.uniform(0.0, 2.0, size)
+        curve = DepositionCurve("single", 1, x, rate)
+        try:
+            want = fringe_period_loop(curve)
+        except InsufficientGridError as exc:
+            with pytest.raises(InsufficientGridError, match=re.escape(str(exc))):
+                fringe_period(curve)
+        else:
+            assert fringe_period(curve) == want
 
 
 def test_fidelity_sweep_perfect_for_hom_pair():

@@ -1,0 +1,80 @@
+"""The package's public names, and what `import fockmzi` and each command load."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import fockmzi
+
+SRC = Path(fockmzi.__file__).resolve().parents[1]
+# every name `fockmzi` exported when its __init__ imported all submodules eagerly
+EXPORTED = {
+    "fock": ("BlockObservable", "BlockUnitary", "TwoModeState", "apply", "build_j_operator", "expectation",
+             "j_bands", "j_observable", "make_basis_state", "number_observable", "spectral_exponential",
+             "variance"),
+    "elements": ("BALANCED", "CONVENTIONS", "ONE_ARM", "SYMMETRIC", "InterferometerPipeline", "balanced_split",
+                 "beam_splitter", "mach_zehnder_pipeline", "phase_shifter"),
+    "states": ("SCHEME_NAMES", "SchemeTag", "TruncationError", "coherent_amplitudes", "coherent_vacuum",
+               "dual_fock", "noon", "single_port_fock", "split_port_a", "yurke_bosonic", "yurke_fermionic_analog"),
+    "schemes": ("SchemeSetup", "build_setup", "pulled_back_jz"),
+    "estimation": ("ModelMismatchError", "NoPhaseInformationError", "OutcomeHistogram", "PosteriorDistribution",
+                   "SensitivityCurve", "bayes_posterior", "classical_fisher", "ensemble_sensitivity",
+                   "min_sensitivity", "observable_noon_flip", "phase_sweep", "posterior_mean", "posterior_std",
+                   "sample_outcomes", "scaling_fit", "sensitivity", "sensitivity_curve"),
+    "lithography": ("DepositionCurve", "InsufficientGridError", "deposition_rate", "fringe_period",
+                    "noon_fidelity_sweep"),
+    "rosetta": ("QubitRegister", "cnot", "collective_phase", "expect_flip_product", "ghz_prepare", "hadamard",
+                "phase_gate"),
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTED.items() for n in names])
+def test_exported_name_is_the_submodule_object(module, name):
+    assert getattr(fockmzi, name) is getattr(import_module(f"fockmzi.{module}"), name)
+    assert name in dir(fockmzi) and name in fockmzi.__all__
+
+
+def test_from_import_and_unknown_names():
+    from fockmzi import SchemeTag, build_setup  # noqa: F401
+
+    namespace = {}
+    exec("from fockmzi import *", namespace)
+    assert {n for names in EXPORTED.values() for n in names} <= set(namespace)
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fockmzi.no_such_name  # noqa: B018
+
+
+LOADED = """
+import json, sys
+{code}
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("fockmzi."))))
+"""
+
+
+def loaded_after(code: str) -> set[str]:
+    """The `fockmzi.*` modules a fresh interpreter holds after running code."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", LOADED.format(code=code)], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return {name.removeprefix("fockmzi.") for name in json.loads(proc.stdout.splitlines()[-1])}
+
+
+def test_import_fockmzi_loads_no_submodule():
+    assert loaded_after("import fockmzi") == set()
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["hom"], {"cli", "fock", "elements", "states"}),
+    (["litho"], {"cli", "fock", "elements", "states", "lithography"}),
+])
+def test_command_loads_only_what_it_runs(tmp_path, argv, modules):
+    out = tmp_path / "table.csv"
+    loaded = loaded_after(f"from fockmzi.cli import main\nassert main({argv + ['--output', str(out)]!r}) == 0")
+    assert out.exists()
+    assert loaded == modules  # neither estimation, schemes nor rosetta
