@@ -37,7 +37,7 @@ _EXPORTS = {
     ), "fock"),
     **dict.fromkeys((
         "BALANCED", "CONVENTIONS", "ONE_ARM", "SYMMETRIC", "InterferometerPipeline",
-        "balanced_split", "beam_splitter", "mach_zehnder_pipeline", "phase_shifter",
+        "beam_splitter", "phase_shifter", "split",
     ), "elements"),
     **dict.fromkeys((
         "SCHEME_NAMES", "SchemeTag", "TruncationError", "coherent_amplitudes", "coherent_vacuum",

@@ -19,8 +19,8 @@ import numpy as np
 
 # only the modules the parser needs (and the fock they import); each run_*
 # imports the rest itself, so a command loads only the modules it runs
-from .elements import CONVENTIONS, ONE_ARM, beam_splitter
-from .fock import NumericalFailure, apply, make_basis_state
+from .elements import BALANCED, CONVENTIONS, ONE_ARM, split
+from .fock import NumericalFailure, make_basis_state
 from .states import NOON_FRAMINGS, SCHEME_NAMES, SchemeTag
 
 OUTDIR_ENV = "FOCKMZI_OUTDIR"
@@ -236,7 +236,7 @@ def run_scaling(args) -> int:
 
 def run_hom(args) -> int:
     out_path = resolve_output_path(args.output)
-    out = apply(beam_splitter(math.pi / 2, 2), make_basis_state(1, 1, 2))
+    out = split(make_basis_state(1, 1, 2), BALANCED)
     rows = [[fmt(na), fmt(nb), fmt(p)] for (na, nb), p in out.probabilities().items()]
     write_table(out_path, ["n_a", "n_b", "probability"], rows, [])
     return 0

@@ -1,4 +1,5 @@
-"""Optical elements and the canonical interferometer U_after . exp(i phi G) . U_before."""
+"""Optical elements and the canonical interferometer U_after . exp(i phi G), which
+acts on the state as it enters the phase stage."""
 
 import math
 from dataclasses import dataclass
@@ -6,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import BlockObservable, BlockUnitary, TwoModeState, apply, build_j_operator
+from .fock import BlockObservable, BlockUnitary, TwoModeState, build_j_operator
 
 BALANCED = math.pi / 2  # splitter angle of the 50/50 beam splitter
 
@@ -23,27 +24,22 @@ def _jx_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _splitter_block(theta: float, n: int) -> np.ndarray:
+    """Block n of the beam splitter exp(i theta J_x), from the cached J_x eigensystem."""
+    w, v = _jx_eigensystem(n)
+    return (v * np.exp(1j * theta * w)) @ v.conj().T
+
+
 def beam_splitter(theta: float, cutoff: int) -> BlockUnitary:
-    """Beam splitter exp(i theta J_x); theta = pi/2 is the 50/50 splitter.
-
-    Identical to spectral_exponential(j_observable('x', cutoff), theta); the
-    J_x eigensystem is cached per block since it does not depend on theta.
-    """
-    blocks = {}
-    for n in range(cutoff + 1):
-        w, v = _jx_eigensystem(n)
-        blocks[n] = (v * np.exp(1j * theta * w)) @ v.conj().T
-    return BlockUnitary(blocks)
+    """Beam splitter exp(i theta J_x) on every block up to the cutoff; theta = pi/2
+    is the 50/50 splitter.  Identical to spectral_exponential(j_observable('x', cutoff), theta)."""
+    return BlockUnitary({n: _splitter_block(theta, n) for n in range(cutoff + 1)})
 
 
-def balanced_split(state: TwoModeState) -> TwoModeState:
-    """The state after the 50/50 splitter, each populated block rotated by its own
-    block of beam_splitter(BALANCED, cutoff); no other block is built."""
-    blocks = {}
-    for n, vec in state.blocks.items():
-        w, v = _jx_eigensystem(n)
-        blocks[n] = ((v * np.exp(1j * BALANCED * w)) @ v.conj().T) @ vec
-    return TwoModeState(state.cutoff, blocks)
+def split(state: TwoModeState, theta: float) -> TwoModeState:
+    """The state after the splitter exp(i theta J_x), each populated block rotated by
+    its own block of beam_splitter(theta, cutoff); no other block is built."""
+    return TwoModeState(state.cutoff, {n: _splitter_block(theta, n) @ vec for n, vec in state.blocks.items()})
 
 
 def phase_exponent(convention: str, n: int) -> np.ndarray:
@@ -62,56 +58,53 @@ def phase_shifter(phi: float, convention: str, cutoff: int) -> BlockUnitary:
 def _block(unitary: BlockUnitary, n: int) -> np.ndarray:
     mat = unitary.blocks.get(n)
     if mat is None:
-        raise ValueError(f"unitary has no block for total photon number {n} (cutoff mismatch)")
+        raise ValueError(f"unitary has no block for total photon number {n}")
     return mat
 
 
 @dataclass(frozen=True)
 class InterferometerPipeline:
-    """The canonical interferometer U_after . exp(i phi G) . U_before.
+    """The canonical interferometer U_after . exp(i phi G).
 
-    G is the convention's phase generator, n_b ('one-arm') or J_z
-    ('symmetric'), diagonal in the number basis.  The fixed unitaries are
-    built, and checked unitary, once when the pipeline is made; None stands
-    for the identity.
+    Its input is the state as it enters the phase stage: any optics ahead of
+    the phase are applied once, when the input is prepared.  G is the
+    convention's phase generator, n_b ('one-arm') or J_z ('symmetric'),
+    diagonal in the number basis.  U_after is built, and checked unitary,
+    once; it needs a block for each block the input populates, and
+    output_generator(cutoff) needs every block up to the cutoff.  None
+    stands for the identity.
     """
 
     convention: str = ONE_ARM
-    before: BlockUnitary | None = None
     after: BlockUnitary | None = None
 
     def __post_init__(self):
         phase_exponent(self.convention, 0)  # rejects an unknown convention
 
-    def phase_stage(self, state: TwoModeState) -> TwoModeState:
-        """The state as it enters the phase stage, U_before psi."""
-        return state if self.before is None else apply(self.before, state)
-
     def _phase_stage_over(self, state: TwoModeState, grid: np.ndarray):
-        """psi_1 = U_before psi, and a function giving block n of e^{i phi G} psi_1, one column per phase.
+        """A function giving block n of e^{i phi G} psi, one column per phase, for
+        psi the phase-stage state.
 
-        psi_1 is formed once.  The factors e^{i phi g} are rows of one table,
-        exp(i phi j/2) for the values j = 2g of the populated blocks (every
-        second one when they share a parity), so each is computed once and
-        not once per block.
+        The factors e^{i phi g} are rows of one table, exp(i phi j/2) for the
+        values j = 2g of the populated blocks (every second one when they
+        share a parity), so each is computed once and not once per block.
         """
-        first = self.phase_stage(state)
         # g is n_b or n/2 - n_b, so j = 2g is an integer
-        doubled = {n: (2 * phase_exponent(self.convention, n)).astype(int) for n in first.blocks}
+        doubled = {n: (2 * phase_exponent(self.convention, n)).astype(int) for n in state.blocks}
         low = min((j.min() for j in doubled.values()), default=0)
         high = max((j.max() for j in doubled.values()), default=0)
         step = 1 if any(np.any((j - low) % 2) for j in doubled.values()) else 2
         table = np.exp(1j * np.outer(np.arange(low, high + 1, step) / 2.0, grid))
-        return first, lambda n: table[(doubled[n] - low) // step] * first.blocks[n][:, None]
+        return lambda n: table[(doubled[n] - low) // step] * state.blocks[n][:, None]
 
     def evolve_blocks(self, state: TwoModeState, phi_grid):
         """Yield (n, output block n, G_out applied to it) per populated block, one column per phase.
 
-        Block n of the output is U_after . (e^{i phi g} * psi_1) and G_out psi
-        is U_after . (g * e^{i phi g} * psi_1), each one (n+1) x P product.
+        Block n of the output is U_after . (e^{i phi g} * psi) and G_out psi
+        is U_after . (g * e^{i phi g} * psi), each one (n+1) x P product.
         """
-        first, phased_block = self._phase_stage_over(state, np.asarray(phi_grid, dtype=float))
-        for n in first.blocks:
+        phased_block = self._phase_stage_over(state, np.asarray(phi_grid, dtype=float))
+        for n in state.blocks:
             phased = phased_block(n)
             moved = phase_exponent(self.convention, n)[:, None] * phased
             if self.after is not None:
@@ -122,14 +115,14 @@ class InterferometerPipeline:
     def output_rows(self, state: TwoModeState, phi_grid, requests):
         """Yield, for each (n, rows) of requests in turn, those rows of output block n, one column per phase.
 
-        Only the requested rows are formed: U_after[n][rows] . (e^{i phi g} * psi_1),
+        Only the requested rows are formed: U_after[n][rows] . (e^{i phi g} * psi),
         from the phase table evolve_blocks uses, so every row has the same
         terms as the same row of evolve_blocks' block.  The sums are
         bit-identical only where the BLAS gives each output row the same sums
         whatever the row count, as OpenBLAS does at these sizes on one thread;
         other builds may differ in the last bits.  Each n must be a populated block.
         """
-        _, phased_block = self._phase_stage_over(state, np.asarray(phi_grid, dtype=float))
+        phased_block = self._phase_stage_over(state, np.asarray(phi_grid, dtype=float))
         for n, rows in requests:
             phased = phased_block(n)
             if self.after is None:
@@ -160,9 +153,3 @@ class InterferometerPipeline:
             blocks[n] = (m + m.conj().T) / 2.0  # re-hermitize roundoff
         return BlockObservable(blocks)
 
-
-def mach_zehnder_pipeline(cutoff: int, convention: str = ONE_ARM, invert_second_bs: bool = False) -> InterferometerPipeline:
-    """Balanced splitter, phase, balanced splitter; the second splitter optionally inverted."""
-    first = beam_splitter(BALANCED, cutoff)
-    second = beam_splitter(-BALANCED, cutoff) if invert_second_bs else first
-    return InterferometerPipeline(convention, before=first, after=second)

@@ -107,21 +107,19 @@ def observable_noon_flip(n: int) -> BlockObservable:
     return BlockObservable({n: {n: np.ones(1), -n: np.ones(1)}})
 
 
-def noon_readout(n: int, cutoff: int) -> BlockUnitary:
-    """Rotation taking the flip-observable eigenbasis to the number basis.
+def noon_readout(n: int) -> BlockUnitary:
+    """Rotation taking the flip-observable eigenbasis to the number basis, on block N alone.
 
-    On block N it acts as a Hadamard on span{|N,0>, |0,N>} and as identity on
-    the rest; every other block is untouched.  Number-resolved detection after
-    this stage realizes the flip measurement as a two-outcome coarse-graining.
+    It acts as a Hadamard on span{|N,0>, |0,N>} and as identity on the rest
+    of block N.  Number-resolved detection after this stage realizes the
+    flip measurement as a two-outcome coarse-graining.
     """
-    if n < 1 or n > cutoff:
-        raise ValueError(f"readout needs 1 <= n <= cutoff, got n={n}, cutoff={cutoff}")
-    blocks = {m: np.eye(m + 1, dtype=np.complex128) for m in range(cutoff + 1)}
+    if n < 1:
+        raise ValueError(f"readout needs n >= 1, got {n}")
     h = np.eye(n + 1, dtype=np.complex128)
     r = 1.0 / math.sqrt(2.0)
     h[0, 0], h[0, n], h[n, 0], h[n, n] = r, r, r, -r
-    blocks[n] = h
-    return BlockUnitary(blocks)
+    return BlockUnitary({n: h})
 
 
 def phase_derivative(state: TwoModeState, observable: BlockObservable, generator: BlockObservable) -> float:
@@ -224,11 +222,6 @@ def ensemble_sensitivity(n: int, phi: float) -> float:
     return 1.0 / math.sqrt(n)
 
 
-def output_distribution(pipeline: InterferometerPipeline, input_state: TwoModeState, phi: float) -> dict[tuple[int, int], float]:
-    """Number-resolved outcome probabilities of the evolved state, in canonical order."""
-    return pipeline.evolve(input_state, phi).probabilities()
-
-
 def classical_fisher(pipeline: InterferometerPipeline, input_state: TwoModeState, phi):
     """Fisher information of the output number distribution at phi.
 
@@ -261,7 +254,7 @@ def sample_outcomes(
     """
     if shots < 0:
         raise ValueError(f"shots must be nonnegative, got {shots}")
-    dist = output_distribution(pipeline, input_state, phi)
+    dist = pipeline.evolve(input_state, phi).probabilities()
     labels = list(dist)
     probs = np.array([dist[k] for k in labels], dtype=float)
     probs[probs < PROBABILITY_FLOOR] = 0.0

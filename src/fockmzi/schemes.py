@@ -1,14 +1,16 @@
 """Wiring from scheme tags to concrete inputs, pipelines, and observables.
 
-Each scheme carries two pipelines sharing one input state.  'analysis' feeds
-the scheme observable (expectation/variance/sensitivity); for the
-balanced-splitter schemes it is the phase stage alone, the input is the
-state after the first splitter, and the observable is J_z pulled back
-through the second splitter, U_after† J_z U_after = -J_y (+J_y when that
-splitter is inverted), which is tridiagonal.  'sampling' appends the readout
-unitary that makes the phase visible in number-resolved detection (the
-second splitter, or the flip-basis rotation of the path-entangled scheme);
-it is built on first use, by Fisher information, sampling and Bayes.
+Each scheme carries two pipelines sharing one input state, the state as it
+enters the phase stage: any optics ahead of the phase are applied once, here.
+'analysis' is the phase stage alone and feeds the scheme observable
+(expectation/variance/sensitivity); for the balanced-splitter schemes that
+observable is J_z pulled back through the second splitter,
+U_after† J_z U_after = -J_y (+J_y when that splitter is inverted), which is
+tridiagonal.  'sampling' appends the readout unitary that makes the phase
+visible in number-resolved detection (the second splitter, or the
+flip-basis rotation of the path-entangled scheme); it is built on first use,
+by Fisher information, sampling and Bayes, and only on the blocks the input
+populates.
 """
 
 import math
@@ -16,9 +18,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable
 
-from .elements import BALANCED, ONE_ARM, InterferometerPipeline, balanced_split, beam_splitter
+from .elements import BALANCED, ONE_ARM, InterferometerPipeline, _splitter_block, split
 from .estimation import noon_readout, observable_noon_flip
-from .fock import BlockObservable, BlockUnitary, TwoModeState, apply, j_bands
+from .fock import BlockObservable, BlockUnitary, TwoModeState, j_bands
 from .states import (
     NOON_FRAMINGS,
     SchemeTag,
@@ -42,7 +44,7 @@ class SchemeSetup:
     analysis: InterferometerPipeline
     observable: BlockObservable
     likelihood_period: float
-    readout: Callable[[], BlockUnitary]  # builds the U_after of the sampling pipeline
+    readout: Callable[[], BlockUnitary]  # builds the sampling U_after on the input's populated blocks
 
     @cached_property
     def sampling(self) -> InterferometerPipeline:
@@ -59,7 +61,7 @@ def default_cutoff(tag: SchemeTag) -> int:
 
 
 def pulled_back_jz(cutoff: int, invert_second_bs: bool = False) -> BlockObservable:
-    """U_after† J_z U_after for U_after = beam_splitter(±BALANCED): -J_y, or +J_y when inverted."""
+    """U_after† J_z U_after for U_after the splitter exp(±i BALANCED J_x): -J_y, or +J_y when inverted."""
     sign = 1.0 if invert_second_bs else -1.0
     return BlockObservable({
         n: {k: sign * diag for k, diag in j_bands("y", n).items()} for n in range(cutoff + 1)
@@ -79,21 +81,20 @@ def build_setup(
     cut = default_cutoff(tag) if cutoff is None else cutoff
 
     if tag.name == "noon":
-        # Entangled state prepared at the phase stage by default; the 'input'
-        # framing pulls it back through an inverted splitter to the input port.
-        if noon_framing == "post-bs":
-            inp, before = noon(tag.n, 0.0, cut), None
-        else:
-            inp = apply(beam_splitter(-BALANCED, cut), noon(tag.n, 0.0, cut))
-            before = beam_splitter(BALANCED, cut)
+        # Entangled state prepared at the phase stage; the 'input' framing
+        # prepares it at the input port, pulled back through an inverted
+        # splitter, and sends it through the first splitter here.
+        inp = noon(tag.n, 0.0, cut)
+        if noon_framing == "input":
+            inp = split(split(inp, -BALANCED), BALANCED)
         return SchemeSetup(
             tag=tag,
             cutoff=cut,
             input_state=inp,
-            analysis=InterferometerPipeline(convention, before=before),
+            analysis=InterferometerPipeline(convention),
             observable=observable_noon_flip(tag.n),
             likelihood_period=2.0 * math.pi / tag.n,
-            readout=partial(noon_readout, tag.n, cut),
+            readout=partial(noon_readout, tag.n),
         )
 
     # every other input is prepared at the phase stage, after the first splitter
@@ -102,14 +103,15 @@ def build_setup(
     elif tag.name == "coherent":
         inp = split_port_a(dict(enumerate(coherent_amplitudes(math.sqrt(tag.n), cut, COHERENT_TAIL_TOL))), cut)
     elif tag.name == "dual-fock":
-        inp = balanced_split(dual_fock(tag.n, cut))
+        inp = split(dual_fock(tag.n, cut), BALANCED)
     elif tag.name == "yurke-fermionic-analog":
-        inp = balanced_split(yurke_fermionic_analog(tag.n, cut))
+        inp = split(yurke_fermionic_analog(tag.n, cut), BALANCED)
     elif tag.name == "yurke-bosonic":
-        inp = balanced_split(yurke_bosonic(tag.n, cut))
+        inp = split(yurke_bosonic(tag.n, cut), BALANCED)
     else:
         raise ValueError(f"unhandled scheme {tag.name!r}")
 
+    theta = -BALANCED if invert_second_bs else BALANCED
     return SchemeSetup(
         tag=tag,
         cutoff=cut,
@@ -117,5 +119,5 @@ def build_setup(
         analysis=InterferometerPipeline(convention),
         observable=pulled_back_jz(cut, invert_second_bs),
         likelihood_period=2.0 * math.pi,
-        readout=partial(beam_splitter, -BALANCED if invert_second_bs else BALANCED, cut),
+        readout=lambda: BlockUnitary({n: _splitter_block(theta, n) for n in inp.blocks}),
     )

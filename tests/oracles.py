@@ -1,9 +1,33 @@
 """Reference implementations that only the tests use."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from fockmzi.elements import BALANCED, ONE_ARM, InterferometerPipeline, beam_splitter
+from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, apply
 from fockmzi.lithography import DepositionCurve, InsufficientGridError
 from fockmzi.rosetta import QubitRegister
+
+
+@dataclass(frozen=True)
+class PortPipeline:
+    """A pipeline that takes port states: `first` is applied before the phase stage."""
+
+    first: BlockUnitary
+    pipeline: InterferometerPipeline
+
+    def evolve(self, state: TwoModeState, phi: float) -> TwoModeState:
+        return self.pipeline.evolve(apply(self.first, state), phi)
+
+    def output_generator(self, cutoff: int) -> BlockObservable:
+        return self.pipeline.output_generator(cutoff)
+
+
+def mach_zehnder_pipeline(cutoff: int, convention: str = ONE_ARM, invert_second_bs: bool = False) -> PortPipeline:
+    """Balanced splitter, phase, balanced splitter; the second splitter optionally inverted."""
+    second = beam_splitter(-BALANCED if invert_second_bs else BALANCED, cutoff)
+    return PortPipeline(beam_splitter(BALANCED, cutoff), InterferometerPipeline(convention, after=second))
 
 
 def expect_flip_sum(reg: QubitRegister) -> float:

@@ -1,4 +1,5 @@
-"""Properties of the banded observables and of the inputs prepared at the phase stage."""
+"""Properties of the banded observables, of the inputs prepared at the phase stage, and of
+the pipelines that evolve them."""
 
 import math
 
@@ -9,10 +10,21 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fockmzi.elements import BALANCED, balanced_split, beam_splitter  # noqa: E402
+from fockmzi.elements import (  # noqa: E402
+    BALANCED,
+    CONVENTIONS,
+    ONE_ARM,
+    SYMMETRIC,
+    InterferometerPipeline,
+    beam_splitter,
+    split,
+)
 from fockmzi.fock import BlockObservable, TwoModeState, apply, build_j_operator, make_basis_state  # noqa: E402
-from fockmzi.schemes import pulled_back_jz  # noqa: E402
+from fockmzi.schemes import build_setup, pulled_back_jz  # noqa: E402
 from fockmzi.states import (  # noqa: E402
+    NOON_FRAMINGS,
+    SCHEME_NAMES,
+    SchemeTag,
     coherent_amplitudes,
     coherent_vacuum,
     dual_fock,
@@ -88,7 +100,63 @@ def test_closed_form_split_coherent_state_matches_splitter(alpha, phase):
                                    yurke_bosonic(8, 9)])
 def test_block_split_matches_splitter(state):
     ref = apply(beam_splitter(BALANCED, state.cutoff), state)
-    split = balanced_split(state)
-    assert isinstance(split, TwoModeState) and set(split.blocks) == set(state.blocks)
+    rotated = split(state, BALANCED)
+    assert isinstance(rotated, TwoModeState) and set(rotated.blocks) == set(state.blocks)
     for n, vec in ref.blocks.items():
-        assert np.array_equal(split.blocks[n], vec)
+        assert np.array_equal(rotated.blocks[n], vec)
+
+
+phases = st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    cutoff=st.integers(0, 14),
+    populated=st.sets(st.integers(0, 14), min_size=1, max_size=5),
+    phis=phases,
+    theta=st.one_of(st.none(), st.floats(-math.pi, math.pi)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_arm_phase_is_a_block_phase_times_the_mirrored_symmetric_phase(cutoff, populated, phis, theta, seed):
+    # one-arm(phi) = e^{i phi n/2} symmetric(-phi) on block n, since n_b = n/2 - J_z;
+    # so the one-arm G_out psi is n/2 psi minus e^{i phi n/2} times the symmetric one
+    rng = np.random.default_rng(seed)
+    state = TwoModeState(cutoff, {n: rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+                                  for n in populated if n <= cutoff})
+    after = None if theta is None else beam_splitter(theta, cutoff)
+    grid = np.array(phis)
+    one = InterferometerPipeline(ONE_ARM, after=after).evolve_blocks(state, grid)
+    sym = InterferometerPipeline(SYMMETRIC, after=after).evolve_blocks(state, -grid)
+    for (n, psi, generated), (m, mirrored, mirrored_generated) in zip(one, sym, strict=True):
+        assert n == m
+        scale = np.exp(1j * grid * n / 2)
+        tol = 1e-12 * max(1, n) * max(1.0, np.max(np.abs(state.blocks[n])))
+        assert np.max(np.abs(psi - scale * mirrored)) <= tol
+        assert np.max(np.abs(generated - (n / 2 * psi - scale * mirrored_generated))) <= tol * max(1, n)
+
+
+def scheme_tag(name, k):
+    """A valid tag of the scheme with size about k: odd for the fermionic analog, positive and even
+    for the bosonic Yurke state, at least one for the rest."""
+    if name == "yurke-fermionic-analog":
+        return SchemeTag(name, 2 * k + 1)
+    if name == "yurke-bosonic":
+        return SchemeTag(name, 2 * k + 2)
+    return SchemeTag(name, k + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scheme=st.sampled_from(SCHEME_NAMES),
+    k=st.integers(0, 6),
+    convention=st.sampled_from(CONVENTIONS),
+    invert=st.booleans(),
+    framing=st.sampled_from(NOON_FRAMINGS),
+    phis=phases,
+)
+def test_analysis_and_sampling_pipelines_preserve_the_norm(scheme, k, convention, invert, framing, phis):
+    setup = build_setup(scheme_tag(scheme, k), convention=convention, invert_second_bs=invert, noon_framing=framing)
+    grid = np.array(phis)
+    for pipeline in (setup.analysis, setup.sampling):
+        norms = sum(np.sum(np.abs(psi) ** 2, axis=0) for _, psi, _ in pipeline.evolve_blocks(setup.input_state, grid))
+        assert np.max(np.abs(norms - setup.input_state.norm() ** 2)) <= 1e-12

@@ -9,7 +9,6 @@ from fockmzi.elements import (
     SYMMETRIC,
     InterferometerPipeline,
     beam_splitter,
-    mach_zehnder_pipeline,
     phase_shifter,
 )
 from fockmzi.estimation import phase_derivative
@@ -21,6 +20,7 @@ from fockmzi.fock import (
     spectral_exponential,
 )
 from fockmzi.states import dual_fock, noon, yurke_bosonic, yurke_fermionic_analog
+from oracles import mach_zehnder_pipeline
 
 
 def mz_distribution(state, phi, convention):

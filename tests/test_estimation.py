@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from fockmzi.estimation import (
     min_sensitivity,
     noon_readout,
     observable_noon_flip,
-    output_distribution,
     phase_derivative,
     phase_sweep,
     posterior_mean,
@@ -218,7 +218,7 @@ def test_noon_fisher_reaches_heisenberg_bound():
     for n in (2, 3, 5):
         setup = build_setup(SchemeTag("noon", n))
         for phi in (0.3, 0.9):
-            dist = output_distribution(setup.sampling, setup.input_state, phi)
+            dist = setup.sampling.evolve(setup.input_state, phi).probabilities()
             nonzero = {k: v for k, v in dist.items() if v > 1e-12}
             assert set(nonzero) == {(n, 0), (0, n)}
             assert nonzero[(n, 0)] == pytest.approx((1 + math.cos(n * phi)) / 2, abs=1e-12)
@@ -281,7 +281,7 @@ def reference_elements(tag, cutoff, invert, framing):
         if framing == "input":
             port = apply(spectral_exponential(jx, -BALANCED), port)
             before = spectral_exponential(jx, BALANCED)
-        return port, before, None, noon_readout(tag.n, cutoff), observable_noon_flip(tag.n)
+        return port, before, None, noon_readout(tag.n), observable_noon_flip(tag.n)
     after = spectral_exponential(jx, -BALANCED if invert else BALANCED)
     port = PORT_STATES[tag.name](tag.n, cutoff)
     return port, spectral_exponential(jx, BALANCED), after, after, j_observable("z", cutoff)
@@ -315,7 +315,8 @@ def close(value, ref):
 
 def check_against_reference(tag, convention, invert, framing):
     """The setup's sweep and sampling distribution against dense matrices applied per point,
-    starting from the port state; the setup's input must be that state at the phase stage."""
+    starting from the port state; the setup's input must be that state at the phase stage,
+    and its readout must be built on exactly the blocks that input populates."""
     setup = build_setup(tag, convention=convention, invert_second_bs=invert, noon_framing=framing)
     cut = setup.cutoff
     generator = number_observable("b", cut) if convention == ONE_ARM else j_observable("z", cut)
@@ -323,10 +324,10 @@ def check_against_reference(tag, convention, invert, framing):
     out_generator = generator if after is None else conjugated(generator, after)
 
     at_phase_stage = port if before is None else apply(before, port)
-    from_setup = setup.analysis.phase_stage(setup.input_state)
-    assert set(from_setup.blocks) == set(at_phase_stage.blocks)
+    assert set(setup.input_state.blocks) == set(at_phase_stage.blocks)
     for n, vec in at_phase_stage.blocks.items():
-        assert np.max(np.abs(from_setup.blocks[n] - vec)) <= 1e-13
+        assert np.max(np.abs(setup.input_state.blocks[n] - vec)) <= 1e-13
+    assert setup.sampling.after.blocks.keys() == setup.input_state.blocks.keys()
 
     means, variances, deltas = phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)
     labels, probs = dense_probabilities(setup.sampling, setup.input_state, REFERENCE_GRID)
@@ -362,13 +363,42 @@ def test_sweep_builds_no_splitter(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a splitter or a dense unitary was built")
 
-    for module, name in ((elements, "beam_splitter"), (schemes, "beam_splitter"), (elements, "_jx_eigensystem")):
+    for module, name in ((elements, "beam_splitter"), (elements, "_splitter_block"), (schemes, "_splitter_block"),
+                         (schemes, "split"), (elements, "_jx_eigensystem")):
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(fock.BlockUnitary, "__post_init__", refuse)
     for tag in (SchemeTag("coherent", 25), SchemeTag("single-port-fock", 6)):
         for invert in (False, True):
             setup = build_setup(tag, invert_second_bs=invert)
             phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)
+
+
+# ---------------------------------------------------------------- readout on the populated blocks
+
+def full_cutoff_readout(setup, invert):
+    """The sampling U_after on every block up to the cutoff: the whole splitter, or the
+    flip-basis rotation on block N padded with identity blocks."""
+    if setup.tag.name == "noon":
+        blocks = {m: np.eye(m + 1) for m in range(setup.cutoff + 1)}
+        blocks[setup.tag.n] = noon_readout(setup.tag.n).blocks[setup.tag.n]
+        return fock.BlockUnitary(blocks)
+    return elements.beam_splitter(-BALANCED if invert else BALANCED, setup.cutoff)
+
+
+@pytest.mark.parametrize("invert", [False, True])
+@pytest.mark.parametrize("scheme, n, framing", [
+    ("dual-fock", 10, "post-bs"), ("noon", 8, "post-bs"), ("noon", 8, "input"), ("coherent", 4, "post-bs"),
+])
+def test_populated_readout_gives_the_full_cutoff_results(scheme, n, framing, invert, assert_same_products):
+    setup = build_setup(SchemeTag(scheme, n), invert_second_bs=invert, noon_framing=framing)
+    full = replace(setup.analysis, after=full_cutoff_readout(setup, invert))
+    grid = np.linspace(0.0, setup.likelihood_period, 256, endpoint=False)
+    assert_same_products(classical_fisher(setup.sampling, setup.input_state, grid),
+                         classical_fisher(full, setup.input_state, grid), rtol=1e-12)
+    hist = sample_outcomes(full, setup.input_state, 0.37 * setup.likelihood_period, 2000, seed=n)
+    assert sample_outcomes(setup.sampling, setup.input_state, hist.phi_true, hist.shots, hist.seed) == hist
+    assert_same_products(bayes_posterior(hist, setup.sampling, setup.input_state, grid).weights,
+                         bayes_posterior(hist, full, setup.input_state, grid).weights, rtol=1e-9, atol=1e-300)
 
 
 # ---------------------------------------------------------------- sampling
