@@ -31,18 +31,15 @@ if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
 # that submodule on first use, so `import fockmzi` loads none of them
 _EXPORTS = {
     **dict.fromkeys((
-        "BlockObservable", "BlockUnitary", "TwoModeState", "apply", "build_j_operator",
-        "expectation", "j_bands", "j_observable", "make_basis_state", "number_observable",
-        "spectral_exponential", "variance",
+        "BlockObservable", "BlockUnitary", "TwoModeState", "build_j_operator", "j_bands",
+        "make_basis_state",
     ), "fock"),
     **dict.fromkeys((
-        "BALANCED", "CONVENTIONS", "ONE_ARM", "SYMMETRIC", "InterferometerPipeline",
-        "beam_splitter", "phase_shifter", "split",
+        "BALANCED", "CONVENTIONS", "ONE_ARM", "SYMMETRIC", "InterferometerPipeline", "split",
     ), "elements"),
     **dict.fromkeys((
-        "SCHEME_NAMES", "SchemeTag", "TruncationError", "coherent_amplitudes", "coherent_vacuum",
-        "dual_fock", "noon", "single_port_fock", "split_port_a", "yurke_bosonic",
-        "yurke_fermionic_analog",
+        "SCHEME_NAMES", "SchemeTag", "TruncationError", "coherent_amplitudes", "dual_fock", "noon",
+        "split_port_a", "yurke_bosonic", "yurke_fermionic_analog",
     ), "states"),
     **dict.fromkeys((
         "SchemeSetup", "build_setup", "pulled_back_jz",
@@ -51,8 +48,7 @@ _EXPORTS = {
         "ModelMismatchError", "NoPhaseInformationError", "OutcomeHistogram",
         "PosteriorDistribution", "SensitivityCurve", "bayes_posterior", "classical_fisher",
         "ensemble_sensitivity", "min_sensitivity", "observable_noon_flip", "phase_sweep",
-        "posterior_mean", "posterior_std", "sample_outcomes", "scaling_fit", "sensitivity",
-        "sensitivity_curve",
+        "posterior_mean", "posterior_std", "sample_outcomes", "scaling_fit", "sensitivity_curve",
     ), "estimation"),
     **dict.fromkeys((
         "DepositionCurve", "InsufficientGridError", "deposition_rate", "fringe_period",

@@ -218,16 +218,24 @@ def run_scaling(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
+    column = "fisher" if metric == "fisher" else "min_sensitivity"
+
     def point(tag: SchemeTag) -> float:
         setup = _setup(args, tag)
+        where = f"n={tag.n} metric={column}"
         if metric == "fisher":
-            return float(np.max(estimation.classical_fisher(setup.sampling, setup.input_state, grid)))
+            value = float(np.max(estimation.classical_fisher(setup.sampling, setup.input_state, grid)))
+            if value == 0.0:  # the log-log fit needs a positive value
+                raise estimation.NoPhaseInformationError(f"{where}: Fisher information is 0 at every grid point")
+            return value
         curve = estimation.sensitivity_curve(setup.analysis, setup.input_state, setup.observable, grid)
-        return estimation.min_sensitivity(curve)[1]
+        try:
+            return estimation.min_sensitivity(curve)[1]
+        except estimation.NoPhaseInformationError as exc:
+            raise estimation.NoPhaseInformationError(f"{where}: {exc}") from None
 
     values = [point(tag) for tag in tags]
     slope, intercept = estimation.scaling_fit(list(zip(ns, values)))
-    column = "fisher" if metric == "fisher" else "min_sensitivity"
     rows = [[args.scheme, fmt(n), fmt(v)] for n, v in zip(ns, values)]
     footers = [f"slope={fmt(slope)} intercept={fmt(intercept)} metric={column}"]
     write_table(out_path, ["scheme", "n", column], rows, footers)

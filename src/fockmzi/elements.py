@@ -30,15 +30,9 @@ def _splitter_block(theta: float, n: int) -> np.ndarray:
     return (v * np.exp(1j * theta * w)) @ v.conj().T
 
 
-def beam_splitter(theta: float, cutoff: int) -> BlockUnitary:
-    """Beam splitter exp(i theta J_x) on every block up to the cutoff; theta = pi/2
-    is the 50/50 splitter.  Identical to spectral_exponential(j_observable('x', cutoff), theta)."""
-    return BlockUnitary({n: _splitter_block(theta, n) for n in range(cutoff + 1)})
-
-
 def split(state: TwoModeState, theta: float) -> TwoModeState:
     """The state after the splitter exp(i theta J_x), each populated block rotated by
-    its own block of beam_splitter(theta, cutoff); no other block is built."""
+    its own block of the splitter; no other block is built."""
     return TwoModeState(state.cutoff, {n: _splitter_block(theta, n) @ vec for n, vec in state.blocks.items()})
 
 
@@ -48,11 +42,6 @@ def phase_exponent(convention: str, n: int) -> np.ndarray:
         raise ValueError(f"unknown convention {convention!r}, expected one of {CONVENTIONS}")
     n_b = np.arange(n + 1)
     return n_b if convention == ONE_ARM else (n / 2.0 - n_b)
-
-
-def phase_shifter(phi: float, convention: str, cutoff: int) -> BlockUnitary:
-    """Phase shifter: exp(i phi J_z) for 'symmetric', exp(i phi n_b) for 'one-arm'."""
-    return BlockUnitary({n: np.diag(np.exp(1j * phi * phase_exponent(convention, n))) for n in range(cutoff + 1)})
 
 
 def _block(unitary: BlockUnitary, n: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from itertools import groupby
 import numpy as np
 
 from .elements import InterferometerPipeline, phase_exponent
-from .fock import BlockObservable, BlockUnitary, NumericalFailure, TwoModeState, variance
+from .fock import BlockObservable, BlockUnitary, NumericalFailure, TwoModeState
 
 DERIVATIVE_RTOL = 1e-14
 PROBABILITY_FLOOR = 1e-15
@@ -25,7 +25,7 @@ _GRID_SPACING_RTOL = 1e-9
 
 
 class NoPhaseInformationError(RuntimeError, NumericalFailure):
-    """Raised when a sensitivity curve is divergent at every grid point."""
+    """Raised when a sensitivity curve is divergent, or a Fisher information 0, at every grid point."""
 
 
 class ModelMismatchError(RuntimeError, NumericalFailure):
@@ -122,34 +122,12 @@ def noon_readout(n: int) -> BlockUnitary:
     return BlockUnitary({n: h})
 
 
-def phase_derivative(state: TwoModeState, observable: BlockObservable, generator: BlockObservable) -> float:
-    """Exact d<A>/dphi for evolution exp(i phi G): the expectation of i[A, G], -2 Im <A psi|G psi>."""
-    val = 0.0
-    for n, vec in state.blocks.items():
-        val -= 2.0 * np.vdot(observable.apply_block(n, vec), generator.apply_block(n, vec)).imag
-    return float(val)
-
-
 def _divergent(slope, observable_bound: float, generator_bound: float):
     """Where |d<A>/dphi| <= 1e-14 ||A|| ||G||, the roundoff scale of -2 Im <A psi|G psi>.
 
     The norms are bounds over the populated blocks; a zero slope is always divergent.
     """
     return slope <= DERIVATIVE_RTOL * observable_bound * generator_bound
-
-
-def sensitivity(state: TwoModeState, observable: BlockObservable, generator: BlockObservable) -> float:
-    """Error-propagation phase uncertainty sqrt(Var A) / |d<A>/dphi|.
-
-    The state must already be evolved to the working phase.  Divergence is a
-    value, not an error: +inf is returned where the derivative magnitude is at
-    most 1e-14 ||A|| ||G||, where it cannot be told from roundoff.
-    """
-    deriv = abs(phase_derivative(state, observable, generator))
-    bounds = [max((op.norm_bound(n) for n in state.blocks), default=0.0) for op in (observable, generator)]
-    if _divergent(deriv, *bounds):
-        return math.inf
-    return math.sqrt(variance(observable, state)) / deriv
 
 
 def phase_sweep(
@@ -164,8 +142,9 @@ def phase_sweep(
     -2 Im <A psi|G_out psi> from each block evolve_blocks yields; pass 2
     evolves each block again for the residual form ||(A - <A>)|psi>||^2 of
     the variance, so one block's (n+1) x P arrays are alive at a time.
-    delta_phi is +inf where the derivative is divergent (see sensitivity);
-    ||G_out|| is the largest |g| of the populated blocks.
+    Divergence is a value, not an error: delta_phi is +inf where the
+    derivative cannot be told from roundoff (see _divergent); ||G_out|| is
+    the largest |g| of the populated blocks.
     """
     grid = np.asarray(phi_grid, dtype=float)
     mean, deriv = np.zeros(grid.size), np.zeros(grid.size)

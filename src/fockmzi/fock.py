@@ -15,7 +15,6 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 
 J_AXES = ("x", "y", "z", "squared")
-NUMBER_MODES = ("a", "b", "total")
 
 
 class NumericalFailure(Exception):
@@ -202,61 +201,3 @@ def build_j_operator(axis: str, n: int) -> np.ndarray:
     """j_bands(axis, n) as a dense (n+1) x (n+1) matrix."""
     return BlockObservable({n: j_bands(axis, n)}).dense(n)
 
-
-def j_observable(axis: str, cutoff: int) -> BlockObservable:
-    """Schwinger operator assembled over every block up to the cutoff."""
-    return BlockObservable({n: j_bands(axis, n) for n in range(cutoff + 1)})
-
-
-def number_observable(mode: str, cutoff: int) -> BlockObservable:
-    """Photon-number operator for mode 'a', mode 'b', or 'total'."""
-    if mode not in NUMBER_MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {NUMBER_MODES}")
-    blocks = {}
-    for n in range(cutoff + 1):
-        n_b = np.arange(n + 1)
-        diag = {"a": n - n_b, "b": n_b, "total": np.full(n + 1, n)}[mode]
-        blocks[n] = {0: diag}
-    return BlockObservable(blocks)
-
-
-def spectral_exponential(observable: BlockObservable, scale: float) -> BlockUnitary:
-    """exp(i * scale * H) per block, via eigendecomposition of the Hermitian block."""
-    blocks = {}
-    for n in observable.blocks:
-        w, v = np.linalg.eigh(observable.dense(n))
-        blocks[n] = (v * np.exp(1j * scale * w)) @ v.conj().T
-    return BlockUnitary(blocks)
-
-
-def apply(unitary: BlockUnitary, state: TwoModeState) -> TwoModeState:
-    """Per-block matrix-vector product; preserves the norm and the populated blocks."""
-    out = {}
-    for n, vec in state.blocks.items():
-        mat = unitary.blocks.get(n)
-        if mat is None:
-            raise ValueError(f"unitary has no block for total photon number {n} (cutoff mismatch)")
-        out[n] = mat @ vec
-    return TwoModeState(state.cutoff, out)
-
-
-def expectation(observable: BlockObservable, state: TwoModeState) -> float:
-    """<s|A|s>; the imaginary part (below 1e-12 for Hermitian A) is discarded."""
-    val = 0j
-    for n, vec in state.blocks.items():
-        val += np.vdot(vec, observable.apply_block(n, vec))
-    return float(val.real)
-
-
-def variance(observable: BlockObservable, state: TwoModeState) -> float:
-    """<A^2> - <A>^2, evaluated as ||(A - <A>)|s>||^2, a sum of squares.
-
-    The residual form avoids the cancellation of the textbook difference of
-    moments near eigenstates, where <A^2> and <A>^2 nearly coincide.
-    """
-    mean = expectation(observable, state)
-    total = 0.0
-    for n, vec in state.blocks.items():
-        resid = observable.apply_block(n, vec) - mean * vec
-        total += float(np.vdot(resid, resid).real)
-    return total

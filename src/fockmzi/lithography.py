@@ -83,13 +83,6 @@ def fringe_period(curve: DepositionCurve) -> float:
     return float(np.mean(np.diff(peaks)))
 
 
-def noon_fidelity(out_state, n: int) -> float:
-    """Phase-free overlap with the N00N family: (|c_{N,0}| + |c_{0,N}|)^2 / 2."""
-    top = abs(out_state.amplitude(n, 0))
-    bottom = abs(out_state.amplitude(0, n))
-    return (top + bottom) ** 2 / 2.0
-
-
 def noon_fidelity_sweep(n_a: int, n_b: int, theta_grid) -> tuple[float, float]:
     """Best N00N fidelity reachable from |n_a, n_b> with one beam splitter.
 

@@ -60,11 +60,6 @@ class SchemeTag:
             raise ValueError(f"noon needs n >= 1, got {self.n}")
 
 
-def single_port_fock(n: int, cutoff: int) -> TwoModeState:
-    """All N photons in port A, vacuum in port B."""
-    return make_basis_state(n, 0, cutoff)
-
-
 def dual_fock(n: int, cutoff: int) -> TwoModeState:
     """Twin Fock input |N>_A |N>_B."""
     if 2 * n > cutoff:
@@ -184,16 +179,6 @@ def coherent_amplitudes(alpha: complex, cutoff: int, tail_tol: float = 1e-12) ->
         log_weights = k * math.log(lam) - lam - _log_factorials(cutoff)
         amps = np.exp(log_weights / 2.0) * np.exp(1j * k * np.angle(alpha))
     return amps / np.linalg.norm(amps)
-
-
-def coherent_vacuum(alpha: complex, cutoff: int, tail_tol: float = 1e-12) -> TwoModeState:
-    """Coherent state in port A, vacuum in port B, truncated and renormalized (see coherent_amplitudes)."""
-    blocks = {}
-    for k, amp in enumerate(coherent_amplitudes(alpha, cutoff, tail_tol)):
-        vec = np.zeros(k + 1, dtype=np.complex128)
-        vec[0] = amp  # photon count k all in mode a
-        blocks[k] = vec
-    return TwoModeState(cutoff, blocks)
 
 
 def split_port_a(amplitudes: dict[int, complex], cutoff: int) -> TwoModeState:

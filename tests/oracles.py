@@ -1,14 +1,144 @@
-"""Reference implementations that only the tests use."""
+"""Reference implementations that only the tests use: the dense and per-point forms
+that the batched command paths are compared against."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from fockmzi.elements import BALANCED, ONE_ARM, InterferometerPipeline, beam_splitter
-from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, apply
+from fockmzi.elements import BALANCED, ONE_ARM, InterferometerPipeline, _splitter_block, phase_exponent
+from fockmzi.estimation import _divergent
+from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, j_bands, make_basis_state
 from fockmzi.lithography import DepositionCurve, InsufficientGridError
 from fockmzi.rosetta import QubitRegister
+from fockmzi.states import coherent_amplitudes
 
+NUMBER_MODES = ("a", "b", "total")
+
+
+# ---------------------------------------------------------------- dense operators and per-state reductions
+
+def j_observable(axis: str, cutoff: int) -> BlockObservable:
+    """Schwinger operator assembled over every block up to the cutoff."""
+    return BlockObservable({n: j_bands(axis, n) for n in range(cutoff + 1)})
+
+
+def number_observable(mode: str, cutoff: int) -> BlockObservable:
+    """Photon-number operator for mode 'a', mode 'b', or 'total'."""
+    if mode not in NUMBER_MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {NUMBER_MODES}")
+    blocks = {}
+    for n in range(cutoff + 1):
+        n_b = np.arange(n + 1)
+        diag = {"a": n - n_b, "b": n_b, "total": np.full(n + 1, n)}[mode]
+        blocks[n] = {0: diag}
+    return BlockObservable(blocks)
+
+
+def spectral_exponential(observable: BlockObservable, scale: float) -> BlockUnitary:
+    """exp(i * scale * H) per block, via eigendecomposition of the Hermitian block."""
+    blocks = {}
+    for n in observable.blocks:
+        w, v = np.linalg.eigh(observable.dense(n))
+        blocks[n] = (v * np.exp(1j * scale * w)) @ v.conj().T
+    return BlockUnitary(blocks)
+
+
+def apply(unitary: BlockUnitary, state: TwoModeState) -> TwoModeState:
+    """Per-block matrix-vector product; preserves the norm and the populated blocks."""
+    out = {}
+    for n, vec in state.blocks.items():
+        mat = unitary.blocks.get(n)
+        if mat is None:
+            raise ValueError(f"unitary has no block for total photon number {n} (cutoff mismatch)")
+        out[n] = mat @ vec
+    return TwoModeState(state.cutoff, out)
+
+
+def expectation(observable: BlockObservable, state: TwoModeState) -> float:
+    """<s|A|s>; the imaginary part (below 1e-12 for Hermitian A) is discarded."""
+    val = 0j
+    for n, vec in state.blocks.items():
+        val += np.vdot(vec, observable.apply_block(n, vec))
+    return float(val.real)
+
+
+def variance(observable: BlockObservable, state: TwoModeState) -> float:
+    """<A^2> - <A>^2, evaluated as ||(A - <A>)|s>||^2, a sum of squares.
+
+    The residual form avoids the cancellation of the textbook difference of
+    moments near eigenstates, where <A^2> and <A>^2 nearly coincide.
+    """
+    mean = expectation(observable, state)
+    total = 0.0
+    for n, vec in state.blocks.items():
+        resid = observable.apply_block(n, vec) - mean * vec
+        total += float(np.vdot(resid, resid).real)
+    return total
+
+
+# ---------------------------------------------------------------- whole-cutoff elements
+
+def beam_splitter(theta: float, cutoff: int) -> BlockUnitary:
+    """Beam splitter exp(i theta J_x) on every block up to the cutoff; theta = pi/2
+    is the 50/50 splitter.  Identical to spectral_exponential(j_observable('x', cutoff), theta)."""
+    return BlockUnitary({n: _splitter_block(theta, n) for n in range(cutoff + 1)})
+
+
+def phase_shifter(phi: float, convention: str, cutoff: int) -> BlockUnitary:
+    """Phase shifter: exp(i phi J_z) for 'symmetric', exp(i phi n_b) for 'one-arm'."""
+    return BlockUnitary({n: np.diag(np.exp(1j * phi * phase_exponent(convention, n))) for n in range(cutoff + 1)})
+
+
+# ---------------------------------------------------------------- port states
+
+def single_port_fock(n: int, cutoff: int) -> TwoModeState:
+    """All N photons in port A, vacuum in port B."""
+    return make_basis_state(n, 0, cutoff)
+
+
+def coherent_vacuum(alpha: complex, cutoff: int, tail_tol: float = 1e-12) -> TwoModeState:
+    """Coherent state in port A, vacuum in port B, truncated and renormalized (see coherent_amplitudes)."""
+    blocks = {}
+    for k, amp in enumerate(coherent_amplitudes(alpha, cutoff, tail_tol)):
+        vec = np.zeros(k + 1, dtype=np.complex128)
+        vec[0] = amp  # photon count k all in mode a
+        blocks[k] = vec
+    return TwoModeState(cutoff, blocks)
+
+
+# ---------------------------------------------------------------- per-point sensitivity
+
+def phase_derivative(state: TwoModeState, observable: BlockObservable, generator: BlockObservable) -> float:
+    """Exact d<A>/dphi for evolution exp(i phi G): the expectation of i[A, G], -2 Im <A psi|G psi>."""
+    val = 0.0
+    for n, vec in state.blocks.items():
+        val -= 2.0 * np.vdot(observable.apply_block(n, vec), generator.apply_block(n, vec)).imag
+    return float(val)
+
+
+def sensitivity(state: TwoModeState, observable: BlockObservable, generator: BlockObservable) -> float:
+    """Error-propagation phase uncertainty sqrt(Var A) / |d<A>/dphi|.
+
+    The state must already be evolved to the working phase.  Divergence is a
+    value, not an error: +inf is returned where the derivative magnitude is at
+    most 1e-14 ||A|| ||G||, where it cannot be told from roundoff.
+    """
+    deriv = abs(phase_derivative(state, observable, generator))
+    bounds = [max((op.norm_bound(n) for n in state.blocks), default=0.0) for op in (observable, generator)]
+    if _divergent(deriv, *bounds):
+        return math.inf
+    return math.sqrt(variance(observable, state)) / deriv
+
+
+def noon_fidelity(out_state, n: int) -> float:
+    """Phase-free overlap with the N00N family: (|c_{N,0}| + |c_{0,N}|)^2 / 2."""
+    top = abs(out_state.amplitude(n, 0))
+    bottom = abs(out_state.amplitude(0, n))
+    return (top + bottom) ** 2 / 2.0
+
+
+# ---------------------------------------------------------------- pipelines from the input port
 
 @dataclass(frozen=True)
 class PortPipeline:
@@ -29,6 +159,8 @@ def mach_zehnder_pipeline(cutoff: int, convention: str = ONE_ARM, invert_second_
     second = beam_splitter(-BALANCED if invert_second_bs else BALANCED, cutoff)
     return PortPipeline(beam_splitter(BALANCED, cutoff), InterferometerPipeline(convention, after=second))
 
+
+# ---------------------------------------------------------------- loop forms of the qubit and lithography paths
 
 def expect_flip_sum(reg: QubitRegister) -> float:
     """<sum_k X_k>: total of the single-qubit flip observables."""

@@ -8,22 +8,21 @@ import math
 import numpy as np
 
 from fockmzi.cli import main
-from fockmzi.elements import BALANCED, beam_splitter
+from fockmzi.elements import BALANCED
 from fockmzi.estimation import (
     classical_fisher,
     ensemble_sensitivity,
     min_sensitivity,
     observable_noon_flip,
-    phase_derivative,
     scaling_fit,
-    sensitivity,
     sensitivity_curve,
 )
-from fockmzi.fock import apply, expectation, make_basis_state, number_observable
+from fockmzi.fock import make_basis_state
 from fockmzi.lithography import deposition_rate, fringe_period, noon_fidelity_sweep
 from fockmzi.rosetta import flip_expectations
 from fockmzi.schemes import build_setup
 from fockmzi.states import SchemeTag, coherent_tail_mass, noon
+from oracles import apply, beam_splitter, expectation, number_observable, phase_derivative, sensitivity
 
 
 def report(num: int, ok: bool, detail: str):

@@ -16,23 +16,22 @@ from fockmzi.elements import (  # noqa: E402
     ONE_ARM,
     SYMMETRIC,
     InterferometerPipeline,
-    beam_splitter,
     split,
 )
-from fockmzi.fock import BlockObservable, TwoModeState, apply, build_j_operator, make_basis_state  # noqa: E402
+from fockmzi.fock import BlockObservable, TwoModeState, build_j_operator, make_basis_state  # noqa: E402
 from fockmzi.schemes import build_setup, pulled_back_jz  # noqa: E402
 from fockmzi.states import (  # noqa: E402
     NOON_FRAMINGS,
     SCHEME_NAMES,
     SchemeTag,
     coherent_amplitudes,
-    coherent_vacuum,
     dual_fock,
     required_coherent_cutoff,
     split_port_a,
     yurke_bosonic,
     yurke_fermionic_analog,
 )
+from oracles import apply, beam_splitter, coherent_vacuum  # noqa: E402
 
 
 def random_banded_hermitian(rng, n, offsets):

@@ -141,12 +141,19 @@ def test_failure_classes_are_numerical_failures_and_keep_their_base(cls, base):
 
 
 def test_no_phase_information_exits_2(tmp_path, capsys):
-    out = tmp_path / "never.csv"
-    code = main(["scaling", "--scheme", "dual-fock", "--metric", "min-sensitivity", "--n-range", "1:3",
-                 "--output", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("numerical failure: ")
-    assert not out.exists()
+    # each run has a size without phase information: every point divergent, or a Fisher information of 0
+    for i, argv in enumerate([
+        ["scaling", "--scheme", "dual-fock", "--metric", "min-sensitivity", "--n-range", "1:3"],
+        ["scaling", "--scheme", "noon", "--metric", "fisher", "--n-range", "1:3", "--phi-grid", "0:1e-300:2"],
+        ["scaling", "--scheme", "dual-fock", "--n-range", "0:2"],
+        ["scaling", "--scheme", "coherent", "--n-range", "0:2"],
+    ]):
+        out = tmp_path / f"never{i}.csv"
+        code = main([*argv, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("numerical failure: ") and "n=" in err and "Traceback" not in err, err
+        assert not out.exists()
 
 
 def test_scaling_noon_slope_minus_one(tmp_path):

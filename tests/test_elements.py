@@ -8,19 +8,19 @@ from fockmzi.elements import (
     ONE_ARM,
     SYMMETRIC,
     InterferometerPipeline,
-    beam_splitter,
-    phase_shifter,
 )
-from fockmzi.estimation import phase_derivative
-from fockmzi.fock import (
+from fockmzi.fock import make_basis_state
+from fockmzi.states import dual_fock, noon, yurke_bosonic, yurke_fermionic_analog
+from oracles import (
     apply,
+    beam_splitter,
     expectation,
     j_observable,
-    make_basis_state,
+    mach_zehnder_pipeline,
+    phase_derivative,
+    phase_shifter,
     spectral_exponential,
 )
-from fockmzi.states import dual_fock, noon, yurke_bosonic, yurke_fermionic_analog
-from oracles import mach_zehnder_pipeline
 
 
 def mz_distribution(state, phi, convention):

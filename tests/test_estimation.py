@@ -18,36 +18,35 @@ from fockmzi.estimation import (
     min_sensitivity,
     noon_readout,
     observable_noon_flip,
-    phase_derivative,
     phase_sweep,
     posterior_mean,
     posterior_std,
     sample_outcomes,
     scaling_fit,
-    sensitivity,
     sensitivity_curve,
 )
-from fockmzi.fock import (
-    BlockObservable,
-    TwoModeState,
-    apply,
-    expectation,
-    j_observable,
-    make_basis_state,
-    number_observable,
-    spectral_exponential,
-    variance,
-)
+from fockmzi.fock import BlockObservable, TwoModeState, make_basis_state
 from fockmzi.schemes import NOON_FRAMINGS, build_setup
 from fockmzi.states import (
     SCHEME_NAMES,
     SchemeTag,
-    coherent_vacuum,
     dual_fock,
     noon,
-    single_port_fock,
     yurke_bosonic,
     yurke_fermionic_analog,
+)
+from oracles import (
+    apply,
+    beam_splitter,
+    coherent_vacuum,
+    expectation,
+    j_observable,
+    number_observable,
+    phase_derivative,
+    sensitivity,
+    single_port_fock,
+    spectral_exponential,
+    variance,
 )
 
 
@@ -363,8 +362,8 @@ def test_sweep_builds_no_splitter(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a splitter or a dense unitary was built")
 
-    for module, name in ((elements, "beam_splitter"), (elements, "_splitter_block"), (schemes, "_splitter_block"),
-                         (schemes, "split"), (elements, "_jx_eigensystem")):
+    for module, name in ((elements, "_splitter_block"), (schemes, "_splitter_block"), (schemes, "split"),
+                         (elements, "_jx_eigensystem")):
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(fock.BlockUnitary, "__post_init__", refuse)
     for tag in (SchemeTag("coherent", 25), SchemeTag("single-port-fock", 6)):
@@ -382,7 +381,7 @@ def full_cutoff_readout(setup, invert):
         blocks = {m: np.eye(m + 1) for m in range(setup.cutoff + 1)}
         blocks[setup.tag.n] = noon_readout(setup.tag.n).blocks[setup.tag.n]
         return fock.BlockUnitary(blocks)
-    return elements.beam_splitter(-BALANCED if invert else BALANCED, setup.cutoff)
+    return beam_splitter(-BALANCED if invert else BALANCED, setup.cutoff)
 
 
 @pytest.mark.parametrize("invert", [False, True])
@@ -425,7 +424,7 @@ def test_negative_seed_is_accepted():
 
 
 def test_hom_interference_null_never_fires():
-    from fockmzi.elements import BALANCED, InterferometerPipeline, beam_splitter
+    from fockmzi.elements import BALANCED, InterferometerPipeline
 
     pipeline = InterferometerPipeline(ONE_ARM, after=beam_splitter(BALANCED, 2))
     twin = make_basis_state(1, 1, 2)
@@ -435,7 +434,7 @@ def test_hom_interference_null_never_fires():
 
 
 def test_empirical_binomial_within_four_sigma():
-    from fockmzi.elements import BALANCED, InterferometerPipeline, beam_splitter
+    from fockmzi.elements import BALANCED, InterferometerPipeline
 
     n, shots = 6, 100_000
     pipeline = InterferometerPipeline(ONE_ARM, after=beam_splitter(BALANCED, n))

@@ -7,16 +7,11 @@ from fockmzi.fock import (
     BlockObservable,
     BlockUnitary,
     TwoModeState,
-    apply,
     block_labels,
     build_j_operator,
-    expectation,
-    j_observable,
     make_basis_state,
-    number_observable,
-    spectral_exponential,
-    variance,
 )
+from oracles import apply, expectation, j_observable, number_observable, spectral_exponential, variance
 
 
 def random_state(rng, cutoff, blocks=None):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fockmzi.estimation import observable_noon_flip
-from fockmzi.fock import expectation
 from fockmzi.rosetta import (
     MAX_QUBITS,
     QubitRegister,
@@ -19,7 +18,7 @@ from fockmzi.rosetta import (
 )
 from fockmzi.states import noon
 
-from oracles import expect_flip_sum
+from oracles import expect_flip_sum, expectation
 
 
 def register_from_bits(bits):
