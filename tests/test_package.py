@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fockmzi
+import oracles
 
 SRC = Path(fockmzi.__file__).resolve().parents[1]
 # every name `fockmzi` exports, by the submodule that defines it
@@ -35,6 +36,24 @@ EXPORTED = {
 def test_exported_name_is_the_submodule_object(module, name):
     assert getattr(fockmzi, name) is getattr(import_module(f"fockmzi.{module}"), name)
     assert name in dir(fockmzi) and name in fockmzi.__all__
+
+
+# names `fockmzi` exported until the reference forms moved to tests/oracles.py, by their old submodule
+MOVED_TO_ORACLES = {
+    "fock": ("apply", "expectation", "j_observable", "number_observable", "spectral_exponential", "variance"),
+    "elements": ("beam_splitter", "phase_shifter"),
+    "states": ("coherent_vacuum", "single_port_fock"),
+    "estimation": ("sensitivity",),
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in MOVED_TO_ORACLES.items() for n in names])
+def test_moved_name_is_an_oracle_not_an_export(module, name):
+    assert callable(getattr(oracles, name))
+    assert not hasattr(import_module(f"fockmzi.{module}"), name)
+    assert name not in dir(fockmzi) and name not in fockmzi.__all__
+    with pytest.raises(AttributeError, match=name):
+        getattr(fockmzi, name)
 
 
 def test_from_import_and_unknown_names():
