@@ -46,9 +46,9 @@ _EXPORTS = {
     ), "schemes"),
     **dict.fromkeys((
         "ModelMismatchError", "NoPhaseInformationError", "OutcomeHistogram",
-        "PosteriorDistribution", "SensitivityCurve", "bayes_posterior", "classical_fisher",
-        "ensemble_sensitivity", "min_sensitivity", "observable_noon_flip", "phase_sweep",
-        "posterior_mean", "posterior_std", "sample_outcomes", "scaling_fit", "sensitivity_curve",
+        "PosteriorDistribution", "bayes_posterior", "classical_fisher", "ensemble_sensitivity",
+        "min_sensitivity", "observable_noon_flip", "phase_sweep", "posterior_mean", "posterior_std",
+        "sample_outcomes", "scaling_fit",
     ), "estimation"),
     **dict.fromkeys((
         "DepositionCurve", "InsufficientGridError", "deposition_rate", "fringe_period",
@@ -56,7 +56,7 @@ _EXPORTS = {
     ), "lithography"),
     **dict.fromkeys((
         "QubitRegister", "cnot", "collective_phase", "expect_flip_product", "ghz_prepare",
-        "hadamard", "phase_gate",
+        "hadamard",
     ), "rosetta"),
 }
 __all__ = list(_EXPORTS)

@@ -43,14 +43,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def fmt(value) -> str:
-    """One numeric cell: ints verbatim, floats at 17 significant digits."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+    """One numeric cell, formatted as a one-cell column."""
+    return fmt_column([value])[0]
 
 
 def fmt_column(values) -> list[str]:
-    """[fmt(v) for v in values] for a 1-d numeric column, formatted in one pass."""
+    """The cells of a 1-d numeric column, formatted in one pass: ints verbatim, floats at 17 significant digits."""
     column = np.asarray(values)
     if column.dtype.kind in "iu":
         return list(map(str, column.tolist()))
@@ -228,9 +226,9 @@ def run_scaling(args) -> int:
             if value == 0.0:  # the log-log fit needs a positive value
                 raise estimation.NoPhaseInformationError(f"{where}: Fisher information is 0 at every grid point")
             return value
-        curve = estimation.sensitivity_curve(setup.analysis, setup.input_state, setup.observable, grid)
+        _, _, delta = estimation.phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
         try:
-            return estimation.min_sensitivity(curve)[1]
+            return estimation.min_sensitivity(grid, delta)[1]
         except estimation.NoPhaseInformationError as exc:
             raise estimation.NoPhaseInformationError(f"{where}: {exc}") from None
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import BlockObservable, BlockUnitary, TwoModeState, build_j_operator
+from .fock import BlockObservable, BlockUnitary, NumericalFailure, TwoModeState, build_j_operator
 
 BALANCED = math.pi / 2  # splitter angle of the 50/50 beam splitter
 
@@ -77,11 +77,19 @@ class InterferometerPipeline:
         The factors e^{i phi g} are rows of one table, exp(i phi j/2) for the
         values j = 2g of the populated blocks (every second one when they
         share a parity), so each is computed once and not once per block.
+        A phase whose product with the largest |g| is not finite raises
+        NumericalFailure: its factors would be NaN.
         """
         # g is n_b or n/2 - n_b, so j = 2g is an integer
         doubled = {n: (2 * phase_exponent(self.convention, n)).astype(int) for n in state.blocks}
         low = min((j.min() for j in doubled.values()), default=0)
         high = max((j.max() for j in doubled.values()), default=0)
+        largest = max(-low, high) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            unbounded = ~np.isfinite(grid * largest)
+        if unbounded.any():
+            raise NumericalFailure(f"phase {float(grid[unbounded][0])!r} times the phase generator's largest |g|, "
+                                   f"{largest:g}, is not finite")
         step = 1 if any(np.any((j - low) % 2) for j in doubled.values()) else 2
         table = np.exp(1j * np.outer(np.arange(low, high + 1, step) / 2.0, grid))
         return lambda n: table[(doubled[n] - low) // step] * state.blocks[n][:, None]

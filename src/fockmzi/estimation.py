@@ -25,33 +25,12 @@ _GRID_SPACING_RTOL = 1e-9
 
 
 class NoPhaseInformationError(RuntimeError, NumericalFailure):
-    """Raised when a sensitivity curve is divergent, or a Fisher information 0, at every grid point."""
+    """Raised when a sensitivity curve is divergent, or a Fisher information 0, at every grid point,
+    or when a posterior is flat."""
 
 
 class ModelMismatchError(RuntimeError, NumericalFailure):
     """Raised when observed outcomes have zero likelihood everywhere on the grid."""
-
-
-@dataclass(frozen=True)
-class SensitivityCurve:
-    """Sampled map phi -> delta_phi."""
-
-    phi_grid: np.ndarray
-    delta_phi: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.phi_grid, dtype=float)
-        vals = np.asarray(self.delta_phi, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or vals.shape != grid.shape:
-            raise ValueError("phi grid and delta-phi values must be matching 1-d arrays")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("phi grid must be strictly increasing")
-        if np.any(vals <= 0):
-            raise ValueError("delta-phi entries must be positive or +inf")
-        grid.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "phi_grid", grid)
-        object.__setattr__(self, "delta_phi", vals)
 
 
 @dataclass(frozen=True)
@@ -166,25 +145,17 @@ def phase_sweep(
     return mean, var, delta
 
 
-def sensitivity_curve(
-    pipeline: InterferometerPipeline,
-    input_state: TwoModeState,
-    observable: BlockObservable,
-    phi_grid,
-) -> SensitivityCurve:
-    """Pointwise sensitivity of the pipeline output over a phase grid."""
-    grid = np.asarray(phi_grid, dtype=float)
-    _, _, delta = phase_sweep(pipeline, input_state, observable, grid)
-    return SensitivityCurve(grid, delta)
-
-
-def min_sensitivity(curve: SensitivityCurve) -> tuple[float, float]:
-    """Grid point with the smallest finite delta-phi; divergent points are skipped."""
-    finite = np.isfinite(curve.delta_phi)
+def min_sensitivity(phi_grid, delta_phi) -> tuple[float, float]:
+    """Grid point with the smallest finite delta-phi (phase_sweep's third array); divergent points are skipped."""
+    grid, delta = np.asarray(phi_grid, dtype=float), np.asarray(delta_phi, dtype=float)
+    if grid.ndim != 1 or delta.shape != grid.shape:
+        raise ValueError(f"phi grid and delta-phi values must be matching 1-d arrays, "
+                         f"got shapes {grid.shape} and {delta.shape}")
+    finite = np.isfinite(delta)
     if not finite.any():
         raise NoPhaseInformationError("sensitivity is divergent at every grid point")
-    idx = np.argmin(np.where(finite, curve.delta_phi, math.inf))
-    return float(curve.phi_grid[idx]), float(curve.delta_phi[idx])
+    idx = np.argmin(np.where(finite, delta, math.inf))
+    return float(grid[idx]), float(delta[idx])
 
 
 def ensemble_sensitivity(n: int, phi: float) -> float:
@@ -201,21 +172,20 @@ def ensemble_sensitivity(n: int, phi: float) -> float:
     return 1.0 / math.sqrt(n)
 
 
-def classical_fisher(pipeline: InterferometerPipeline, input_state: TwoModeState, phi):
-    """Fisher information of the output number distribution at phi.
+def classical_fisher(pipeline: InterferometerPipeline, input_state: TwoModeState, phi_grid) -> np.ndarray:
+    """Fisher information of the output number distribution at each phase of the grid.
 
-    phi is one phase (a float is returned) or a grid (an array is returned).
     Each outcome's slope is exact, dp_k/dphi = -2 Im(psi_k* (G_out psi)_k);
     outcomes with probability below 1e-15 are skipped.
     """
-    grid = np.atleast_1d(np.asarray(phi, dtype=float))
+    grid = np.asarray(phi_grid, dtype=float)
     info = np.zeros(grid.size)
     for _, psi, generated in pipeline.evolve_blocks(input_state, grid):
         probs = np.abs(psi) ** 2
         slopes = -2.0 * (psi.conj() * generated).imag
         kept = probs >= PROBABILITY_FLOOR
         info += np.sum(np.divide(slopes * slopes, probs, out=np.zeros_like(probs), where=kept), axis=0)
-    return float(info[0]) if np.ndim(phi) == 0 else info
+    return info
 
 
 def sample_outcomes(
@@ -286,8 +256,13 @@ def _grid_period(grid: np.ndarray) -> float:
 
 
 def posterior_mean(posterior: PosteriorDistribution) -> float:
-    """Circular mean of the posterior, mapped back into the grid's period."""
+    """Circular mean of the posterior, mapped back into the grid's period.
+
+    A flat posterior, every weight equal, has no mean: NoPhaseInformationError.
+    """
     grid, w = posterior.phi_grid, posterior.weights
+    if np.all(w == w[0]):
+        raise NoPhaseInformationError("the posterior is flat: the outcomes carry no phase information")
     period = _grid_period(grid)
     angles = 2.0 * math.pi * (grid - grid[0]) / period
     mean_angle = math.atan2(float(np.sum(w * np.sin(angles))), float(np.sum(w * np.cos(angles))))

@@ -64,13 +64,6 @@ def hadamard(reg: QubitRegister, k: int) -> QubitRegister:
     return _apply_single(reg, k, _HADAMARD)
 
 
-def phase_gate(reg: QubitRegister, k: int, phi: float) -> QubitRegister:
-    """diag(1, e^{i phi}) on qubit k."""
-    _bit(reg, k)
-    factor = np.array([[1.0], [np.exp(1j * phi)]])  # indexed by the value of bit k
-    return QubitRegister(reg.n_qubits, (reg.amplitudes.reshape(2**k, 2, -1) * factor).reshape(-1))
-
-
 def cnot(reg: QubitRegister, control: int, target: int) -> QubitRegister:
     if control == target:
         raise ValueError("control and target must differ")
@@ -88,45 +81,34 @@ def ghz_prepare(n: int) -> QubitRegister:
     return reg
 
 
-def collective_phase(state: QubitRegister | np.ndarray, phi) -> QubitRegister | np.ndarray:
-    """Phase gate on every qubit: each |1> picks up e^{i phi}.
+def collective_phase(block: np.ndarray, phis) -> np.ndarray:
+    """Phase gate on every qubit, in place: each |1> picks up e^{i phi}.
 
-    On a QubitRegister and one phase, one `phase_gate` per qubit, returning
-    the phased register.  On a C-ordered complex (p, 2**n) block of amplitude
-    rows and p phases, row j is phased by phi[j] in place, still gate by
-    gate: one multiply per qubit over the amplitudes whose bit k is set.
-    The block is returned.
+    On a C-ordered complex (p, 2**n) block of amplitude rows and p phases,
+    row j is phased by phis[j], gate by gate: one multiply per qubit over the
+    amplitudes whose bit k is set.  The block is returned.
     """
-    if isinstance(state, QubitRegister):
-        for k in range(state.n_qubits):
-            state = phase_gate(state, k, phi)
-        return state
-    phases = np.exp(1j * np.asarray(phi, dtype=float))
-    if not (isinstance(state, np.ndarray) and state.dtype == np.complex128 and state.ndim == 2
-            and state.flags.c_contiguous and state.flags.writeable):
+    phases = np.exp(1j * np.asarray(phis, dtype=float))
+    if not (isinstance(block, np.ndarray) and block.dtype == np.complex128 and block.ndim == 2
+            and block.flags.c_contiguous and block.flags.writeable):
         raise ValueError("a block of rows must be a writable C-ordered complex128 (p, 2**n) array")
-    p, size = state.shape
+    p, size = block.shape
     n = size.bit_length() - 1
     if size != 2**n or not 1 <= n <= MAX_QUBITS or phases.shape != (p,):
         raise ValueError(f"need p rows of 2**n amplitudes (1 <= n <= {MAX_QUBITS}) and p phases, "
-                         f"got {state.shape} rows and {phases.shape} phases")
+                         f"got {block.shape} rows and {phases.shape} phases")
     for k in range(n):
-        state.reshape(p, 2**k, 2, -1)[:, :, 1] *= phases[:, None, None]
-    return state
+        block.reshape(p, 2**k, 2, -1)[:, :, 1] *= phases[:, None, None]
+    return block
 
 
-def expect_flip_product(state: QubitRegister | np.ndarray) -> float | np.ndarray:
-    """<X x X x ... x X>: the all-qubit flip correlator.
+def expect_flip_product(block: np.ndarray) -> np.ndarray:
+    """<X x X x ... x X>, the all-qubit flip correlator, of each row of a (p, 2**n) block of amplitudes.
 
     Flipping every qubit maps basis index i to i ^ (2**n - 1) = 2**n - 1 - i,
-    so the flipped amplitudes are the reversed ones.  Of a QubitRegister, a
-    float; of a (p, 2**n) block of amplitude rows, an array of p values, one
-    per row.
+    so the flipped amplitudes are the reversed ones.
     """
-    if isinstance(state, QubitRegister):
-        amps = state.amplitudes
-        return float(np.vdot(amps, amps[::-1]).real)
-    return np.array([np.vdot(row, row[::-1]).real for row in state])
+    return np.array([np.vdot(row, row[::-1]).real for row in block])
 
 
 def flip_expectations(n: int, phi_grid) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from fockmzi.elements import BALANCED, ONE_ARM, InterferometerPipeline, _splitte
 from fockmzi.estimation import _divergent
 from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, j_bands, make_basis_state
 from fockmzi.lithography import DepositionCurve, InsufficientGridError
-from fockmzi.rosetta import QubitRegister
+from fockmzi.rosetta import QubitRegister, _bit
 from fockmzi.states import coherent_amplitudes
 
 NUMBER_MODES = ("a", "b", "total")
@@ -160,7 +160,27 @@ def mach_zehnder_pipeline(cutoff: int, convention: str = ONE_ARM, invert_second_
     return PortPipeline(beam_splitter(BALANCED, cutoff), InterferometerPipeline(convention, after=second))
 
 
-# ---------------------------------------------------------------- loop forms of the qubit and lithography paths
+# ---------------------------------------------------------------- register and loop forms of the qubit and lithography paths
+
+def phase_gate(reg: QubitRegister, k: int, phi: float) -> QubitRegister:
+    """diag(1, e^{i phi}) on qubit k."""
+    _bit(reg, k)
+    factor = np.array([[1.0], [np.exp(1j * phi)]])  # indexed by the value of bit k
+    return QubitRegister(reg.n_qubits, (reg.amplitudes.reshape(2**k, 2, -1) * factor).reshape(-1))
+
+
+def register_collective_phase(reg: QubitRegister, phi: float) -> QubitRegister:
+    """collective_phase on one register: one phase_gate per qubit."""
+    for k in range(reg.n_qubits):
+        reg = phase_gate(reg, k, phi)
+    return reg
+
+
+def register_flip_product(reg: QubitRegister) -> float:
+    """expect_flip_product of one register: the overlap with its reversed amplitudes."""
+    amps = reg.amplitudes
+    return float(np.vdot(amps, amps[::-1]).real)
+
 
 def expect_flip_sum(reg: QubitRegister) -> float:
     """<sum_k X_k>: total of the single-qubit flip observables."""

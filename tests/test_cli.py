@@ -156,6 +156,33 @@ def test_no_phase_information_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")  # a numpy overflow or invalid-value warning fails the test
+@pytest.mark.parametrize("argv", [
+    ["sensitivity", "--scheme", "dual-fock", "--n", "1", "--phi-grid", "1e308:1.7e308:3"],
+    ["rosetta", "--n-max", "2", "--phi-grid", "1e308:1.7e308:2"],
+    ["sample", "--scheme", "dual-fock", "--n", "2", "--phi", "1.7e308", "--estimator", "bayes"],
+])
+def test_phase_overflowing_the_generator_exits_2_before_any_cell(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""  # the table, nan cells and all, is never written
+    assert err.startswith("numerical failure: phase ") and "not finite" in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--scheme", "noon", "--n", "2", "--shots", "0", "--estimator", "bayes"],
+    ["sample", "--scheme", "noon", "--n", "2", "--shots", "0", "--estimator", "bayes", "--bayes-points", "3"],
+    ["sample", "--scheme", "coherent", "--n", "0", "--shots", "5", "--estimator", "bayes"],
+])
+def test_flat_posterior_has_no_mean_and_exits_2(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure: ") and "flat" in err, err
+
+
 def test_scaling_noon_slope_minus_one(tmp_path):
     code, text = run_cli(tmp_path, "scaling", "--scheme", "noon", "--n-range", "1:20",
                          "--phi-grid", "0.01:3.1:60")

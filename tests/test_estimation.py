@@ -23,7 +23,6 @@ from fockmzi.estimation import (
     posterior_std,
     sample_outcomes,
     scaling_fit,
-    sensitivity_curve,
 )
 from fockmzi.fock import BlockObservable, TwoModeState, make_basis_state
 from fockmzi.schemes import NOON_FRAMINGS, build_setup
@@ -109,10 +108,11 @@ def test_single_qubit_sensitivity_is_one():
 
 def test_dual_fock_jz_sensitivity_diverges_everywhere():
     setup = build_setup(SchemeTag("dual-fock", 3))
-    curve = sensitivity_curve(setup.analysis, setup.input_state, setup.observable, np.linspace(0.05, 3.1, 40))
-    assert np.all(np.isinf(curve.delta_phi))
+    grid = np.linspace(0.05, 3.1, 40)
+    _, _, delta = phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
+    assert np.all(np.isinf(delta))
     with pytest.raises(NoPhaseInformationError):
-        min_sensitivity(curve)
+        min_sensitivity(grid, delta)
 
 
 def test_dual_fock_jz_rows_are_divergent_in_every_frame():
@@ -152,15 +152,17 @@ def test_commutator_derivative_matches_finite_difference():
         assert abs(exact - fd) <= 1e-6 * (1 + abs(expectation(a, state)))
 
 
-def test_sensitivity_curve_min_against_denser_grid():
+def min_of_sweep(setup, grid):
+    """min_sensitivity of the setup's phase_sweep over the grid, as `scaling` takes it."""
+    _, _, delta = phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
+    return min_sensitivity(grid, delta)
+
+
+def test_min_sensitivity_against_denser_grid():
     setup = build_setup(SchemeTag("yurke-bosonic", 4))
-    coarse = sensitivity_curve(setup.analysis, setup.input_state, setup.observable,
-                               np.linspace(0.005, math.pi - 0.005, 400))
-    phi_star, best = min_sensitivity(coarse)
+    phi_star, best = min_of_sweep(setup, np.linspace(0.005, math.pi - 0.005, 400))
     assert math.isfinite(best)
-    dense = sensitivity_curve(setup.analysis, setup.input_state, setup.observable,
-                              np.linspace(0.005, math.pi - 0.005, 4000))
-    _, best_dense = min_sensitivity(dense)
+    _, best_dense = min_of_sweep(setup, np.linspace(0.005, math.pi - 0.005, 4000))
     assert best_dense <= best + 1e-12
     assert abs(best - best_dense) / best_dense < 1e-3
 
@@ -168,24 +170,19 @@ def test_sensitivity_curve_min_against_denser_grid():
 def test_coherent_min_sensitivity_hits_shot_noise():
     setup = build_setup(SchemeTag("coherent", 4))
     grid = np.linspace(0.1, math.pi - 0.1, 301)
-    curve = sensitivity_curve(setup.analysis, setup.input_state, setup.observable, grid)
-    _, best = min_sensitivity(curve)
+    _, best = min_of_sweep(setup, grid)
     assert abs(best - 0.5) / 0.5 < 0.02
     # oracle: brute force at a much larger cutoff agrees
-    brute = build_setup(SchemeTag("coherent", 4), cutoff=60)
-    brute_curve = sensitivity_curve(brute.analysis, brute.input_state, brute.observable, grid)
-    _, brute_best = min_sensitivity(brute_curve)
+    _, brute_best = min_of_sweep(build_setup(SchemeTag("coherent", 4), cutoff=60), grid)
     assert abs(best - brute_best) < 1e-9
 
 
-def test_sensitivity_curve_validation():
-    from fockmzi.estimation import SensitivityCurve
-
-    with pytest.raises(ValueError):
-        SensitivityCurve(np.array([0.2, 0.1]), np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        SensitivityCurve(np.array([0.1, 0.2]), np.array([1.0, -1.0]))
-    SensitivityCurve(np.array([0.1, 0.2]), np.array([1.0, math.inf]))
+def test_min_sensitivity_skips_divergent_points_and_rejects_mismatched_arrays():
+    assert min_sensitivity([0.1, 0.2, 0.3], [math.inf, 2.0, 1.5]) == (0.3, 1.5)
+    assert min_sensitivity(np.array([0.1, 0.2]), np.array([1.0, math.inf])) == (0.1, 1.0)
+    for grid, delta in [([0.1, 0.2], [1.0]), ([0.1, 0.2], [[1.0, 2.0]]), ([[0.1, 0.2]], [[1.0, 2.0]])]:
+        with pytest.raises(ValueError, match="matching 1-d arrays"):
+            min_sensitivity(grid, delta)
 
 
 def test_ensemble_sensitivity_values():
@@ -200,8 +197,11 @@ def test_ensemble_sensitivity_values():
 
 def test_single_photon_fisher_is_one():
     setup = build_setup(SchemeTag("single-port-fock", 1))
-    for phi in (0.4, 1.2, 2.0):
-        assert classical_fisher(setup.sampling, setup.input_state, phi) == pytest.approx(1.0, abs=1e-7)
+    fisher = classical_fisher(setup.sampling, setup.input_state, [0.4, 1.2, 2.0])
+    assert isinstance(fisher, np.ndarray) and fisher.shape == (3,)
+    assert fisher == pytest.approx(np.ones(3), abs=1e-7)
+    one = classical_fisher(setup.sampling, setup.input_state, [1.2])
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
 
 
 def test_dual_fock_fisher_is_exactly_holland_burnett():
@@ -221,7 +221,7 @@ def test_noon_fisher_reaches_heisenberg_bound():
             nonzero = {k: v for k, v in dist.items() if v > 1e-12}
             assert set(nonzero) == {(n, 0), (0, n)}
             assert nonzero[(n, 0)] == pytest.approx((1 + math.cos(n * phi)) / 2, abs=1e-12)
-            f = classical_fisher(setup.sampling, setup.input_state, phi)
+            f = classical_fisher(setup.sampling, setup.input_state, [phi])[0]
             assert f == pytest.approx(n**2, rel=1e-6)
             assert f <= n**2 * (1 + 1e-6)
 
@@ -230,8 +230,7 @@ def test_dual_fock_fisher_scaling_exponent():
     points = []
     for n in range(2, 13):
         setup = build_setup(SchemeTag("dual-fock", n))
-        best = max(classical_fisher(setup.sampling, setup.input_state, phi)
-                   for phi in np.linspace(0.05, math.pi / 2, 20))
+        best = np.max(classical_fisher(setup.sampling, setup.input_state, np.linspace(0.05, math.pi / 2, 20)))
         points.append((n, best))
     slope, _ = scaling_fit(points)
     assert 1.7 <= slope <= 2.3
@@ -246,7 +245,7 @@ def test_cramer_rao_bound_holds():
         setup = build_setup(SchemeTag(name, n))
         gen = setup.analysis.output_generator(setup.cutoff)
         for phi in (0.3, 0.8, 1.4):
-            fisher = classical_fisher(setup.sampling, setup.input_state, phi)
+            fisher = classical_fisher(setup.sampling, setup.input_state, [phi])[0]
             if fisher <= 0:
                 continue
             evolved = setup.analysis.evolve(setup.input_state, phi)
@@ -605,9 +604,7 @@ def test_yurke_min_sensitivity_scaling_band():
         points = []
         for n in sizes:
             setup = build_setup(SchemeTag(name, n))
-            curve = sensitivity_curve(setup.analysis, setup.input_state, setup.observable,
-                                      np.linspace(0.005, math.pi - 0.005, 800))
-            points.append((n, min_sensitivity(curve)[1]))
+            points.append((n, min_of_sweep(setup, np.linspace(0.005, math.pi - 0.005, 800))[1]))
         slope, _ = scaling_fit(points)
         assert -1.2 <= slope <= -0.8
 
@@ -617,8 +614,8 @@ def test_noon_framings_agree():
         post_bs = build_setup(SchemeTag("noon", n), noon_framing="post-bs")
         at_input = build_setup(SchemeTag("noon", n), noon_framing="input")
         grid = np.linspace(0.05, 3.0, 30)
-        a = sensitivity_curve(post_bs.analysis, post_bs.input_state, post_bs.observable, grid)
-        b = sensitivity_curve(at_input.analysis, at_input.input_state, at_input.observable, grid)
-        finite = np.isfinite(a.delta_phi) & np.isfinite(b.delta_phi)
+        _, _, a = phase_sweep(post_bs.analysis, post_bs.input_state, post_bs.observable, grid)
+        _, _, b = phase_sweep(at_input.analysis, at_input.input_state, at_input.observable, grid)
+        finite = np.isfinite(a) & np.isfinite(b)
         assert finite.any()
-        assert np.max(np.abs(a.delta_phi[finite] - b.delta_phi[finite])) < 1e-9
+        assert np.max(np.abs(a[finite] - b[finite])) < 1e-9

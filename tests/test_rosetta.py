@@ -13,12 +13,11 @@ from fockmzi.rosetta import (
     flip_expectations,
     ghz_prepare,
     hadamard,
-    phase_gate,
     zero_register,
 )
 from fockmzi.states import noon
 
-from oracles import expect_flip_sum, expectation
+from oracles import expect_flip_sum, expectation, phase_gate, register_collective_phase, register_flip_product
 
 
 def register_from_bits(bits):
@@ -87,15 +86,20 @@ def test_register_cap_enforced():
         zero_register(MAX_QUBITS + 1)
 
 
+def ghz_rows(n, phis):
+    """One row of GHZ amplitudes per phase, ready for collective_phase."""
+    return np.tile(ghz_prepare(n).amplitudes, (len(phis), 1))
+
+
 def test_ghz_flip_product_oscillates_n_fold():
+    grid = np.linspace(0.0, 2 * math.pi, 17)
     for n in (1, 2, 5, 9):
-        for phi in np.linspace(0.0, 2 * math.pi, 17):
-            val = expect_flip_product(collective_phase(ghz_prepare(n), phi))
-            assert abs(val - math.cos(n * phi)) < 1e-12
+        values = expect_flip_product(collective_phase(ghz_rows(n, grid), grid))
+        assert np.max(np.abs(values - np.cos(n * grid))) < 1e-12
 
 
 def test_ghz_flip_product_at_zero_phase():
-    assert expect_flip_product(ghz_prepare(6)) == pytest.approx(1.0, abs=1e-12)
+    assert expect_flip_product(ghz_rows(6, [0.0]))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_product_state_flip_sum_is_n_cos():
@@ -103,7 +107,7 @@ def test_product_state_flip_sum_is_n_cos():
     reg = zero_register(n)
     for k in range(n):
         reg = hadamard(reg, k)
-    reg = collective_phase(reg, phi)
+    reg = register_collective_phase(reg, phi)
     assert expect_flip_sum(reg) == pytest.approx(n * math.cos(phi), abs=1e-12)
 
 
@@ -164,15 +168,12 @@ def test_batched_flip_expectations_match_per_point_evaluation():
         qubit_values, fock_values = flip_expectations(n, grid)
         assert qubit_values.shape == fock_values.shape == grid.shape
         for phi, q, f in zip(grid, qubit_values, fock_values):
-            assert q == expect_flip_product(collective_phase(ghz_prepare(n), phi))
+            assert q == per_gate_flip_product(n, phi)
             assert abs(f - expectation(observable_noon_flip(n), noon(n, phi, n))) <= 1e-15
 
 
 def per_gate_flip_product(n, phi):
-    reg = ghz_prepare(n)
-    for k in range(n):
-        reg = phase_gate(reg, k, phi)
-    return expect_flip_product(reg)
+    return register_flip_product(register_collective_phase(ghz_prepare(n), phi))
 
 
 @pytest.mark.parametrize("n, grid", [(n, np.linspace(0.0, 2 * math.pi, 37)) for n in range(9, 15)]
@@ -190,8 +191,8 @@ def test_collective_phase_on_a_block_of_rows_phases_each_row_in_place():
     block = np.array([reg.amplitudes for reg in regs])
     assert collective_phase(block, phis) is block
     for row, reg, phi in zip(block, regs, phis):
-        assert np.array_equal(row, collective_phase(reg, phi).amplitudes)
-    assert np.array_equal(expect_flip_product(block), [expect_flip_product(QubitRegister(n, row)) for row in block])
+        assert np.array_equal(row, register_collective_phase(reg, phi).amplitudes)
+    assert np.array_equal(expect_flip_product(block), [register_flip_product(QubitRegister(n, row)) for row in block])
 
 
 def test_flip_product_is_the_all_bits_flipped_overlap():
@@ -199,7 +200,9 @@ def test_flip_product_is_the_all_bits_flipped_overlap():
     for n in (1, 5, 11):
         reg = random_register(rng, n)
         flipped = reg.amplitudes[np.arange(2**n) ^ (2**n - 1)]
-        assert expect_flip_product(reg) == pytest.approx(np.vdot(reg.amplitudes, flipped).real, abs=1e-15)
+        value = expect_flip_product(reg.amplitudes[None, :])
+        assert value.shape == (1,)
+        assert value[0] == pytest.approx(np.vdot(reg.amplitudes, flipped).real, abs=1e-15)
 
 
 def test_collective_phase_rejects_blocks_it_cannot_phase_in_place():
