@@ -42,13 +42,12 @@ _EXPORTS = {
         "split_port_a", "yurke_bosonic", "yurke_fermionic_analog",
     ), "states"),
     **dict.fromkeys((
-        "SchemeSetup", "build_setup", "pulled_back_jz",
+        "SchemeSetup", "build_setup", "observable_noon_flip", "pulled_back_jz",
     ), "schemes"),
     **dict.fromkeys((
         "ModelMismatchError", "NoPhaseInformationError", "OutcomeHistogram",
         "PosteriorDistribution", "bayes_posterior", "classical_fisher", "ensemble_sensitivity",
-        "min_sensitivity", "observable_noon_flip", "phase_sweep", "posterior_mean", "posterior_std",
-        "sample_outcomes", "scaling_fit",
+        "min_sensitivity", "phase_sweep", "posterior_mean", "posterior_std", "sample_outcomes", "scaling_fit",
     ), "estimation"),
     **dict.fromkeys((
         "DepositionCurve", "InsufficientGridError", "deposition_rate", "fringe_period",

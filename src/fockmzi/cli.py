@@ -260,6 +260,11 @@ def run_litho(args) -> int:
         raise UsageError(f"--wavelength must be positive and finite, got {lam}")
     out_path = resolve_output_path(args.output)
     single_period = 2.0 * lam
+    # the largest phases: pi x at the grid end x = 6.5 wavelength, and the noon curve's n * 6.5 pi
+    if not math.isfinite(math.pi * (3.25 * single_period)):
+        raise NumericalFailure(f"--wavelength {lam!r}: pi times the grid end, 6.5 * wavelength, is not finite")
+    if n > sys.float_info.max / (6.5 * math.pi):  # an int comparison, exact even past the float range
+        raise NumericalFailure("--n is too large: n times the largest phase, 6.5 * pi, is not finite")
 
     # shared grid for the table; periods measured on per-kind grids (three
     # periods each, offset a quarter period so maxima are interior)
@@ -316,6 +321,8 @@ def run_sample(args) -> int:
         raise UsageError(f"--phi must be finite, got {args.phi}")
     if args.shots < 0:
         raise UsageError(f"--shots must be nonnegative, got {args.shots}")
+    if not -(2**63) <= args.seed < 2**64:
+        raise UsageError(f"--seed must be a 64-bit integer, signed or not, in [-2**63, 2**64), got {args.seed}")
     if args.bayes_points < 2:
         raise UsageError(f"--bayes-points must be >= 2, got {args.bayes_points}")
     out_path = resolve_output_path(args.output)

@@ -5,8 +5,10 @@ The central quantity is the error-propagation sensitivity
 delta_phi = sqrt(Var A) / |d<A>/dphi|, with the derivative taken exactly as
 the expectation of i[A, G] for the phase generator G, never by finite
 differences (those are kept as a test oracle only).  Sweeps, Fisher
-information and posteriors evaluate the whole phase grid at once, one
-photon-number block at a time.
+information, sampling and posteriors only reduce the arrays that the
+pipeline's per-block kernel (evolve_blocks, output_rows) yields, over the
+whole phase grid at once, one photon-number block at a time; which input,
+observable and readout a scheme uses is decided in `schemes`.
 """
 
 import math
@@ -16,7 +18,7 @@ from itertools import groupby
 import numpy as np
 
 from .elements import InterferometerPipeline, phase_exponent
-from .fock import BlockObservable, BlockUnitary, NumericalFailure, TwoModeState
+from .fock import BlockObservable, NumericalFailure, TwoModeState, block_labels
 
 DERIVATIVE_RTOL = 1e-14
 PROBABILITY_FLOOR = 1e-15
@@ -77,28 +79,6 @@ class PosteriorDistribution:
         w.setflags(write=False)
         object.__setattr__(self, "phi_grid", grid)
         object.__setattr__(self, "weights", w)
-
-
-def observable_noon_flip(n: int) -> BlockObservable:
-    """The two-entry flip observable |N,0><0,N| + |0,N><N,0| on block N."""
-    if n < 1:
-        raise ValueError(f"flip observable needs n >= 1, got {n}")
-    return BlockObservable({n: {n: np.ones(1), -n: np.ones(1)}})
-
-
-def noon_readout(n: int) -> BlockUnitary:
-    """Rotation taking the flip-observable eigenbasis to the number basis, on block N alone.
-
-    It acts as a Hadamard on span{|N,0>, |0,N>} and as identity on the rest
-    of block N.  Number-resolved detection after this stage realizes the
-    flip measurement as a two-outcome coarse-graining.
-    """
-    if n < 1:
-        raise ValueError(f"readout needs n >= 1, got {n}")
-    h = np.eye(n + 1, dtype=np.complex128)
-    r = 1.0 / math.sqrt(2.0)
-    h[0, 0], h[0, n], h[n, 0], h[n, n] = r, r, r, -r
-    return BlockUnitary({n: h})
 
 
 def _divergent(slope, observable_bound: float, generator_bound: float):
@@ -197,15 +177,20 @@ def sample_outcomes(
 ) -> OutcomeHistogram:
     """Draw i.i.d. (n_a, n_b) outcomes from the exact output distribution.
 
-    Probabilities below 1e-15 are zeroed (and the rest renormalized) before
-    sampling, so interference nulls never fire.  Identical seeds give
-    identical histograms; any 64-bit integer (signed or not) is a valid seed.
+    The probabilities are |amplitude|^2 of the single column evolve_blocks
+    yields per populated block, in block order.  Those below 1e-15 are zeroed
+    (and the rest renormalized) before sampling, so interference nulls never
+    fire.  Identical seeds give identical histograms.  A seed is any 64-bit
+    integer, signed or not, so in [-2**63, 2**64); a negative seed s draws as
+    s + 2**64.
     """
     if shots < 0:
         raise ValueError(f"shots must be nonnegative, got {shots}")
-    dist = pipeline.evolve(input_state, phi).probabilities()
-    labels = list(dist)
-    probs = np.array([dist[k] for k in labels], dtype=float)
+    if not -(2**63) <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit integer, signed or not, in [-2**63, 2**64), got {seed}")
+    columns = [(n, psi[:, 0]) for n, psi, _ in pipeline.evolve_blocks(input_state, [phi])]
+    labels = [label for n, _ in columns for label in block_labels(n)]
+    probs = np.abs(np.concatenate([column for _, column in columns] or [np.zeros(0)])) ** 2
     probs[probs < PROBABILITY_FLOOR] = 0.0
     probs /= probs.sum()
     rng = np.random.default_rng(seed & 0xFFFF_FFFF_FFFF_FFFF)

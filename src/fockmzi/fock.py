@@ -70,8 +70,7 @@ class TwoModeState:
         """Outcome probabilities |amplitude|^2 over all populated basis states."""
         probs = {}
         for n, vec in self.blocks.items():
-            for (n_a, n_b), amp in zip(block_labels(n), vec):
-                probs[(n_a, n_b)] = float(abs(amp)) ** 2
+            probs.update(zip(block_labels(n), (np.abs(vec) ** 2).tolist()))
         return probs
 
 

@@ -1,5 +1,6 @@
 """N-qubit state-vector simulator for the circuit picture of phase estimation,
-cross-validated against the Fock simulator.
+cross-validated against the Fock simulator, whose side is the noon scheme
+exactly as `schemes.build_setup` wires it.
 
 Qubit k maps to bit position n-1-k of the basis index, so the bitstring
 q0 q1 ... q(n-1) reads left to right.  |0> on a qubit plays the role of the
@@ -11,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import ONE_ARM, InterferometerPipeline
-from .estimation import observable_noon_flip, phase_sweep
-from .states import noon
+from .estimation import phase_sweep
+from .schemes import build_setup
+from .states import SchemeTag
 
 MAX_QUBITS = 14
 # amplitudes per block of rows in flip_expectations: 256 KB of complex128
@@ -120,7 +121,7 @@ def flip_expectations(n: int, phi_grid) -> tuple[np.ndarray, np.ndarray]:
     register is prepared once and copied into one row per grid point, a
     block of rows of at most _BLOCK_ENTRIES amplitudes at a time, where the
     phase gates run in place; the Fock side is one batched sweep of the
-    canonical interferometer.
+    noon scheme's setup, as `sensitivity --scheme noon` runs it.
     """
     grid = np.asarray(phi_grid, dtype=float)
     ghz = ghz_prepare(n).amplitudes
@@ -131,5 +132,6 @@ def flip_expectations(n: int, phi_grid) -> tuple[np.ndarray, np.ndarray]:
         rows = block[:phis.size]
         rows[:] = ghz
         qubit_values[start:start + phis.size] = expect_flip_product(collective_phase(rows, phis))
-    fock_values = phase_sweep(InterferometerPipeline(ONE_ARM), noon(n, 0.0, n), observable_noon_flip(n), grid)[0]
+    setup = build_setup(SchemeTag("noon", n))
+    fock_values = phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)[0]
     return qubit_values, fock_values

@@ -1,25 +1,27 @@
-"""Wiring from scheme tags to concrete inputs, pipelines, and observables.
+"""Wiring from scheme tags to concrete inputs, pipelines, observables and readouts.
 
 Each scheme carries two pipelines sharing one input state, the state as it
 enters the phase stage: any optics ahead of the phase are applied once, here.
 'analysis' is the phase stage alone and feeds the scheme observable
-(expectation/variance/sensitivity); for the balanced-splitter schemes that
-observable is J_z pulled back through the second splitter,
-U_after† J_z U_after = -J_y (+J_y when that splitter is inverted), which is
-tridiagonal.  'sampling' appends the readout unitary that makes the phase
-visible in number-resolved detection (the second splitter, or the
-flip-basis rotation of the path-entangled scheme); it is built on first use,
-by Fisher information, sampling and Bayes, and only on the blocks the input
-populates.
+(expectation/variance/sensitivity): the flip observable for the
+path-entangled scheme and, for the balanced-splitter schemes, J_z pulled back
+through the second splitter, U_after† J_z U_after = -J_y (+J_y when that
+splitter is inverted), which is tridiagonal.  'sampling' appends the readout
+unitary that makes the phase visible in number-resolved detection (the
+second splitter, or the flip-basis rotation); it is built on first use, by
+Fisher information, sampling and Bayes.  Observable and readout cover only
+the blocks the input populates.
 """
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable
 
+import numpy as np
+
 from .elements import BALANCED, ONE_ARM, InterferometerPipeline, _splitter_block, split
-from .estimation import noon_readout, observable_noon_flip
 from .fock import BlockObservable, BlockUnitary, TwoModeState, j_bands
 from .states import (
     NOON_FRAMINGS,
@@ -60,12 +62,37 @@ def default_cutoff(tag: SchemeTag) -> int:
     return max(tag.n, 1)
 
 
-def pulled_back_jz(cutoff: int, invert_second_bs: bool = False) -> BlockObservable:
-    """U_after† J_z U_after for U_after the splitter exp(±i BALANCED J_x): -J_y, or +J_y when inverted."""
+def pulled_back_jz(blocks: Iterable[int], invert_second_bs: bool = False) -> BlockObservable:
+    """U_after† J_z U_after for U_after the splitter exp(±i BALANCED J_x), on the given blocks:
+    -J_y, or +J_y when inverted."""
     sign = 1.0 if invert_second_bs else -1.0
-    return BlockObservable({
-        n: {k: sign * diag for k, diag in j_bands("y", n).items()} for n in range(cutoff + 1)
-    })
+    return BlockObservable({n: {k: sign * diag for k, diag in j_bands("y", n).items()} for n in blocks})
+
+
+def observable_noon_flip(n: int) -> BlockObservable:
+    """The two-entry flip observable |N,0><0,N| + |0,N><N,0| on block N."""
+    if n < 1:
+        raise ValueError(f"flip observable needs n >= 1, got {n}")
+    return BlockObservable({n: {n: np.ones(1), -n: np.ones(1)}})
+
+
+def noon_readout(n: int) -> BlockUnitary:
+    """Rotation taking the flip-observable eigenbasis to the number basis, on block N alone.
+
+    It acts as a Hadamard on span{|N,0>, |0,N>} and as identity on the rest
+    of block N.  Number-resolved detection after this stage realizes the
+    flip measurement as a two-outcome coarse-graining.
+    """
+    if n < 1:
+        raise ValueError(f"readout needs n >= 1, got {n}")
+    h = np.eye(n + 1, dtype=np.complex128)
+    r = 1.0 / math.sqrt(2.0)
+    h[0, 0], h[0, n], h[n, 0], h[n, n] = r, r, r, -r
+    return BlockUnitary({n: h})
+
+
+def _splitter_readout(theta: float, blocks: Iterable[int]) -> BlockUnitary:
+    return BlockUnitary({n: _splitter_block(theta, n) for n in blocks})
 
 
 def build_setup(
@@ -87,37 +114,22 @@ def build_setup(
         inp = noon(tag.n, 0.0, cut)
         if noon_framing == "input":
             inp = split(split(inp, -BALANCED), BALANCED)
-        return SchemeSetup(
-            tag=tag,
-            cutoff=cut,
-            input_state=inp,
-            analysis=InterferometerPipeline(convention),
-            observable=observable_noon_flip(tag.n),
-            likelihood_period=2.0 * math.pi / tag.n,
-            readout=partial(noon_readout, tag.n),
-        )
-
-    # every other input is prepared at the phase stage, after the first splitter
-    if tag.name == "single-port-fock":
-        inp = split_port_a({tag.n: 1.0}, cut)
-    elif tag.name == "coherent":
-        inp = split_port_a(dict(enumerate(coherent_amplitudes(math.sqrt(tag.n), cut, COHERENT_TAIL_TOL))), cut)
-    elif tag.name == "dual-fock":
-        inp = split(dual_fock(tag.n, cut), BALANCED)
-    elif tag.name == "yurke-fermionic-analog":
-        inp = split(yurke_fermionic_analog(tag.n, cut), BALANCED)
-    elif tag.name == "yurke-bosonic":
-        inp = split(yurke_bosonic(tag.n, cut), BALANCED)
+        observable, period, readout = observable_noon_flip(tag.n), 2.0 * math.pi / tag.n, partial(noon_readout, tag.n)
     else:
-        raise ValueError(f"unhandled scheme {tag.name!r}")
+        # every other input is prepared at the phase stage, after the first splitter
+        if tag.name == "single-port-fock":
+            inp = split_port_a({tag.n: 1.0}, cut)
+        elif tag.name == "coherent":
+            inp = split_port_a(dict(enumerate(coherent_amplitudes(math.sqrt(tag.n), cut, COHERENT_TAIL_TOL))), cut)
+        elif tag.name == "dual-fock":
+            inp = split(dual_fock(tag.n, cut), BALANCED)
+        elif tag.name == "yurke-fermionic-analog":
+            inp = split(yurke_fermionic_analog(tag.n, cut), BALANCED)
+        elif tag.name == "yurke-bosonic":
+            inp = split(yurke_bosonic(tag.n, cut), BALANCED)
+        else:
+            raise ValueError(f"unhandled scheme {tag.name!r}")
+        observable, period = pulled_back_jz(inp.blocks, invert_second_bs), 2.0 * math.pi
+        readout = partial(_splitter_readout, -BALANCED if invert_second_bs else BALANCED, inp.blocks)
 
-    theta = -BALANCED if invert_second_bs else BALANCED
-    return SchemeSetup(
-        tag=tag,
-        cutoff=cut,
-        input_state=inp,
-        analysis=InterferometerPipeline(convention),
-        observable=pulled_back_jz(cut, invert_second_bs),
-        likelihood_period=2.0 * math.pi,
-        readout=lambda: BlockUnitary({n: _splitter_block(theta, n) for n in inp.blocks}),
-    )
+    return SchemeSetup(tag, cut, inp, InterferometerPipeline(convention), observable, period, readout)

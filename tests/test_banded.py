@@ -70,7 +70,7 @@ def test_banded_apply_equals_dense_product(n, offsets, columns, seed):
 def test_pulled_back_jz_is_minus_or_plus_jy(n, invert):
     u = beam_splitter(-BALANCED if invert else BALANCED, n).blocks[n]
     pulled = u.conj().T @ build_j_operator("z", n) @ u
-    assert np.max(np.abs(pulled - pulled_back_jz(n, invert).dense(n))) <= 1e-13 * max(1, n)
+    assert np.max(np.abs(pulled - pulled_back_jz([n], invert).dense(n))) <= 1e-13 * max(1, n)
 
 
 @settings(max_examples=30, deadline=None)

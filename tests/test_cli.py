@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,23 @@ def test_phase_overflowing_the_generator_exits_2_before_any_cell(capsys, argv):
     assert err.startswith("numerical failure: phase ") and "not finite" in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["litho", "--wavelength", "1e308", "--points", "192"], "--wavelength"),  # the grid end 6.5 * 1e308 overflows
+    (["litho", "--wavelength", "3e307"], "--wavelength"),  # so does 6.5 * 3e307
+    (["litho", "--wavelength", "1e307"], "--wavelength"),  # only pi times the grid end overflows
+    (["litho", "--n", str(10**320)], "--n"),  # n times the largest phase overflows
+])
+def test_litho_phase_overflow_exits_2_naming_the_flag(capsys, argv, flag):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert caught == []  # no numpy RuntimeWarning
+    assert out == ""
+    assert err.startswith(f"numerical failure: {flag}") and err.count("\n") == 1 and "not finite" in err, err
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--scheme", "noon", "--n", "2", "--shots", "0", "--estimator", "bayes"],
     ["sample", "--scheme", "noon", "--n", "2", "--shots", "0", "--estimator", "bayes", "--bayes-points", "3"],
@@ -292,6 +310,9 @@ def test_bayes_points_below_two_is_usage_error(tmp_path, capsys):
     (["litho", "--wavelength", "0"], None, "--wavelength"),
     (["litho", "--wavelength", "nan"], None, "--wavelength"),
     (["litho"], "wavelength = inf\n", "--wavelength"),
+    (["sample", "--seed", str(2**64)], None, "--seed"),
+    (["sample", "--seed", str(-(2**63) - 1)], None, "--seed"),
+    (["sample"], f"seed = {7 + 2**64}\n", "--seed"),
 ])
 def test_non_finite_or_out_of_range_numbers_are_usage_errors(tmp_path, capsys, argv, config, flag):
     out = tmp_path / "never.csv"

@@ -16,8 +16,6 @@ from fockmzi.estimation import (
     classical_fisher,
     ensemble_sensitivity,
     min_sensitivity,
-    noon_readout,
-    observable_noon_flip,
     phase_sweep,
     posterior_mean,
     posterior_std,
@@ -25,7 +23,7 @@ from fockmzi.estimation import (
     scaling_fit,
 )
 from fockmzi.fock import BlockObservable, TwoModeState, make_basis_state
-from fockmzi.schemes import NOON_FRAMINGS, build_setup
+from fockmzi.schemes import NOON_FRAMINGS, build_setup, noon_readout, observable_noon_flip
 from fockmzi.states import (
     SCHEME_NAMES,
     SchemeTag,
@@ -326,6 +324,7 @@ def check_against_reference(tag, convention, invert, framing):
     for n, vec in at_phase_stage.blocks.items():
         assert np.max(np.abs(setup.input_state.blocks[n] - vec)) <= 1e-13
     assert setup.sampling.after.blocks.keys() == setup.input_state.blocks.keys()
+    assert setup.observable.blocks.keys() == setup.input_state.blocks.keys()
 
     means, variances, deltas = phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)
     labels, probs = dense_probabilities(setup.sampling, setup.input_state, REFERENCE_GRID)
@@ -420,6 +419,33 @@ def test_negative_seed_is_accepted():
     setup = build_setup(SchemeTag("noon", 2))
     hist = sample_outcomes(setup.sampling, setup.input_state, 0.4, 100, seed=-7)
     assert sum(hist.counts.values()) == 100
+
+
+@pytest.mark.parametrize("seed, valid", [
+    (2**64 - 1, True), (-(2**63), True), (2**64, False), (7 + 2**64, False), (-(2**63) - 1, False), (7 - 2**64, False),
+])
+def test_seed_must_be_a_64_bit_integer(seed, valid):
+    # 7 + 2**64 and 7 - 2**64 would otherwise draw exactly as seed 7 does
+    setup = build_setup(SchemeTag("noon", 2))
+    if valid:
+        assert sum(sample_outcomes(setup.sampling, setup.input_state, 0.4, 100, seed=seed).counts.values()) == 100
+    else:
+        with pytest.raises(ValueError, match="seed"):
+            sample_outcomes(setup.sampling, setup.input_state, 0.4, 100, seed=seed)
+
+
+def test_outcome_probabilities_have_one_form():
+    # TwoModeState.probabilities and the sampling draw both square np.abs of the evolve_blocks column
+    setup = build_setup(SchemeTag("coherent", 25))
+    for phi in (0.0, 0.37, 1.3, 2.9):
+        dist = setup.sampling.evolve(setup.input_state, phi).probabilities()
+        for n, psi, _ in setup.sampling.evolve_blocks(setup.input_state, [phi]):
+            assert [dist[label] for label in fock.block_labels(n)] == (np.abs(psi[:, 0]) ** 2).tolist()
+
+
+def test_state_with_no_populated_block_samples_an_empty_histogram():
+    hist = sample_outcomes(elements.InterferometerPipeline(ONE_ARM), TwoModeState(3, {}), 0.4, 0, seed=5)
+    assert hist.counts == {} and hist.shots == 0
 
 
 def test_hom_interference_null_never_fires():

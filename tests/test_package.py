@@ -20,11 +20,10 @@ EXPORTED = {
     "elements": ("BALANCED", "CONVENTIONS", "ONE_ARM", "SYMMETRIC", "InterferometerPipeline", "split"),
     "states": ("SCHEME_NAMES", "SchemeTag", "TruncationError", "coherent_amplitudes", "dual_fock", "noon",
                "split_port_a", "yurke_bosonic", "yurke_fermionic_analog"),
-    "schemes": ("SchemeSetup", "build_setup", "pulled_back_jz"),
+    "schemes": ("SchemeSetup", "build_setup", "observable_noon_flip", "pulled_back_jz"),
     "estimation": ("ModelMismatchError", "NoPhaseInformationError", "OutcomeHistogram", "PosteriorDistribution",
                    "bayes_posterior", "classical_fisher", "ensemble_sensitivity", "min_sensitivity",
-                   "observable_noon_flip", "phase_sweep", "posterior_mean", "posterior_std", "sample_outcomes",
-                   "scaling_fit"),
+                   "phase_sweep", "posterior_mean", "posterior_std", "sample_outcomes", "scaling_fit"),
     "lithography": ("DepositionCurve", "InsufficientGridError", "deposition_rate", "fringe_period",
                     "noon_fidelity_sweep"),
     "rosetta": ("QubitRegister", "cnot", "collective_phase", "expect_flip_product", "ghz_prepare", "hadamard"),
@@ -96,6 +95,39 @@ def test_every_public_src_name_has_a_src_caller():
     assert UNCALLED_BY_SRC <= defined
 
 
+# the only `fockmzi` modules each src module may import: the layers run one way, from the
+# primitives (fock) through the wiring (schemes) and the reductions (estimation) up to the commands
+ALLOWED_IMPORTS = {
+    "__init__": set(),
+    "fock": set(),
+    "elements": {"fock"},
+    "states": {"fock"},
+    "schemes": {"elements", "fock", "states"},
+    "estimation": {"elements", "fock"},
+    "lithography": {"elements", "fock"},
+    "rosetta": {"estimation", "schemes", "states"},
+    "cli": {"elements", "estimation", "fock", "lithography", "rosetta", "schemes", "states"},
+}
+
+
+def src_imports(path: Path) -> set[str]:
+    """The sibling modules a src module imports anywhere in its body, `from .x import y` or `from . import x`."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.update([node.module] if node.module else [alias.name for alias in node.names])
+    return imported
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED_IMPORTS))
+def test_module_imports_only_its_allowed_layers(module):
+    assert src_imports(SRC / "fockmzi" / f"{module}.py") <= ALLOWED_IMPORTS[module]
+
+
+def test_every_src_module_has_its_allowed_imports_listed():
+    assert {path.stem for path in (SRC / "fockmzi").glob("*.py")} == set(ALLOWED_IMPORTS)
+
+
 LOADED = """
 import json, sys
 {code}
@@ -118,9 +150,15 @@ def test_import_fockmzi_loads_no_submodule():
 @pytest.mark.parametrize("argv, modules", [
     (["hom"], {"cli", "fock", "elements", "states"}),
     (["litho"], {"cli", "fock", "elements", "states", "lithography"}),
+    (["rosetta", "--n-max", "2", "--phi-grid", "0:1:3"],
+     {"cli", "fock", "elements", "states", "schemes", "estimation", "rosetta"}),
 ])
 def test_command_loads_only_what_it_runs(tmp_path, argv, modules):
     out = tmp_path / "table.csv"
     loaded = loaded_after(f"from fockmzi.cli import main\nassert main({argv + ['--output', str(out)]!r}) == 0")
     assert out.exists()
-    assert loaded == modules  # neither estimation, schemes nor rosetta
+    assert loaded == modules
+
+
+def test_wiring_loads_no_reduction():
+    assert loaded_after("import fockmzi.schemes") == {"schemes", "elements", "fock", "states"}

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from fockmzi.estimation import observable_noon_flip
 from fockmzi.rosetta import (
     MAX_QUBITS,
     QubitRegister,
@@ -15,6 +14,7 @@ from fockmzi.rosetta import (
     hadamard,
     zero_register,
 )
+from fockmzi.schemes import observable_noon_flip
 from fockmzi.states import noon
 
 from oracles import expect_flip_sum, expectation, phase_gate, register_collective_phase, register_flip_product
