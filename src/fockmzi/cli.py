@@ -242,7 +242,7 @@ def run_scaling(args) -> int:
 
 def run_hom(args) -> int:
     out_path = resolve_output_path(args.output)
-    out = split(make_basis_state(1, 1, 2), BALANCED)
+    out = split(make_basis_state(1, 1), BALANCED)
     rows = [[fmt(na), fmt(nb), fmt(p)] for (na, nb), p in out.probabilities().items()]
     write_table(out_path, ["n_a", "n_b", "probability"], rows, [])
     return 0
@@ -265,6 +265,9 @@ def run_litho(args) -> int:
         raise NumericalFailure(f"--wavelength {lam!r}: pi times the grid end, 6.5 * wavelength, is not finite")
     if n > sys.float_info.max / (6.5 * math.pi):  # an int comparison, exact even past the float range
         raise NumericalFailure("--n is too large: n times the largest phase, 6.5 * pi, is not finite")
+    if math.ulp(single_period / n) > 1e-9 * (single_period / n):  # zero or subnormal: one float step is too coarse
+        raise NumericalFailure(f"--wavelength {lam!r} and --n {n}: the noon period 2 * wavelength / n, "
+                               f"{single_period / n:.3g}, is too small to resolve")
 
     # shared grid for the table; periods measured on per-kind grids (three
     # periods each, offset a quarter period so maxima are interior)

@@ -33,7 +33,7 @@ def _splitter_block(theta: float, n: int) -> np.ndarray:
 def split(state: TwoModeState, theta: float) -> TwoModeState:
     """The state after the splitter exp(i theta J_x), each populated block rotated by
     its own block of the splitter; no other block is built."""
-    return TwoModeState(state.cutoff, {n: _splitter_block(theta, n) @ vec for n, vec in state.blocks.items()})
+    return TwoModeState({n: _splitter_block(theta, n) @ vec for n, vec in state.blocks.items()})
 
 
 def phase_exponent(convention: str, n: int) -> np.ndarray:
@@ -131,7 +131,7 @@ class InterferometerPipeline:
 
     def evolve(self, state: TwoModeState, phi: float) -> TwoModeState:
         """Output state at one phase: the single column of evolve_blocks."""
-        return TwoModeState(state.cutoff, {n: amps[:, 0] for n, amps, _ in self.evolve_blocks(state, [phi])})
+        return TwoModeState({n: amps[:, 0] for n, amps, _ in self.evolve_blocks(state, [phi])})
 
     def output_generator(self, cutoff: int) -> BlockObservable:
         """Phase generator conjugated into the output frame, U_after G U_after†.

@@ -217,8 +217,8 @@ def bayes_posterior(
     grid = np.asarray(phi_grid, dtype=float)
     for n_a, n_b in hist.counts:
         if n_a < 0 or n_b < 0 or n_a + n_b not in input_state.blocks:
-            raise ModelMismatchError(f"observed outcome ({n_a}, {n_b}) has zero likelihood: it is not a "
-                                     f"basis state of a populated block (cutoff {input_state.cutoff})")
+            raise ModelMismatchError(f"observed outcome ({n_a}, {n_b}) has zero likelihood: "
+                                     "it is not a basis state of a populated block")
     runs = [(n, list(run)) for n, run in groupby(hist.counts.items(), key=lambda item: sum(item[0]))]
     requests = ((n, [n_b for (_, n_b), _ in run]) for n, run in runs)
     log_like = np.zeros(grid.size)

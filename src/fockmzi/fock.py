@@ -41,16 +41,13 @@ class TwoModeState:
     never create them, so unpopulated blocks stay zero by construction.
     """
 
-    cutoff: int
     blocks: dict[int, np.ndarray]
 
     def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be nonnegative, got {self.cutoff}")
         clean = {}
         for n in sorted(self.blocks):
-            if not 0 <= n <= self.cutoff:
-                raise ValueError(f"populated block {n} outside cutoff {self.cutoff}")
+            if n < 0:
+                raise ValueError(f"block index must be nonnegative, got {n}")
             vec = np.asarray(self.blocks[n])
             if vec.shape != (n + 1,):
                 raise ValueError(f"block {n} needs {n + 1} amplitudes, got shape {vec.shape}")
@@ -58,8 +55,8 @@ class TwoModeState:
         object.__setattr__(self, "blocks", clean)
 
     def amplitude(self, n_a: int, n_b: int) -> complex:
-        if n_a < 0 or n_b < 0 or n_a + n_b > self.cutoff:
-            raise ValueError(f"occupation ({n_a}, {n_b}) outside cutoff {self.cutoff}")
+        if n_a < 0 or n_b < 0:
+            raise ValueError(f"occupation ({n_a}, {n_b}) has a negative photon number")
         vec = self.blocks.get(n_a + n_b)
         return 0j if vec is None else complex(vec[n_b])
 
@@ -159,13 +156,13 @@ class BlockUnitary:
         object.__setattr__(self, "blocks", clean)
 
 
-def make_basis_state(n_a: int, n_b: int, cutoff: int) -> TwoModeState:
+def make_basis_state(n_a: int, n_b: int) -> TwoModeState:
     """Single Fock basis state |n_a, n_b>."""
-    if n_a < 0 or n_b < 0 or n_a + n_b > cutoff:
-        raise ValueError(f"occupation ({n_a}, {n_b}) violates 0 <= n_a, n_b and n_a + n_b <= {cutoff}")
+    if n_a < 0 or n_b < 0:
+        raise ValueError(f"occupation ({n_a}, {n_b}) has a negative photon number")
     vec = np.zeros(n_a + n_b + 1, dtype=np.complex128)
     vec[n_b] = 1.0
-    return TwoModeState(cutoff, {n_a + n_b: vec})
+    return TwoModeState({n_a + n_b: vec})
 
 
 def _cross_ladder(n: int) -> np.ndarray:

@@ -95,7 +95,7 @@ def noon_fidelity_sweep(n_a: int, n_b: int, theta_grid) -> tuple[float, float]:
     n = n_a + n_b
     thetas = np.asarray(theta_grid, dtype=float)
     w, v = _jx_eigensystem(n)
-    source = v.conj().T @ make_basis_state(n_a, n_b, n).blocks[n]
+    source = v.conj().T @ make_basis_state(n_a, n_b).blocks[n]
     edges = v[[0, n], :] * source[None, :]
     # amplitudes on |N,0> and |0,N> for every theta at once
     amps = edges @ np.exp(1j * np.outer(w, thetas))

@@ -9,8 +9,8 @@ through the second splitter, U_after† J_z U_after = -J_y (+J_y when that
 splitter is inverted), which is tridiagonal.  'sampling' appends the readout
 unitary that makes the phase visible in number-resolved detection (the
 second splitter, or the flip-basis rotation); it is built on first use, by
-Fisher information, sampling and Bayes.  Observable and readout cover only
-the blocks the input populates.
+Fisher information, sampling and Bayes.  Input, observable and readout
+cover only the populated blocks; build_setup alone picks and checks the cutoff.
 """
 
 import math
@@ -54,12 +54,15 @@ class SchemeSetup:
         return replace(self.analysis, after=self.readout())
 
 
+def _populated_block(tag: SchemeTag) -> int:
+    """The one block a non-coherent input populates: 2n for twin Fock, n otherwise."""
+    return 2 * tag.n if tag.name == "dual-fock" else tag.n
+
+
 def default_cutoff(tag: SchemeTag) -> int:
-    if tag.name == "dual-fock":
-        return 2 * tag.n
     if tag.name == "coherent":
         return required_coherent_cutoff(math.sqrt(tag.n), COHERENT_TAIL_TOL)
-    return max(tag.n, 1)
+    return max(_populated_block(tag), 1)
 
 
 def pulled_back_jz(blocks: Iterable[int], invert_second_bs: bool = False) -> BlockObservable:
@@ -102,31 +105,35 @@ def build_setup(
     noon_framing: str = "post-bs",
     cutoff: int | None = None,
 ) -> SchemeSetup:
-    """Assemble everything one scheme needs for sweeps, sampling, and Bayes."""
+    """Assemble everything one scheme needs for sweeps, sampling, and Bayes, at
+    default_cutoff(tag) unless a cutoff is given; one that drops populated blocks is an error."""
     if noon_framing not in NOON_FRAMINGS:
         raise ValueError(f"unknown framing {noon_framing!r}, expected one of {NOON_FRAMINGS}")
     cut = default_cutoff(tag) if cutoff is None else cutoff
+    top = _populated_block(tag)  # checked before any splitter is built
+    if tag.name != "coherent" and top > cut:
+        raise ValueError(f"{tag.name} n={tag.n} populates block {top}, so it needs cutoff >= {top}, got {cut}")
 
     if tag.name == "noon":
         # Entangled state prepared at the phase stage; the 'input' framing
         # prepares it at the input port, pulled back through an inverted
         # splitter, and sends it through the first splitter here.
-        inp = noon(tag.n, 0.0, cut)
+        inp = noon(tag.n, 0.0)
         if noon_framing == "input":
             inp = split(split(inp, -BALANCED), BALANCED)
         observable, period, readout = observable_noon_flip(tag.n), 2.0 * math.pi / tag.n, partial(noon_readout, tag.n)
     else:
         # every other input is prepared at the phase stage, after the first splitter
         if tag.name == "single-port-fock":
-            inp = split_port_a({tag.n: 1.0}, cut)
+            inp = split_port_a({tag.n: 1.0})
         elif tag.name == "coherent":
-            inp = split_port_a(dict(enumerate(coherent_amplitudes(math.sqrt(tag.n), cut, COHERENT_TAIL_TOL))), cut)
+            inp = split_port_a(dict(enumerate(coherent_amplitudes(math.sqrt(tag.n), cut, COHERENT_TAIL_TOL))))
         elif tag.name == "dual-fock":
-            inp = split(dual_fock(tag.n, cut), BALANCED)
+            inp = split(dual_fock(tag.n), BALANCED)
         elif tag.name == "yurke-fermionic-analog":
-            inp = split(yurke_fermionic_analog(tag.n, cut), BALANCED)
+            inp = split(yurke_fermionic_analog(tag.n), BALANCED)
         elif tag.name == "yurke-bosonic":
-            inp = split(yurke_bosonic(tag.n, cut), BALANCED)
+            inp = split(yurke_bosonic(tag.n), BALANCED)
         else:
             raise ValueError(f"unhandled scheme {tag.name!r}")
         observable, period = pulled_back_jz(inp.blocks, invert_second_bs), 2.0 * math.pi

@@ -60,49 +60,41 @@ class SchemeTag:
             raise ValueError(f"noon needs n >= 1, got {self.n}")
 
 
-def dual_fock(n: int, cutoff: int) -> TwoModeState:
+def dual_fock(n: int) -> TwoModeState:
     """Twin Fock input |N>_A |N>_B."""
-    if 2 * n > cutoff:
-        raise ValueError(f"dual Fock state with n={n} needs cutoff >= {2 * n}, got {cutoff}")
-    return make_basis_state(n, n, cutoff)
+    return make_basis_state(n, n)
 
 
-def noon(n: int, phi: float, cutoff: int) -> TwoModeState:
+def noon(n: int, phi: float) -> TwoModeState:
     """Path-entangled (|N,0> + e^{iN phi}|0,N>)/sqrt(2)."""
     if n < 1:
         raise ValueError(f"noon state needs n >= 1, got {n}")
-    if n > cutoff:
-        raise ValueError(f"noon state with n={n} needs cutoff >= {n}, got {cutoff}")
     vec = np.zeros(n + 1, dtype=np.complex128)
     vec[0] = _SQRT_HALF
     vec[n] = _SQRT_HALF * np.exp(1j * n * phi)
-    return TwoModeState(cutoff, {n: vec})
+    return TwoModeState({n: vec})
 
 
-def yurke_fermionic_analog(n: int, cutoff: int) -> TwoModeState:
+def yurke_fermionic_analog(n: int) -> TwoModeState:
     """Near-balanced pair (|(N+1)/2,(N-1)/2> + |(N-1)/2,(N+1)/2>)/sqrt(2); N odd."""
     if n % 2 == 0 or n < 1:
         raise ValueError(f"fermionic-analog state needs positive odd n, got {n}")
-    if n > cutoff:
-        raise ValueError(f"state with n={n} photons needs cutoff >= {n}, got {cutoff}")
     hi, lo = (n + 1) // 2, (n - 1) // 2
     vec = np.zeros(n + 1, dtype=np.complex128)
     vec[lo] = _SQRT_HALF  # (hi, lo)
     vec[hi] = _SQRT_HALF  # (lo, hi)
-    return TwoModeState(cutoff, {n: vec})
+    return TwoModeState({n: vec})
 
 
-def yurke_bosonic(n: int, cutoff: int) -> TwoModeState:
+def yurke_bosonic(n: int) -> TwoModeState:
     """Bosonic variant (|N/2,N/2> + |N/2+1,N/2-1>)/sqrt(2); N even and positive."""
     if n % 2 == 1 or n < 2:
         raise ValueError(f"bosonic variant needs positive even n, got {n}")
-    if n > cutoff:
-        raise ValueError(f"state with n={n} photons needs cutoff >= {n}, got {cutoff}")
     half = n // 2
     vec = np.zeros(n + 1, dtype=np.complex128)
     vec[half] = _SQRT_HALF  # (half, half)
     vec[half - 1] = _SQRT_HALF  # (half + 1, half - 1)
-    return TwoModeState(cutoff, {n: vec})
+    return TwoModeState({n: vec})
 
 
 def _poisson_mass(lam: float, ks) -> float:
@@ -181,7 +173,7 @@ def coherent_amplitudes(alpha: complex, cutoff: int, tail_tol: float = 1e-12) ->
     return amps / np.linalg.norm(amps)
 
 
-def split_port_a(amplitudes: dict[int, complex], cutoff: int) -> TwoModeState:
+def split_port_a(amplitudes: dict[int, complex]) -> TwoModeState:
     """sum_n c_n |n,0> after the 50/50 splitter exp(i pi/2 J_x), in closed form.
 
     Block n becomes c_n sqrt(C(n,k)) / 2^{n/2} i^k on |n-k,k>: the binomial
@@ -193,4 +185,4 @@ def split_port_a(amplitudes: dict[int, complex], cutoff: int) -> TwoModeState:
         k = np.arange(n + 1)
         log_binom = log_fact[n] - log_fact[: n + 1] - log_fact[n::-1]
         blocks[n] = c * np.exp((log_binom - n * math.log(2.0)) / 2.0) * _I_POWERS[k % 4]
-    return TwoModeState(cutoff, blocks)
+    return TwoModeState(blocks)

@@ -50,9 +50,9 @@ def apply(unitary: BlockUnitary, state: TwoModeState) -> TwoModeState:
     for n, vec in state.blocks.items():
         mat = unitary.blocks.get(n)
         if mat is None:
-            raise ValueError(f"unitary has no block for total photon number {n} (cutoff mismatch)")
+            raise ValueError(f"unitary has no block for total photon number {n}")
         out[n] = mat @ vec
-    return TwoModeState(state.cutoff, out)
+    return TwoModeState(out)
 
 
 def expectation(observable: BlockObservable, state: TwoModeState) -> float:
@@ -92,9 +92,9 @@ def phase_shifter(phi: float, convention: str, cutoff: int) -> BlockUnitary:
 
 # ---------------------------------------------------------------- port states
 
-def single_port_fock(n: int, cutoff: int) -> TwoModeState:
+def single_port_fock(n: int) -> TwoModeState:
     """All N photons in port A, vacuum in port B."""
-    return make_basis_state(n, 0, cutoff)
+    return make_basis_state(n, 0)
 
 
 def coherent_vacuum(alpha: complex, cutoff: int, tail_tol: float = 1e-12) -> TwoModeState:
@@ -104,7 +104,7 @@ def coherent_vacuum(alpha: complex, cutoff: int, tail_tol: float = 1e-12) -> Two
         vec = np.zeros(k + 1, dtype=np.complex128)
         vec[0] = amp  # photon count k all in mode a
         blocks[k] = vec
-    return TwoModeState(cutoff, blocks)
+    return TwoModeState(blocks)
 
 
 # ---------------------------------------------------------------- per-point sensitivity

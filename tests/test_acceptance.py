@@ -39,7 +39,7 @@ def test_criterion_02_heisenberg_limit():
         obs = observable_noon_flip(n)
         gen = number_observable("b", n)
         for phi in np.linspace(0.02, 3.12, 37):
-            value = sensitivity(noon(n, phi, n), obs, gen)
+            value = sensitivity(noon(n, phi), obs, gen)
             if abs(math.sin(n * phi)) > 1e-12:
                 assert math.isfinite(value)
                 worst = max(worst, abs(value - 1 / n))
@@ -54,12 +54,12 @@ def test_criterion_03_oscillation_frequency():
     for n in range(1, 21):
         obs = observable_noon_flip(n)
         for phi in grid:
-            worst = max(worst, abs(expectation(obs, noon(n, phi, n)) - math.cos(n * phi)))
+            worst = max(worst, abs(expectation(obs, noon(n, phi)) - math.cos(n * phi)))
     report(3, worst < 1e-12, f"<flip> = cos(N phi) pointwise, worst |err| {worst:.2e}")
 
 
 def test_criterion_04_hom_suppression():
-    probs = apply(beam_splitter(BALANCED, 2), make_basis_state(1, 1, 2)).probabilities()
+    probs = apply(beam_splitter(BALANCED, 2), make_basis_state(1, 1)).probabilities()
     ok = (
         probs[(1, 1)] < 1e-12
         and abs(probs[(2, 0)] - 0.5) < 1e-12
@@ -71,7 +71,7 @@ def test_criterion_04_hom_suppression():
 def test_criterion_05_sorting_noise():
     worst_tv = 0.0
     for n in range(1, 21):
-        out = apply(beam_splitter(BALANCED, n), make_basis_state(n, 0, n)).probabilities()
+        out = apply(beam_splitter(BALANCED, n), make_basis_state(n, 0)).probabilities()
         tv = 0.5 * sum(
             abs(out[(k, n - k)] - math.comb(n, k) / 2**n) for k in range(n + 1)
         )

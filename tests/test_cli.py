@@ -188,6 +188,27 @@ def test_litho_phase_overflow_exits_2_naming_the_flag(capsys, argv, flag):
     assert err.startswith(f"numerical failure: {flag}") and err.count("\n") == 1 and "not finite" in err, err
 
 
+@pytest.mark.parametrize("n", [10**30, 10**15])
+def test_litho_period_underflow_exits_2_naming_both_flags(capsys, n):
+    # the noon period 2 * wavelength / n underflows to 0 (10**30), or to a subnormal that
+    # keeps under 1e-9 relative precision (10**15); the grid would resolve no fringe
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["litho", "--n", str(n), "--wavelength", "1e-300", "--points", "192"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert caught == []
+    assert out == ""
+    assert err.startswith("numerical failure: --wavelength") and "--n" in err and err.count("\n") == 1, err
+
+
+def test_litho_subnormal_period_still_resolved(tmp_path):
+    code, text = run_cli(tmp_path, "litho", "--n", "100000000", "--wavelength", "1e-300", "--points", "192")
+    assert code == 0
+    ratio = dict(f.split("=") for f in footers_of(text))["period_ratio_single_over_noon"]
+    assert float(ratio) == pytest.approx(1e8, rel=1e-12)
+
+
 @pytest.mark.parametrize("argv", [
     ["sample", "--scheme", "noon", "--n", "2", "--shots", "0", "--estimator", "bayes"],
     ["sample", "--scheme", "noon", "--n", "2", "--shots", "0", "--estimator", "bayes", "--bayes-points", "3"],
@@ -453,6 +474,18 @@ def test_incompatible_cutoff_is_usage_error(tmp_path):
                  "--cutoff", "4", "--output", str(out)])
     assert code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme, n, needed", [
+    ("single-port-fock", 5, 5), ("dual-fock", 3, 6), ("noon", 4, 4),
+    ("yurke-fermionic-analog", 5, 5), ("yurke-bosonic", 6, 6),
+])
+def test_cutoff_below_the_populated_block_names_the_needed_cutoff(capsys, scheme, n, needed):
+    code = main(["sensitivity", "--scheme", scheme, "--n", str(n), "--cutoff", str(needed - 2)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and f"needs cutoff >= {needed}" in err and err.count("\n") == 1, err
 
 
 def test_scaling_rejects_wrong_parity_range(tmp_path):

@@ -69,7 +69,7 @@ def test_flip_expectation_is_cos_n_phi():
     for n in (1, 3, 8, 20):
         obs = observable_noon_flip(n)
         for phi in np.linspace(0, 2 * math.pi, 50):
-            val = expectation(obs, noon(n, phi, n))
+            val = expectation(obs, noon(n, phi))
             assert abs(val - math.cos(n * phi)) < 1e-12
 
 
@@ -89,7 +89,7 @@ def test_noon_sensitivity_is_exactly_one_over_n():
         gen = number_observable("b", n)
         vals = []
         for phi in np.linspace(0.01, 3.1, 60):
-            s = sensitivity(noon(n, phi, n), obs, gen)
+            s = sensitivity(noon(n, phi), obs, gen)
             if math.isfinite(s):
                 vals.append(s)
         assert vals, "grid produced no finite sensitivities"
@@ -101,7 +101,7 @@ def test_single_qubit_sensitivity_is_one():
     obs = observable_noon_flip(1)
     gen = number_observable("b", 1)
     for phi in (0.2, 1.0, 2.5):
-        assert sensitivity(noon(1, phi, 1), obs, gen) == pytest.approx(1.0, abs=1e-12)
+        assert sensitivity(noon(1, phi), obs, gen) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dual_fock_jz_sensitivity_diverges_everywhere():
@@ -142,7 +142,7 @@ def test_commutator_derivative_matches_finite_difference():
         a = BlockObservable({n: random_hermitian(rng, n + 1)})
         g = BlockObservable({n: random_hermitian(rng, n + 1)})
         vec = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        state = TwoModeState(n, {n: vec / np.linalg.norm(vec)})
+        state = TwoModeState({n: vec / np.linalg.norm(vec)})
         exact = phase_derivative(state, a, g)
         plus = expectation(a, apply(spectral_exponential(g, h), state))
         minus = expectation(a, apply(spectral_exponential(g, -h), state))
@@ -261,7 +261,6 @@ REFERENCE_GRID = np.concatenate(([0.0], np.linspace(0.1, 3.0, 9)))
 
 PORT_STATES = {
     "single-port-fock": single_port_fock,
-    "coherent": lambda n, cutoff: coherent_vacuum(math.sqrt(n), cutoff),
     "dual-fock": dual_fock,
     "yurke-fermionic-analog": yurke_fermionic_analog,
     "yurke-bosonic": yurke_bosonic,
@@ -273,13 +272,13 @@ def reference_elements(tag, cutoff, invert, framing):
     after U_after, all built independently of the pipeline code."""
     jx = j_observable("x", cutoff)
     if tag.name == "noon":
-        port, before = noon(tag.n, 0.0, cutoff), None
+        port, before = noon(tag.n, 0.0), None
         if framing == "input":
             port = apply(spectral_exponential(jx, -BALANCED), port)
             before = spectral_exponential(jx, BALANCED)
         return port, before, None, noon_readout(tag.n), observable_noon_flip(tag.n)
     after = spectral_exponential(jx, -BALANCED if invert else BALANCED)
-    port = PORT_STATES[tag.name](tag.n, cutoff)
+    port = coherent_vacuum(math.sqrt(tag.n), cutoff) if tag.name == "coherent" else PORT_STATES[tag.name](tag.n)
     return port, spectral_exponential(jx, BALANCED), after, after, j_observable("z", cutoff)
 
 
@@ -444,7 +443,7 @@ def test_outcome_probabilities_have_one_form():
 
 
 def test_state_with_no_populated_block_samples_an_empty_histogram():
-    hist = sample_outcomes(elements.InterferometerPipeline(ONE_ARM), TwoModeState(3, {}), 0.4, 0, seed=5)
+    hist = sample_outcomes(elements.InterferometerPipeline(ONE_ARM), TwoModeState({}), 0.4, 0, seed=5)
     assert hist.counts == {} and hist.shots == 0
 
 
@@ -452,7 +451,7 @@ def test_hom_interference_null_never_fires():
     from fockmzi.elements import BALANCED, InterferometerPipeline
 
     pipeline = InterferometerPipeline(ONE_ARM, after=beam_splitter(BALANCED, 2))
-    twin = make_basis_state(1, 1, 2)
+    twin = make_basis_state(1, 1)
     for seed in range(5):
         hist = sample_outcomes(pipeline, twin, 0.0, 2000, seed=seed)
         assert hist.counts.get((1, 1), 0) == 0
@@ -463,7 +462,7 @@ def test_empirical_binomial_within_four_sigma():
 
     n, shots = 6, 100_000
     pipeline = InterferometerPipeline(ONE_ARM, after=beam_splitter(BALANCED, n))
-    hist = sample_outcomes(pipeline, make_basis_state(n, 0, n), 0.0, shots, seed=2024)
+    hist = sample_outcomes(pipeline, make_basis_state(n, 0), 0.0, shots, seed=2024)
     for k in range(n + 1):
         p = math.comb(n, k) / 2**n
         sigma = math.sqrt(shots * p * (1 - p))

@@ -152,7 +152,7 @@ def test_fidelity_sweep_matches_plain_application():
     thetas = np.linspace(0.1, 3.0, 7)
     _, best = noon_fidelity_sweep(n_a, n_b, thetas)
     direct = max(
-        noon_fidelity(apply(beam_splitter(t, n), make_basis_state(n_a, n_b, n)), n)
+        noon_fidelity(apply(beam_splitter(t, n), make_basis_state(n_a, n_b)), n)
         for t in thetas
     )
     assert abs(best - direct) < 1e-12

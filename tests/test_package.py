@@ -162,3 +162,37 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, modules):
 
 def test_wiring_loads_no_reduction():
     assert loaded_after("import fockmzi.schemes") == {"schemes", "elements", "fock", "states"}
+
+
+PERFBENCH = SRC.parent / "perfbench"
+
+
+def run_perfbench_script(tmp_path, script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a perfbench script as the benchmark does, in a fresh interpreter with PYTHONPATH=src,
+    from tmp_path and writing no bytecode, so anything it writes lands under tmp_path."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, str(PERFBENCH / script), *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_benchmark_set_up_script_runs_every_workload_setup(tmp_path, monkeypatch):
+    """setup_time.py calls build_setup, SchemeTag, SchemeSetup.cutoff and output_generator."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = import_module("workloads")
+    specs = [f"{scheme}:{n}" for w in workloads.WORKLOADS.values() for scheme, n in w.setups]
+    assert specs
+    proc = run_perfbench_script(tmp_path, "setup_time.py", *specs)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.splitlines()[-1]) > 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_benchmark_tracer_resolves_every_boundary_it_wraps(tmp_path):
+    """tracer.py's install looks up every LAYER_MODULES module and CLASS_BOUNDARIES attribute."""
+    out = tmp_path / "spans.json"
+    proc = run_perfbench_script(tmp_path, "tracer.py", str(out), "--", "hom")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n_a,n_b,probability\n")
+    assert json.loads(out.read_text(encoding="utf-8"))["exit"] == 0
+    assert list(tmp_path.iterdir()) == [out]

@@ -169,7 +169,7 @@ def test_batched_flip_expectations_match_per_point_evaluation():
         assert qubit_values.shape == fock_values.shape == grid.shape
         for phi, q, f in zip(grid, qubit_values, fock_values):
             assert q == per_gate_flip_product(n, phi)
-            assert abs(f - expectation(observable_noon_flip(n), noon(n, phi, n))) <= 1e-15
+            assert abs(f - expectation(observable_noon_flip(n), noon(n, phi))) <= 1e-15
 
 
 def per_gate_flip_product(n, phi):

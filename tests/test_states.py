@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from fockmzi.elements import ONE_ARM
+from fockmzi.schemes import build_setup
 from fockmzi.states import (
     SchemeTag,
     TruncationError,
@@ -26,11 +28,11 @@ from oracles import (
 )
 
 ALL_FACTORIES = [
-    lambda: single_port_fock(4, 6),
-    lambda: dual_fock(3, 6),
-    lambda: noon(5, 0.3, 5),
-    lambda: yurke_fermionic_analog(5, 5),
-    lambda: yurke_bosonic(6, 6),
+    lambda: single_port_fock(4),
+    lambda: dual_fock(3),
+    lambda: noon(5, 0.3),
+    lambda: yurke_fermionic_analog(5),
+    lambda: yurke_bosonic(6),
     lambda: coherent_vacuum(1.5, 30),
 ]
 
@@ -41,34 +43,30 @@ def test_every_factory_output_is_normalized(factory):
 
 
 def test_single_port_fock_examples():
-    s = single_port_fock(1, 2)
+    s = single_port_fock(1)
     assert s.amplitude(1, 0) == 1.0
-    assert single_port_fock(0, 2).amplitude(0, 0) == 1.0
-    with pytest.raises(ValueError):
-        single_port_fock(5, 4)
+    assert single_port_fock(0).amplitude(0, 0) == 1.0
 
 
 def test_single_port_and_dual_populate_one_amplitude():
-    for s in (single_port_fock(3, 5), dual_fock(2, 5)):
+    for s in (single_port_fock(3), dual_fock(2)):
         probs = [p for p in s.probabilities().values() if p > 0]
         assert probs == [1.0]
 
 
 def test_dual_fock_examples():
-    assert dual_fock(1, 2).amplitude(1, 1) == 1.0
-    assert dual_fock(0, 2).amplitude(0, 0) == 1.0
-    assert expectation(j_observable("z", 6), dual_fock(3, 6)) == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        dual_fock(3, 5)
+    assert dual_fock(1).amplitude(1, 1) == 1.0
+    assert dual_fock(0).amplitude(0, 0) == 1.0
+    assert expectation(j_observable("z", 6), dual_fock(3)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_noon_amplitudes():
-    s = noon(1, 0.0, 1)
+    s = noon(1, 0.0)
     r = 1 / math.sqrt(2)
     assert abs(s.amplitude(1, 0) - r) < 1e-15
     assert abs(s.amplitude(0, 1) - r) < 1e-15
     phi = 0.81
-    s = noon(4, phi, 4)
+    s = noon(4, phi)
     assert abs(s.amplitude(0, 4) - r * np.exp(4j * phi)) < 1e-14
 
 
@@ -77,9 +75,9 @@ def test_noon_matches_hom_output_probabilities():
     from fockmzi.fock import make_basis_state
     from oracles import beam_splitter
 
-    hom = apply(beam_splitter(BALANCED, 2), make_basis_state(1, 1, 2)).probabilities()
+    hom = apply(beam_splitter(BALANCED, 2), make_basis_state(1, 1)).probabilities()
     for phi in (0.0, 1.3):  # branch phases drop out of the profile
-        ideal = noon(2, phi, 2).probabilities()
+        ideal = noon(2, phi).probabilities()
         for key in ideal:
             assert abs(hom.get(key, 0.0) - ideal[key]) < 1e-12
 
@@ -87,33 +85,33 @@ def test_noon_matches_hom_output_probabilities():
 def test_noon_phase_accumulation_identity():
     for n in (1, 2, 5, 9):
         phi = 0.47
-        shifted = apply(phase_shifter(phi, ONE_ARM, n), noon(n, 0.0, n))
-        direct = noon(n, phi, n)
+        shifted = apply(phase_shifter(phi, ONE_ARM, n), noon(n, 0.0))
+        direct = noon(n, phi)
         for block in direct.blocks:
             assert np.max(np.abs(shifted.blocks[block] - direct.blocks[block])) < 1e-12
 
 
 def test_yurke_fermionic_analog_composition():
-    s = yurke_fermionic_analog(3, 3)
+    s = yurke_fermionic_analog(3)
     r = 1 / math.sqrt(2)
     assert abs(s.amplitude(2, 1) - r) < 1e-15
     assert abs(s.amplitude(1, 2) - r) < 1e-15
-    one = yurke_fermionic_analog(1, 1)
-    ref = noon(1, 0.0, 1)
+    one = yurke_fermionic_analog(1)
+    ref = noon(1, 0.0)
     assert np.max(np.abs(one.blocks[1] - ref.blocks[1])) < 1e-15
     with pytest.raises(ValueError):
-        yurke_fermionic_analog(4, 6)
+        yurke_fermionic_analog(4)
 
 
 def test_yurke_bosonic_composition():
-    s = yurke_bosonic(2, 2)
+    s = yurke_bosonic(2)
     r = 1 / math.sqrt(2)
     assert abs(s.amplitude(1, 1) - r) < 1e-15
     assert abs(s.amplitude(2, 0) - r) < 1e-15
     with pytest.raises(ValueError):
-        yurke_bosonic(3, 4)
+        yurke_bosonic(3)
     with pytest.raises(ValueError):
-        yurke_bosonic(0, 4)
+        yurke_bosonic(0)
 
 
 def test_coherent_zero_is_vacuum():
@@ -203,3 +201,19 @@ def test_scheme_tag_validation():
         SchemeTag("yurke-bosonic", 0)
     with pytest.raises(ValueError):
         SchemeTag("noon", 0)
+
+
+@pytest.mark.parametrize("scheme, n, framing, needed", [
+    ("single-port-fock", 4, "post-bs", 4),
+    ("dual-fock", 3, "post-bs", 6),
+    ("noon", 5, "post-bs", 5),
+    ("noon", 5, "input", 5),
+    ("yurke-fermionic-analog", 5, "post-bs", 5),
+    ("yurke-bosonic", 6, "post-bs", 6),
+])
+def test_build_setup_alone_checks_the_cutoff(scheme, n, framing, needed):
+    tag = SchemeTag(scheme, n)
+    with pytest.raises(ValueError, match=re.escape(f"needs cutoff >= {needed}")):
+        build_setup(tag, noon_framing=framing, cutoff=needed - 1)
+    setup = build_setup(tag, noon_framing=framing, cutoff=needed)
+    assert setup.cutoff == needed and max(setup.input_state.blocks) == needed
