@@ -93,7 +93,7 @@ def load_config_file(path: str) -> dict[str, str]:
     entries = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -144,7 +144,15 @@ def write_table(path: Path | None, header: list[str], rows: list[Sequence[str]],
     lines = itertools.chain([",".join(header)], (",".join(row) for row in rows),
                             (f"# {footer}" for footer in footers))
     if path is None:
-        _write_lines(sys.stdout, lines)
+        try:
+            _write_lines(sys.stdout, lines)
+            sys.stdout.flush()
+        except OSError as exc:  # e.g. a closed pipe or a full device
+            # the text still buffered goes to the null device, so the flush at exit cannot fail again
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise UsageError(f"stdout cannot be written: {exc.strerror or exc}") from None
         return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -322,8 +330,8 @@ def run_sample(args) -> int:
 
     if not math.isfinite(args.phi):
         raise UsageError(f"--phi must be finite, got {args.phi}")
-    if args.shots < 0:
-        raise UsageError(f"--shots must be nonnegative, got {args.shots}")
+    if not 0 <= args.shots < 2**63:
+        raise UsageError(f"--shots must be in [0, 2**63), got {args.shots}")
     if not -(2**63) <= args.seed < 2**64:
         raise UsageError(f"--seed must be a 64-bit integer, signed or not, in [-2**63, 2**64), got {args.seed}")
     if args.bayes_points < 2:

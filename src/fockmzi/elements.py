@@ -147,6 +147,7 @@ class InterferometerPipeline:
                 continue
             u = _block(self.after, n)
             m = (u * g) @ u.conj().T
-            blocks[n] = (m + m.conj().T) / 2.0  # re-hermitize roundoff
+            m = (m + m.conj().T) / 2.0  # re-hermitize roundoff
+            blocks[n] = {k: np.diagonal(m, k) for k in range(-n, n + 1)}
         return BlockObservable(blocks)
 

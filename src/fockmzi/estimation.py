@@ -180,12 +180,13 @@ def sample_outcomes(
     The probabilities are |amplitude|^2 of the single column evolve_blocks
     yields per populated block, in block order.  Those below 1e-15 are zeroed
     (and the rest renormalized) before sampling, so interference nulls never
-    fire.  Identical seeds give identical histograms.  A seed is any 64-bit
+    fire.  Identical seeds give identical histograms.  Shots number at most
+    2**63 - 1, the most numpy's multinomial draws.  A seed is any 64-bit
     integer, signed or not, so in [-2**63, 2**64); a negative seed s draws as
     s + 2**64.
     """
-    if shots < 0:
-        raise ValueError(f"shots must be nonnegative, got {shots}")
+    if not 0 <= shots < 2**63:
+        raise ValueError(f"shots must be in [0, 2**63), got {shots}")
     if not -(2**63) <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit integer, signed or not, in [-2**63, 2**64), got {seed}")
     columns = [(n, psi[:, 0]) for n, psi, _ in pipeline.evolve_blocks(input_state, [phi])]

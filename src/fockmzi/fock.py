@@ -1,12 +1,13 @@
-"""Two-mode bosonic Fock space: states, Schwinger operators, exact unitaries.
+"""Two-mode bosonic Fock space: states, banded observables, the Schwinger J_x and
+J_y, and exact unitaries.
 
 Basis states are occupation pairs (n_a, n_b).  Everything is stored per
 fixed-total-photon-number block: block n covers {|n,0>, |n-1,1>, ..., |0,n>}
 in descending n_a order, so number-conserving unitaries are block diagonal
-and can be exponentiated exactly by Hermitian eigendecomposition.
+and can be exponentiated exactly by Hermitian eigendecomposition.  An
+observable block is given and kept as its diagonals, offset -> diagonal.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 
-J_AXES = ("x", "y", "z", "squared")
+J_AXES = ("x", "y")
 
 
 class NumericalFailure(Exception):
@@ -54,15 +55,6 @@ class TwoModeState:
             clean[n] = _frozen(vec)
         object.__setattr__(self, "blocks", clean)
 
-    def amplitude(self, n_a: int, n_b: int) -> complex:
-        if n_a < 0 or n_b < 0:
-            raise ValueError(f"occupation ({n_a}, {n_b}) has a negative photon number")
-        vec = self.blocks.get(n_a + n_b)
-        return 0j if vec is None else complex(vec[n_b])
-
-    def norm(self) -> float:
-        return math.sqrt(sum(float(np.vdot(v, v).real) for v in self.blocks.values()))
-
     def probabilities(self) -> dict[tuple[int, int], float]:
         """Outcome probabilities |amplitude|^2 over all populated basis states."""
         probs = {}
@@ -71,31 +63,25 @@ class TwoModeState:
         return probs
 
 
-def _bands(n: int, block) -> dict[int, np.ndarray]:
-    """The nonzero diagonals of block n, given dense or as a map from offset to diagonal."""
-    if isinstance(block, dict):
-        diagonals = {}
-        for k, diag in block.items():
-            diag = np.asarray(diag)
-            if diag.shape != (max(n + 1 - abs(k), 0),):
-                raise ValueError(f"block {n} cannot hold diagonal {k} of shape {diag.shape}")
-            diagonals[k] = diag
-    else:
-        mat = np.asarray(block)
-        if mat.shape != (n + 1, n + 1):
-            raise ValueError(f"block {n} must be {n + 1}x{n + 1}, got {mat.shape}")
-        diagonals = {k: np.diagonal(mat, k) for k in range(-n, n + 1)}
-    return {k: _frozen(diag) for k, diag in sorted(diagonals.items()) if np.any(diag)}
+def _bands(n: int, block: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """The nonzero diagonals of block n, given as a map from offset to diagonal."""
+    bands = {}
+    for k, diag in sorted(block.items()):
+        diag = np.asarray(diag)
+        if diag.shape != (max(n + 1 - abs(k), 0),):
+            raise ValueError(f"block {n} cannot hold diagonal {k} of shape {diag.shape}")
+        if np.any(diag):
+            bands[k] = _frozen(diag)
+    return bands
 
 
 @dataclass(frozen=True)
 class BlockObservable:
     """Hermitian operator stored per total-photon-number block as its nonzero diagonals.
 
-    blocks[n] maps an offset k to the diagonal of entries (i, i + k) of block n.
-    The constructor takes a block either in that form or dense, (n+1) x (n+1),
-    and keeps only the nonzero diagonals.  Absent blocks and absent diagonals
-    are zero.
+    blocks[n] maps an offset k to the diagonal of entries (i, i + k) of block n;
+    the constructor keeps only the nonzero diagonals.  Absent blocks and absent
+    diagonals are zero.
     """
 
     blocks: dict[int, dict[int, np.ndarray]]
@@ -129,13 +115,6 @@ class BlockObservable:
         for k, diag in self.blocks.get(n, {}).items():
             rows[max(-k, 0) : n + 1 - max(k, 0)] += np.abs(diag)
         return float(rows.max(initial=0.0))
-
-    def dense(self, n: int) -> np.ndarray:
-        """Block n as an (n+1) x (n+1) matrix."""
-        mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
-        for k, diag in self.blocks.get(n, {}).items():
-            mat += np.diag(diag, k)
-        return mat
 
 
 @dataclass(frozen=True)
@@ -174,26 +153,25 @@ def _cross_ladder(n: int) -> np.ndarray:
 def j_bands(axis: str, n: int) -> dict[int, np.ndarray]:
     """One fixed-n block of a Schwinger angular-momentum operator, as offset -> diagonal.
 
-    'x', 'y', 'z' give J_x = (a†b + b†a)/2, J_y = -i(a†b - b†a)/2 and
-    J_z = (a†a - b†b)/2 with standard bosonic ladder matrix elements;
-    'squared' gives J_x^2 + J_y^2 + J_z^2 = (n/2)(n/2 + 1).
+    'x' and 'y' give J_x = (a†b + b†a)/2 and J_y = -i(a†b - b†a)/2 with
+    standard bosonic ladder matrix elements.  J_z, diagonal, is the
+    'symmetric' phase exponent of `elements`.
     """
     if n < 0:
         raise ValueError(f"block index must be nonnegative, got {n}")
-    if axis == "z":
-        return {0: (n - 2.0 * np.arange(n + 1)) / 2.0}
     if axis == "x":
         half = _cross_ladder(n) / 2.0
         return {1: half, -1: half}
     if axis == "y":
         up = _cross_ladder(n)
         return {1: -0.5j * up, -1: 0.5j * up}
-    if axis == "squared":
-        return {0: np.full(n + 1, (n / 2.0) * (n / 2.0 + 1.0))}
     raise ValueError(f"unknown axis {axis!r}, expected one of {J_AXES}")
 
 
 def build_j_operator(axis: str, n: int) -> np.ndarray:
-    """j_bands(axis, n) as a dense (n+1) x (n+1) matrix."""
-    return BlockObservable({n: j_bands(axis, n)}).dense(n)
+    """j_bands(axis, n) as a dense complex (n+1) x (n+1) matrix."""
+    mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    for k, diag in j_bands(axis, n).items():
+        mat += np.diag(diag, k)
+    return mat
 

@@ -38,9 +38,6 @@ class QubitRegister:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def zero_register(n_qubits: int) -> QubitRegister:
     amps = np.zeros(2**n_qubits, dtype=np.complex128)

@@ -1,12 +1,13 @@
 """Reference implementations that only the tests use: the dense and per-point forms
-that the batched command paths are compared against."""
+that the batched command paths are compared against, and the readings of a state,
+an observable or a register that no command needs."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from fockmzi.elements import BALANCED, ONE_ARM, InterferometerPipeline, _splitter_block, phase_exponent
+from fockmzi.elements import BALANCED, ONE_ARM, SYMMETRIC, InterferometerPipeline, _splitter_block, phase_exponent
 from fockmzi.estimation import _divergent
 from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, j_bands, make_basis_state
 from fockmzi.lithography import DepositionCurve, InsufficientGridError
@@ -16,11 +17,49 @@ from fockmzi.states import coherent_amplitudes
 NUMBER_MODES = ("a", "b", "total")
 
 
+# ---------------------------------------------------------------- readings of one state, observable or register
+
+def amplitude(state: TwoModeState, n_a: int, n_b: int) -> complex:
+    """The amplitude of |n_a, n_b>; 0 in a block the state does not populate."""
+    if n_a < 0 or n_b < 0:
+        raise ValueError(f"occupation ({n_a}, {n_b}) has a negative photon number")
+    vec = state.blocks.get(n_a + n_b)
+    return 0j if vec is None else complex(vec[n_b])
+
+
+def norm(state: TwoModeState) -> float:
+    return math.sqrt(sum(float(np.vdot(v, v).real) for v in state.blocks.values()))
+
+
+def register_norm(reg: QubitRegister) -> float:
+    return float(np.linalg.norm(reg.amplitudes))
+
+
+def dense(observable: BlockObservable, n: int) -> np.ndarray:
+    """Block n of an observable as an (n+1) x (n+1) matrix."""
+    mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    for k, diag in observable.blocks.get(n, {}).items():
+        mat += np.diag(diag, k)
+    return mat
+
+
+def banded(mat: np.ndarray) -> dict[int, np.ndarray]:
+    """Every diagonal of a square matrix, offset -> diagonal: the block form BlockObservable takes."""
+    return {k: np.diagonal(mat, k) for k in range(1 - len(mat), len(mat))}
+
+
 # ---------------------------------------------------------------- dense operators and per-state reductions
 
 def j_observable(axis: str, cutoff: int) -> BlockObservable:
-    """Schwinger operator assembled over every block up to the cutoff."""
-    return BlockObservable({n: j_bands(axis, n) for n in range(cutoff + 1)})
+    """Schwinger operator assembled over every block up to the cutoff: j_bands' 'x' and 'y',
+    'z' from the symmetric phase exponent, or 'squared', J^2 = (n/2)(n/2 + 1) on block n."""
+    if axis == "z":
+        blocks = {n: {0: phase_exponent(SYMMETRIC, n)} for n in range(cutoff + 1)}
+    elif axis == "squared":
+        blocks = {n: {0: np.full(n + 1, (n / 2.0) * (n / 2.0 + 1.0))} for n in range(cutoff + 1)}
+    else:
+        blocks = {n: j_bands(axis, n) for n in range(cutoff + 1)}
+    return BlockObservable(blocks)
 
 
 def number_observable(mode: str, cutoff: int) -> BlockObservable:
@@ -39,7 +78,7 @@ def spectral_exponential(observable: BlockObservable, scale: float) -> BlockUnit
     """exp(i * scale * H) per block, via eigendecomposition of the Hermitian block."""
     blocks = {}
     for n in observable.blocks:
-        w, v = np.linalg.eigh(observable.dense(n))
+        w, v = np.linalg.eigh(dense(observable, n))
         blocks[n] = (v * np.exp(1j * scale * w)) @ v.conj().T
     return BlockUnitary(blocks)
 
@@ -133,8 +172,8 @@ def sensitivity(state: TwoModeState, observable: BlockObservable, generator: Blo
 
 def noon_fidelity(out_state, n: int) -> float:
     """Phase-free overlap with the N00N family: (|c_{N,0}| + |c_{0,N}|)^2 / 2."""
-    top = abs(out_state.amplitude(n, 0))
-    bottom = abs(out_state.amplitude(0, n))
+    top = abs(amplitude(out_state, n, 0))
+    bottom = abs(amplitude(out_state, 0, n))
     return (top + bottom) ** 2 / 2.0
 
 

@@ -18,7 +18,7 @@ from fockmzi.elements import (  # noqa: E402
     InterferometerPipeline,
     split,
 )
-from fockmzi.fock import BlockObservable, TwoModeState, build_j_operator, make_basis_state  # noqa: E402
+from fockmzi.fock import BlockObservable, TwoModeState, make_basis_state  # noqa: E402
 from fockmzi.schemes import build_setup, pulled_back_jz  # noqa: E402
 from fockmzi.states import (  # noqa: E402
     NOON_FRAMINGS,
@@ -31,7 +31,7 @@ from fockmzi.states import (  # noqa: E402
     yurke_bosonic,
     yurke_fermionic_analog,
 )
-from oracles import apply, beam_splitter, coherent_vacuum  # noqa: E402
+from oracles import apply, banded, beam_splitter, coherent_vacuum, dense, j_observable, norm  # noqa: E402
 
 
 def random_banded_hermitian(rng, n, offsets):
@@ -56,8 +56,8 @@ def random_banded_hermitian(rng, n, offsets):
 def test_banded_apply_equals_dense_product(n, offsets, columns, seed):
     rng = np.random.default_rng(seed)
     mat = random_banded_hermitian(rng, n, offsets)
-    obs = BlockObservable({n: mat})
-    assert np.array_equal(obs.dense(n), mat)
+    obs = BlockObservable({n: banded(mat)})
+    assert np.array_equal(dense(obs, n), mat)
     assert all(np.any(diag) for diag in obs.blocks[n].values())
     shape = (n + 1,) if columns == 0 else (n + 1, columns)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -69,8 +69,8 @@ def test_banded_apply_equals_dense_product(n, offsets, columns, seed):
 @given(n=st.integers(0, 80), invert=st.booleans())
 def test_pulled_back_jz_is_minus_or_plus_jy(n, invert):
     u = beam_splitter(-BALANCED if invert else BALANCED, n).blocks[n]
-    pulled = u.conj().T @ build_j_operator("z", n) @ u
-    assert np.max(np.abs(pulled - pulled_back_jz([n], invert).dense(n))) <= 1e-13 * max(1, n)
+    pulled = u.conj().T @ dense(j_observable("z", n), n) @ u
+    assert np.max(np.abs(pulled - dense(pulled_back_jz([n], invert), n))) <= 1e-13 * max(1, n)
 
 
 @settings(max_examples=30, deadline=None)
@@ -158,4 +158,4 @@ def test_analysis_and_sampling_pipelines_preserve_the_norm(scheme, k, convention
     grid = np.array(phis)
     for pipeline in (setup.analysis, setup.sampling):
         norms = sum(np.sum(np.abs(psi) ** 2, axis=0) for _, psi, _ in pipeline.evolve_blocks(setup.input_state, grid))
-        assert np.max(np.abs(norms - setup.input_state.norm() ** 2)) <= 1e-12
+        assert np.max(np.abs(norms - norm(setup.input_state) ** 2)) <= 1e-12

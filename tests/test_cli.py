@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fockmzi
 from fockmzi.cli import UsageError, fmt, fmt_column, main, parse_grid, parse_n_range, write_table
 from fockmzi.estimation import ModelMismatchError, NoPhaseInformationError
 from fockmzi.fock import NumericalFailure
@@ -65,6 +70,9 @@ def test_write_table_writes_bounded_pieces(tmp_path, monkeypatch):
 
         def write(self, text):
             self.writes.append(text)
+
+        def flush(self):
+            pass
 
     out = Recorder()
     monkeypatch.setattr("sys.stdout", out)
@@ -334,6 +342,8 @@ def test_bayes_points_below_two_is_usage_error(tmp_path, capsys):
     (["sample", "--seed", str(2**64)], None, "--seed"),
     (["sample", "--seed", str(-(2**63) - 1)], None, "--seed"),
     (["sample"], f"seed = {7 + 2**64}\n", "--seed"),
+    (["sample", "--shots", str(2**63)], None, "--shots"),
+    (["sample", "--shots", "-1"], None, "--shots"),
 ])
 def test_non_finite_or_out_of_range_numbers_are_usage_errors(tmp_path, capsys, argv, config, flag):
     out = tmp_path / "never.csv"
@@ -385,6 +395,16 @@ def test_config_and_flags_give_identical_output(tmp_path, command, config, flags
     _, defaults = run_cli(tmp_path, command, name="defaults.csv")
     assert code1 == code2 == 0
     assert via_config == via_flags != defaults
+
+
+def test_config_file_not_utf8_is_usage_error_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"n = \xff\n")
+    out = tmp_path / "never.csv"
+    assert main(["sensitivity", "--config", str(cfg), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_config_keys_of_other_subcommands_are_ignored(tmp_path):
@@ -459,6 +479,44 @@ def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys, output)
     err = capsys.readouterr().err
     assert "--output" in err
     assert "Traceback" not in err
+
+
+SRC = Path(fockmzi.__file__).resolve().parents[1]
+
+
+def cli_child(*argv: str, stdout) -> subprocess.Popen:
+    """`fockmzi` in a fresh interpreter, writing its stdout to the given file or pipe."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.Popen([sys.executable, "-m", "fockmzi.cli", *argv], env=env, stdout=stdout,
+                            stderr=subprocess.PIPE, text=True)
+
+
+def assert_one_stdout_error_line(proc: subprocess.Popen) -> None:
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: stdout cannot be written"), err
+
+
+def test_stdout_closed_early_is_usage_error():
+    proc = cli_child("sensitivity", "--scheme", "noon", "--n", "4", "--phi-grid", "0:1:20000",
+                     stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == "scheme,n,phi,expectation,variance,sensitivity\n"
+    proc.stdout.close()  # the table is far larger than a pipe buffer, so later writes find no reader
+    assert_one_stdout_error_line(proc)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_full_device_is_usage_error():
+    with open("/dev/full", "w") as full:
+        proc = cli_child("hom", stdout=full)
+    assert_one_stdout_error_line(proc)
+
+
+def test_largest_shot_count_accepted(tmp_path):
+    code, text = run_cli(tmp_path, "sample", "--scheme", "noon", "--n", "2", "--shots", str(2**63 - 1))
+    assert code == 0
+    _, rows = rows_of(text)
+    assert sum(int(r[2]) for r in rows) == 2**63 - 1
 
 
 def test_unknown_scheme_is_usage_error(tmp_path):

@@ -12,6 +12,7 @@ from fockmzi.elements import (
 from fockmzi.fock import make_basis_state
 from fockmzi.states import dual_fock, noon, yurke_bosonic, yurke_fermionic_analog
 from oracles import (
+    amplitude,
     apply,
     beam_splitter,
     expectation,
@@ -61,7 +62,7 @@ def test_balanced_splitter_gives_binomial_sorting(n):
     out = apply(beam_splitter(BALANCED, n), make_basis_state(n, 0))
     for n_b in range(n + 1):
         expected = 1j**n_b * math.sqrt(math.comb(n, n_b) / 2**n)
-        assert abs(out.amplitude(n - n_b, n_b) - expected) < 1e-13
+        assert abs(amplitude(out, n - n_b, n_b) - expected) < 1e-13
 
 
 def test_balanced_splitter_single_photon_probabilities_exact():
@@ -75,12 +76,12 @@ def test_one_arm_shifter_phases_noon_branch():
     phi = 0.37
     for n in (1, 3, 5):
         out = apply(phase_shifter(phi, ONE_ARM, n), make_basis_state(0, n))
-        assert abs(out.amplitude(0, n) - np.exp(1j * n * phi)) < 1e-14
+        assert abs(amplitude(out, 0, n) - np.exp(1j * n * phi)) < 1e-14
 
 
 def test_symmetric_shifter_fixes_balanced_states():
     out = apply(phase_shifter(1.3, SYMMETRIC, 6), make_basis_state(3, 3))
-    assert abs(out.amplitude(3, 3) - 1.0) < 1e-14
+    assert abs(amplitude(out, 3, 3) - 1.0) < 1e-14
 
 
 def test_zero_phase_is_identity():

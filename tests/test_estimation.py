@@ -34,8 +34,10 @@ from fockmzi.states import (
 )
 from oracles import (
     apply,
+    banded,
     beam_splitter,
     coherent_vacuum,
+    dense,
     expectation,
     j_observable,
     number_observable,
@@ -55,14 +57,14 @@ def random_hermitian(rng, dim):
 # ---------------------------------------------------------------- flip observable
 
 def test_flip_observable_is_pauli_x_for_one_photon():
-    mat = observable_noon_flip(1).dense(1)
+    mat = dense(observable_noon_flip(1), 1)
     assert np.allclose(mat, [[0, 1], [1, 0]], atol=0)
 
 
 def test_flip_observable_has_two_entries_and_one_block():
     obs = observable_noon_flip(5)
     assert list(obs.blocks) == [5]
-    assert np.count_nonzero(obs.dense(5)) == 2
+    assert np.count_nonzero(dense(obs, 5)) == 2
 
 
 def test_flip_expectation_is_cos_n_phi():
@@ -75,7 +77,7 @@ def test_flip_expectation_is_cos_n_phi():
 
 def test_flip_squared_is_identity_on_its_span():
     n = 4
-    mat = observable_noon_flip(n).dense(n)
+    mat = dense(observable_noon_flip(n), n)
     sq = mat @ mat
     assert sq[0, 0] == 1.0 and sq[n, n] == 1.0
     assert np.count_nonzero(sq) == 2
@@ -139,8 +141,8 @@ def test_commutator_derivative_matches_finite_difference():
     h = 1e-5
     for _ in range(25):
         n = int(rng.integers(1, 11))
-        a = BlockObservable({n: random_hermitian(rng, n + 1)})
-        g = BlockObservable({n: random_hermitian(rng, n + 1)})
+        a = BlockObservable({n: banded(random_hermitian(rng, n + 1))})
+        g = BlockObservable({n: banded(random_hermitian(rng, n + 1))})
         vec = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         state = TwoModeState({n: vec / np.linalg.norm(vec)})
         exact = phase_derivative(state, a, g)
@@ -291,8 +293,8 @@ def reference_output(state, before, generator, after, phi):
 def conjugated(generator, unitary):
     blocks = {}
     for n, u in unitary.blocks.items():
-        m = u @ generator.dense(n) @ u.conj().T
-        blocks[n] = (m + m.conj().T) / 2
+        m = u @ dense(generator, n) @ u.conj().T
+        blocks[n] = banded((m + m.conj().T) / 2)
     return BlockObservable(blocks)
 
 
@@ -431,6 +433,16 @@ def test_seed_must_be_a_64_bit_integer(seed, valid):
     else:
         with pytest.raises(ValueError, match="seed"):
             sample_outcomes(setup.sampling, setup.input_state, 0.4, 100, seed=seed)
+
+
+@pytest.mark.parametrize("shots, valid", [(2**63 - 1, True), (2**63, False), (-1, False)])
+def test_shots_must_fit_numpys_multinomial(shots, valid):
+    setup = build_setup(SchemeTag("noon", 2))
+    if valid:
+        assert sum(sample_outcomes(setup.sampling, setup.input_state, 0.4, shots, seed=3).counts.values()) == shots
+    else:
+        with pytest.raises(ValueError, match="shots"):
+            sample_outcomes(setup.sampling, setup.input_state, 0.4, shots, seed=3)
 
 
 def test_outcome_probabilities_have_one_form():

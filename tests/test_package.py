@@ -73,26 +73,74 @@ def test_from_import_and_unknown_names():
 # public src names that no src code calls, kept because acceptance criteria are stated on them
 # (1/sqrt(N) for independent trials; no single splitter makes a N00N state beyond two photons)
 UNCALLED_BY_SRC = {"ensemble_sensitivity", "noon_fidelity_sweep"}
+# public methods of public src classes that no src code calls, by the benchmark script that does
+UNCALLED_METHODS = {
+    "InterferometerPipeline.evolve": "perfbench/tracer.py",
+    "InterferometerPipeline.output_generator": "perfbench/setup_time.py",
+}
+
+
+def attribute_root(node: ast.Attribute) -> ast.expr:
+    """The expression an attribute chain starts from: `np` for `np.linalg.norm`."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
 
 
 def test_every_public_src_name_has_a_src_caller():
     """src/ holds what the commands run: reference forms only the tests call live in
     tests/oracles.py.  A name counts as called where src/ code names it; the strings
-    of _EXPORTS do not count."""
-    defined, named = set(), set()
+    of _EXPORTS do not count.  A public method of a public class counts as called
+    where src/ code reads it as an attribute of anything but an imported module, so
+    `np.linalg.norm` is no call to a `norm` method."""
+    defined, methods, named, read = set(), set(), set(), set()
     for path in sorted((SRC / "fockmzi").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined.update(node.name for node in tree.body
-                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                methods.update(f"{node.name}.{item.name}" for item in node.body
+                               if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+                if node.module is None:  # `from . import estimation` imports modules
+                    modules.update(alias.asname or alias.name for alias in node.names)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                named.update(alias.name for alias in node.names)
+                root = attribute_root(node)
+                if not (isinstance(root, ast.Name) and root.id in modules):
+                    read.add(node.attr)
     assert sorted(defined - named - UNCALLED_BY_SRC) == []
     assert UNCALLED_BY_SRC <= defined
+    assert sorted(m for m in methods if m.partition(".")[2] not in read) == sorted(UNCALLED_METHODS)
+
+
+@pytest.mark.parametrize("method, script", sorted(UNCALLED_METHODS.items()))
+def test_uncalled_method_is_used_by_its_benchmark_script(method, script):
+    assert method.partition(".")[2] in (SRC.parent / script).read_text(encoding="utf-8")
+
+
+# methods src/ classes had until their only callers, the tests, took them as oracle functions
+MOVED_METHODS = {
+    ("fock", "TwoModeState", "amplitude"): "amplitude",
+    ("fock", "TwoModeState", "norm"): "norm",
+    ("fock", "BlockObservable", "dense"): "dense",
+    ("rosetta", "QubitRegister", "norm"): "register_norm",
+}
+
+
+@pytest.mark.parametrize("module, cls, method", sorted(MOVED_METHODS))
+def test_moved_method_is_an_oracle_not_a_method(module, cls, method):
+    assert callable(getattr(oracles, MOVED_METHODS[module, cls, method]))
+    assert not hasattr(getattr(import_module(f"fockmzi.{module}"), cls), method)
 
 
 # the only `fockmzi` modules each src module may import: the layers run one way, from the
