@@ -46,12 +46,11 @@ _EXPORTS = {
     ), "schemes"),
     **dict.fromkeys((
         "ModelMismatchError", "NoPhaseInformationError", "OutcomeHistogram",
-        "PosteriorDistribution", "bayes_posterior", "classical_fisher", "ensemble_sensitivity",
-        "min_sensitivity", "phase_sweep", "posterior_mean", "posterior_std", "sample_outcomes", "scaling_fit",
+        "PosteriorDistribution", "bayes_posterior", "classical_fisher", "min_sensitivity", "phase_sweep",
+        "posterior_mean", "posterior_std", "sample_outcomes", "scaling_fit",
     ), "estimation"),
     **dict.fromkeys((
         "DepositionCurve", "InsufficientGridError", "deposition_rate", "fringe_period",
-        "noon_fidelity_sweep",
     ), "lithography"),
     **dict.fromkeys((
         "QubitRegister", "cnot", "collective_phase", "expect_flip_product", "ghz_prepare",

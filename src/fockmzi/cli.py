@@ -3,8 +3,9 @@
 Subcommands configure a scheme, sweep the phase or the photon number, and
 emit deterministic comma-separated tables: header line first, `#`-prefixed
 footer lines for fit results, LF endings, every numeric cell at 17
-significant digits.  Exit codes: 0 success, 1 usage error, 2 numerical
-failure.
+significant digits.  Each run_* returns its table as (header, rows,
+footers) and main writes it.  Exit codes: 0 success, 1 usage error, 2
+numerical failure or out of memory.
 """
 
 import argparse
@@ -25,6 +26,8 @@ from .states import NOON_FRAMINGS, SCHEME_NAMES, SchemeTag
 
 OUTDIR_ENV = "FOCKMZI_OUTDIR"
 _LINES_PER_WRITE = 1000
+
+Table = tuple[list[str], list[Sequence[str]], list[str]]  # header, rows, footers
 
 
 class UsageError(ValueError):
@@ -89,10 +92,10 @@ def parse_n_range(spec: str) -> list[int]:
 
 
 def load_config_file(path: str) -> dict[str, str]:
-    """key = value lines; '#' comments and blank lines ignored."""
+    """key = value lines; '#' comments and blank lines ignored, and so is a UTF-8 byte-order mark."""
     entries = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -195,27 +198,24 @@ def _setup(args, tag: SchemeTag):
         raise UsageError(str(exc)) from None
 
 
-def run_sensitivity(args) -> int:
+def run_sensitivity(args) -> Table:
     from . import estimation
 
     grid = parse_grid(args.phi_grid)
-    out_path = resolve_output_path(args.output)
     tag = _scheme_tag(args)
     setup = _setup(args, tag)
     sweep = estimation.phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
     rows = list(zip(itertools.repeat(tag.name), itertools.repeat(fmt(tag.n)), *map(fmt_column, (grid, *sweep))))
-    write_table(out_path, ["scheme", "n", "phi", "expectation", "variance", "sensitivity"], rows, [])
-    return 0
+    return ["scheme", "n", "phi", "expectation", "variance", "sensitivity"], rows, []
 
 
-def run_scaling(args) -> int:
+def run_scaling(args) -> Table:
     from . import estimation
 
     ns = parse_n_range(args.n_range)
     if len(ns) < 3:
         raise UsageError(f"--n-range {args.n_range!r} must contain at least 3 sizes")
     grid = parse_grid(args.phi_grid)
-    out_path = resolve_output_path(args.output)
     metric = args.metric
     if metric == "auto":
         metric = "fisher" if args.scheme == "dual-fock" else "min-sensitivity"
@@ -244,19 +244,16 @@ def run_scaling(args) -> int:
     slope, intercept = estimation.scaling_fit(list(zip(ns, values)))
     rows = [[args.scheme, fmt(n), fmt(v)] for n, v in zip(ns, values)]
     footers = [f"slope={fmt(slope)} intercept={fmt(intercept)} metric={column}"]
-    write_table(out_path, ["scheme", "n", column], rows, footers)
-    return 0
+    return ["scheme", "n", column], rows, footers
 
 
-def run_hom(args) -> int:
-    out_path = resolve_output_path(args.output)
+def run_hom(args) -> Table:
     out = split(make_basis_state(1, 1), BALANCED)
     rows = [[fmt(na), fmt(nb), fmt(p)] for (na, nb), p in out.probabilities().items()]
-    write_table(out_path, ["n_a", "n_b", "probability"], rows, [])
-    return 0
+    return ["n_a", "n_b", "probability"], rows, []
 
 
-def run_litho(args) -> int:
+def run_litho(args) -> Table:
     from .lithography import deposition_rate, fringe_period
 
     n, points, lam = args.n, args.points, args.wavelength
@@ -266,7 +263,6 @@ def run_litho(args) -> int:
         raise UsageError(f"--points must be >= 192 (three periods at 64 points each), got {points}")
     if not (math.isfinite(lam) and lam > 0):
         raise UsageError(f"--wavelength must be positive and finite, got {lam}")
-    out_path = resolve_output_path(args.output)
     single_period = 2.0 * lam
     # the largest phases: pi x at the grid end x = 6.5 wavelength, and the noon curve's n * 6.5 pi
     if not math.isfinite(math.pi * (3.25 * single_period)):
@@ -301,17 +297,15 @@ def run_litho(args) -> int:
         f"period_noon={fmt(p_noon)}",
         f"period_ratio_single_over_noon={fmt(p_single / p_noon)}",
     ]
-    write_table(out_path, ["x"] + list(curves), rows, footers)
-    return 0
+    return ["x"] + list(curves), rows, footers
 
 
-def run_rosetta(args) -> int:
+def run_rosetta(args) -> Table:
     from . import rosetta
 
     if not 1 <= args.n_max <= rosetta.MAX_QUBITS:
         raise UsageError(f"--n-max must be in [1, {rosetta.MAX_QUBITS}], got {args.n_max}")
     grid = parse_grid(args.phi_grid)
-    out_path = resolve_output_path(args.output)
 
     phis = fmt_column(grid)
     rows, worst = [], 0.0
@@ -320,12 +314,10 @@ def run_rosetta(args) -> int:
         discrepancy = np.abs(qubit_values - fock_values)
         rows.extend(zip(itertools.repeat(fmt(n)), phis, *map(fmt_column, (qubit_values, fock_values, discrepancy))))
         worst = max(worst, float(np.max(discrepancy)))
-    write_table(out_path, ["n", "phi", "qubit_value", "fock_value", "discrepancy"], rows,
-                [f"max_discrepancy={fmt(worst)}"])
-    return 0
+    return ["n", "phi", "qubit_value", "fock_value", "discrepancy"], rows, [f"max_discrepancy={fmt(worst)}"]
 
 
-def run_sample(args) -> int:
+def run_sample(args) -> Table:
     from . import estimation
 
     if not math.isfinite(args.phi):
@@ -336,7 +328,6 @@ def run_sample(args) -> int:
         raise UsageError(f"--seed must be a 64-bit integer, signed or not, in [-2**63, 2**64), got {args.seed}")
     if args.bayes_points < 2:
         raise UsageError(f"--bayes-points must be >= 2, got {args.bayes_points}")
-    out_path = resolve_output_path(args.output)
     tag = _scheme_tag(args)
     setup = _setup(args, tag)
     hist = estimation.sample_outcomes(setup.sampling, setup.input_state, args.phi, args.shots, args.seed)
@@ -348,8 +339,7 @@ def run_sample(args) -> int:
         posterior = estimation.bayes_posterior(hist, setup.sampling, setup.input_state, grid)
         footers.append(f"posterior_mean={fmt(estimation.posterior_mean(posterior))}")
         footers.append(f"posterior_std={fmt(estimation.posterior_std(posterior))}")
-    write_table(out_path, ["n_a", "n_b", "count"], rows, footers)
-    return 0
+    return ["n_a", "n_b", "count"], rows, footers
 
 
 _THREADS_HELP = ("accepted for compatibility; has no effect (BLAS runs one thread unless OPENBLAS_NUM_THREADS, "
@@ -431,12 +421,16 @@ def main(argv=None) -> int:
         if args.config:
             # config entries go in as flags ahead of the explicit ones, which therefore win
             args = parser.parse_args([args.command, *_config_flags(args.config, vars(args)), *argv[1:]])
-        return args.run(args)
+        write_table(resolve_output_path(args.output), *args.run(args))
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}" if str(exc) else "out of memory", file=sys.stderr)
         return 2
 
 

@@ -5,9 +5,10 @@ The central quantity is the error-propagation sensitivity
 delta_phi = sqrt(Var A) / |d<A>/dphi|, with the derivative taken exactly as
 the expectation of i[A, G] for the phase generator G, never by finite
 differences (those are kept as a test oracle only).  Sweeps, Fisher
-information, sampling and posteriors only reduce the arrays that the
-pipeline's per-block kernel (evolve_blocks, output_rows) yields, over the
-whole phase grid at once, one photon-number block at a time; which input,
+information and posteriors only reduce the arrays that the pipeline's
+per-block kernel (evolve_blocks, output_rows) yields, over the whole phase
+grid at once, one photon-number block at a time; sampling draws from the
+output state the pipeline's evolve gives at one phase.  Which input,
 observable and readout a scheme uses is decided in `schemes`.
 """
 
@@ -18,11 +19,10 @@ from itertools import groupby
 import numpy as np
 
 from .elements import InterferometerPipeline, phase_exponent
-from .fock import BlockObservable, NumericalFailure, TwoModeState, block_labels
+from .fock import BlockObservable, NumericalFailure, TwoModeState
 
 DERIVATIVE_RTOL = 1e-14
 PROBABILITY_FLOOR = 1e-15
-_ENSEMBLE_SIN_TOL = 1e-12
 _GRID_SPACING_RTOL = 1e-9
 
 
@@ -138,20 +138,6 @@ def min_sensitivity(phi_grid, delta_phi) -> tuple[float, float]:
     return float(grid[idx]), float(delta[idx])
 
 
-def ensemble_sensitivity(n: int, phi: float) -> float:
-    """Shot-noise uncertainty of N independent single-particle trials.
-
-    The product-state model gives mean N cos(phi) and variance N sin^2(phi),
-    so the sin(phi) factors cancel symbolically and the result is exactly
-    1/sqrt(N) wherever the derivative does not vanish.
-    """
-    if n < 1:
-        raise ValueError(f"trial count must be >= 1, got {n}")
-    if abs(math.sin(phi)) <= _ENSEMBLE_SIN_TOL:
-        return math.inf
-    return 1.0 / math.sqrt(n)
-
-
 def classical_fisher(pipeline: InterferometerPipeline, input_state: TwoModeState, phi_grid) -> np.ndarray:
     """Fisher information of the output number distribution at each phase of the grid.
 
@@ -177,26 +163,25 @@ def sample_outcomes(
 ) -> OutcomeHistogram:
     """Draw i.i.d. (n_a, n_b) outcomes from the exact output distribution.
 
-    The probabilities are |amplitude|^2 of the single column evolve_blocks
-    yields per populated block, in block order.  Those below 1e-15 are zeroed
-    (and the rest renormalized) before sampling, so interference nulls never
-    fire.  Identical seeds give identical histograms.  Shots number at most
-    2**63 - 1, the most numpy's multinomial draws.  A seed is any 64-bit
-    integer, signed or not, so in [-2**63, 2**64); a negative seed s draws as
-    s + 2**64.
+    The probabilities are the output state's at phi,
+    pipeline.evolve(input_state, phi).probabilities(), in block order.  Those
+    below 1e-15 are zeroed (and the rest renormalized) before sampling, so
+    interference nulls never fire.  Identical seeds give identical
+    histograms.  Shots number at most 2**63 - 1, the most numpy's multinomial
+    draws.  A seed is any 64-bit integer, signed or not, so in
+    [-2**63, 2**64); a negative seed s draws as s + 2**64.
     """
     if not 0 <= shots < 2**63:
         raise ValueError(f"shots must be in [0, 2**63), got {shots}")
     if not -(2**63) <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit integer, signed or not, in [-2**63, 2**64), got {seed}")
-    columns = [(n, psi[:, 0]) for n, psi, _ in pipeline.evolve_blocks(input_state, [phi])]
-    labels = [label for n, _ in columns for label in block_labels(n)]
-    probs = np.abs(np.concatenate([column for _, column in columns] or [np.zeros(0)])) ** 2
+    distribution = pipeline.evolve(input_state, phi).probabilities()
+    probs = np.array(list(distribution.values()))
     probs[probs < PROBABILITY_FLOOR] = 0.0
     probs /= probs.sum()
     rng = np.random.default_rng(seed & 0xFFFF_FFFF_FFFF_FFFF)
-    drawn = rng.multinomial(shots, probs) if shots else np.zeros(len(labels), dtype=int)
-    counts = {lab: int(c) for lab, c in zip(labels, drawn) if c > 0}
+    drawn = rng.multinomial(shots, probs) if shots else np.zeros(probs.size, dtype=int)
+    counts = {lab: int(c) for lab, c in zip(distribution, drawn) if c > 0}
     return OutcomeHistogram(phi_true=phi, shots=shots, counts=counts, seed=seed)
 
 

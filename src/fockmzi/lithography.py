@@ -1,13 +1,12 @@
-"""Deposition-rate curves, fringe-period extraction, and the beam-splitter
-N00N-fidelity sweep."""
+"""Deposition-rate curves of single-photon, classical two-photon and N00N
+exposure, and the fringe period measured on them."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import _jx_eigensystem
-from .fock import NumericalFailure, make_basis_state
+from .fock import NumericalFailure
 
 KINDS = ("single", "classical-two-photon", "noon")
 
@@ -81,24 +80,3 @@ def fringe_period(curve: DepositionCurve) -> float:
     if peaks.size < 2:
         raise InsufficientGridError(f"found {peaks.size} maxima; the grid must span at least two periods")
     return float(np.mean(np.diff(peaks)))
-
-
-def noon_fidelity_sweep(n_a: int, n_b: int, theta_grid) -> tuple[float, float]:
-    """Best N00N fidelity reachable from |n_a, n_b> with one beam splitter.
-
-    Sweeps the splitter angle over the grid and returns (best_theta,
-    best_fidelity).  The splitter action is evaluated from the cached J_x
-    eigensystem, so dense angle grids stay cheap.
-    """
-    if n_a < 0 or n_b < 0 or n_a + n_b < 1:
-        raise ValueError(f"need at least one photon, got ({n_a}, {n_b})")
-    n = n_a + n_b
-    thetas = np.asarray(theta_grid, dtype=float)
-    w, v = _jx_eigensystem(n)
-    source = v.conj().T @ make_basis_state(n_a, n_b).blocks[n]
-    edges = v[[0, n], :] * source[None, :]
-    # amplitudes on |N,0> and |0,N> for every theta at once
-    amps = edges @ np.exp(1j * np.outer(w, thetas))
-    fidelity = (np.abs(amps[0]) + np.abs(amps[1])) ** 2 / 2.0
-    best = int(np.argmax(fidelity))
-    return float(thetas[best]), float(fidelity[best])

@@ -1,13 +1,23 @@
 """Reference implementations that only the tests use: the dense and per-point forms
-that the batched command paths are compared against, and the readings of a state,
-an observable or a register that no command needs."""
+that the batched command paths are compared against, the readings of a state,
+an observable or a register that no command needs, and the closed forms that
+acceptance criteria 01 (1/sqrt(N) for independent trials) and 09 (no single
+splitter makes a N00N state beyond two photons) are stated on."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from fockmzi.elements import BALANCED, ONE_ARM, SYMMETRIC, InterferometerPipeline, _splitter_block, phase_exponent
+from fockmzi.elements import (
+    BALANCED,
+    ONE_ARM,
+    SYMMETRIC,
+    InterferometerPipeline,
+    _jx_eigensystem,
+    _splitter_block,
+    phase_exponent,
+)
 from fockmzi.estimation import _divergent
 from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, j_bands, make_basis_state
 from fockmzi.lithography import DepositionCurve, InsufficientGridError
@@ -15,6 +25,7 @@ from fockmzi.rosetta import QubitRegister, _bit
 from fockmzi.states import coherent_amplitudes
 
 NUMBER_MODES = ("a", "b", "total")
+_ENSEMBLE_SIN_TOL = 1e-12
 
 
 # ---------------------------------------------------------------- readings of one state, observable or register
@@ -246,3 +257,40 @@ def fringe_period_loop(curve: DepositionCurve) -> float:
     if len(peaks) < 2:
         raise InsufficientGridError(f"found {len(peaks)} maxima; the grid must span at least two periods")
     return float(np.mean(np.diff(peaks)))
+
+
+# ---------------------------------------------------------------- closed forms the acceptance criteria are stated on
+
+def ensemble_sensitivity(n: int, phi: float) -> float:
+    """Shot-noise uncertainty of N independent single-particle trials.
+
+    The product-state model gives mean N cos(phi) and variance N sin^2(phi),
+    so the sin(phi) factors cancel symbolically and the result is exactly
+    1/sqrt(N) wherever the derivative does not vanish.
+    """
+    if n < 1:
+        raise ValueError(f"trial count must be >= 1, got {n}")
+    if abs(math.sin(phi)) <= _ENSEMBLE_SIN_TOL:
+        return math.inf
+    return 1.0 / math.sqrt(n)
+
+
+def noon_fidelity_sweep(n_a: int, n_b: int, theta_grid) -> tuple[float, float]:
+    """Best N00N fidelity reachable from |n_a, n_b> with one beam splitter.
+
+    Sweeps the splitter angle over the grid and returns (best_theta,
+    best_fidelity).  The splitter action is evaluated from the cached J_x
+    eigensystem, so dense angle grids stay cheap.
+    """
+    if n_a < 0 or n_b < 0 or n_a + n_b < 1:
+        raise ValueError(f"need at least one photon, got ({n_a}, {n_b})")
+    n = n_a + n_b
+    thetas = np.asarray(theta_grid, dtype=float)
+    w, v = _jx_eigensystem(n)
+    source = v.conj().T @ make_basis_state(n_a, n_b).blocks[n]
+    edges = v[[0, n], :] * source[None, :]
+    # amplitudes on |N,0> and |0,N> for every theta at once
+    amps = edges @ np.exp(1j * np.outer(w, thetas))
+    fidelity = (np.abs(amps[0]) + np.abs(amps[1])) ** 2 / 2.0
+    best = int(np.argmax(fidelity))
+    return float(thetas[best]), float(fidelity[best])

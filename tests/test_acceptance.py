@@ -9,13 +9,22 @@ import numpy as np
 
 from fockmzi.cli import main
 from fockmzi.elements import BALANCED
-from fockmzi.estimation import classical_fisher, ensemble_sensitivity, min_sensitivity, phase_sweep, scaling_fit
+from fockmzi.estimation import classical_fisher, min_sensitivity, phase_sweep, scaling_fit
 from fockmzi.fock import make_basis_state
-from fockmzi.lithography import deposition_rate, fringe_period, noon_fidelity_sweep
+from fockmzi.lithography import deposition_rate, fringe_period
 from fockmzi.rosetta import flip_expectations
 from fockmzi.schemes import build_setup, observable_noon_flip
 from fockmzi.states import SchemeTag, coherent_tail_mass, noon
-from oracles import apply, beam_splitter, expectation, number_observable, phase_derivative, sensitivity
+from oracles import (
+    apply,
+    beam_splitter,
+    ensemble_sensitivity,
+    expectation,
+    noon_fidelity_sweep,
+    number_observable,
+    phase_derivative,
+    sensitivity,
+)
 
 
 def report(num: int, ok: bool, detail: str):

@@ -386,6 +386,9 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, config, fl
     ("sensitivity", "invert-second-bs = true\nconvention = symmetric\nphi-grid = -1:1:7\n",
      ["--invert-second-bs", "--convention", "symmetric", "--phi-grid=-1:1:7"]),
     ("sample", "phi = -0.4\nestimator = bayes\n", ["--phi=-0.4", "--estimator", "bayes"]),
+    # a UTF-8 byte-order mark ahead of the first key, as some editors write one
+    pytest.param("sensitivity", "\ufeffn = 3\nscheme = noon\n", ["--n", "3", "--scheme", "noon"],
+                 id="byte-order-mark"),
 ])
 def test_config_and_flags_give_identical_output(tmp_path, command, config, flags):
     cfg = tmp_path / "run.cfg"
@@ -510,6 +513,23 @@ def test_stdout_on_full_device_is_usage_error():
     with open("/dev/full", "w") as full:
         proc = cli_child("hom", stdout=full)
     assert_one_stdout_error_line(proc)
+
+
+def test_out_of_memory_is_one_error_line_and_exit_two():
+    resource = pytest.importorskip("resource")
+    limit = 1_000_000 * 1024  # bytes of address space, below the 1.49 GiB phase table this command needs
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "fockmzi.cli", "sensitivity", "--scheme", "noon",
+                           "--n", "1000000", "--phi-grid", "0:3.1:100"], env=env, capture_output=True, text=True,
+                          timeout=120, preexec_fn=cap_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("out of memory: Unable to allocate"), proc.stderr
 
 
 def test_largest_shot_count_accepted(tmp_path):

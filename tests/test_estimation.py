@@ -14,7 +14,6 @@ from fockmzi.estimation import (
     PosteriorDistribution,
     bayes_posterior,
     classical_fisher,
-    ensemble_sensitivity,
     min_sensitivity,
     phase_sweep,
     posterior_mean,
@@ -38,6 +37,7 @@ from oracles import (
     beam_splitter,
     coherent_vacuum,
     dense,
+    ensemble_sensitivity,
     expectation,
     j_observable,
     number_observable,

@@ -9,9 +9,8 @@ from fockmzi.lithography import (
     InsufficientGridError,
     deposition_rate,
     fringe_period,
-    noon_fidelity_sweep,
 )
-from oracles import fringe_period_loop
+from oracles import fringe_period_loop, noon_fidelity_sweep
 
 
 def offset_grid(period, periods=3.0, points=2048):

@@ -22,10 +22,9 @@ EXPORTED = {
                "split_port_a", "yurke_bosonic", "yurke_fermionic_analog"),
     "schemes": ("SchemeSetup", "build_setup", "observable_noon_flip", "pulled_back_jz"),
     "estimation": ("ModelMismatchError", "NoPhaseInformationError", "OutcomeHistogram", "PosteriorDistribution",
-                   "bayes_posterior", "classical_fisher", "ensemble_sensitivity", "min_sensitivity",
-                   "phase_sweep", "posterior_mean", "posterior_std", "sample_outcomes", "scaling_fit"),
-    "lithography": ("DepositionCurve", "InsufficientGridError", "deposition_rate", "fringe_period",
-                    "noon_fidelity_sweep"),
+                   "bayes_posterior", "classical_fisher", "min_sensitivity", "phase_sweep", "posterior_mean",
+                   "posterior_std", "sample_outcomes", "scaling_fit"),
+    "lithography": ("DepositionCurve", "InsufficientGridError", "deposition_rate", "fringe_period"),
     "rosetta": ("QubitRegister", "cnot", "collective_phase", "expect_flip_product", "ghz_prepare", "hadamard"),
 }
 
@@ -36,12 +35,14 @@ def test_exported_name_is_the_submodule_object(module, name):
     assert name in dir(fockmzi) and name in fockmzi.__all__
 
 
-# names `fockmzi` exported until the reference forms moved to tests/oracles.py, by their old submodule
+# names `fockmzi` exported until the reference forms and the closed forms only acceptance criteria
+# use moved to tests/oracles.py, by their old submodule
 MOVED_TO_ORACLES = {
     "fock": ("apply", "expectation", "j_observable", "number_observable", "spectral_exponential", "variance"),
     "elements": ("beam_splitter", "phase_shifter"),
     "states": ("coherent_vacuum", "single_port_fock"),
-    "estimation": ("sensitivity",),
+    "estimation": ("ensemble_sensitivity", "sensitivity"),
+    "lithography": ("noon_fidelity_sweep",),
     "rosetta": ("phase_gate",),
 }
 
@@ -70,14 +71,8 @@ def test_from_import_and_unknown_names():
         fockmzi.no_such_name  # noqa: B018
 
 
-# public src names that no src code calls, kept because acceptance criteria are stated on them
-# (1/sqrt(N) for independent trials; no single splitter makes a N00N state beyond two photons)
-UNCALLED_BY_SRC = {"ensemble_sensitivity", "noon_fidelity_sweep"}
 # public methods of public src classes that no src code calls, by the benchmark script that does
-UNCALLED_METHODS = {
-    "InterferometerPipeline.evolve": "perfbench/tracer.py",
-    "InterferometerPipeline.output_generator": "perfbench/setup_time.py",
-}
+UNCALLED_METHODS = {"InterferometerPipeline.output_generator": "perfbench/setup_time.py"}
 
 
 def attribute_root(node: ast.Attribute) -> ast.expr:
@@ -118,8 +113,7 @@ def test_every_public_src_name_has_a_src_caller():
                 root = attribute_root(node)
                 if not (isinstance(root, ast.Name) and root.id in modules):
                     read.add(node.attr)
-    assert sorted(defined - named - UNCALLED_BY_SRC) == []
-    assert UNCALLED_BY_SRC <= defined
+    assert sorted(defined - named) == []
     assert sorted(m for m in methods if m.partition(".")[2] not in read) == sorted(UNCALLED_METHODS)
 
 
@@ -152,7 +146,7 @@ ALLOWED_IMPORTS = {
     "states": {"fock"},
     "schemes": {"elements", "fock", "states"},
     "estimation": {"elements", "fock"},
-    "lithography": {"elements", "fock"},
+    "lithography": {"fock"},
     "rosetta": {"estimation", "schemes", "states"},
     "cli": {"elements", "estimation", "fock", "lithography", "rosetta", "schemes", "states"},
 }
