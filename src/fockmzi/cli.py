@@ -22,7 +22,7 @@ import numpy as np
 # imports the rest itself, so a command loads only the modules it runs
 from .elements import BALANCED, CONVENTIONS, ONE_ARM, split
 from .fock import NumericalFailure, make_basis_state
-from .states import NOON_FRAMINGS, SCHEME_NAMES, SchemeTag
+from .states import SCHEME_NAMES, SchemeTag
 
 OUTDIR_ENV = "FOCKMZI_OUTDIR"
 _LINES_PER_WRITE = 1000
@@ -189,7 +189,6 @@ def _setup(args, tag: SchemeTag):
             tag,
             convention=args.convention,
             invert_second_bs=args.invert_second_bs,
-            noon_framing=args.noon_framing,
             cutoff=args.cutoff if args.cutoff > 0 else None,
         )
     except NumericalFailure:
@@ -353,7 +352,6 @@ def _add_scheme_options(sub, scheme: str, n: int | None):
         sub.add_argument("--n", type=int, default=n)
     sub.add_argument("--convention", choices=CONVENTIONS, default=ONE_ARM)
     sub.add_argument("--invert-second-bs", action=argparse.BooleanOptionalAction, default=False)
-    sub.add_argument("--noon-framing", choices=NOON_FRAMINGS, default="post-bs")
     sub.add_argument("--cutoff", type=int, default=0, help="Fock cutoff override (0 = per-scheme default)")
 
 

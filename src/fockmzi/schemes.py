@@ -1,7 +1,8 @@
 """Wiring from scheme tags to concrete inputs, pipelines, observables and readouts.
 
 Each scheme carries two pipelines sharing one input state, the state as it
-enters the phase stage: any optics ahead of the phase are applied once, here.
+enters the phase stage: the N00N state is prepared there, and every other
+input has the first splitter applied once, here.
 'analysis' is the phase stage alone and feeds the scheme observable
 (expectation/variance/sensitivity): the flip observable for the
 path-entangled scheme and, for the balanced-splitter schemes, J_z pulled back
@@ -24,7 +25,6 @@ import numpy as np
 from .elements import BALANCED, ONE_ARM, InterferometerPipeline, _splitter_block, split
 from .fock import BlockObservable, BlockUnitary, TwoModeState, j_bands
 from .states import (
-    NOON_FRAMINGS,
     SchemeTag,
     coherent_amplitudes,
     dual_fock,
@@ -102,28 +102,20 @@ def build_setup(
     tag: SchemeTag,
     convention: str = ONE_ARM,
     invert_second_bs: bool = False,
-    noon_framing: str = "post-bs",
     cutoff: int | None = None,
 ) -> SchemeSetup:
     """Assemble everything one scheme needs for sweeps, sampling, and Bayes, at
-    default_cutoff(tag) unless a cutoff is given; one that drops populated blocks is an error."""
-    if noon_framing not in NOON_FRAMINGS:
-        raise ValueError(f"unknown framing {noon_framing!r}, expected one of {NOON_FRAMINGS}")
+    default_cutoff(tag) unless a cutoff is given; one that drops populated blocks is an error.
+    The N00N state is prepared at the phase stage; every other input passes the first splitter here."""
     cut = default_cutoff(tag) if cutoff is None else cutoff
     top = _populated_block(tag)  # checked before any splitter is built
     if tag.name != "coherent" and top > cut:
         raise ValueError(f"{tag.name} n={tag.n} populates block {top}, so it needs cutoff >= {top}, got {cut}")
 
     if tag.name == "noon":
-        # Entangled state prepared at the phase stage; the 'input' framing
-        # prepares it at the input port, pulled back through an inverted
-        # splitter, and sends it through the first splitter here.
         inp = noon(tag.n, 0.0)
-        if noon_framing == "input":
-            inp = split(split(inp, -BALANCED), BALANCED)
         observable, period, readout = observable_noon_flip(tag.n), 2.0 * math.pi / tag.n, partial(noon_readout, tag.n)
     else:
-        # every other input is prepared at the phase stage, after the first splitter
         if tag.name == "single-port-fock":
             inp = split_port_a({tag.n: 1.0})
         elif tag.name == "coherent":

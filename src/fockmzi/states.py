@@ -16,8 +16,6 @@ SCHEME_NAMES = (
     "yurke-fermionic-analog",
     "yurke-bosonic",
 )
-# where a noon input is prepared: at the phase stage, or pulled back to the input port
-NOON_FRAMINGS = ("post-bs", "input")
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _I_POWERS = np.array([1, 1j, -1, -1j])

@@ -21,11 +21,11 @@ from fockmzi.elements import (  # noqa: E402
 from fockmzi.fock import BlockObservable, TwoModeState, make_basis_state  # noqa: E402
 from fockmzi.schemes import build_setup, pulled_back_jz  # noqa: E402
 from fockmzi.states import (  # noqa: E402
-    NOON_FRAMINGS,
     SCHEME_NAMES,
     SchemeTag,
     coherent_amplitudes,
     dual_fock,
+    noon,
     required_coherent_cutoff,
     split_port_a,
     yurke_bosonic,
@@ -95,11 +95,12 @@ def test_closed_form_split_coherent_state_matches_splitter(alpha, phase):
         assert np.max(np.abs(split.blocks[n] - vec)) <= 1e-13
 
 
+@pytest.mark.parametrize("theta", [BALANCED, -BALANCED], ids=["balanced", "inverse"])
 @pytest.mark.parametrize("state", [dual_fock(3), dual_fock(5), yurke_fermionic_analog(7),
-                                   yurke_bosonic(8)])
-def test_block_split_matches_splitter(state):
-    ref = apply(beam_splitter(BALANCED, max(state.blocks)), state)
-    rotated = split(state, BALANCED)
+                                   yurke_bosonic(8), noon(4, 0.3), noon(7, 0.0)])
+def test_block_split_matches_splitter(state, theta):
+    ref = apply(beam_splitter(theta, max(state.blocks)), state)
+    rotated = split(state, theta)
     assert isinstance(rotated, TwoModeState) and set(rotated.blocks) == set(state.blocks)
     for n, vec in ref.blocks.items():
         assert np.array_equal(rotated.blocks[n], vec)
@@ -150,11 +151,10 @@ def scheme_tag(name, k):
     k=st.integers(0, 6),
     convention=st.sampled_from(CONVENTIONS),
     invert=st.booleans(),
-    framing=st.sampled_from(NOON_FRAMINGS),
     phis=phases,
 )
-def test_analysis_and_sampling_pipelines_preserve_the_norm(scheme, k, convention, invert, framing, phis):
-    setup = build_setup(scheme_tag(scheme, k), convention=convention, invert_second_bs=invert, noon_framing=framing)
+def test_analysis_and_sampling_pipelines_preserve_the_norm(scheme, k, convention, invert, phis):
+    setup = build_setup(scheme_tag(scheme, k), convention=convention, invert_second_bs=invert)
     grid = np.array(phis)
     for pipeline in (setup.analysis, setup.sampling):
         norms = sum(np.sum(np.abs(psi) ** 2, axis=0) for _, psi, _ in pipeline.evolve_blocks(setup.input_state, grid))

@@ -368,6 +368,9 @@ def test_non_finite_or_out_of_range_numbers_are_usage_errors(tmp_path, capsys, a
     (["scaling"], "n-range = 5:1\n", "--n-range"),
     (["scaling", "--n-range", "1:2"], None, "--n-range"),
     (["scaling", "--n", "5", "--n-range", "1:3"], None, "--n"),
+    (["sensitivity", "--scheme", "noon", "--noon-framing", "input"], None, "--noon-framing"),
+    (["scaling", "--noon-framing", "input"], None, "--noon-framing"),
+    (["sample", "--noon-framing", "input"], None, "--noon-framing"),
 ])
 def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, config, flag):
     out = tmp_path / "never.csv"
@@ -412,11 +415,13 @@ def test_config_file_not_utf8_is_usage_error_naming_it(tmp_path, capsys):
 
 def test_config_keys_of_other_subcommands_are_ignored(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n-max = 3\npoints = 7\n", encoding="utf-8")
-    code, via_config = run_cli(tmp_path, "sensitivity", "--config", str(cfg), name="config.csv")
-    _, defaults = run_cli(tmp_path, "sensitivity", name="defaults.csv")
+    cfg.write_text("n-max = 3\npoints = 7\nnoon-framing = input\n", encoding="utf-8")
+    scheme = ("--scheme", "noon", "--n", "2")
+    code, via_config = run_cli(tmp_path, "sensitivity", *scheme, "--config", str(cfg), name="config.csv")
+    _, defaults = run_cli(tmp_path, "sensitivity", *scheme, name="defaults.csv")
     assert code == 0
     assert via_config == defaults
+
 
 def test_threads_do_not_change_output(tmp_path):
     base = ("sensitivity", "--scheme", "yurke-bosonic", "--n", "6",

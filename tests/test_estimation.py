@@ -22,7 +22,7 @@ from fockmzi.estimation import (
     scaling_fit,
 )
 from fockmzi.fock import BlockObservable, TwoModeState, make_basis_state
-from fockmzi.schemes import NOON_FRAMINGS, build_setup, noon_readout, observable_noon_flip
+from fockmzi.schemes import build_setup, noon_readout, observable_noon_flip
 from fockmzi.states import (
     SCHEME_NAMES,
     SchemeTag,
@@ -269,16 +269,12 @@ PORT_STATES = {
 }
 
 
-def reference_elements(tag, cutoff, invert, framing):
+def reference_elements(tag, cutoff, invert):
     """Port state, U_before, analysis U_after, sampling U_after and the observable read
     after U_after, all built independently of the pipeline code."""
-    jx = j_observable("x", cutoff)
     if tag.name == "noon":
-        port, before = noon(tag.n, 0.0), None
-        if framing == "input":
-            port = apply(spectral_exponential(jx, -BALANCED), port)
-            before = spectral_exponential(jx, BALANCED)
-        return port, before, None, noon_readout(tag.n), observable_noon_flip(tag.n)
+        return noon(tag.n, 0.0), None, None, noon_readout(tag.n), observable_noon_flip(tag.n)
+    jx = j_observable("x", cutoff)
     after = spectral_exponential(jx, -BALANCED if invert else BALANCED)
     port = coherent_vacuum(math.sqrt(tag.n), cutoff) if tag.name == "coherent" else PORT_STATES[tag.name](tag.n)
     return port, spectral_exponential(jx, BALANCED), after, after, j_observable("z", cutoff)
@@ -310,14 +306,14 @@ def close(value, ref):
     return abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def check_against_reference(tag, convention, invert, framing):
+def check_against_reference(tag, convention, invert):
     """The setup's sweep and sampling distribution against dense matrices applied per point,
     starting from the port state; the setup's input must be that state at the phase stage,
     and its readout must be built on exactly the blocks that input populates."""
-    setup = build_setup(tag, convention=convention, invert_second_bs=invert, noon_framing=framing)
+    setup = build_setup(tag, convention=convention, invert_second_bs=invert)
     cut = setup.cutoff
     generator = number_observable("b", cut) if convention == ONE_ARM else j_observable("z", cut)
-    port, before, after, readout, observable = reference_elements(tag, cut, invert, framing)
+    port, before, after, readout, observable = reference_elements(tag, cut, invert)
     out_generator = generator if after is None else conjugated(generator, after)
 
     at_phase_stage = port if before is None else apply(before, port)
@@ -342,19 +338,18 @@ def check_against_reference(tag, convention, invert, framing):
         assert all(close(probs[k, p], dist[label]) for k, label in enumerate(labels))
 
 
-@pytest.mark.parametrize("framing", NOON_FRAMINGS)
 @pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("scheme", sorted(SCHEME_SIZES))
-def test_batched_path_matches_per_point_reference(scheme, convention, invert, framing):
-    check_against_reference(SchemeTag(scheme, SCHEME_SIZES[scheme]), convention, invert, framing)
+def test_batched_path_matches_per_point_reference(scheme, convention, invert):
+    check_against_reference(SchemeTag(scheme, SCHEME_SIZES[scheme]), convention, invert)
 
 
 @pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_batched_path_matches_reference_at_benchmark_size(convention, invert):
     # coherent nbar = 25 at its default cutoff 68, the size of the dense sweep benchmark
-    check_against_reference(SchemeTag("coherent", 25), convention, invert, "post-bs")
+    check_against_reference(SchemeTag("coherent", 25), convention, invert)
 
 
 def test_sweep_builds_no_splitter(monkeypatch):
@@ -384,11 +379,9 @@ def full_cutoff_readout(setup, invert):
 
 
 @pytest.mark.parametrize("invert", [False, True])
-@pytest.mark.parametrize("scheme, n, framing", [
-    ("dual-fock", 10, "post-bs"), ("noon", 8, "post-bs"), ("noon", 8, "input"), ("coherent", 4, "post-bs"),
-])
-def test_populated_readout_gives_the_full_cutoff_results(scheme, n, framing, invert, assert_same_products):
-    setup = build_setup(SchemeTag(scheme, n), invert_second_bs=invert, noon_framing=framing)
+@pytest.mark.parametrize("scheme, n", [("dual-fock", 10), ("noon", 8), ("coherent", 4)])
+def test_populated_readout_gives_the_full_cutoff_results(scheme, n, invert, assert_same_products):
+    setup = build_setup(SchemeTag(scheme, n), invert_second_bs=invert)
     full = replace(setup.analysis, after=full_cutoff_readout(setup, invert))
     grid = np.linspace(0.0, setup.likelihood_period, 256, endpoint=False)
     assert_same_products(classical_fisher(setup.sampling, setup.input_state, grid),
@@ -573,12 +566,11 @@ def dense_posterior(hist, pipeline, state, grid):
 
 @pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
-@pytest.mark.parametrize("scheme, n, framing", [
-    ("coherent", 25, "post-bs"), ("single-port-fock", 5, "post-bs"), ("dual-fock", 3, "post-bs"),
-    ("yurke-bosonic", 4, "post-bs"), ("noon", 4, "post-bs"), ("noon", 4, "input"),
+@pytest.mark.parametrize("scheme, n", [
+    ("coherent", 25), ("single-port-fock", 5), ("dual-fock", 3), ("yurke-bosonic", 4), ("noon", 4),
 ])
-def test_streamed_posterior_equals_dense_posterior(scheme, n, framing, convention, invert, assert_same_products):
-    setup = build_setup(SchemeTag(scheme, n), convention=convention, invert_second_bs=invert, noon_framing=framing)
+def test_streamed_posterior_equals_dense_posterior(scheme, n, convention, invert, assert_same_products):
+    setup = build_setup(SchemeTag(scheme, n), convention=convention, invert_second_bs=invert)
     grid = np.linspace(0.0, setup.likelihood_period, 512, endpoint=False)
     hist = sample_outcomes(setup.sampling, setup.input_state, 0.37 * setup.likelihood_period, 3000, seed=n)
     items = list(hist.counts.items())  # shuffled, so one block's outcomes fall into several runs
@@ -645,14 +637,3 @@ def test_yurke_min_sensitivity_scaling_band():
         slope, _ = scaling_fit(points)
         assert -1.2 <= slope <= -0.8
 
-
-def test_noon_framings_agree():
-    for n in (2, 5):
-        post_bs = build_setup(SchemeTag("noon", n), noon_framing="post-bs")
-        at_input = build_setup(SchemeTag("noon", n), noon_framing="input")
-        grid = np.linspace(0.05, 3.0, 30)
-        _, _, a = phase_sweep(post_bs.analysis, post_bs.input_state, post_bs.observable, grid)
-        _, _, b = phase_sweep(at_input.analysis, at_input.input_state, at_input.observable, grid)
-        finite = np.isfinite(a) & np.isfinite(b)
-        assert finite.any()
-        assert np.max(np.abs(a[finite] - b[finite])) < 1e-9

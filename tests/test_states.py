@@ -205,17 +205,16 @@ def test_scheme_tag_validation():
         SchemeTag("noon", 0)
 
 
-@pytest.mark.parametrize("scheme, n, framing, needed", [
-    ("single-port-fock", 4, "post-bs", 4),
-    ("dual-fock", 3, "post-bs", 6),
-    ("noon", 5, "post-bs", 5),
-    ("noon", 5, "input", 5),
-    ("yurke-fermionic-analog", 5, "post-bs", 5),
-    ("yurke-bosonic", 6, "post-bs", 6),
+@pytest.mark.parametrize("scheme, n, needed", [
+    ("single-port-fock", 4, 4),
+    ("dual-fock", 3, 6),
+    ("noon", 5, 5),
+    ("yurke-fermionic-analog", 5, 5),
+    ("yurke-bosonic", 6, 6),
 ])
-def test_build_setup_alone_checks_the_cutoff(scheme, n, framing, needed):
+def test_build_setup_alone_checks_the_cutoff(scheme, n, needed):
     tag = SchemeTag(scheme, n)
     with pytest.raises(ValueError, match=re.escape(f"needs cutoff >= {needed}")):
-        build_setup(tag, noon_framing=framing, cutoff=needed - 1)
-    setup = build_setup(tag, noon_framing=framing, cutoff=needed)
+        build_setup(tag, cutoff=needed - 1)
+    setup = build_setup(tag, cutoff=needed)
     assert setup.cutoff == needed and max(setup.input_state.blocks) == needed
