@@ -413,12 +413,16 @@ def test_config_file_not_utf8_is_usage_error_naming_it(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_config_keys_of_other_subcommands_are_ignored(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ("sensitivity", "--scheme", "noon", "--n", "2"),
+    ("scaling", "--scheme", "noon", "--n-range", "1:4"),
+    ("sample", "--scheme", "noon", "--n", "2"),
+], ids=lambda argv: argv[0])
+def test_config_keys_of_other_subcommands_are_ignored(tmp_path, argv):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n-max = 3\npoints = 7\nnoon-framing = input\n", encoding="utf-8")
-    scheme = ("--scheme", "noon", "--n", "2")
-    code, via_config = run_cli(tmp_path, "sensitivity", *scheme, "--config", str(cfg), name="config.csv")
-    _, defaults = run_cli(tmp_path, "sensitivity", *scheme, name="defaults.csv")
+    code, via_config = run_cli(tmp_path, *argv, "--config", str(cfg), name="config.csv")
+    _, defaults = run_cli(tmp_path, *argv, name="defaults.csv")
     assert code == 0
     assert via_config == defaults
 

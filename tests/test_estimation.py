@@ -379,7 +379,10 @@ def full_cutoff_readout(setup, invert):
 
 
 @pytest.mark.parametrize("invert", [False, True])
-@pytest.mark.parametrize("scheme, n", [("dual-fock", 10), ("noon", 8), ("coherent", 4)])
+@pytest.mark.parametrize("scheme, n", [
+    ("single-port-fock", 6), ("dual-fock", 10), ("noon", 8), ("coherent", 4),
+    ("yurke-fermionic-analog", 7), ("yurke-bosonic", 8),
+])
 def test_populated_readout_gives_the_full_cutoff_results(scheme, n, invert, assert_same_products):
     setup = build_setup(SchemeTag(scheme, n), invert_second_bs=invert)
     full = replace(setup.analysis, after=full_cutoff_readout(setup, invert))
@@ -567,7 +570,8 @@ def dense_posterior(hist, pipeline, state, grid):
 @pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("scheme, n", [
-    ("coherent", 25), ("single-port-fock", 5), ("dual-fock", 3), ("yurke-bosonic", 4), ("noon", 4),
+    ("coherent", 25), ("single-port-fock", 5), ("dual-fock", 3), ("yurke-fermionic-analog", 5),
+    ("yurke-bosonic", 4), ("noon", 4),
 ])
 def test_streamed_posterior_equals_dense_posterior(scheme, n, convention, invert, assert_same_products):
     setup = build_setup(SchemeTag(scheme, n), convention=convention, invert_second_bs=invert)
@@ -637,3 +641,13 @@ def test_yurke_min_sensitivity_scaling_band():
         slope, _ = scaling_fit(points)
         assert -1.2 <= slope <= -0.8
 
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_noon_setup_is_the_noon_state_at_the_phase_stage(n):
+    setup = build_setup(SchemeTag("noon", n))
+    ref = noon(n, 0.0)
+    assert set(setup.input_state.blocks) == set(ref.blocks)
+    assert all(np.array_equal(setup.input_state.blocks[k], ref.blocks[k]) for k in ref.blocks)
+    # <flip> at phi = 0 stays inside the observable's spectrum [-1, 1]
+    expect, _, _ = phase_sweep(setup.analysis, setup.input_state, setup.observable, np.array([0.0]))
+    assert 1.0 - 1e-15 <= expect[0] <= 1.0

@@ -208,6 +208,7 @@ def test_scheme_tag_validation():
 @pytest.mark.parametrize("scheme, n, needed", [
     ("single-port-fock", 4, 4),
     ("dual-fock", 3, 6),
+    ("noon", 1, 1),
     ("noon", 5, 5),
     ("yurke-fermionic-analog", 5, 5),
     ("yurke-bosonic", 6, 6),
