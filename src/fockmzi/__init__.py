@@ -31,18 +31,18 @@ if not any(os.environ.get(var) for var in _BLAS_THREAD_VARS):
 # that submodule on first use, so `import fockmzi` loads none of them
 _EXPORTS = {
     **dict.fromkeys((
-        "BlockObservable", "BlockUnitary", "TwoModeState", "build_j_operator", "j_bands",
-        "make_basis_state",
+        "BlockObservable", "BlockUnitary", "TwoModeState", "make_basis_state",
     ), "fock"),
     **dict.fromkeys((
-        "BALANCED", "CONVENTIONS", "ONE_ARM", "SYMMETRIC", "InterferometerPipeline", "split",
+        "BALANCED", "CONVENTIONS", "ONE_ARM", "SYMMETRIC", "InterferometerPipeline", "pulled_back_jz", "split",
+        "split_port_a",
     ), "elements"),
     **dict.fromkeys((
         "SCHEME_NAMES", "SchemeTag", "TruncationError", "coherent_amplitudes", "dual_fock", "noon",
-        "split_port_a", "yurke_bosonic", "yurke_fermionic_analog",
+        "yurke_bosonic", "yurke_fermionic_analog",
     ), "states"),
     **dict.fromkeys((
-        "SchemeSetup", "build_setup", "observable_noon_flip", "pulled_back_jz",
+        "SchemeSetup", "build_setup", "observable_noon_flip",
     ), "schemes"),
     **dict.fromkeys((
         "ModelMismatchError", "NoPhaseInformationError", "OutcomeHistogram",
@@ -50,7 +50,7 @@ _EXPORTS = {
         "posterior_mean", "posterior_std", "sample_outcomes", "scaling_fit",
     ), "estimation"),
     **dict.fromkeys((
-        "DepositionCurve", "InsufficientGridError", "deposition_rate", "fringe_period",
+        "InsufficientGridError", "deposition_rate", "fringe_period",
     ), "lithography"),
     **dict.fromkeys((
         "QubitRegister", "cnot", "collective_phase", "expect_flip_product", "ghz_prepare",

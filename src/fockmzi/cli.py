@@ -280,12 +280,12 @@ def run_litho(args) -> Table:
         "classical_two_photon": deposition_rate("classical-two-photon", 2, shared_x, lam),
         f"noon_{n}": deposition_rate("noon", n, shared_x, lam),
     }
-    rows = list(zip(*map(fmt_column, (shared_x, *(c.rate for c in curves.values())))))
+    rows = list(zip(*map(fmt_column, (shared_x, *curves.values()))))
 
     def measured_period(kind: str, nn: int) -> float:
         period = single_period / (nn if kind == "noon" else 1)
         xs = np.linspace(0.25 * period, 3.25 * period, points)
-        return fringe_period(deposition_rate(kind, nn, xs, lam))
+        return fringe_period(xs, deposition_rate(kind, nn, xs, lam))
 
     p_single = measured_period("single", 1)
     p_classical = measured_period("classical-two-photon", 2)

@@ -1,13 +1,20 @@
 """Optical elements and the canonical interferometer U_after . exp(i phi G), which
-acts on the state as it enters the phase stage."""
+acts on the state as it enters the phase stage.
+
+Every form of the beam splitter exp(i theta J_x) lives here: its blocks from
+the J_x eigensystem (splitter_blocks), its action on a state (split), the
+50/50 splitter on port-A inputs in closed form (split_port_a), and J_z pulled
+back through it (pulled_back_jz), the tridiagonal -J_y or +J_y.
+"""
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fock import BlockObservable, BlockUnitary, NumericalFailure, TwoModeState, build_j_operator
+from .fock import BlockObservable, BlockUnitary, NumericalFailure, TwoModeState, log_factorials
 
 BALANCED = math.pi / 2  # splitter angle of the 50/50 beam splitter
 
@@ -15,10 +22,23 @@ ONE_ARM = "one-arm"
 SYMMETRIC = "symmetric"
 CONVENTIONS = (ONE_ARM, SYMMETRIC)
 
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def _cross_ladder(n: int) -> np.ndarray:
+    # a†b on block n, as its offset-1 diagonal: (n_a, n_b) -> (n_a+1, n_b-1) with weight sqrt((n_a+1) n_b)
+    i = np.arange(1, n + 1)
+    return np.sqrt((n - i + 1) * i)
+
 
 @lru_cache(maxsize=None)
 def _jx_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(build_j_operator("x", n))
+    """Eigenvalues and eigenvectors of block n of J_x = (a†b + b†a)/2, held dense and complex."""
+    half = _cross_ladder(n) / 2.0
+    jx = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    jx += np.diag(half, 1)
+    jx += np.diag(half, -1)
+    w, v = np.linalg.eigh(jx)
     w.setflags(write=False)
     v.setflags(write=False)
     return w, v
@@ -30,10 +50,38 @@ def _splitter_block(theta: float, n: int) -> np.ndarray:
     return (v * np.exp(1j * theta * w)) @ v.conj().T
 
 
+def splitter_blocks(theta: float, blocks: Iterable[int]) -> BlockUnitary:
+    """The beam splitter exp(i theta J_x) on the given blocks alone."""
+    return BlockUnitary({n: _splitter_block(theta, n) for n in blocks})
+
+
 def split(state: TwoModeState, theta: float) -> TwoModeState:
     """The state after the splitter exp(i theta J_x), each populated block rotated by
     its own block of the splitter; no other block is built."""
     return TwoModeState({n: _splitter_block(theta, n) @ vec for n, vec in state.blocks.items()})
+
+
+def split_port_a(amplitudes: dict[int, complex]) -> TwoModeState:
+    """sum_n c_n |n,0> after the 50/50 splitter exp(i pi/2 J_x), in closed form.
+
+    Block n becomes c_n sqrt(C(n,k)) / 2^{n/2} i^k on |n-k,k>: the binomial
+    weights come from log-factorials and i^k is taken exactly from a table.
+    """
+    log_fact = log_factorials(max(amplitudes, default=0))
+    blocks = {}
+    for n, c in amplitudes.items():
+        k = np.arange(n + 1)
+        log_binom = log_fact[n] - log_fact[: n + 1] - log_fact[n::-1]
+        blocks[n] = c * np.exp((log_binom - n * math.log(2.0)) / 2.0) * _I_POWERS[k % 4]
+    return TwoModeState(blocks)
+
+
+def pulled_back_jz(blocks: Iterable[int], invert_second_bs: bool = False) -> BlockObservable:
+    """U_after† J_z U_after for U_after the splitter exp(±i BALANCED J_x), on the given blocks:
+    -J_y, or +J_y when inverted, where J_y = -i(a†b - b†a)/2."""
+    sign = 1.0 if invert_second_bs else -1.0
+    ups = {n: _cross_ladder(n) for n in blocks}  # J_y has -i up/2 above the diagonal, +i up/2 below
+    return BlockObservable({n: {1: sign * (-0.5j * up), -1: sign * (0.5j * up)} for n, up in ups.items()})
 
 
 def phase_exponent(convention: str, n: int) -> np.ndarray:
@@ -59,8 +107,7 @@ class InterferometerPipeline:
     the phase are applied once, when the input is prepared.  G is the
     convention's phase generator, n_b ('one-arm') or J_z ('symmetric'),
     diagonal in the number basis.  U_after is built, and checked unitary,
-    once; it needs a block for each block the input populates, and
-    output_generator(cutoff) needs every block up to the cutoff.  None
+    once; it needs a block for each block the input populates.  None
     stands for the identity.
     """
 
@@ -134,20 +181,13 @@ class InterferometerPipeline:
         return TwoModeState({n: amps[:, 0] for n, amps, _ in self.evolve_blocks(state, [phi])})
 
     def output_generator(self, cutoff: int) -> BlockObservable:
-        """Phase generator conjugated into the output frame, U_after G U_after†.
+        """The phase generator G on every block up to the cutoff, for a pipeline with no U_after.
 
-        The evolved output state obeys d|psi>/dphi = i (U_after G U_after†) |psi>,
-        so the returned observable drives exact phase derivatives of expectations.
+        The evolved state then obeys d|psi>/dphi = i G |psi>, so the returned
+        observable drives exact phase derivatives of expectations.  A pipeline
+        with a U_after raises ValueError: its generator in the output frame,
+        U_after G U_after†, is dense, and no command needs it.
         """
-        blocks = {}
-        for n in range(cutoff + 1):
-            g = phase_exponent(self.convention, n)
-            if self.after is None:
-                blocks[n] = {0: g}
-                continue
-            u = _block(self.after, n)
-            m = (u * g) @ u.conj().T
-            m = (m + m.conj().T) / 2.0  # re-hermitize roundoff
-            blocks[n] = {k: np.diagonal(m, k) for k in range(-n, n + 1)}
-        return BlockObservable(blocks)
-
+        if self.after is not None:
+            raise ValueError("output_generator needs a pipeline without U_after")
+        return BlockObservable({n: {0: phase_exponent(self.convention, n)} for n in range(cutoff + 1)})

@@ -1,5 +1,5 @@
-"""Two-mode bosonic Fock space: states, banded observables, the Schwinger J_x and
-J_y, and exact unitaries.
+"""Two-mode bosonic Fock space: states, banded observables and exact unitaries,
+the forms every optical element of `elements` is written in.
 
 Basis states are occupation pairs (n_a, n_b).  Everything is stored per
 fixed-total-photon-number block: block n covers {|n,0>, |n-1,1>, ..., |0,n>}
@@ -8,14 +8,13 @@ and can be exponentiated exactly by Hermitian eigendecomposition.  An
 observable block is given and kept as its diagonals, offset -> diagonal.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
-
-J_AXES = ("x", "y")
 
 
 class NumericalFailure(Exception):
@@ -144,34 +143,6 @@ def make_basis_state(n_a: int, n_b: int) -> TwoModeState:
     return TwoModeState({n_a + n_b: vec})
 
 
-def _cross_ladder(n: int) -> np.ndarray:
-    # a†b on block n, as its offset-1 diagonal: (n_a, n_b) -> (n_a+1, n_b-1) with weight sqrt((n_a+1) n_b)
-    i = np.arange(1, n + 1)
-    return np.sqrt((n - i + 1) * i)
-
-
-def j_bands(axis: str, n: int) -> dict[int, np.ndarray]:
-    """One fixed-n block of a Schwinger angular-momentum operator, as offset -> diagonal.
-
-    'x' and 'y' give J_x = (a†b + b†a)/2 and J_y = -i(a†b - b†a)/2 with
-    standard bosonic ladder matrix elements.  J_z, diagonal, is the
-    'symmetric' phase exponent of `elements`.
-    """
-    if n < 0:
-        raise ValueError(f"block index must be nonnegative, got {n}")
-    if axis == "x":
-        half = _cross_ladder(n) / 2.0
-        return {1: half, -1: half}
-    if axis == "y":
-        up = _cross_ladder(n)
-        return {1: -0.5j * up, -1: 0.5j * up}
-    raise ValueError(f"unknown axis {axis!r}, expected one of {J_AXES}")
-
-
-def build_j_operator(axis: str, n: int) -> np.ndarray:
-    """j_bands(axis, n) as a dense complex (n+1) x (n+1) matrix."""
-    mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    for k, diag in j_bands(axis, n).items():
-        mat += np.diag(diag, k)
-    return mat
-
+def log_factorials(k_max: int) -> np.ndarray:
+    """log k! for k = 0..k_max."""
+    return np.array([math.lgamma(k + 1) for k in range(k_max + 1)])

@@ -1,8 +1,8 @@
 """Deposition-rate curves of single-photon, classical two-photon and N00N
-exposure, and the fringe period measured on them."""
+exposure, as rate arrays over a position grid, and the fringe period measured
+on them."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,31 +15,9 @@ class InsufficientGridError(ValueError, NumericalFailure):
     """Raised when a curve grid resolves fewer than two fringe maxima."""
 
 
-@dataclass(frozen=True)
-class DepositionCurve:
-    """Position-dependent absorption rate on the substrate, one exposure kind."""
-
-    kind: str
-    n: int
-    x_grid: np.ndarray
-    rate: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x_grid, dtype=float)
-        r = np.asarray(self.rate, dtype=float)
-        if x.shape != r.shape or x.ndim != 1:
-            raise ValueError("x grid and rate must be matching 1-d arrays")
-        if np.any(r < 0):
-            raise ValueError("deposition rate must be nonnegative")
-        x.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "x_grid", x)
-        object.__setattr__(self, "rate", r)
-
-
-def deposition_rate(kind: str, n: int, x_grid, wavelength: float) -> DepositionCurve:
-    """Deposition rate over x, with the substrate position parametrized as
-    phi = pi x / wavelength.
+def deposition_rate(kind: str, n: int, x_grid, wavelength: float) -> np.ndarray:
+    """Deposition rate at each point of x, with the substrate position
+    parametrized as phi = pi x / wavelength.
 
     'single' gives 1 + cos(phi); 'classical-two-photon' its square; 'noon'
     gives 1 + cos(N phi), the N-fold fringe compression of path-entangled
@@ -59,18 +37,19 @@ def deposition_rate(kind: str, n: int, x_grid, wavelength: float) -> DepositionC
         rate = (1.0 + np.cos(phi)) ** 2
     else:
         rate = 1.0 + np.cos(n * phi)
-    rate = np.maximum(rate, 0.0)  # clip -0.0-scale roundoff at the nulls
-    return DepositionCurve(kind=kind, n=n if kind == "noon" else 1, x_grid=x, rate=rate)
+    return np.maximum(rate, 0.0)  # clip -0.0-scale roundoff at the nulls
 
 
-def fringe_period(curve: DepositionCurve) -> float:
-    """Mean distance between adjacent fringe maxima.
+def fringe_period(x_grid, rate) -> float:
+    """Mean distance between adjacent fringe maxima of a rate curve over x_grid.
 
     Interior local maxima are refined by a three-point quadratic fit; the grid
     must span at least two full periods (>= 64 points each) so that two or
     more maxima exist.
     """
-    x, r = curve.x_grid, curve.rate
+    x, r = np.asarray(x_grid, dtype=float), np.asarray(rate, dtype=float)
+    if x.shape != r.shape or x.ndim != 1:
+        raise ValueError("x grid and rate must be matching 1-d arrays")
     i = 1 + np.flatnonzero((r[1:-1] >= r[:-2]) & (r[1:-1] > r[2:]))  # interior local maxima
     denom = r[i - 1] - 2.0 * r[i] + r[i + 1]
     curved = denom < 0.0

@@ -6,31 +6,30 @@ input has the first splitter applied once, here.
 'analysis' is the phase stage alone and feeds the scheme observable
 (expectation/variance/sensitivity): the flip observable for the
 path-entangled scheme and, for the balanced-splitter schemes, J_z pulled back
-through the second splitter, U_after† J_z U_after = -J_y (+J_y when that
-splitter is inverted), which is tridiagonal.  'sampling' appends the readout
-unitary that makes the phase visible in number-resolved detection (the
-second splitter, or the flip-basis rotation); it is built on first use, by
-Fisher information, sampling and Bayes.  Input, observable and readout
-cover only the populated blocks; build_setup alone picks and checks the cutoff.
+through the second splitter, -J_y (+J_y when that splitter is inverted).
+'sampling' appends the readout unitary that makes the phase visible in
+number-resolved detection (the second splitter, or the flip-basis rotation);
+it is built on first use, by Fisher information, sampling and Bayes.  Every
+form of the splitter comes from `elements`; this module only chooses the
+input, the sign and the readout.  Input, observable and readout cover only
+the populated blocks; build_setup alone picks and checks the cutoff.
 """
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
-from .elements import BALANCED, ONE_ARM, InterferometerPipeline, _splitter_block, split
-from .fock import BlockObservable, BlockUnitary, TwoModeState, j_bands
+from .elements import BALANCED, ONE_ARM, InterferometerPipeline, pulled_back_jz, split, split_port_a, splitter_blocks
+from .fock import BlockObservable, BlockUnitary, TwoModeState
 from .states import (
     SchemeTag,
     coherent_amplitudes,
     dual_fock,
     noon,
     required_coherent_cutoff,
-    split_port_a,
     yurke_bosonic,
     yurke_fermionic_analog,
 )
@@ -65,13 +64,6 @@ def default_cutoff(tag: SchemeTag) -> int:
     return max(_populated_block(tag), 1)
 
 
-def pulled_back_jz(blocks: Iterable[int], invert_second_bs: bool = False) -> BlockObservable:
-    """U_after† J_z U_after for U_after the splitter exp(±i BALANCED J_x), on the given blocks:
-    -J_y, or +J_y when inverted."""
-    sign = 1.0 if invert_second_bs else -1.0
-    return BlockObservable({n: {k: sign * diag for k, diag in j_bands("y", n).items()} for n in blocks})
-
-
 def observable_noon_flip(n: int) -> BlockObservable:
     """The two-entry flip observable |N,0><0,N| + |0,N><N,0| on block N."""
     if n < 1:
@@ -92,10 +84,6 @@ def noon_readout(n: int) -> BlockUnitary:
     r = 1.0 / math.sqrt(2.0)
     h[0, 0], h[0, n], h[n, 0], h[n, n] = r, r, r, -r
     return BlockUnitary({n: h})
-
-
-def _splitter_readout(theta: float, blocks: Iterable[int]) -> BlockUnitary:
-    return BlockUnitary({n: _splitter_block(theta, n) for n in blocks})
 
 
 def build_setup(
@@ -129,6 +117,6 @@ def build_setup(
         else:
             raise ValueError(f"unhandled scheme {tag.name!r}")
         observable, period = pulled_back_jz(inp.blocks, invert_second_bs), 2.0 * math.pi
-        readout = partial(_splitter_readout, -BALANCED if invert_second_bs else BALANCED, inp.blocks)
+        readout = partial(splitter_blocks, -BALANCED if invert_second_bs else BALANCED, inp.blocks)
 
     return SchemeSetup(tag, cut, inp, InterferometerPipeline(convention), observable, period, readout)

@@ -1,4 +1,4 @@
-"""Factories for the interferometer input states, plus the scheme tag they travel under."""
+"""Factories for the input states as they reach the first splitter, plus the scheme tag they travel under."""
 
 import itertools
 import math
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import NumericalFailure, TwoModeState, make_basis_state
+from .fock import NumericalFailure, TwoModeState, log_factorials, make_basis_state
 
 SCHEME_NAMES = (
     "single-port-fock",
@@ -18,12 +18,6 @@ SCHEME_NAMES = (
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-_I_POWERS = np.array([1, 1j, -1, -1j])
-
-
-def _log_factorials(k_max: int) -> np.ndarray:
-    """log k! for k = 0..k_max."""
-    return np.array([math.lgamma(k + 1) for k in range(k_max + 1)])
 
 
 class TruncationError(ValueError, NumericalFailure):
@@ -166,21 +160,7 @@ def coherent_amplitudes(alpha: complex, cutoff: int, tail_tol: float = 1e-12) ->
     if lam == 0.0:
         amps = (k == 0).astype(np.complex128)
     else:
-        log_weights = k * math.log(lam) - lam - _log_factorials(cutoff)
+        log_weights = k * math.log(lam) - lam - log_factorials(cutoff)
         amps = np.exp(log_weights / 2.0) * np.exp(1j * k * np.angle(alpha))
     return amps / np.linalg.norm(amps)
 
-
-def split_port_a(amplitudes: dict[int, complex]) -> TwoModeState:
-    """sum_n c_n |n,0> after the 50/50 splitter exp(i pi/2 J_x), in closed form.
-
-    Block n becomes c_n sqrt(C(n,k)) / 2^{n/2} i^k on |n-k,k>: the binomial
-    weights come from log-factorials and i^k is taken exactly from a table.
-    """
-    log_fact = _log_factorials(max(amplitudes, default=0))
-    blocks = {}
-    for n, c in amplitudes.items():
-        k = np.arange(n + 1)
-        log_binom = log_fact[n] - log_fact[: n + 1] - log_fact[n::-1]
-        blocks[n] = c * np.exp((log_binom - n * math.log(2.0)) / 2.0) * _I_POWERS[k % 4]
-    return TwoModeState(blocks)

@@ -19,8 +19,8 @@ from fockmzi.elements import (
     phase_exponent,
 )
 from fockmzi.estimation import _divergent
-from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, j_bands, make_basis_state
-from fockmzi.lithography import DepositionCurve, InsufficientGridError
+from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, make_basis_state
+from fockmzi.lithography import InsufficientGridError
 from fockmzi.rosetta import QubitRegister, _bit
 from fockmzi.states import coherent_amplitudes
 
@@ -60,6 +60,14 @@ def banded(mat: np.ndarray) -> dict[int, np.ndarray]:
 
 
 # ---------------------------------------------------------------- dense operators and per-state reductions
+
+def j_bands(axis: str, n: int) -> dict[int, np.ndarray]:
+    """Block n of J_x = (a†b + b†a)/2 ('x') or J_y = -i(a†b - b†a)/2 ('y'), as offset -> diagonal,
+    from the ladder elements <n_a+1, n_b-1|a†b|n_a, n_b> = sqrt((n_a+1) n_b)."""
+    n_b = np.arange(1, n + 1)
+    up = np.sqrt((n - n_b + 1) * n_b)
+    return {"x": {1: up / 2.0, -1: up / 2.0}, "y": {1: -0.5j * up, -1: 0.5j * up}}[axis]
+
 
 def j_observable(axis: str, cutoff: int) -> BlockObservable:
     """Schwinger operator assembled over every block up to the cutoff: j_bands' 'x' and 'y',
@@ -201,7 +209,14 @@ class PortPipeline:
         return self.pipeline.evolve(apply(self.first, state), phi)
 
     def output_generator(self, cutoff: int) -> BlockObservable:
-        return self.pipeline.output_generator(cutoff)
+        """The phase generator in the output frame, U_after G U_after†, on every block up to the
+        cutoff: the evolved state obeys d|psi>/dphi = i (U_after G U_after†) |psi>."""
+        blocks = {}
+        for n in range(cutoff + 1):
+            u = self.pipeline.after.blocks[n]
+            m = (u * phase_exponent(self.pipeline.convention, n)) @ u.conj().T
+            blocks[n] = banded((m + m.conj().T) / 2.0)  # re-hermitize roundoff
+        return BlockObservable(blocks)
 
 
 def mach_zehnder_pipeline(cutoff: int, convention: str = ONE_ARM, invert_second_bs: bool = False) -> PortPipeline:
@@ -242,10 +257,9 @@ def expect_flip_sum(reg: QubitRegister) -> float:
     return total
 
 
-def fringe_period_loop(curve: DepositionCurve) -> float:
+def fringe_period_loop(x: np.ndarray, r: np.ndarray) -> float:
     """fringe_period one grid point at a time: each interior maximum refined by
     a three-point quadratic fit, the period the mean distance between them."""
-    x, r = curve.x_grid, curve.rate
     peaks = []
     for i in range(1, x.size - 1):
         if r[i] >= r[i - 1] and r[i] > r[i + 1]:

@@ -125,16 +125,16 @@ def test_criterion_08_lithography():
     lam = 1.0
     single_period = 2.0 * lam
     xs = np.linspace(0.25 * single_period, 3.25 * single_period, 2048)
-    p_single = fringe_period(deposition_rate("single", 1, xs, lam))
+    p_single = fringe_period(xs, deposition_rate("single", 1, xs, lam))
     worst_ratio = 0.0
     for n in range(1, 9):
         xn = np.linspace(0.25 * single_period / n, 3.25 * single_period / n, 2048)
-        p_noon = fringe_period(deposition_rate("noon", n, xn, lam))
+        p_noon = fringe_period(xn, deposition_rate("noon", n, xn, lam))
         worst_ratio = max(worst_ratio, abs(p_single / p_noon - n) / n)
     shared = np.linspace(0.0, 6.0, 3000)
     gap = np.max(np.abs(
-        deposition_rate("classical-two-photon", 2, shared, lam).rate
-        - deposition_rate("single", 1, shared, lam).rate ** 2
+        deposition_rate("classical-two-photon", 2, shared, lam)
+        - deposition_rate("single", 1, shared, lam) ** 2
     ))
     ok = worst_ratio < 1e-6 and gap < 1e-12
     report(8, ok, f"period-ratio rel err {worst_ratio:.2e}, classical-vs-single^2 gap {gap:.2e}")

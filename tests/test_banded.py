@@ -16,10 +16,12 @@ from fockmzi.elements import (  # noqa: E402
     ONE_ARM,
     SYMMETRIC,
     InterferometerPipeline,
+    pulled_back_jz,
     split,
+    split_port_a,
 )
 from fockmzi.fock import BlockObservable, TwoModeState, make_basis_state  # noqa: E402
-from fockmzi.schemes import build_setup, pulled_back_jz  # noqa: E402
+from fockmzi.schemes import build_setup  # noqa: E402
 from fockmzi.states import (  # noqa: E402
     SCHEME_NAMES,
     SchemeTag,
@@ -27,7 +29,6 @@ from fockmzi.states import (  # noqa: E402
     dual_fock,
     noon,
     required_coherent_cutoff,
-    split_port_a,
     yurke_bosonic,
     yurke_fermionic_analog,
 )

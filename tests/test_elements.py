@@ -8,6 +8,7 @@ from fockmzi.elements import (
     ONE_ARM,
     SYMMETRIC,
     InterferometerPipeline,
+    phase_exponent,
 )
 from fockmzi.fock import make_basis_state
 from fockmzi.states import dual_fock, noon, yurke_bosonic, yurke_fermionic_analog
@@ -15,6 +16,7 @@ from oracles import (
     amplitude,
     apply,
     beam_splitter,
+    dense,
     expectation,
     j_observable,
     mach_zehnder_pipeline,
@@ -187,6 +189,17 @@ def test_output_generator_drives_exact_derivative():
             - expectation(jz, pipeline.evolve(s, phi - h))
         ) / (2 * h)
         assert abs(exact - fd) < 1e-8
+
+
+@pytest.mark.parametrize("convention", [ONE_ARM, SYMMETRIC])
+def test_output_generator_is_the_phase_generator_and_refuses_a_readout(convention):
+    cutoff = 5
+    gen = InterferometerPipeline(convention).output_generator(cutoff)
+    assert sorted(gen.blocks) == list(range(cutoff + 1))
+    for n in range(cutoff + 1):
+        assert np.array_equal(dense(gen, n), np.diag(phase_exponent(convention, n)))
+    with pytest.raises(ValueError, match="without U_after"):
+        InterferometerPipeline(convention, after=beam_splitter(BALANCED, cutoff)).output_generator(cutoff)
 
 
 @pytest.mark.parametrize("convention", [ONE_ARM, SYMMETRIC])

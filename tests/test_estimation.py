@@ -356,7 +356,7 @@ def test_sweep_builds_no_splitter(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a splitter or a dense unitary was built")
 
-    for module, name in ((elements, "_splitter_block"), (schemes, "_splitter_block"), (schemes, "split"),
+    for module, name in ((elements, "_splitter_block"), (schemes, "splitter_blocks"), (schemes, "split"),
                          (elements, "_jx_eigensystem")):
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(fock.BlockUnitary, "__post_init__", refuse)
@@ -517,6 +517,38 @@ def test_noon_posterior_concentrates_modulo_mirror():
         if min(abs(phi - phi_true), abs(phi - mirror)) < 0.05
     )
     assert near > 0.99
+
+
+# the mirror points each scheme's likelihood is even about, as index maps of a full-period grid:
+# phi -> -phi, and phi -> pi - phi (for the schemes of period 2 pi)
+LIKELIHOOD_MIRRORS = {
+    "single-port-fock": ("-phi",), "coherent": ("-phi",), "noon": ("-phi",),
+    "dual-fock": ("-phi", "pi-phi"), "yurke-fermionic-analog": ("pi-phi",), "yurke-bosonic": (),
+}
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("scheme, n", [
+    ("single-port-fock", 5), ("coherent", 9), ("dual-fock", 3), ("noon", 4), ("yurke-fermionic-analog", 5),
+    ("yurke-bosonic", 4),
+])
+def test_full_period_posterior_has_mirror_peaks_except_for_yurke_bosonic(scheme, n, convention):
+    """Where the likelihood is even about a mirror point, so is the posterior over the full
+    period, and posterior_mean reads the circular mean of the two peaks, not phi."""
+    points = 512
+    index = np.arange(points)
+    mirrors = {"-phi": -index % points, "pi-phi": (points // 2 - index) % points}
+    for invert in (False, True):
+        setup = build_setup(SchemeTag(scheme, n), convention=convention, invert_second_bs=invert)
+        grid = np.linspace(0.0, setup.likelihood_period, points, endpoint=False)
+        hist = sample_outcomes(setup.sampling, setup.input_state, 0.37 * setup.likelihood_period, 1000, seed=n)
+        weights = bayes_posterior(hist, setup.sampling, setup.input_state, grid).weights
+        for name, mirror in mirrors.items():
+            gap = np.max(np.abs(weights - weights[mirror]))
+            if name in LIKELIHOOD_MIRRORS[scheme]:
+                assert gap <= 1e-11, name
+            else:
+                assert gap > 0.1 * np.max(weights), name
 
 
 def test_dual_fock_posterior_std_scaling():

@@ -8,7 +8,6 @@ from fockmzi.fock import (
     BlockUnitary,
     TwoModeState,
     block_labels,
-    build_j_operator,
     make_basis_state,
 )
 from oracles import (
@@ -56,7 +55,7 @@ def test_jz_eigenvalue_on_basis_state():
 
 def test_jx_block_one_by_hand():
     # <0,1|(a†b + b†a)/2|1,0> = 1/2, diagonal zero
-    jx = build_j_operator("x", 1)
+    jx = dense(j_observable("x", 1), 1)
     assert np.allclose(jx, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
 
 
@@ -73,12 +72,6 @@ def test_commutator_algebra_closes():
         assert np.max(np.abs(jx @ jy - jy @ jx - 1j * jz)) < 1e-12
         assert np.max(np.abs(jy @ jz - jz @ jy - 1j * jx)) < 1e-12
         assert np.max(np.abs(jz @ jx - jx @ jz - 1j * jy)) < 1e-12
-
-
-def test_build_j_operator_rejects_bad_axis():
-    for axis in ("w", "z", "squared"):
-        with pytest.raises(ValueError, match="unknown axis"):
-            build_j_operator(axis, 2)
 
 
 def test_spectral_exponential_zero_scale_is_identity():

@@ -4,12 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from fockmzi.lithography import (
-    DepositionCurve,
-    InsufficientGridError,
-    deposition_rate,
-    fringe_period,
-)
+from fockmzi.lithography import InsufficientGridError, deposition_rate, fringe_period
 from oracles import fringe_period_loop, noon_fidelity_sweep
 
 
@@ -21,34 +16,34 @@ def offset_grid(period, periods=3.0, points=2048):
 def test_noon_two_curve_values():
     lam = 1.0
     x = np.array([0.0, lam / 2])
-    curve = deposition_rate("noon", 2, x, lam)
-    assert curve.rate[0] == pytest.approx(2.0, abs=1e-15)
-    assert curve.rate[1] == pytest.approx(0.0, abs=1e-12)  # first zero at x = lam/2
+    rate = deposition_rate("noon", 2, x, lam)
+    assert rate[0] == pytest.approx(2.0, abs=1e-15)
+    assert rate[1] == pytest.approx(0.0, abs=1e-12)  # first zero at x = lam/2
 
 
 def test_single_curve_null_at_full_wavelength():
-    curve = deposition_rate("single", 1, np.array([1.0]), 1.0)
-    assert curve.rate[0] == pytest.approx(0.0, abs=1e-12)
+    rate = deposition_rate("single", 1, np.array([1.0]), 1.0)
+    assert rate[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_classical_curve_is_square_of_single():
     x = np.linspace(0.0, 6.0, 700)
     single = deposition_rate("single", 1, x, 1.0)
     classical = deposition_rate("classical-two-photon", 2, x, 1.0)
-    assert np.max(np.abs(classical.rate - single.rate**2)) < 1e-12
+    assert np.max(np.abs(classical - single**2)) < 1e-12
 
 
 def test_curve_maxima_reach_expected_heights():
     x = np.linspace(0.0, 8.0, 4001)
-    assert deposition_rate("single", 1, x, 1.0).rate.max() == pytest.approx(2.0, abs=1e-9)
-    assert deposition_rate("noon", 3, x, 1.0).rate.max() == pytest.approx(2.0, abs=1e-9)
-    assert deposition_rate("classical-two-photon", 2, x, 1.0).rate.max() == pytest.approx(4.0, abs=1e-9)
+    assert deposition_rate("single", 1, x, 1.0).max() == pytest.approx(2.0, abs=1e-9)
+    assert deposition_rate("noon", 3, x, 1.0).max() == pytest.approx(2.0, abs=1e-9)
+    assert deposition_rate("classical-two-photon", 2, x, 1.0).max() == pytest.approx(4.0, abs=1e-9)
 
 
 def test_rates_are_nonnegative():
     x = np.linspace(0.0, 10.0, 5000)
     for kind, n in (("single", 1), ("classical-two-photon", 2), ("noon", 5)):
-        assert np.all(deposition_rate(kind, n, x, 1.0).rate >= 0.0)
+        assert np.all(deposition_rate(kind, n, x, 1.0) >= 0.0)
 
 
 def test_deposition_rejects_bad_arguments():
@@ -62,15 +57,16 @@ def test_deposition_rejects_bad_arguments():
 
 def test_fringe_period_of_single_curve():
     lam = 1.0
-    curve = deposition_rate("single", 1, offset_grid(2.0 * lam), lam)
-    assert abs(fringe_period(curve) - 2.0 * lam) < 1e-6
+    x = offset_grid(2.0 * lam)
+    assert abs(fringe_period(x, deposition_rate("single", 1, x, lam)) - 2.0 * lam) < 1e-6
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_fringe_period_ratio_is_n(n):
     lam = 1.0
-    single = fringe_period(deposition_rate("single", 1, offset_grid(2.0 * lam), lam))
-    noon_p = fringe_period(deposition_rate("noon", n, offset_grid(2.0 * lam / n), lam))
+    x_single, x_noon = offset_grid(2.0 * lam), offset_grid(2.0 * lam / n)
+    single = fringe_period(x_single, deposition_rate("single", 1, x_single, lam))
+    noon_p = fringe_period(x_noon, deposition_rate("noon", n, x_noon, lam))
     assert abs(single / noon_p - n) / n < 1e-6
 
 
@@ -78,7 +74,15 @@ def test_fringe_period_needs_two_maxima():
     # a single interior maximum is not enough
     x = np.linspace(0.5, 3.5, 400)
     with pytest.raises(InsufficientGridError):
-        fringe_period(deposition_rate("single", 1, x, 1.0))
+        fringe_period(x, deposition_rate("single", 1, x, 1.0))
+
+
+def test_fringe_period_rejects_mismatched_arrays():
+    x = np.linspace(0.0, 6.0, 600)
+    rate = deposition_rate("single", 1, x, 1.0)
+    for grid, values in ((x[:-1], rate), (x, rate[:-1]), (x.reshape(2, -1), rate.reshape(2, -1))):
+        with pytest.raises(ValueError, match="matching 1-d arrays"):
+            fringe_period(grid, values)
 
 
 @pytest.mark.parametrize("n, points", [(8, 6000), (2, 512)])
@@ -86,8 +90,9 @@ def test_fringe_period_equals_the_loop_form_on_the_litho_grids(n, points):
     # the grids `litho --n N --points P` measures its three periods on (wavelength 1)
     for kind, nn in (("single", 1), ("classical-two-photon", 2), ("noon", n)):
         period = 2.0 / (nn if kind == "noon" else 1)
-        curve = deposition_rate(kind, nn, np.linspace(0.25 * period, 3.25 * period, points), 1.0)
-        assert fringe_period(curve) == fringe_period_loop(curve)
+        x = np.linspace(0.25 * period, 3.25 * period, points)
+        rate = deposition_rate(kind, nn, x, 1.0)
+        assert fringe_period(x, rate) == fringe_period_loop(x, rate)
 
 
 def test_fringe_period_equals_the_loop_form_on_random_curves():
@@ -97,14 +102,13 @@ def test_fringe_period_equals_the_loop_form_on_random_curves():
         x = np.cumsum(rng.uniform(0.01, 1.0, size))
         # small integer rates give plateaus, where '>=' on the left and '>' on the right matter
         rate = rng.integers(0, 4, size).astype(float) if trial % 2 else rng.uniform(0.0, 2.0, size)
-        curve = DepositionCurve("single", 1, x, rate)
         try:
-            want = fringe_period_loop(curve)
+            want = fringe_period_loop(x, rate)
         except InsufficientGridError as exc:
             with pytest.raises(InsufficientGridError, match=re.escape(str(exc))):
-                fringe_period(curve)
+                fringe_period(x, rate)
         else:
-            assert fringe_period(curve) == want
+            assert fringe_period(x, rate) == want
 
 
 def test_fidelity_sweep_perfect_for_hom_pair():
