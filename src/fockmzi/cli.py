@@ -182,19 +182,7 @@ def _scheme_tag(args) -> SchemeTag:
 def _setup(args, tag: SchemeTag):
     from .schemes import build_setup
 
-    if args.cutoff < 0:
-        raise UsageError(f"--cutoff must be >= 0 (0 = per-scheme default), got {args.cutoff}")
-    try:
-        return build_setup(
-            tag,
-            convention=args.convention,
-            invert_second_bs=args.invert_second_bs,
-            cutoff=args.cutoff if args.cutoff > 0 else None,
-        )
-    except NumericalFailure:
-        raise
-    except ValueError as exc:  # incompatible flag combination, e.g. cutoff too small
-        raise UsageError(str(exc)) from None
+    return build_setup(tag, convention=args.convention, invert_second_bs=args.invert_second_bs)
 
 
 def run_sensitivity(args) -> Table:
@@ -352,7 +340,6 @@ def _add_scheme_options(sub, scheme: str, n: int | None):
         sub.add_argument("--n", type=int, default=n)
     sub.add_argument("--convention", choices=CONVENTIONS, default=ONE_ARM)
     sub.add_argument("--invert-second-bs", action=argparse.BooleanOptionalAction, default=False)
-    sub.add_argument("--cutoff", type=int, default=0, help="Fock cutoff override (0 = per-scheme default)")
 
 
 def _add_common(sub):

@@ -39,10 +39,8 @@ class ModelMismatchError(RuntimeError, NumericalFailure):
 class OutcomeHistogram:
     """Counts of measured (n_a, n_b) outcomes from one seeded sampling run."""
 
-    phi_true: float
     shots: int
     counts: dict[tuple[int, int], int]
-    seed: int
 
     def __post_init__(self):
         if any(c < 0 for c in self.counts.values()):
@@ -182,7 +180,7 @@ def sample_outcomes(
     rng = np.random.default_rng(seed & 0xFFFF_FFFF_FFFF_FFFF)
     drawn = rng.multinomial(shots, probs) if shots else np.zeros(probs.size, dtype=int)
     counts = {lab: int(c) for lab, c in zip(distribution, drawn) if c > 0}
-    return OutcomeHistogram(phi_true=phi, shots=shots, counts=counts, seed=seed)
+    return OutcomeHistogram(shots=shots, counts=counts)
 
 
 def bayes_posterior(

@@ -12,7 +12,9 @@ number-resolved detection (the second splitter, or the flip-basis rotation);
 it is built on first use, by Fisher information, sampling and Bayes.  Every
 form of the splitter comes from `elements`; this module only chooses the
 input, the sign and the readout.  Input, observable and readout cover only
-the populated blocks; build_setup alone picks and checks the cutoff.
+the populated blocks.  The cutoff is worked out from the tag alone: the one
+block a Fock input populates, or for coherent light the smallest cutoff whose
+dropped tail is below states.COHERENT_TAIL_TOL.
 """
 
 import math
@@ -34,12 +36,9 @@ from .states import (
     yurke_fermionic_analog,
 )
 
-COHERENT_TAIL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SchemeSetup:
-    tag: SchemeTag
     cutoff: int
     input_state: TwoModeState
     analysis: InterferometerPipeline
@@ -53,15 +52,12 @@ class SchemeSetup:
         return replace(self.analysis, after=self.readout())
 
 
-def _populated_block(tag: SchemeTag) -> int:
-    """The one block a non-coherent input populates: 2n for twin Fock, n otherwise."""
-    return 2 * tag.n if tag.name == "dual-fock" else tag.n
-
-
-def default_cutoff(tag: SchemeTag) -> int:
+def scheme_cutoff(tag: SchemeTag) -> int:
+    """The largest block the scheme's input keeps: coherent light's truncation, otherwise the one
+    block the input populates, 2n for twin Fock and n for the rest."""
     if tag.name == "coherent":
-        return required_coherent_cutoff(math.sqrt(tag.n), COHERENT_TAIL_TOL)
-    return max(_populated_block(tag), 1)
+        return required_coherent_cutoff(math.sqrt(tag.n))
+    return max(2 * tag.n if tag.name == "dual-fock" else tag.n, 1)
 
 
 def observable_noon_flip(n: int) -> BlockObservable:
@@ -86,20 +82,11 @@ def noon_readout(n: int) -> BlockUnitary:
     return BlockUnitary({n: h})
 
 
-def build_setup(
-    tag: SchemeTag,
-    convention: str = ONE_ARM,
-    invert_second_bs: bool = False,
-    cutoff: int | None = None,
-) -> SchemeSetup:
-    """Assemble everything one scheme needs for sweeps, sampling, and Bayes, at
-    default_cutoff(tag) unless a cutoff is given; one that drops populated blocks is an error.
-    The N00N state is prepared at the phase stage; every other input passes the first splitter here."""
-    cut = default_cutoff(tag) if cutoff is None else cutoff
-    top = _populated_block(tag)  # checked before any splitter is built
-    if tag.name != "coherent" and top > cut:
-        raise ValueError(f"{tag.name} n={tag.n} populates block {top}, so it needs cutoff >= {top}, got {cut}")
-
+def build_setup(tag: SchemeTag, convention: str = ONE_ARM, invert_second_bs: bool = False) -> SchemeSetup:
+    """Assemble everything one scheme needs for sweeps, sampling, and Bayes, at scheme_cutoff(tag).
+    The N00N state is prepared at the phase stage; every other input passes the first splitter here.
+    Raises TruncationError for coherent light too bright for any cutoff up to states.COHERENT_CUTOFF_CAP."""
+    cut = scheme_cutoff(tag)
     if tag.name == "noon":
         inp = noon(tag.n, 0.0)
         observable, period, readout = observable_noon_flip(tag.n), 2.0 * math.pi / tag.n, partial(noon_readout, tag.n)
@@ -107,7 +94,7 @@ def build_setup(
         if tag.name == "single-port-fock":
             inp = split_port_a({tag.n: 1.0})
         elif tag.name == "coherent":
-            inp = split_port_a(dict(enumerate(coherent_amplitudes(math.sqrt(tag.n), cut, COHERENT_TAIL_TOL))))
+            inp = split_port_a(dict(enumerate(coherent_amplitudes(math.sqrt(tag.n), cut))))
         elif tag.name == "dual-fock":
             inp = split(dual_fock(tag.n), BALANCED)
         elif tag.name == "yurke-fermionic-analog":
@@ -119,4 +106,4 @@ def build_setup(
         observable, period = pulled_back_jz(inp.blocks, invert_second_bs), 2.0 * math.pi
         readout = partial(splitter_blocks, -BALANCED if invert_second_bs else BALANCED, inp.blocks)
 
-    return SchemeSetup(tag, cut, inp, InterferometerPipeline(convention), observable, period, readout)
+    return SchemeSetup(cut, inp, InterferometerPipeline(convention), observable, period, readout)

@@ -1,4 +1,9 @@
-"""Factories for the input states as they reach the first splitter, plus the scheme tag they travel under."""
+"""Factories for the input states as they reach the first splitter, plus the scheme tag they travel under.
+
+Coherent light is truncated at the smallest cutoff whose dropped Poisson tail
+is below COHERENT_TAIL_TOL = 1e-18.  There a larger cutoff changes no printed
+digit of any command, so no caller chooses a cutoff or a tolerance.
+"""
 
 import itertools
 import math
@@ -19,17 +24,12 @@ SCHEME_NAMES = (
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
+COHERENT_TAIL_TOL = 1e-18  # the Poisson tail mass a truncated coherent state may drop
+COHERENT_CUTOFF_CAP = 100_000  # the largest coherent cutoff searched; --n 97256 is the brightest that fits
+
 
 class TruncationError(ValueError, NumericalFailure):
-    """Raised when a Fock cutoff discards more probability mass than allowed.
-
-    required_cutoff is None when no cutoff below the search cap suffices.
-    """
-
-    def __init__(self, message: str, required_cutoff: int | None, tail_mass: float):
-        super().__init__(message)
-        self.required_cutoff = required_cutoff
-        self.tail_mass = tail_mass
+    """Raised when a Fock cutoff discards more probability mass than COHERENT_TAIL_TOL."""
 
 
 @dataclass(frozen=True)
@@ -118,43 +118,36 @@ def coherent_tail_mass(alpha: complex, cutoff: int) -> float:
     return min(1.0, _poisson_mass(lam, itertools.count(cutoff + 1)))  # lgamma roundoff can pass 1
 
 
-def required_coherent_cutoff(alpha: complex, tail_tol: float, hard_cap: int = 100_000) -> int:
-    """Smallest cutoff whose truncated Poisson tail is below tail_tol.
+def required_coherent_cutoff(alpha: complex) -> int:
+    """Smallest cutoff whose truncated Poisson tail is below COHERENT_TAIL_TOL.
 
-    Raises TruncationError when no cutoff up to hard_cap is enough.
+    Raises TruncationError when no cutoff up to COHERENT_CUTOFF_CAP is enough.
     """
-    tail = coherent_tail_mass(alpha, hard_cap)
-    if tail >= tail_tol:
-        raise TruncationError(
-            f"no cutoff up to {hard_cap} keeps the coherent tail mass below {tail_tol:.1e}",
-            required_cutoff=None,
-            tail_mass=tail,
-        )
-    lo, hi = -1, hard_cap  # tail(lo) >= tail_tol > tail(hi); the tail falls with the cutoff
+    if coherent_tail_mass(alpha, COHERENT_CUTOFF_CAP) >= COHERENT_TAIL_TOL:
+        raise TruncationError(f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps the coherent tail mass "
+                              f"below {COHERENT_TAIL_TOL:.1e}")
+    lo, hi = -1, COHERENT_CUTOFF_CAP  # tail(lo) >= tol > tail(hi); the tail falls with the cutoff
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if coherent_tail_mass(alpha, mid) < tail_tol:
+        if coherent_tail_mass(alpha, mid) < COHERENT_TAIL_TOL:
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def coherent_amplitudes(alpha: complex, cutoff: int, tail_tol: float = 1e-12) -> np.ndarray:
+def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     """Photon-number amplitudes c_0..c_cutoff of |alpha>, truncated and renormalized.
 
     Each |c_k| comes from its Poisson log-weight, so none underflows before
-    its own value does.  The discarded tail mass must stay below tail_tol;
-    otherwise a TruncationError carrying the required cutoff is raised.
+    its own value does.  The discarded tail mass must stay below
+    COHERENT_TAIL_TOL; otherwise a TruncationError naming the cutoff needed
+    is raised.
     """
     tail = coherent_tail_mass(alpha, cutoff)
-    if tail >= tail_tol:
-        needed = required_coherent_cutoff(alpha, tail_tol)
-        raise TruncationError(
-            f"cutoff {cutoff} keeps tail mass {tail:.3e} >= {tail_tol:.1e}; need cutoff >= {needed}",
-            required_cutoff=needed,
-            tail_mass=tail,
-        )
+    if tail >= COHERENT_TAIL_TOL:
+        raise TruncationError(f"cutoff {cutoff} keeps tail mass {tail:.3e} >= {COHERENT_TAIL_TOL:.1e}; "
+                              f"need cutoff >= {required_coherent_cutoff(alpha)}")
     lam = abs(alpha) ** 2
     k = np.arange(cutoff + 1)
     if lam == 0.0:

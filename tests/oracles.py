@@ -155,10 +155,10 @@ def single_port_fock(n: int) -> TwoModeState:
     return make_basis_state(n, 0)
 
 
-def coherent_vacuum(alpha: complex, cutoff: int, tail_tol: float = 1e-12) -> TwoModeState:
+def coherent_vacuum(alpha: complex, cutoff: int) -> TwoModeState:
     """Coherent state in port A, vacuum in port B, truncated and renormalized (see coherent_amplitudes)."""
     blocks = {}
-    for k, amp in enumerate(coherent_amplitudes(alpha, cutoff, tail_tol)):
+    for k, amp in enumerate(coherent_amplitudes(alpha, cutoff)):
         vec = np.zeros(k + 1, dtype=np.complex128)
         vec[0] = amp  # photon count k all in mode a
         blocks[k] = vec

@@ -14,7 +14,7 @@ from fockmzi.fock import make_basis_state
 from fockmzi.lithography import deposition_rate, fringe_period
 from fockmzi.rosetta import flip_expectations
 from fockmzi.schemes import build_setup, observable_noon_flip
-from fockmzi.states import SchemeTag, coherent_tail_mass, noon
+from fockmzi.states import COHERENT_TAIL_TOL, SchemeTag, coherent_tail_mass, noon
 from oracles import (
     apply,
     beam_splitter,
@@ -160,7 +160,7 @@ def test_criterion_11_coherent_shot_noise():
     grid = np.linspace(0.1, math.pi - 0.1, 301)
     for nbar in (1, 4, 9):
         setup = build_setup(SchemeTag("coherent", nbar))
-        assert coherent_tail_mass(math.sqrt(nbar), setup.cutoff) < 1e-12
+        assert coherent_tail_mass(math.sqrt(nbar), setup.cutoff) < COHERENT_TAIL_TOL
         _, _, delta = phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
         _, best = min_sensitivity(grid, delta)
         worst_rel = max(worst_rel, abs(best - 1 / math.sqrt(nbar)) * math.sqrt(nbar))

@@ -88,7 +88,7 @@ def test_closed_form_split_fock_state_matches_splitter(n, extra):
 @given(alpha=st.floats(0.0, 5.0), phase=st.floats(-math.pi, math.pi))
 def test_closed_form_split_coherent_state_matches_splitter(alpha, phase):
     amplitude = alpha * complex(math.cos(phase), math.sin(phase))
-    cutoff = required_coherent_cutoff(amplitude, 1e-12)
+    cutoff = required_coherent_cutoff(amplitude)
     ref = apply(beam_splitter(BALANCED, cutoff), coherent_vacuum(amplitude, cutoff))
     split = split_port_a(dict(enumerate(coherent_amplitudes(amplitude, cutoff))))
     assert set(split.blocks) == set(ref.blocks)

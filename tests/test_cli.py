@@ -133,8 +133,8 @@ def test_malformed_grid_exits_1_without_file(tmp_path):
 
 def test_truncation_failure_exits_2(tmp_path):
     out = tmp_path / "never.csv"
-    code = main(["sensitivity", "--scheme", "coherent", "--n", "9",
-                 "--cutoff", "5", "--output", str(out)])
+    # the first size whose tail needs a cutoff past states.COHERENT_CUTOFF_CAP
+    code = main(["sensitivity", "--scheme", "coherent", "--n", "97257", "--output", str(out)])
     assert code == 2
     assert not out.exists()
 
@@ -333,8 +333,6 @@ def test_bayes_points_below_two_is_usage_error(tmp_path, capsys):
     (["sample", "--phi", "nan"], None, "--phi"),
     (["sample", "--phi", "inf"], None, "--phi"),
     (["sample"], "phi = -inf\n", "--phi"),
-    (["sensitivity", "--cutoff", "-5"], None, "--cutoff"),
-    (["scaling", "--n-range", "1:3"], "cutoff = -1\n", "--cutoff"),
     (["litho", "--wavelength", "-1"], None, "--wavelength"),
     (["litho", "--wavelength", "0"], None, "--wavelength"),
     (["litho", "--wavelength", "nan"], None, "--wavelength"),
@@ -420,11 +418,25 @@ def test_config_file_not_utf8_is_usage_error_naming_it(tmp_path, capsys):
 ], ids=lambda argv: argv[0])
 def test_config_keys_of_other_subcommands_are_ignored(tmp_path, argv):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n-max = 3\npoints = 7\nnoon-framing = input\n", encoding="utf-8")
+    # retired keys are skipped too: a cutoff of 1 would drop the populated block 2
+    cfg.write_text("n-max = 3\npoints = 7\nnoon-framing = input\ncutoff = 1\n", encoding="utf-8")
     code, via_config = run_cli(tmp_path, *argv, "--config", str(cfg), name="config.csv")
     _, defaults = run_cli(tmp_path, *argv, name="defaults.csv")
     assert code == 0
     assert via_config == defaults
+
+
+@pytest.mark.parametrize("argv", [
+    ("sensitivity", "--scheme", "coherent", "--n", "4"),
+    ("scaling", "--scheme", "coherent", "--n-range", "1:3"),
+    ("sample", "--scheme", "coherent", "--n", "4"),
+], ids=lambda argv: argv[0])
+def test_retired_cutoff_is_an_unrecognized_argument(tmp_path, capsys, argv):
+    out = tmp_path / "never.csv"
+    assert main([*argv, "--cutoff", "60", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unrecognized arguments: --cutoff 60\n"
+    assert not out.exists()
 
 
 def test_threads_do_not_change_output(tmp_path):
@@ -553,26 +565,6 @@ def test_unknown_scheme_is_usage_error(tmp_path):
     code = main(["sensitivity", "--scheme", "thermal", "--n", "2", "--output", str(out)])
     assert code == 1
     assert not out.exists()
-
-
-def test_incompatible_cutoff_is_usage_error(tmp_path):
-    out = tmp_path / "never.csv"
-    code = main(["sensitivity", "--scheme", "dual-fock", "--n", "3",
-                 "--cutoff", "4", "--output", str(out)])
-    assert code == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("scheme, n, needed", [
-    ("single-port-fock", 5, 5), ("dual-fock", 3, 6), ("noon", 4, 4),
-    ("yurke-fermionic-analog", 5, 5), ("yurke-bosonic", 6, 6),
-])
-def test_cutoff_below_the_populated_block_names_the_needed_cutoff(capsys, scheme, n, needed):
-    code = main(["sensitivity", "--scheme", scheme, "--n", str(n), "--cutoff", str(needed - 2)])
-    out, err = capsys.readouterr()
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and f"needs cutoff >= {needed}" in err and err.count("\n") == 1, err
 
 
 def test_scaling_rejects_wrong_parity_range(tmp_path):

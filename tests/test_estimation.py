@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from fockmzi import elements, fock, schemes
-from fockmzi.elements import BALANCED, CONVENTIONS, ONE_ARM
+from fockmzi.elements import BALANCED, CONVENTIONS, ONE_ARM, pulled_back_jz, split_port_a
 from fockmzi.estimation import (
     ModelMismatchError,
     NoPhaseInformationError,
@@ -26,6 +27,8 @@ from fockmzi.schemes import build_setup, noon_readout, observable_noon_flip
 from fockmzi.states import (
     SCHEME_NAMES,
     SchemeTag,
+    coherent_amplitudes,
+    coherent_tail_mass,
     dual_fock,
     noon,
     yurke_bosonic,
@@ -172,9 +175,41 @@ def test_coherent_min_sensitivity_hits_shot_noise():
     grid = np.linspace(0.1, math.pi - 0.1, 301)
     _, best = min_of_sweep(setup, grid)
     assert abs(best - 0.5) / 0.5 < 0.02
-    # oracle: brute force at a much larger cutoff agrees
-    _, brute_best = min_of_sweep(build_setup(SchemeTag("coherent", 4), cutoff=60), grid)
-    assert abs(best - brute_best) < 1e-9
+
+
+# the closed forms hold at phi = pi/2 too, the grid's midpoint, where the mean crosses 0
+COHERENT_GRID = np.linspace(0.05, math.pi - 0.05, 97)
+
+
+@pytest.mark.parametrize("invert", [False, True])
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("nbar, tol", [(1, 5e-15), (4, 5e-15), (25, 5e-15), (100, 2e-14)])
+def test_coherent_sweep_is_the_closed_form(nbar, tol, convention, invert):
+    """<-J_y> = -(nbar/2) cos(phi) (+ with the second splitter inverted), Var = nbar/4 and
+    delta_phi = 1/(sqrt(nbar) |sin(phi)|) in either convention: the shot-noise limit, with
+    no digit lost to the truncated Poisson tail."""
+    setup = build_setup(SchemeTag("coherent", nbar), convention=convention, invert_second_bs=invert)
+    mean, var, delta = phase_sweep(setup.analysis, setup.input_state, setup.observable, COHERENT_GRID)
+    sign = 1.0 if invert else -1.0
+    assert np.max(np.abs(mean - sign * (nbar / 2) * np.cos(COHERENT_GRID))) <= tol * nbar / 2
+    assert np.max(np.abs(var / (nbar / 4) - 1.0)) <= tol
+    assert np.max(np.abs(delta * math.sqrt(nbar) * np.abs(np.sin(COHERENT_GRID)) - 1.0)) <= tol
+
+
+@pytest.mark.parametrize("invert", [False, True])
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("nbar", [1, 2, 4, 25, 100])
+def test_no_larger_coherent_cutoff_changes_the_sweep(nbar, convention, invert):
+    """The setup's truncation against one whose dropped tail is below 1e-30."""
+    alpha = math.sqrt(nbar)
+    cutoff = next(k for k in itertools.count() if coherent_tail_mass(alpha, k) < 1e-30)
+    wide = split_port_a(dict(enumerate(coherent_amplitudes(alpha, cutoff))))
+    setup = build_setup(SchemeTag("coherent", nbar), convention=convention, invert_second_bs=invert)
+    assert setup.cutoff < cutoff
+    sweep = phase_sweep(setup.analysis, setup.input_state, setup.observable, COHERENT_GRID)
+    wide_sweep = phase_sweep(setup.analysis, wide, pulled_back_jz(wide.blocks, invert), COHERENT_GRID)
+    for column, wide_column in zip(sweep, wide_sweep):
+        assert np.max(np.abs(column - wide_column) / np.abs(wide_column)) <= 1e-15
 
 
 def test_min_sensitivity_skips_divergent_points_and_rejects_mismatched_arrays():
@@ -348,7 +383,7 @@ def test_batched_path_matches_per_point_reference(scheme, convention, invert):
 @pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_batched_path_matches_reference_at_benchmark_size(convention, invert):
-    # coherent nbar = 25 at its default cutoff 68, the size of the dense sweep benchmark
+    # coherent nbar = 25 at its cutoff 80, the size of the dense sweep benchmark
     check_against_reference(SchemeTag("coherent", 25), convention, invert)
 
 
@@ -368,12 +403,12 @@ def test_sweep_builds_no_splitter(monkeypatch):
 
 # ---------------------------------------------------------------- readout on the populated blocks
 
-def full_cutoff_readout(setup, invert):
+def full_cutoff_readout(tag, setup, invert):
     """The sampling U_after on every block up to the cutoff: the whole splitter, or the
     flip-basis rotation on block N padded with identity blocks."""
-    if setup.tag.name == "noon":
+    if tag.name == "noon":
         blocks = {m: np.eye(m + 1) for m in range(setup.cutoff + 1)}
-        blocks[setup.tag.n] = noon_readout(setup.tag.n).blocks[setup.tag.n]
+        blocks[tag.n] = noon_readout(tag.n).blocks[tag.n]
         return fock.BlockUnitary(blocks)
     return beam_splitter(-BALANCED if invert else BALANCED, setup.cutoff)
 
@@ -384,13 +419,15 @@ def full_cutoff_readout(setup, invert):
     ("yurke-fermionic-analog", 7), ("yurke-bosonic", 8),
 ])
 def test_populated_readout_gives_the_full_cutoff_results(scheme, n, invert, assert_same_products):
-    setup = build_setup(SchemeTag(scheme, n), invert_second_bs=invert)
-    full = replace(setup.analysis, after=full_cutoff_readout(setup, invert))
+    tag = SchemeTag(scheme, n)
+    setup = build_setup(tag, invert_second_bs=invert)
+    full = replace(setup.analysis, after=full_cutoff_readout(tag, setup, invert))
     grid = np.linspace(0.0, setup.likelihood_period, 256, endpoint=False)
     assert_same_products(classical_fisher(setup.sampling, setup.input_state, grid),
                          classical_fisher(full, setup.input_state, grid), rtol=1e-12)
-    hist = sample_outcomes(full, setup.input_state, 0.37 * setup.likelihood_period, 2000, seed=n)
-    assert sample_outcomes(setup.sampling, setup.input_state, hist.phi_true, hist.shots, hist.seed) == hist
+    phi = 0.37 * setup.likelihood_period
+    hist = sample_outcomes(full, setup.input_state, phi, 2000, seed=n)
+    assert sample_outcomes(setup.sampling, setup.input_state, phi, 2000, seed=n) == hist
     assert_same_products(bayes_posterior(hist, setup.sampling, setup.input_state, grid).weights,
                          bayes_posterior(hist, full, setup.input_state, grid).weights, rtol=1e-9, atol=1e-300)
 
@@ -482,7 +519,7 @@ def test_empirical_binomial_within_four_sigma():
 
 def test_zero_shots_gives_uniform_posterior():
     setup = build_setup(SchemeTag("noon", 2))
-    hist = OutcomeHistogram(phi_true=0.3, shots=0, counts={}, seed=0)
+    hist = OutcomeHistogram(shots=0, counts={})
     grid = np.linspace(0.0, setup.likelihood_period, 128, endpoint=False)
     post = bayes_posterior(hist, setup.sampling, setup.input_state, grid)
     assert np.allclose(post.weights, 1.0 / 128, atol=1e-15)
@@ -565,21 +602,21 @@ def test_dual_fock_posterior_std_scaling():
 
 def test_impossible_data_raises_model_mismatch():
     setup = build_setup(SchemeTag("noon", 2))
-    bogus = OutcomeHistogram(phi_true=0.2, shots=5, counts={(1, 1): 5}, seed=0)
+    bogus = OutcomeHistogram(shots=5, counts={(1, 1): 5})
     grid = np.linspace(0.0, setup.likelihood_period, 64, endpoint=False)
     with pytest.raises(ModelMismatchError):
         bayes_posterior(bogus, setup.sampling, setup.input_state, grid)
 
 
 @pytest.mark.parametrize("outcome, message", [
-    ((2, 1), "(2, 1) has zero likelihood"),  # block 3 is inside the cutoff but not populated
-    ((5, 0), "(5, 0) has zero likelihood"),  # block 5 is beyond the cutoff
+    ((1, 0), "(1, 0) has zero likelihood"),  # block 1, below the populated block 2
+    ((5, 0), "(5, 0) has zero likelihood"),  # block 5, above it
     ((1, 1), "zero likelihood everywhere on the grid"),  # populated block, probability 0 at every phase
 ])
 def test_model_mismatch_for_outcomes_the_model_cannot_produce(outcome, message):
-    setup = build_setup(SchemeTag("noon", 2), cutoff=4)
+    setup = build_setup(SchemeTag("noon", 2))
     counts = {(2, 0): 3, outcome: 1, (0, 2): 2}
-    hist = OutcomeHistogram(phi_true=0.2, shots=6, counts=counts, seed=0)
+    hist = OutcomeHistogram(shots=6, counts=counts)
     grid = np.linspace(0.0, setup.likelihood_period, 64, endpoint=False)
     with pytest.raises(ModelMismatchError, match=re.escape(message)):
         bayes_posterior(hist, setup.sampling, setup.input_state, grid)
@@ -610,8 +647,7 @@ def test_streamed_posterior_equals_dense_posterior(scheme, n, convention, invert
     grid = np.linspace(0.0, setup.likelihood_period, 512, endpoint=False)
     hist = sample_outcomes(setup.sampling, setup.input_state, 0.37 * setup.likelihood_period, 3000, seed=n)
     items = list(hist.counts.items())  # shuffled, so one block's outcomes fall into several runs
-    shuffled = OutcomeHistogram(hist.phi_true, hist.shots,
-                                dict(items[i] for i in np.random.default_rng(n).permutation(len(items))), hist.seed)
+    shuffled = OutcomeHistogram(hist.shots, dict(items[i] for i in np.random.default_rng(n).permutation(len(items))))
     for data in (hist, shuffled):
         streamed = bayes_posterior(data, setup.sampling, setup.input_state, grid)
         dense = dense_posterior(data, setup.sampling, setup.input_state, grid)

@@ -74,6 +74,8 @@ def test_from_import_and_unknown_names():
 
 # public methods of public src classes that no src code calls, by the benchmark script that does
 UNCALLED_METHODS = {"InterferometerPipeline.output_generator": "perfbench/setup_time.py"}
+# fields of public src dataclasses that no src code reads, by the benchmark script that does
+UNREAD_FIELDS = {"SchemeSetup.cutoff": "perfbench/setup_time.py"}
 
 
 def attribute_root(node: ast.Attribute) -> ast.expr:
@@ -83,44 +85,76 @@ def attribute_root(node: ast.Attribute) -> ast.expr:
     return node
 
 
-def test_every_public_src_name_has_a_src_caller():
-    """src/ holds what the commands run: reference forms only the tests call live in
-    tests/oracles.py.  A name counts as called where src/ code names it; the strings
-    of _EXPORTS do not count.  A public method of a public class counts as called
-    where src/ code reads it as an attribute of anything but an imported module, so
-    `np.linalg.norm` is no call to a `norm` method."""
-    defined, methods, named, read = set(), set(), set(), set()
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated `@dataclass` or `@dataclass(...)`."""
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def src_names() -> dict[str, set[str]]:
+    """What src/ defines and uses: its public top-level names ('defined'), the public
+    methods and dataclass fields of its public classes as 'Class.name' ('methods',
+    'fields'), every name it names ('named') and every attribute it reads off anything
+    but an imported module ('read'), so `np.linalg.norm` reads no `norm`."""
+    found = {key: set() for key in ("defined", "methods", "fields", "named", "read")}
     for path in sorted((SRC / "fockmzi").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined.add(node.name)
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                methods.update(f"{node.name}.{item.name}" for item in node.body
-                               if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found["defined"].add(node.name)
+            if isinstance(node, ast.ClassDef):
+                found["methods"].update(f"{node.name}.{item.name}" for item in node.body
+                                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+                if is_dataclass(node):
+                    found["fields"].update(f"{node.name}.{item.target.id}" for item in node.body
+                                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
         modules = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom):
-                named.update(alias.name for alias in node.names)
+                found["named"].update(alias.name for alias in node.names)
                 if node.module is None:  # `from . import estimation` imports modules
                     modules.update(alias.asname or alias.name for alias in node.names)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                named.add(node.id)
+                found["named"].add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                found["named"].add(node.attr)
                 root = attribute_root(node)
-                if not (isinstance(root, ast.Name) and root.id in modules):
-                    read.add(node.attr)
-    assert sorted(defined - named) == []
-    assert sorted(m for m in methods if m.partition(".")[2] not in read) == sorted(UNCALLED_METHODS)
+                if isinstance(node.ctx, ast.Load) and not (isinstance(root, ast.Name) and root.id in modules):
+                    found["read"].add(node.attr)
+    return found
+
+
+def test_every_public_src_name_has_a_src_caller():
+    """src/ holds what the commands run: reference forms only the tests call live in
+    tests/oracles.py.  A name counts as called where src/ code names it; the strings
+    of _EXPORTS do not count.  A public method of a public class counts as called
+    where src/ code reads it as an attribute of anything but an imported module."""
+    found = src_names()
+    assert sorted(found["defined"] - found["named"]) == []
+    assert sorted(m for m in found["methods"] if m.partition(".")[2] not in found["read"]) == sorted(UNCALLED_METHODS)
+
+
+def test_every_field_of_a_public_src_dataclass_is_read_in_src():
+    """A field no command reads is dead weight in every instance.  The check matches the
+    attribute name only, so a field that shares its name with one read elsewhere (as
+    `args.seed` would cover a `seed` field) gets past it."""
+    found = src_names()
+    assert found["fields"]
+    assert sorted(f for f in found["fields"] if f.partition(".")[2] not in found["read"]) == sorted(UNREAD_FIELDS)
 
 
 @pytest.mark.parametrize("method, script", sorted(UNCALLED_METHODS.items()))
 def test_uncalled_method_is_used_by_its_benchmark_script(method, script):
     assert method.partition(".")[2] in (SRC.parent / script).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("field, script", sorted(UNREAD_FIELDS.items()))
+def test_unread_field_is_used_by_its_benchmark_script(field, script):
+    assert f".{field.partition('.')[2]}" in (SRC.parent / script).read_text(encoding="utf-8")
 
 
 # methods src/ classes had until their only callers, the tests, took them as oracle functions

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from fockmzi.elements import ONE_ARM
-from fockmzi.schemes import build_setup
 from fockmzi.states import (
+    COHERENT_CUTOFF_CAP,
+    COHERENT_TAIL_TOL,
     SchemeTag,
     TruncationError,
     coherent_amplitudes,
@@ -139,18 +140,17 @@ def test_coherent_mean_photon_number():
 
 
 def test_coherent_truncation_error_carries_estimate():
-    with pytest.raises(TruncationError) as excinfo:
-        coherent_vacuum(3.0, 5, tail_tol=1e-10)
-    err = excinfo.value
-    assert err.required_cutoff > 5
-    assert err.tail_mass > 1e-10
-    assert coherent_tail_mass(3.0, err.required_cutoff) < 1e-10
+    needed = required_coherent_cutoff(3.0)
+    message = f"cutoff 5 keeps tail mass {coherent_tail_mass(3.0, 5):.3e} >= 1.0e-18; need cutoff >= {needed}"
+    with pytest.raises(TruncationError, match=re.escape(message)):
+        coherent_vacuum(3.0, 5)
+    assert coherent_tail_mass(3.0, needed) < COHERENT_TAIL_TOL
 
 
 def test_required_coherent_cutoff_is_tight():
-    needed = required_coherent_cutoff(2.0, 1e-12)
-    assert coherent_tail_mass(2.0, needed) < 1e-12
-    assert coherent_tail_mass(2.0, needed - 1) >= 1e-12
+    needed = required_coherent_cutoff(2.0)
+    assert coherent_tail_mass(2.0, needed) < COHERENT_TAIL_TOL
+    assert coherent_tail_mass(2.0, needed - 1) >= COHERENT_TAIL_TOL
 
 
 def test_coherent_tail_matches_poisson_survival():
@@ -159,14 +159,14 @@ def test_coherent_tail_matches_poisson_survival():
     for lam, cutoff in [(0.001, 0), (4.0, 2), (2.0, 10), (25.0, 68), (740.0, 817), (800.0, 1000)]:
         assert coherent_tail_mass(math.sqrt(lam), cutoff) == pytest.approx(poisson.sf(cutoff, lam), rel=1e-10)
     for lam in (0.3, 4.0, 25.0, 740.0):
-        needed = required_coherent_cutoff(math.sqrt(lam), 1e-12)
-        assert poisson.sf(needed, lam) < 1e-12 <= poisson.sf(needed - 1, lam)
+        needed = required_coherent_cutoff(math.sqrt(lam))
+        assert poisson.sf(needed, lam) < COHERENT_TAIL_TOL <= poisson.sf(needed - 1, lam)
 
 
 def test_coherent_amplitudes_match_poisson_pmf_at_large_mean():
     poisson = pytest.importorskip("scipy.stats").poisson
     for lam in (1500.0, 5000.0):
-        cutoff = required_coherent_cutoff(math.sqrt(lam), 1e-12)
+        cutoff = required_coherent_cutoff(math.sqrt(lam))
         amps = coherent_amplitudes(math.sqrt(lam), cutoff)
         assert np.all(np.isfinite(amps))
         assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
@@ -177,16 +177,17 @@ def test_coherent_amplitudes_match_poisson_pmf_at_large_mean():
 
 def test_coherent_state_is_finite_where_the_forward_recurrence_underflowed():
     # exp(-lam/2) underflows to zero at lam = 1500, which left every amplitude NaN
-    s = coherent_vacuum(math.sqrt(1500.0), 1780)
+    alpha = math.sqrt(1500.0)
+    s = coherent_vacuum(alpha, required_coherent_cutoff(alpha))
     assert all(np.all(np.isfinite(vec)) for vec in s.blocks.values())
     assert abs(norm(s) - 1.0) <= 1e-12
 
 
 def test_required_coherent_cutoff_past_cap_is_truncation_error():
-    with pytest.raises(TruncationError) as excinfo:
-        required_coherent_cutoff(math.sqrt(800.0), 1e-12, hard_cap=900)
-    assert excinfo.value.required_cutoff is None
-    assert excinfo.value.tail_mass > 1e-12
+    # n = 97256 is the brightest coherent input whose tail the cap still cuts below the tolerance
+    assert required_coherent_cutoff(math.sqrt(97256)) <= COHERENT_CUTOFF_CAP
+    with pytest.raises(TruncationError, match=f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps"):
+        required_coherent_cutoff(math.sqrt(97257))
 
 
 def test_scheme_tag_validation():
@@ -203,19 +204,3 @@ def test_scheme_tag_validation():
         SchemeTag("yurke-bosonic", 0)
     with pytest.raises(ValueError):
         SchemeTag("noon", 0)
-
-
-@pytest.mark.parametrize("scheme, n, needed", [
-    ("single-port-fock", 4, 4),
-    ("dual-fock", 3, 6),
-    ("noon", 1, 1),
-    ("noon", 5, 5),
-    ("yurke-fermionic-analog", 5, 5),
-    ("yurke-bosonic", 6, 6),
-])
-def test_build_setup_alone_checks_the_cutoff(scheme, n, needed):
-    tag = SchemeTag(scheme, n)
-    with pytest.raises(ValueError, match=re.escape(f"needs cutoff >= {needed}")):
-        build_setup(tag, cutoff=needed - 1)
-    setup = build_setup(tag, cutoff=needed)
-    assert setup.cutoff == needed and max(setup.input_state.blocks) == needed
