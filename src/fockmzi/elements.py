@@ -80,8 +80,8 @@ def pulled_back_jz(blocks: Iterable[int], invert_second_bs: bool = False) -> Blo
     """U_after† J_z U_after for U_after the splitter exp(±i BALANCED J_x), on the given blocks:
     -J_y, or +J_y when inverted, where J_y = -i(a†b - b†a)/2."""
     sign = 1.0 if invert_second_bs else -1.0
-    ups = {n: _cross_ladder(n) for n in blocks}  # J_y has -i up/2 above the diagonal, +i up/2 below
-    return BlockObservable({n: {1: sign * (-0.5j * up), -1: sign * (0.5j * up)} for n, up in ups.items()})
+    # J_y's band above the diagonal is -i/2 times a†b's; the band below, its conjugate, is implied
+    return BlockObservable({n: {1: sign * (-0.5j * _cross_ladder(n))} for n in blocks})
 
 
 def phase_exponent(convention: str, n: int) -> np.ndarray:

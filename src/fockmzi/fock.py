@@ -5,7 +5,9 @@ Basis states are occupation pairs (n_a, n_b).  Everything is stored per
 fixed-total-photon-number block: block n covers {|n,0>, |n-1,1>, ..., |0,n>}
 in descending n_a order, so number-conserving unitaries are block diagonal
 and can be exponentiated exactly by Hermitian eigendecomposition.  An
-observable block is given and kept as its diagonals, offset -> diagonal.
+observable block is given and kept as its diagonals on and above the main
+one, offset k >= 0 -> diagonal; the lower half is their conjugate, so every
+observable is Hermitian by its form.
 """
 
 import math
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-12
 
 
@@ -63,12 +64,16 @@ class TwoModeState:
 
 
 def _bands(n: int, block: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """The nonzero diagonals of block n, given as a map from offset to diagonal."""
+    """The nonzero diagonals of block n on and above the main one, as a map from offset to diagonal."""
     bands = {}
     for k, diag in sorted(block.items()):
         diag = np.asarray(diag)
-        if diag.shape != (max(n + 1 - abs(k), 0),):
+        if k < 0:
+            raise ValueError(f"block {n} is given diagonal {k}: only offsets k >= 0 are stored")
+        if diag.shape != (max(n + 1 - k, 0),):
             raise ValueError(f"block {n} cannot hold diagonal {k} of shape {diag.shape}")
+        if k == 0 and np.any(np.imag(diag)):
+            raise ValueError(f"block {n} has a main diagonal that is not real")
         if np.any(diag):
             bands[k] = _frozen(diag)
     return bands
@@ -76,43 +81,36 @@ def _bands(n: int, block: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
 
 @dataclass(frozen=True)
 class BlockObservable:
-    """Hermitian operator stored per total-photon-number block as its nonzero diagonals.
+    """Hermitian operator stored per total-photon-number block as its nonzero upper diagonals.
 
-    blocks[n] maps an offset k to the diagonal of entries (i, i + k) of block n;
-    the constructor keeps only the nonzero diagonals.  Absent blocks and absent
-    diagonals are zero.
+    blocks[n] maps an offset k >= 0 to the diagonal of entries (i, i + k) of
+    block n; entry (i + k, i) is the conjugate of entry (i, i + k), so the
+    operator is Hermitian by its form.  The constructor keeps only the
+    nonzero diagonals.  Absent blocks and absent diagonals are zero.
     """
 
     blocks: dict[int, dict[int, np.ndarray]]
 
     def __post_init__(self):
-        clean = {}
-        for n in sorted(self.blocks):
-            bands = _bands(n, self.blocks[n])
-            for k, diag in bands.items():
-                mirror = bands.get(-k)
-                mirror = np.zeros_like(diag) if mirror is None else mirror.conj()
-                if np.max(np.abs(diag - mirror)) > HERMITIAN_TOL:
-                    raise ValueError(f"block {n} is not Hermitian within {HERMITIAN_TOL}")
-            clean[n] = bands
-        object.__setattr__(self, "blocks", clean)
+        object.__setattr__(self, "blocks", {n: _bands(n, self.blocks[n]) for n in sorted(self.blocks)})
 
     def apply_block(self, n: int, x: np.ndarray) -> np.ndarray:
         """Block n of the operator applied to x, an (n+1)-vector or an (n+1) x P array of columns."""
         out = np.zeros(x.shape, dtype=np.complex128)
         for k, diag in self.blocks.get(n, {}).items():
             diag = diag.reshape(diag.shape + (1,) * (x.ndim - 1))
-            if k >= 0:
-                out[: n + 1 - k] += diag * x[k:]
-            else:
-                out[-k:] += diag * x[: n + 1 + k]
+            out[: n + 1 - k] += diag * x[k:]
+            if k > 0:
+                out[k:] += diag.conj() * x[: n + 1 - k]
         return out
 
     def norm_bound(self, n: int) -> float:
         """The largest absolute row sum of block n, a bound on its spectral norm."""
         rows = np.zeros(n + 1)
         for k, diag in self.blocks.get(n, {}).items():
-            rows[max(-k, 0) : n + 1 - max(k, 0)] += np.abs(diag)
+            rows[: n + 1 - k] += np.abs(diag)
+            if k > 0:
+                rows[k:] += np.abs(diag)
         return float(rows.max(initial=0.0))
 
 

@@ -12,9 +12,9 @@ number-resolved detection (the second splitter, or the flip-basis rotation);
 it is built on first use, by Fisher information, sampling and Bayes.  Every
 form of the splitter comes from `elements`; this module only chooses the
 input, the sign and the readout.  Input, observable and readout cover only
-the populated blocks.  The cutoff is worked out from the tag alone: the one
-block a Fock input populates, or for coherent light the smallest cutoff whose
-dropped tail is below states.COHERENT_TAIL_TOL.
+the populated blocks.  The cutoff is read off the input, its largest block:
+the one block a Fock input populates, or for coherent light the truncation
+`states.coherent_amplitudes` chooses.
 """
 
 import math
@@ -31,7 +31,6 @@ from .states import (
     coherent_amplitudes,
     dual_fock,
     noon,
-    required_coherent_cutoff,
     yurke_bosonic,
     yurke_fermionic_analog,
 )
@@ -52,19 +51,11 @@ class SchemeSetup:
         return replace(self.analysis, after=self.readout())
 
 
-def scheme_cutoff(tag: SchemeTag) -> int:
-    """The largest block the scheme's input keeps: coherent light's truncation, otherwise the one
-    block the input populates, 2n for twin Fock and n for the rest."""
-    if tag.name == "coherent":
-        return required_coherent_cutoff(math.sqrt(tag.n))
-    return max(2 * tag.n if tag.name == "dual-fock" else tag.n, 1)
-
-
 def observable_noon_flip(n: int) -> BlockObservable:
     """The two-entry flip observable |N,0><0,N| + |0,N><N,0| on block N."""
     if n < 1:
         raise ValueError(f"flip observable needs n >= 1, got {n}")
-    return BlockObservable({n: {n: np.ones(1), -n: np.ones(1)}})
+    return BlockObservable({n: {n: np.ones(1)}})
 
 
 def noon_readout(n: int) -> BlockUnitary:
@@ -83,10 +74,10 @@ def noon_readout(n: int) -> BlockUnitary:
 
 
 def build_setup(tag: SchemeTag, convention: str = ONE_ARM, invert_second_bs: bool = False) -> SchemeSetup:
-    """Assemble everything one scheme needs for sweeps, sampling, and Bayes, at scheme_cutoff(tag).
-    The N00N state is prepared at the phase stage; every other input passes the first splitter here.
-    Raises TruncationError for coherent light too bright for any cutoff up to states.COHERENT_CUTOFF_CAP."""
-    cut = scheme_cutoff(tag)
+    """Assemble everything one scheme needs for sweeps, sampling, and Bayes, at the cutoff of its input,
+    the input's largest block.  The N00N state is prepared at the phase stage; every other input passes
+    the first splitter here.  Raises TruncationError for coherent light too bright for any cutoff up to
+    states.COHERENT_CUTOFF_CAP."""
     if tag.name == "noon":
         inp = noon(tag.n, 0.0)
         observable, period, readout = observable_noon_flip(tag.n), 2.0 * math.pi / tag.n, partial(noon_readout, tag.n)
@@ -94,7 +85,7 @@ def build_setup(tag: SchemeTag, convention: str = ONE_ARM, invert_second_bs: boo
         if tag.name == "single-port-fock":
             inp = split_port_a({tag.n: 1.0})
         elif tag.name == "coherent":
-            inp = split_port_a(dict(enumerate(coherent_amplitudes(math.sqrt(tag.n), cut))))
+            inp = split_port_a(dict(enumerate(coherent_amplitudes(math.sqrt(tag.n)))))
         elif tag.name == "dual-fock":
             inp = split(dual_fock(tag.n), BALANCED)
         elif tag.name == "yurke-fermionic-analog":
@@ -106,4 +97,4 @@ def build_setup(tag: SchemeTag, convention: str = ONE_ARM, invert_second_bs: boo
         observable, period = pulled_back_jz(inp.blocks, invert_second_bs), 2.0 * math.pi
         readout = partial(splitter_blocks, -BALANCED if invert_second_bs else BALANCED, inp.blocks)
 
-    return SchemeSetup(cut, inp, InterferometerPipeline(convention), observable, period, readout)
+    return SchemeSetup(max(inp.blocks), inp, InterferometerPipeline(convention), observable, period, readout)

@@ -29,7 +29,7 @@ COHERENT_CUTOFF_CAP = 100_000  # the largest coherent cutoff searched; --n 97256
 
 
 class TruncationError(ValueError, NumericalFailure):
-    """Raised when a Fock cutoff discards more probability mass than COHERENT_TAIL_TOL."""
+    """Raised when no coherent cutoff up to COHERENT_CUTOFF_CAP drops less tail mass than COHERENT_TAIL_TOL."""
 
 
 @dataclass(frozen=True)
@@ -136,18 +136,15 @@ def required_coherent_cutoff(alpha: complex) -> int:
     return hi
 
 
-def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    """Photon-number amplitudes c_0..c_cutoff of |alpha>, truncated and renormalized.
+def coherent_amplitudes(alpha: complex) -> np.ndarray:
+    """Photon-number amplitudes c_0..c_K of |alpha>, truncated at K = required_coherent_cutoff(alpha)
+    and renormalized.
 
     Each |c_k| comes from its Poisson log-weight, so none underflows before
-    its own value does.  The discarded tail mass must stay below
-    COHERENT_TAIL_TOL; otherwise a TruncationError naming the cutoff needed
-    is raised.
+    its own value does.  Raises TruncationError where no cutoff up to
+    COHERENT_CUTOFF_CAP is enough.
     """
-    tail = coherent_tail_mass(alpha, cutoff)
-    if tail >= COHERENT_TAIL_TOL:
-        raise TruncationError(f"cutoff {cutoff} keeps tail mass {tail:.3e} >= {COHERENT_TAIL_TOL:.1e}; "
-                              f"need cutoff >= {required_coherent_cutoff(alpha)}")
+    cutoff = required_coherent_cutoff(alpha)
     lam = abs(alpha) ** 2
     k = np.arange(cutoff + 1)
     if lam == 0.0:
@@ -156,4 +153,3 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
         log_weights = k * math.log(lam) - lam - log_factorials(cutoff)
         amps = np.exp(log_weights / 2.0) * np.exp(1j * k * np.angle(alpha))
     return amps / np.linalg.norm(amps)
-

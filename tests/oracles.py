@@ -19,10 +19,9 @@ from fockmzi.elements import (
     phase_exponent,
 )
 from fockmzi.estimation import _divergent
-from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, make_basis_state
+from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, log_factorials, make_basis_state
 from fockmzi.lithography import InsufficientGridError
 from fockmzi.rosetta import QubitRegister, _bit
-from fockmzi.states import coherent_amplitudes
 
 NUMBER_MODES = ("a", "b", "total")
 _ENSEMBLE_SIN_TOL = 1e-12
@@ -47,26 +46,31 @@ def register_norm(reg: QubitRegister) -> float:
 
 
 def dense(observable: BlockObservable, n: int) -> np.ndarray:
-    """Block n of an observable as an (n+1) x (n+1) matrix."""
+    """Block n of an observable as an (n+1) x (n+1) matrix: each stored diagonal k and, for k > 0,
+    its conjugate at offset -k."""
     mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
     for k, diag in observable.blocks.get(n, {}).items():
         mat += np.diag(diag, k)
+        if k > 0:
+            mat += np.diag(diag.conj(), -k)
     return mat
 
 
 def banded(mat: np.ndarray) -> dict[int, np.ndarray]:
-    """Every diagonal of a square matrix, offset -> diagonal: the block form BlockObservable takes."""
-    return {k: np.diagonal(mat, k) for k in range(1 - len(mat), len(mat))}
+    """The diagonals of a Hermitian matrix on and above the main one, offset -> diagonal:
+    the block form BlockObservable takes."""
+    return {k: np.diagonal(mat, k) for k in range(len(mat))}
 
 
 # ---------------------------------------------------------------- dense operators and per-state reductions
 
 def j_bands(axis: str, n: int) -> dict[int, np.ndarray]:
-    """Block n of J_x = (a†b + b†a)/2 ('x') or J_y = -i(a†b - b†a)/2 ('y'), as offset -> diagonal,
-    from the ladder elements <n_a+1, n_b-1|a†b|n_a, n_b> = sqrt((n_a+1) n_b)."""
+    """Block n of J_x = (a†b + b†a)/2 ('x') or J_y = -i(a†b - b†a)/2 ('y'), as its one stored
+    diagonal, offset 1 -> diagonal, from the ladder elements
+    <n_a+1, n_b-1|a†b|n_a, n_b> = sqrt((n_a+1) n_b)."""
     n_b = np.arange(1, n + 1)
     up = np.sqrt((n - n_b + 1) * n_b)
-    return {"x": {1: up / 2.0, -1: up / 2.0}, "y": {1: -0.5j * up, -1: 0.5j * up}}[axis]
+    return {"x": {1: up / 2.0}, "y": {1: -0.5j * up}}[axis]
 
 
 def j_observable(axis: str, cutoff: int) -> BlockObservable:
@@ -155,14 +159,30 @@ def single_port_fock(n: int) -> TwoModeState:
     return make_basis_state(n, 0)
 
 
-def coherent_vacuum(alpha: complex, cutoff: int) -> TwoModeState:
-    """Coherent state in port A, vacuum in port B, truncated and renormalized (see coherent_amplitudes)."""
+def port_a(amplitudes) -> TwoModeState:
+    """sum_k c_k |k,0>: photon-number amplitudes in port A, vacuum in port B."""
     blocks = {}
-    for k, amp in enumerate(coherent_amplitudes(alpha, cutoff)):
+    for k, amp in enumerate(amplitudes):
         vec = np.zeros(k + 1, dtype=np.complex128)
         vec[0] = amp  # photon count k all in mode a
         blocks[k] = vec
     return TwoModeState(blocks)
+
+
+def poisson_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+    """Photon-number amplitudes c_0..c_cutoff of |alpha> at any cutoff, renormalized:
+    |c_k|^2 the Poisson weight e^-lam lam^k / k!, taken from its logarithm, and arg c_k = k arg alpha."""
+    lam = abs(alpha) ** 2
+    k = np.arange(cutoff + 1)
+    if lam == 0.0:
+        return (k == 0).astype(np.complex128)
+    amps = np.exp((k * math.log(lam) - lam - log_factorials(cutoff)) / 2.0) * np.exp(1j * k * np.angle(alpha))
+    return amps / np.linalg.norm(amps)
+
+
+def coherent_vacuum(alpha: complex, cutoff: int) -> TwoModeState:
+    """Coherent state in port A, vacuum in port B, truncated at the given cutoff and renormalized."""
+    return port_a(poisson_amplitudes(alpha, cutoff))
 
 
 # ---------------------------------------------------------------- per-point sensitivity

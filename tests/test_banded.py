@@ -32,7 +32,7 @@ from fockmzi.states import (  # noqa: E402
     yurke_bosonic,
     yurke_fermionic_analog,
 )
-from oracles import apply, banded, beam_splitter, coherent_vacuum, dense, j_observable, norm  # noqa: E402
+from oracles import apply, banded, beam_splitter, coherent_vacuum, dense, j_bands, j_observable, norm  # noqa: E402
 
 
 def random_banded_hermitian(rng, n, offsets):
@@ -90,7 +90,7 @@ def test_closed_form_split_coherent_state_matches_splitter(alpha, phase):
     amplitude = alpha * complex(math.cos(phase), math.sin(phase))
     cutoff = required_coherent_cutoff(amplitude)
     ref = apply(beam_splitter(BALANCED, cutoff), coherent_vacuum(amplitude, cutoff))
-    split = split_port_a(dict(enumerate(coherent_amplitudes(amplitude, cutoff))))
+    split = split_port_a(dict(enumerate(coherent_amplitudes(amplitude))))
     assert set(split.blocks) == set(ref.blocks)
     for n, vec in ref.blocks.items():
         assert np.max(np.abs(split.blocks[n] - vec)) <= 1e-13
@@ -160,3 +160,37 @@ def test_analysis_and_sampling_pipelines_preserve_the_norm(scheme, k, convention
     for pipeline in (setup.analysis, setup.sampling):
         norms = sum(np.sum(np.abs(psi) ** 2, axis=0) for _, psi, _ in pipeline.evolve_blocks(setup.input_state, grid))
         assert np.max(np.abs(norms - norm(setup.input_state) ** 2)) <= 1e-12
+
+
+def two_sided_observable(tag, n, invert):
+    """Block n of the scheme observable as a full matrix, both halves written out: the flip
+    |N,0><0,N| + |0,N><N,0|, or -J_y (+J_y when inverted) from j_bands' closed form with
+    +i up/2 below the diagonal."""
+    mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    if tag.name == "noon":
+        mat[0, n] = mat[n, 0] = 1.0
+        return mat
+    sign = 1.0 if invert else -1.0
+    up = 2.0 * j_bands("x", n)[1]  # the ladder elements sqrt((n_a+1) n_b)
+    return sign * (np.diag(-0.5j * up, 1) + np.diag(0.5j * up, -1))
+
+
+@pytest.mark.parametrize("invert", [False, True])
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_scheme_observable_stores_its_upper_bands_alone(scheme, invert):
+    tag = scheme_tag(scheme, 3)
+    setup = build_setup(tag, invert_second_bs=invert)
+    for n, bands in setup.observable.blocks.items():
+        assert all(k >= 0 for k in bands)
+        full = dense(setup.observable, n)
+        assert np.array_equal(full, two_sided_observable(tag, n, invert))
+        assert np.array_equal(full, full.conj().T)
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_setup_cutoff_is_the_largest_input_block(scheme):
+    for k in range(3):
+        setup = build_setup(scheme_tag(scheme, k))
+        assert setup.cutoff == max(setup.input_state.blocks)
+    if scheme in ("single-port-fock", "coherent", "dual-fock"):
+        assert build_setup(SchemeTag(scheme, 0)).cutoff == 0

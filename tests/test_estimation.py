@@ -27,7 +27,6 @@ from fockmzi.schemes import build_setup, noon_readout, observable_noon_flip
 from fockmzi.states import (
     SCHEME_NAMES,
     SchemeTag,
-    coherent_amplitudes,
     coherent_tail_mass,
     dual_fock,
     noon,
@@ -45,6 +44,7 @@ from oracles import (
     j_observable,
     number_observable,
     phase_derivative,
+    poisson_amplitudes,
     sensitivity,
     single_port_fock,
     spectral_exponential,
@@ -203,7 +203,7 @@ def test_no_larger_coherent_cutoff_changes_the_sweep(nbar, convention, invert):
     """The setup's truncation against one whose dropped tail is below 1e-30."""
     alpha = math.sqrt(nbar)
     cutoff = next(k for k in itertools.count() if coherent_tail_mass(alpha, k) < 1e-30)
-    wide = split_port_a(dict(enumerate(coherent_amplitudes(alpha, cutoff))))
+    wide = split_port_a(dict(enumerate(poisson_amplitudes(alpha, cutoff))))
     setup = build_setup(SchemeTag("coherent", nbar), convention=convention, invert_second_bs=invert)
     assert setup.cutoff < cutoff
     sweep = phase_sweep(setup.analysis, setup.input_state, setup.observable, COHERENT_GRID)

@@ -96,9 +96,14 @@ def test_spectral_exponential_jz_is_diagonal_phases():
         assert np.max(np.abs(mat - expected)) < 1e-13
 
 
-def test_spectral_exponential_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        BlockObservable({1: {1: np.ones(1)}})
+def test_observable_rejects_a_negative_offset():
+    with pytest.raises(ValueError, match="only offsets k >= 0 are stored"):
+        BlockObservable({1: {-1: np.ones(1)}})
+
+
+def test_observable_rejects_a_complex_main_diagonal():
+    with pytest.raises(ValueError, match="main diagonal that is not real"):
+        BlockObservable({1: {0: np.array([1.0, 1e-300j])}})
 
 
 def test_block_unitary_rejects_non_unitary():

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -21,12 +20,12 @@ from fockmzi.states import (
 from oracles import (
     amplitude,
     apply,
-    coherent_vacuum,
     expectation,
     j_observable,
     norm,
     number_observable,
     phase_shifter,
+    port_a,
     single_port_fock,
 )
 
@@ -36,7 +35,7 @@ ALL_FACTORIES = [
     lambda: noon(5, 0.3),
     lambda: yurke_fermionic_analog(5),
     lambda: yurke_bosonic(6),
-    lambda: coherent_vacuum(1.5, 30),
+    lambda: port_a(coherent_amplitudes(1.5)),
 ]
 
 
@@ -118,13 +117,14 @@ def test_yurke_bosonic_composition():
 
 
 def test_coherent_zero_is_vacuum():
-    s = coherent_vacuum(0.0, 4)
-    assert amplitude(s, 0, 0) == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(coherent_amplitudes(0.0), [1.0])
 
 
 def test_coherent_mean_photon_number():
-    # oracle: direct summation of the truncated Poisson series
-    alpha, cutoff = 2.0, 40
+    # oracle: direct summation of the Poisson series truncated where coherent_amplitudes truncates it
+    alpha = 2.0
+    amps = coherent_amplitudes(alpha)
+    cutoff = len(amps) - 1
     lam = alpha**2
     weights = []
     term = math.exp(-lam)
@@ -133,18 +133,9 @@ def test_coherent_mean_photon_number():
         term *= lam / (k + 1)
     total = sum(weights)
     oracle_mean = sum(k * w for k, w in enumerate(weights)) / total
-    s = coherent_vacuum(alpha, cutoff)
-    mean = expectation(number_observable("a", cutoff), s)
+    mean = expectation(number_observable("a", cutoff), port_a(amps))
     assert mean == pytest.approx(oracle_mean, abs=1e-12)
     assert mean == pytest.approx(4.0, abs=1e-9)
-
-
-def test_coherent_truncation_error_carries_estimate():
-    needed = required_coherent_cutoff(3.0)
-    message = f"cutoff 5 keeps tail mass {coherent_tail_mass(3.0, 5):.3e} >= 1.0e-18; need cutoff >= {needed}"
-    with pytest.raises(TruncationError, match=re.escape(message)):
-        coherent_vacuum(3.0, 5)
-    assert coherent_tail_mass(3.0, needed) < COHERENT_TAIL_TOL
 
 
 def test_required_coherent_cutoff_is_tight():
@@ -167,7 +158,8 @@ def test_coherent_amplitudes_match_poisson_pmf_at_large_mean():
     poisson = pytest.importorskip("scipy.stats").poisson
     for lam in (1500.0, 5000.0):
         cutoff = required_coherent_cutoff(math.sqrt(lam))
-        amps = coherent_amplitudes(math.sqrt(lam), cutoff)
+        amps = coherent_amplitudes(math.sqrt(lam))
+        assert len(amps) == cutoff + 1
         assert np.all(np.isfinite(amps))
         assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
         pmf = poisson.pmf(np.arange(cutoff + 1), lam)
@@ -178,7 +170,7 @@ def test_coherent_amplitudes_match_poisson_pmf_at_large_mean():
 def test_coherent_state_is_finite_where_the_forward_recurrence_underflowed():
     # exp(-lam/2) underflows to zero at lam = 1500, which left every amplitude NaN
     alpha = math.sqrt(1500.0)
-    s = coherent_vacuum(alpha, required_coherent_cutoff(alpha))
+    s = port_a(coherent_amplitudes(alpha))
     assert all(np.all(np.isfinite(vec)) for vec in s.blocks.values())
     assert abs(norm(s) - 1.0) <= 1e-12
 
