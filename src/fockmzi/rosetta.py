@@ -17,8 +17,6 @@ from .schemes import build_setup
 from .states import SchemeTag
 
 MAX_QUBITS = 14
-# amplitudes per block of rows in flip_expectations: 256 KB of complex128
-_BLOCK_ENTRIES = 2**14
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
@@ -79,56 +77,57 @@ def ghz_prepare(n: int) -> QubitRegister:
     return reg
 
 
-def collective_phase(block: np.ndarray, phis) -> np.ndarray:
-    """Phase gate on every qubit, in place: each |1> picks up e^{i phi}.
+def _checked_support(support, n_qubits: int) -> np.ndarray:
+    idx = np.asarray(support)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or np.any(np.diff(idx, prepend=-1, append=2**n_qubits) <= 0):
+        raise ValueError(f"a support must be strictly increasing basis indices in [0, {2**n_qubits}), got {support!r}")
+    return idx
 
-    On a C-ordered complex (p, 2**n) block of amplitude rows and p phases,
-    row j is phased by phis[j], gate by gate: one multiply per qubit over the
-    amplitudes whose bit k is set.  The block is returned.
+
+def collective_phase(reg: QubitRegister, support, phis) -> np.ndarray:
+    """Phase gate on every qubit, one row per phase: each |1> picks up e^{i phi}.
+
+    Row j of the (p, |support|) result is reg's amplitudes at the support indices after
+    the gates at phis[j], gate k multiplying by e^{i phi} where bit k is set and by exactly
+    1 elsewhere.  Phase gates are diagonal, so a support that holds every nonzero amplitude
+    holds the whole phased register.
     """
+    support = _checked_support(support, reg.n_qubits)
     phases = np.exp(1j * np.asarray(phis, dtype=float))
-    if not (isinstance(block, np.ndarray) and block.dtype == np.complex128 and block.ndim == 2
-            and block.flags.c_contiguous and block.flags.writeable):
-        raise ValueError("a block of rows must be a writable C-ordered complex128 (p, 2**n) array")
-    p, size = block.shape
-    n = size.bit_length() - 1
-    if size != 2**n or not 1 <= n <= MAX_QUBITS or phases.shape != (p,):
-        raise ValueError(f"need p rows of 2**n amplitudes (1 <= n <= {MAX_QUBITS}) and p phases, "
-                         f"got {block.shape} rows and {phases.shape} phases")
-    for k in range(n):
-        block.reshape(p, 2**k, 2, -1)[:, :, 1] *= phases[:, None, None]
+    if phases.ndim != 1:
+        raise ValueError(f"need a 1-D array of phases, got shape {phases.shape}")
+    block = np.tile(reg.amplitudes[support], (phases.size, 1))
+    for k in range(reg.n_qubits):
+        # out of place, amplitude first, as the per-gate circuit: numpy rounds `*=` on one element differently,
+        # and `*` on a temporary of 256 KB or more reuses it as the output with the operands swapped
+        block = np.multiply(block, np.where(support & _bit(reg, k), phases[:, None], 1.0))
     return block
 
 
-def expect_flip_product(block: np.ndarray) -> np.ndarray:
-    """<X x X x ... x X>, the all-qubit flip correlator, of each row of a (p, 2**n) block of amplitudes.
+def expect_flip_product(block: np.ndarray, support, n_qubits: int) -> np.ndarray:
+    """<X x X x ... x X>, the all-qubit flip correlator, of each row of a (p, |support|) block.
 
-    Flipping every qubit maps basis index i to i ^ (2**n - 1) = 2**n - 1 - i,
-    so the flipped amplitudes are the reversed ones.
+    Flipping every qubit maps basis index i to i ^ (2**n - 1) = 2**n - 1 - i.  Only entries
+    whose partner is on the support too contribute; in increasing order, their partners are
+    those entries reversed.
     """
-    return np.array([np.vdot(row, row[::-1]).real for row in block])
+    support = _checked_support(support, n_qubits)
+    if np.ndim(block) != 2 or np.shape(block)[1] != support.size:
+        raise ValueError(f"need a (p, {support.size}) block of amplitudes, got shape {np.shape(block)}")
+    paired = np.isin(support ^ (2**n_qubits - 1), support)
+    return np.array([np.vdot(row, row[::-1]).real for row in np.asarray(block)[:, paired]])
 
 
 def flip_expectations(n: int, phi_grid) -> tuple[np.ndarray, np.ndarray]:
     """<flip> after a collective phase, from the qubit circuit and from the Fock simulator.
 
-    The GHZ flip-product expectation after a collective phase and the Fock
-    expectation of the flip observable on the phase-evolved path-entangled
-    state both evaluate cos(N phi), through independent code.  The GHZ
-    register is prepared once and copied into one row per grid point, a
-    block of rows of at most _BLOCK_ENTRIES amplitudes at a time, where the
-    phase gates run in place; the Fock side is one batched sweep of the
-    noon scheme's setup, as `sensitivity --scheme noon` runs it.
+    Both evaluate cos(N phi), through independent code: the GHZ register, prepared once through
+    its gates, then phased and read on its support (|0...0> and |1...1>) one row per grid point,
+    and one batched sweep of the noon scheme's setup, as `sensitivity --scheme noon` runs it.
     """
     grid = np.asarray(phi_grid, dtype=float)
-    ghz = ghz_prepare(n).amplitudes
-    block = np.empty((max(1, min(grid.size, _BLOCK_ENTRIES // ghz.size)), ghz.size), dtype=np.complex128)
-    qubit_values = np.empty(grid.size)
-    for start in range(0, grid.size, block.shape[0]):
-        phis = grid[start:start + block.shape[0]]
-        rows = block[:phis.size]
-        rows[:] = ghz
-        qubit_values[start:start + phis.size] = expect_flip_product(collective_phase(rows, phis))
+    ghz = ghz_prepare(n)
+    support = np.flatnonzero(ghz.amplitudes)
     setup = build_setup(SchemeTag("noon", n))
     fock_values = phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)[0]
-    return qubit_values, fock_values
+    return expect_flip_product(collective_phase(ghz, support, grid), support, n), fock_values

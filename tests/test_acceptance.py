@@ -12,7 +12,7 @@ from fockmzi.elements import BALANCED
 from fockmzi.estimation import classical_fisher, min_sensitivity, phase_sweep, scaling_fit
 from fockmzi.fock import make_basis_state
 from fockmzi.lithography import deposition_rate, fringe_period
-from fockmzi.rosetta import flip_expectations
+from fockmzi.rosetta import MAX_QUBITS, flip_expectations
 from fockmzi.schemes import build_setup, observable_noon_flip
 from fockmzi.states import COHERENT_TAIL_TOL, SchemeTag, coherent_tail_mass, noon
 from oracles import (
@@ -151,7 +151,7 @@ def test_criterion_09_splitter_insufficiency():
 
 def test_criterion_10_rosetta_stone():
     grid = np.linspace(0.0, 2 * math.pi, 100)
-    worst = max(float(np.max(np.abs(np.subtract(*flip_expectations(n, grid))))) for n in range(1, 13))
+    worst = max(float(np.max(np.abs(np.subtract(*flip_expectations(n, grid))))) for n in range(1, MAX_QUBITS + 1))
     report(10, worst < 1e-12, f"qubit-vs-Fock discrepancy max {worst:.2e}")
 
 

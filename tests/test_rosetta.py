@@ -86,6 +86,7 @@ def test_ghz_at_qubit_cap():
     reg = ghz_prepare(14)
     assert abs(register_norm(reg) - 1.0) < 1e-12
     assert np.count_nonzero(np.abs(reg.amplitudes) > 1e-14) == 2
+    assert np.array_equal(np.flatnonzero(reg.amplitudes), [0, 2**14 - 1])
 
 
 def test_register_cap_enforced():
@@ -93,20 +94,23 @@ def test_register_cap_enforced():
         zero_register(MAX_QUBITS + 1)
 
 
-def ghz_rows(n, phis):
-    """One row of GHZ amplitudes per phase, ready for collective_phase."""
-    return np.tile(ghz_prepare(n).amplitudes, (len(phis), 1))
+def ghz_on_support(n):
+    """The GHZ register and its support, the indices of its nonzero amplitudes."""
+    ghz = ghz_prepare(n)
+    return ghz, np.flatnonzero(ghz.amplitudes)
 
 
 def test_ghz_flip_product_oscillates_n_fold():
     grid = np.linspace(0.0, 2 * math.pi, 17)
     for n in (1, 2, 5, 9):
-        values = expect_flip_product(collective_phase(ghz_rows(n, grid), grid))
+        ghz, support = ghz_on_support(n)
+        values = expect_flip_product(collective_phase(ghz, support, grid), support, n)
         assert np.max(np.abs(values - np.cos(n * grid))) < 1e-12
 
 
 def test_ghz_flip_product_at_zero_phase():
-    assert expect_flip_product(ghz_rows(6, [0.0]))[0] == pytest.approx(1.0, abs=1e-12)
+    ghz, support = ghz_on_support(6)
+    assert expect_flip_product(ghz.amplitudes[None, support], support, 6)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_product_state_flip_sum_is_n_cos():
@@ -158,7 +162,7 @@ def test_hadamard_and_cnot_are_involutions():
 
 def test_flip_expectations_agree_across_sizes():
     grid = np.linspace(0.0, 2 * math.pi, 100)
-    for n in range(1, 13):
+    for n in range(1, MAX_QUBITS + 1):
         qubit_values, fock_values = flip_expectations(n, grid)
         assert np.max(np.abs(qubit_values - fock_values)) < 1e-12
 
@@ -183,23 +187,69 @@ def per_gate_flip_product(n, phi):
     return register_flip_product(register_collective_phase(ghz_prepare(n), phi))
 
 
+# grids of one to three points: numpy rounds a complex product of one element in place differently
+# from its vector loop, which a phase multiply on a one-point grid can reach
+SHORT_GRIDS = [np.array(g) for g in ([1.3], [-2.9, 0.4], [5.1, 1.35, 1.4])]
+
+
 @pytest.mark.parametrize("n, grid", [(n, np.linspace(0.0, 2 * math.pi, 37)) for n in range(9, 15)]
-                         + [(n, np.array([1.3])) for n in (1, 9, 14)])
+                         + [(n, np.array([1.3])) for n in (1, 9, 14)]
+                         + [(n, grid) for n in range(1, MAX_QUBITS + 1) for grid in SHORT_GRIDS])
 def test_flip_expectations_across_row_blocks_match_the_per_gate_circuit(n, grid):
     qubit_values, _ = flip_expectations(n, grid)
     assert qubit_values.shape == grid.shape
     assert np.array_equal(qubit_values, [per_gate_flip_product(n, phi) for phi in grid])
 
 
-def test_collective_phase_on_a_block_of_rows_phases_each_row_in_place():
+def test_collective_phase_phases_one_row_per_phase():
     rng = np.random.default_rng(11)
     n, phis = 4, rng.uniform(0, 2 * math.pi, 5)
-    regs = [random_register(rng, n) for _ in phis]
-    block = np.array([reg.amplitudes for reg in regs])
-    assert collective_phase(block, phis) is block
-    for row, reg, phi in zip(block, regs, phis):
+    reg = random_register(rng, n)
+    support = np.arange(2**n)
+    block = collective_phase(reg, support, phis)
+    assert block.shape == (phis.size, 2**n)
+    for row, phi in zip(block, phis):
         assert np.array_equal(row, register_collective_phase(reg, phi).amplitudes)
-    assert np.array_equal(expect_flip_product(block), [register_flip_product(QubitRegister(n, row)) for row in block])
+    assert np.array_equal(expect_flip_product(block, support, n),
+                          [register_flip_product(QubitRegister(n, row)) for row in block])
+
+
+def supports(rng, n):
+    """Supports of an n-qubit register: the full one; a random one with the end points (a flip pair) and
+    index 1 but not its partner; the indices with the top bit clear and the last index alone (no flip
+    pairs); and the empty one."""
+    full = np.arange(2**n)
+    mixed = np.union1d(full[rng.random(2**n) < 0.4], [0, 2**n - 1])
+    if n > 1:
+        mixed = np.setdiff1d(np.union1d(mixed, [1]), [2**n - 2])
+    return [full, mixed, full[:2**(n - 1)], full[-1:], full[:0]]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_phase_and_flip_product_on_a_support_match_the_per_gate_circuit(n):
+    rng = np.random.default_rng(40 + n)
+    phis = np.concatenate([rng.uniform(-2 * math.pi, 2 * math.pi, 2), [1.3]])
+    for support in supports(rng, n):
+        amps = np.zeros(2**n, dtype=complex)
+        amps[support] = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+        reg = QubitRegister(n, amps)
+        paired = np.isin(support ^ (2**n - 1), support)
+        for grid in (phis, phis[:1]):
+            block = collective_phase(reg, support, grid)
+            values = expect_flip_product(block, support, n)
+            assert block.shape == (grid.size, support.size) and values.shape == grid.shape
+            for row, value, phi in zip(block, values, grid):
+                phased = register_collective_phase(reg, phi)
+                assert np.array_equal(row, phased.amplitudes[support])
+                assert not np.any(np.delete(phased.amplitudes, support))
+                assert value == register_flip_product(phased)
+                if not paired.any():
+                    assert value == 0.0
+        # a support may also cover zero amplitudes: the full one phases the whole register; with 16
+        # phases the block reaches 256 KB at n = 10, where numpy may reuse a temporary operand in place
+        grid = rng.uniform(-2 * math.pi, 2 * math.pi, 16)
+        block = collective_phase(reg, np.arange(2**n), grid)
+        assert np.array_equal(block, [register_collective_phase(reg, phi).amplitudes for phi in grid])
 
 
 def test_flip_product_is_the_all_bits_flipped_overlap():
@@ -207,18 +257,22 @@ def test_flip_product_is_the_all_bits_flipped_overlap():
     for n in (1, 5, 11):
         reg = random_register(rng, n)
         flipped = reg.amplitudes[np.arange(2**n) ^ (2**n - 1)]
-        value = expect_flip_product(reg.amplitudes[None, :])
+        value = expect_flip_product(reg.amplitudes[None, :], np.arange(2**n), n)
         assert value.shape == (1,)
         assert value[0] == pytest.approx(np.vdot(reg.amplitudes, flipped).real, abs=1e-15)
 
 
-def test_collective_phase_rejects_blocks_it_cannot_phase_in_place():
-    block = np.zeros((3, 8), dtype=complex)
-    for bad, phis in [(block[:, ::2], np.zeros(3)), (block.real, np.zeros(3)), (block[:, :6], np.zeros(3)),
-                      (block, np.zeros(2)), (block, 0.5), (np.zeros((3, 1), dtype=complex), np.zeros(3))]:
-        with pytest.raises(ValueError):
-            collective_phase(bad, phis)
-    frozen = block.copy()
-    frozen.setflags(write=False)
-    with pytest.raises(ValueError):
-        collective_phase(frozen, np.zeros(3))
+def test_collective_phase_and_flip_product_reject_bad_supports_and_shapes():
+    reg = ghz_prepare(3)
+    huge = np.array([0, 2**64 - 1], dtype=np.uint64)
+    for support in ([7, 0], [0, 0, 7], [-1, 7], [0, 8], [0.0, 7.0], [[0, 7]], huge):
+        with pytest.raises(ValueError, match="support"):
+            collective_phase(reg, support, np.zeros(3))
+        with pytest.raises(ValueError, match="support"):
+            expect_flip_product(np.zeros((3, 2), dtype=complex), support, 3)
+    for phis in (0.5, np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="phases"):
+            collective_phase(reg, [0, 7], phis)
+    for block in (np.zeros((3, 3), dtype=complex), np.zeros(2, dtype=complex), np.zeros((3, 2, 1), dtype=complex)):
+        with pytest.raises(ValueError, match="block"):
+            expect_flip_product(block, [0, 7], 3)
