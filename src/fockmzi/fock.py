@@ -142,5 +142,6 @@ def make_basis_state(n_a: int, n_b: int) -> TwoModeState:
 
 
 def log_factorials(k_max: int) -> np.ndarray:
-    """log k! for k = 0..k_max."""
-    return np.array([math.lgamma(k + 1) for k in range(k_max + 1)])
+    """log k! for k = 0..k_max, into an array allocated before the first lgamma, so a k_max too large
+    to hold fails at once."""
+    return np.fromiter((math.lgamma(k + 1) for k in range(k_max + 1)), dtype=float, count=k_max + 1)

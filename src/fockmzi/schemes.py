@@ -18,6 +18,7 @@ the one block a Fock input populates, or for coherent light the truncation
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Callable
@@ -77,7 +78,11 @@ def build_setup(tag: SchemeTag, convention: str = ONE_ARM, invert_second_bs: boo
     """Assemble everything one scheme needs for sweeps, sampling, and Bayes, at the cutoff of its input,
     the input's largest block.  The N00N state is prepared at the phase stage; every other input passes
     the first splitter here.  Raises TruncationError for coherent light too bright for any cutoff up to
-    states.COHERENT_CUTOFF_CAP."""
+    states.COHERENT_CUTOFF_CAP, and MemoryError, before any factory runs, for a size whose largest block no
+    array can index."""
+    block = 2 * tag.n if tag.name == "dual-fock" else tag.n  # the input's largest block, or less for coherent light
+    if (block + 1) * 16 > sys.maxsize:  # the bytes of its complex128 amplitudes
+        raise MemoryError(f"{tag.name} at n={tag.n}: its largest block needs more bytes than any array can index")
     if tag.name == "noon":
         inp = noon(tag.n, 0.0)
         observable, period, readout = observable_noon_flip(tag.n), 2.0 * math.pi / tag.n, partial(noon_readout, tag.n)

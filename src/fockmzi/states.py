@@ -5,7 +5,6 @@ is below COHERENT_TAIL_TOL = 1e-18.  There a larger cutoff changes no printed
 digit of any command, so no caller chooses a cutoff or a tolerance.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,8 @@ SCHEME_NAMES = (
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 COHERENT_TAIL_TOL = 1e-18  # the Poisson tail mass a truncated coherent state may drop
-COHERENT_CUTOFF_CAP = 100_000  # the largest coherent cutoff searched; --n 97256 is the brightest that fits
+COHERENT_CUTOFF_CAP = 100_000  # the largest coherent cutoff accepted; --n 97256 is the brightest that fits
+_PAST_CAP = f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps the coherent tail mass below {COHERENT_TAIL_TOL:.1e}"
 
 
 class TruncationError(ValueError, NumericalFailure):
@@ -89,51 +89,38 @@ def yurke_bosonic(n: int) -> TwoModeState:
     return TwoModeState({n: vec})
 
 
-def _poisson_mass(lam: float, ks) -> float:
-    """Sum of the Poisson weights e^-lam lam^k / k! along ks, which run away from the mode.
-
-    Each weight comes from its logarithm, so none underflows early; the sum
-    stops once the weights, falling monotonically, are negligible.
-    """
-    terms = []
-    for k in ks:
-        terms.append(math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)))
-        if terms[-1] <= 1e-17 * terms[0]:
-            break
-    return math.fsum(terms)
-
-
-def coherent_tail_mass(alpha: complex, cutoff: int) -> float:
-    """Probability mass of the Poisson photon distribution beyond the cutoff.
-
-    From just below the mean upward the dropped weights are summed directly,
-    so a small tail never comes from a cancellation.  Further below the mean
-    the kept mass is under about one half, and 1 minus it loses nothing.
-    """
-    lam = abs(alpha) ** 2
-    if lam == 0.0:
-        return 0.0
-    if cutoff + 1 < lam:
-        return 1.0 - _poisson_mass(lam, range(cutoff, -1, -1))
-    return min(1.0, _poisson_mass(lam, itertools.count(cutoff + 1)))  # lgamma roundoff can pass 1
-
-
 def required_coherent_cutoff(alpha: complex) -> int:
     """Smallest cutoff whose truncated Poisson tail is below COHERENT_TAIL_TOL.
 
-    Raises TruncationError when no cutoff up to COHERENT_CUTOFF_CAP is enough.
+    Above the mean the weights e^-lam lam^k / k! fall monotonically, so one
+    walk finds it: up from the mean to a weight negligible against the
+    tolerance, then down, adding the dropped weights smallest first, to the
+    last k where one more weight would bring the tail to the tolerance.
+    Raises ValueError for a NaN alpha, and TruncationError when no cutoff up
+    to COHERENT_CUTOFF_CAP is enough (an infinite alpha, or one whose |alpha|^2
+    overflows, among them).
     """
-    if coherent_tail_mass(alpha, COHERENT_CUTOFF_CAP) >= COHERENT_TAIL_TOL:
-        raise TruncationError(f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps the coherent tail mass "
-                              f"below {COHERENT_TAIL_TOL:.1e}")
-    lo, hi = -1, COHERENT_CUTOFF_CAP  # tail(lo) >= tol > tail(hi); the tail falls with the cutoff
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if coherent_tail_mass(alpha, mid) < COHERENT_TAIL_TOL:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if alpha != alpha:  # NaN, in either part
+        raise ValueError(f"coherent amplitude must not be NaN, got {alpha}")
+    if not abs(alpha) <= math.sqrt(COHERENT_CUTOFF_CAP):  # the mean alone is past the cap
+        raise TruncationError(_PAST_CAP)
+    lam = abs(alpha) ** 2
+    if lam == 0.0:
+        return 0
+
+    def weight(k: int) -> float:  # from its logarithm, so none underflows early
+        return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+
+    k = math.ceil(lam)
+    while weight(k) > 1e-17 * COHERENT_TAIL_TOL:
+        k += 1
+    tail = 0.0  # the mass above k
+    while k > 0 and tail + (w := weight(k)) < COHERENT_TAIL_TOL:
+        tail += w
+        k -= 1
+    if k > COHERENT_CUTOFF_CAP:
+        raise TruncationError(_PAST_CAP)
+    return k
 
 
 def coherent_amplitudes(alpha: complex) -> np.ndarray:

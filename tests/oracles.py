@@ -2,8 +2,10 @@
 that the batched command paths are compared against, the readings of a state,
 an observable or a register that no command needs, and the closed forms that
 acceptance criteria 01 (1/sqrt(N) for independent trials) and 09 (no single
-splitter makes a N00N state beyond two photons) are stated on."""
+splitter makes a N00N state beyond two photons) are stated on, and the
+Poisson tail mass that coherent truncation is checked against."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +24,7 @@ from fockmzi.estimation import _divergent
 from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, log_factorials, make_basis_state
 from fockmzi.lithography import InsufficientGridError
 from fockmzi.rosetta import QubitRegister, _bit
+from fockmzi.states import COHERENT_CUTOFF_CAP, COHERENT_TAIL_TOL, TruncationError
 
 NUMBER_MODES = ("a", "b", "total")
 _ENSEMBLE_SIN_TOL = 1e-12
@@ -183,6 +186,51 @@ def poisson_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
 def coherent_vacuum(alpha: complex, cutoff: int) -> TwoModeState:
     """Coherent state in port A, vacuum in port B, truncated at the given cutoff and renormalized."""
     return port_a(poisson_amplitudes(alpha, cutoff))
+
+
+def _poisson_mass(lam: float, ks) -> float:
+    """Sum of the Poisson weights e^-lam lam^k / k! along ks, which run away from the mode.
+
+    Each weight comes from its logarithm, so none underflows early; the sum
+    stops once the weights, falling monotonically, are negligible.
+    """
+    terms = []
+    for k in ks:
+        terms.append(math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)))
+        if terms[-1] <= 1e-17 * terms[0]:
+            break
+    return math.fsum(terms)
+
+
+def coherent_tail_mass(alpha: complex, cutoff: int) -> float:
+    """Probability mass of the Poisson photon distribution beyond the cutoff.
+
+    From just below the mean upward the dropped weights are summed directly,
+    so a small tail never comes from a cancellation.  Further below the mean
+    the kept mass is under about one half, and 1 minus it loses nothing.
+    """
+    lam = abs(alpha) ** 2
+    if lam == 0.0:
+        return 0.0
+    if cutoff + 1 < lam:
+        return 1.0 - _poisson_mass(lam, range(cutoff, -1, -1))
+    return min(1.0, _poisson_mass(lam, itertools.count(cutoff + 1)))  # lgamma roundoff can pass 1
+
+
+def bisected_coherent_cutoff(alpha: complex) -> int:
+    """Smallest cutoff whose coherent_tail_mass is below COHERENT_TAIL_TOL, by bisection over
+    [0, COHERENT_CUTOFF_CAP]; TruncationError when the cap is not enough."""
+    if coherent_tail_mass(alpha, COHERENT_CUTOFF_CAP) >= COHERENT_TAIL_TOL:
+        raise TruncationError(f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps the coherent tail mass "
+                              f"below {COHERENT_TAIL_TOL:.1e}")
+    lo, hi = -1, COHERENT_CUTOFF_CAP  # tail(lo) >= tol > tail(hi); the tail falls with the cutoff
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if coherent_tail_mass(alpha, mid) < COHERENT_TAIL_TOL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 # ---------------------------------------------------------------- per-point sensitivity

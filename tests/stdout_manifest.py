@@ -7,7 +7,7 @@ the manifest with
 
     PYTHONPATH=src python tests/stdout_manifest.py
 
-and lists each moved command with its old and new hash.  Every command stays
+and lists each moved command with its old and new hash in CHANGES.md.  Every command stays
 below the block sizes where the BLAS thread count moves the last digits.
 """
 
@@ -15,8 +15,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
-import random
 import sys
 import warnings
 from pathlib import Path
@@ -48,25 +46,13 @@ BAYES_7 = ["--phi", "0.7", "--shots", "1000", "--seed", "7", "--estimator", "bay
 
 
 def _benchmark() -> list[list[str]]:
-    """The benchmark's deterministic commands, then its seeded `sample` commands for seeds 0-9, spelled as
-    perfbench/workloads.py spells them (the seeded ones draw --phi and --seed from random.Random(seed))."""
-    commands = [
-        ["sensitivity", "--scheme", "coherent", "--n", "25", "--phi-grid", "0:3.1:60"],
-        ["scaling", "--scheme", "single-port-fock", "--n-range", "1:12", "--phi-grid", "0.005:3.1365926535897931:240"],
-        ["sensitivity", "--scheme", "noon", "--n", "20", "--phi-grid", "0:3.1:600"],
-        ["scaling", "--scheme", "dual-fock", "--n-range", "1:4", "--phi-grid", "0.005:3.1365926535897931:200"],
-        ["rosetta", "--n-max", "14", "--phi-grid", "0:6.2832:120"],
-        ["litho", "--n", "8", "--points", "6000"],
-        ["hom"],
-    ]
-    for seed in range(10):
-        rng = random.Random(seed)
-        for scheme, n, points, period in (("dual-fock", 10, 512, 2.0 * math.pi), ("noon", 8, 1024, 2.0 * math.pi / 8)):
-            phi = rng.uniform(0.0, period)
-            commands.append(["sample", "--scheme", scheme, "--n", str(n), "--phi", repr(phi), "--shots", "10000",
-                             "--seed", str(rng.randrange(2**31)), "--estimator", "bayes",
-                             "--bayes-points", str(points)])
-    return commands
+    """The benchmark's commands, as perfbench/workloads.py lists them, with its seeded `sample` commands
+    for seeds 0-9."""
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is checked out
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import WORKLOADS
+
+    return [list(c.argv) for seed in range(10) for w in WORKLOADS.values() for c in w.commands(seed)]
 
 
 def _readme() -> list[list[str]]:
@@ -138,7 +124,8 @@ def _failures() -> list[list[str]]:
 
 
 def commands() -> list[list[str]]:
-    return [*_benchmark(), *_readme(), *_per_scheme(), *_coherent(), *_failures()]
+    listed = [*_benchmark(), *_readme(), *_per_scheme(), *_coherent(), *_failures()]
+    return [argv for i, argv in enumerate(listed) if argv not in listed[:i]]
 
 
 def blas() -> str:

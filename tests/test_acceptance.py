@@ -14,10 +14,11 @@ from fockmzi.fock import make_basis_state
 from fockmzi.lithography import deposition_rate, fringe_period
 from fockmzi.rosetta import MAX_QUBITS, flip_expectations
 from fockmzi.schemes import build_setup, observable_noon_flip
-from fockmzi.states import COHERENT_TAIL_TOL, SchemeTag, coherent_tail_mass, noon
+from fockmzi.states import COHERENT_TAIL_TOL, SchemeTag, noon
 from oracles import (
     apply,
     beam_splitter,
+    coherent_tail_mass,
     ensemble_sensitivity,
     expectation,
     noon_fidelity_sweep,

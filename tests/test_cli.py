@@ -139,6 +139,23 @@ def test_truncation_failure_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scheme, n", [
+    ("yurke-bosonic", 10**21),  # past the largest array numpy can index
+    ("noon", 10**29),
+    ("dual-fock", 10**24),
+    ("single-port-fock", 10**21),
+    ("coherent", 10**400),  # sqrt(n) would overflow a float
+    ("single-port-fock", 10**15),  # indexable, but its log-factorial table is allocated before any lgamma runs
+    ("noon", 10**15),
+])
+def test_size_too_large_to_hold_exits_2_at_once(capsys, scheme, n):
+    code = main(["sensitivity", "--scheme", scheme, "--n", str(n)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("out of memory: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("cls, base", [
     (TruncationError, ValueError),
     (NoPhaseInformationError, RuntimeError),

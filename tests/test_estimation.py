@@ -27,7 +27,6 @@ from fockmzi.schemes import build_setup, noon_readout, observable_noon_flip
 from fockmzi.states import (
     SCHEME_NAMES,
     SchemeTag,
-    coherent_tail_mass,
     dual_fock,
     noon,
     yurke_bosonic,
@@ -37,6 +36,7 @@ from oracles import (
     apply,
     banded,
     beam_splitter,
+    coherent_tail_mass,
     coherent_vacuum,
     dense,
     ensemble_sensitivity,

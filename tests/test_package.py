@@ -36,12 +36,12 @@ def test_exported_name_is_the_submodule_object(module, name):
     assert name in dir(fockmzi) and name in fockmzi.__all__
 
 
-# names `fockmzi` exported until the reference forms and the closed forms only acceptance criteria
-# use moved to tests/oracles.py, by their old submodule
+# public names of src/ until the reference forms and the closed forms only tests and acceptance
+# criteria use moved to tests/oracles.py, by their old submodule
 MOVED_TO_ORACLES = {
     "fock": ("apply", "expectation", "j_observable", "number_observable", "spectral_exponential", "variance"),
     "elements": ("beam_splitter", "phase_shifter"),
-    "states": ("coherent_vacuum", "single_port_fock"),
+    "states": ("coherent_tail_mass", "coherent_vacuum", "single_port_fock"),
     "estimation": ("ensemble_sensitivity", "sensitivity"),
     "lithography": ("noon_fidelity_sweep",),
     "rosetta": ("phase_gate",),

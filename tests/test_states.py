@@ -10,7 +10,6 @@ from fockmzi.states import (
     SchemeTag,
     TruncationError,
     coherent_amplitudes,
-    coherent_tail_mass,
     dual_fock,
     noon,
     required_coherent_cutoff,
@@ -20,6 +19,8 @@ from fockmzi.states import (
 from oracles import (
     amplitude,
     apply,
+    bisected_coherent_cutoff,
+    coherent_tail_mass,
     expectation,
     j_observable,
     norm,
@@ -180,6 +181,31 @@ def test_required_coherent_cutoff_past_cap_is_truncation_error():
     assert required_coherent_cutoff(math.sqrt(97256)) <= COHERENT_CUTOFF_CAP
     with pytest.raises(TruncationError, match=f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps"):
         required_coherent_cutoff(math.sqrt(97257))
+
+
+def test_required_coherent_cutoff_walk_equals_the_bisection():
+    # the cutoffs build_setup asks for, at alpha = sqrt(n), from the dim end and at the cap
+    for n in [*range(301), *range(97200, 97257)]:
+        assert required_coherent_cutoff(math.sqrt(n)) == bisected_coherent_cutoff(math.sqrt(n)), n
+    for search in (required_coherent_cutoff, bisected_coherent_cutoff):
+        with pytest.raises(TruncationError, match=f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps"):
+            search(math.sqrt(97257))
+
+
+@pytest.mark.parametrize("alpha", [math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)])
+def test_nan_coherent_amplitude_is_a_value_error(alpha):
+    for build in (required_coherent_cutoff, coherent_amplitudes):
+        with pytest.raises(ValueError, match="NaN") as caught:
+            build(alpha)
+        assert not isinstance(caught.value, TruncationError)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, complex(0.0, math.inf), 1e200, -1e200, complex(1e200, 1e200)])
+def test_infinite_or_overflowing_coherent_amplitude_is_a_truncation_error(alpha):
+    # |alpha|^2 is infinite or overflows, so no cutoff is searched and no infinity reaches math.ceil
+    for build in (required_coherent_cutoff, coherent_amplitudes):
+        with pytest.raises(TruncationError, match=f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps"):
+            build(alpha)
 
 
 def test_scheme_tag_validation():
