@@ -329,10 +329,6 @@ def run_sample(args) -> Table:
     return ["n_a", "n_b", "count"], rows, footers
 
 
-_THREADS_HELP = ("accepted for compatibility; has no effect (BLAS runs one thread unless OPENBLAS_NUM_THREADS, "
-                 "GOTO_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is set)")
-
-
 def _add_scheme_options(sub, scheme: str, n: int | None):
     """Scheme flags with this subcommand's defaults; n=None means no --n (scaling sweeps it)."""
     sub.add_argument("--scheme", choices=SCHEME_NAMES, default=scheme)
@@ -354,7 +350,6 @@ def build_parser() -> _Parser:
     s = subs.add_parser("sensitivity", help="phase sweep of expectation/variance/sensitivity")
     _add_scheme_options(s, "single-port-fock", 1)
     s.add_argument("--phi-grid", default="0:3.1415926535897931:100", help="start:stop:count, inclusive endpoints")
-    s.add_argument("--threads", type=int, help=_THREADS_HELP)
     _add_common(s)
     s.set_defaults(run=run_sensitivity)
 
@@ -363,7 +358,6 @@ def build_parser() -> _Parser:
     s.add_argument("--n-range", default="1:20", help="start:stop[:step], inclusive")
     s.add_argument("--phi-grid", default="0.005:3.1365926535897931:800", help="phase grid searched per size")
     s.add_argument("--metric", choices=("auto", "min-sensitivity", "fisher"), default="auto")
-    s.add_argument("--threads", type=int, help=_THREADS_HELP)
     _add_common(s)
     s.set_defaults(run=run_scaling)
 
@@ -381,7 +375,6 @@ def build_parser() -> _Parser:
     s = subs.add_parser("rosetta", help="qubit-circuit vs Fock cross-check table")
     s.add_argument("--n-max", type=int, default=12)
     s.add_argument("--phi-grid", default="0:6.2831853071795862:100")
-    s.add_argument("--threads", type=int, help=_THREADS_HELP)
     _add_common(s)
     s.set_defaults(run=run_rosetta)
 

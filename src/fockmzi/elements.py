@@ -31,7 +31,7 @@ def _cross_ladder(n: int) -> np.ndarray:
     return np.sqrt((n - i + 1) * i)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)  # a single-block input's readout reuses the block its split just built
 def _jx_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of block n of J_x = (a†b + b†a)/2, held dense and complex."""
     half = _cross_ladder(n) / 2.0

@@ -90,7 +90,7 @@ def build_setup(tag: SchemeTag, convention: str = ONE_ARM, invert_second_bs: boo
         if tag.name == "single-port-fock":
             inp = split_port_a({tag.n: 1.0})
         elif tag.name == "coherent":
-            inp = split_port_a(dict(enumerate(coherent_amplitudes(math.sqrt(tag.n)))))
+            inp = split_port_a(dict(enumerate(coherent_amplitudes(tag.n))))
         elif tag.name == "dual-fock":
             inp = split(dual_fock(tag.n), BALANCED)
         elif tag.name == "yurke-fermionic-analog":

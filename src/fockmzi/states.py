@@ -89,22 +89,22 @@ def yurke_bosonic(n: int) -> TwoModeState:
     return TwoModeState({n: vec})
 
 
-def required_coherent_cutoff(alpha: complex) -> int:
-    """Smallest cutoff whose truncated Poisson tail is below COHERENT_TAIL_TOL.
+def required_coherent_cutoff(mean_photons: float) -> int:
+    """Smallest cutoff whose truncated Poisson tail is below COHERENT_TAIL_TOL, for coherent light of
+    mean photon number mean_photons.
 
     Above the mean the weights e^-lam lam^k / k! fall monotonically, so one
     walk finds it: up from the mean to a weight negligible against the
     tolerance, then down, adding the dropped weights smallest first, to the
     last k where one more weight would bring the tail to the tolerance.
-    Raises ValueError for a NaN alpha, and TruncationError when no cutoff up
-    to COHERENT_CUTOFF_CAP is enough (an infinite alpha, or one whose |alpha|^2
-    overflows, among them).
+    Raises ValueError for a NaN or negative mean, and TruncationError when no
+    cutoff up to COHERENT_CUTOFF_CAP is enough (an infinite mean among them).
     """
-    if alpha != alpha:  # NaN, in either part
-        raise ValueError(f"coherent amplitude must not be NaN, got {alpha}")
-    if not abs(alpha) <= math.sqrt(COHERENT_CUTOFF_CAP):  # the mean alone is past the cap
+    lam = mean_photons
+    if not lam >= 0.0:  # NaN or negative
+        raise ValueError(f"mean photon number must be a real >= 0, got {lam}")
+    if lam > COHERENT_CUTOFF_CAP:  # the mean alone is past the cap
         raise TruncationError(_PAST_CAP)
-    lam = abs(alpha) ** 2
     if lam == 0.0:
         return 0
 
@@ -123,20 +123,19 @@ def required_coherent_cutoff(alpha: complex) -> int:
     return k
 
 
-def coherent_amplitudes(alpha: complex) -> np.ndarray:
-    """Photon-number amplitudes c_0..c_K of |alpha>, truncated at K = required_coherent_cutoff(alpha)
-    and renormalized.
+def coherent_amplitudes(mean_photons: float) -> np.ndarray:
+    """Real photon-number amplitudes c_0..c_K of coherent light of mean photon number mean_photons,
+    truncated at K = required_coherent_cutoff(mean_photons) and renormalized.
 
-    Each |c_k| comes from its Poisson log-weight, so none underflows before
-    its own value does.  Raises TruncationError where no cutoff up to
+    Each c_k is the square root of its Poisson weight, taken from its
+    logarithm, so none underflows before its own value does.  The norm is an
+    exactly rounded sum (math.fsum), so no BLAS build or thread count can
+    reorder it.  Raises TruncationError where no cutoff up to
     COHERENT_CUTOFF_CAP is enough.
     """
-    cutoff = required_coherent_cutoff(alpha)
-    lam = abs(alpha) ** 2
+    cutoff = required_coherent_cutoff(mean_photons)
+    if mean_photons == 0.0:
+        return np.ones(1)
     k = np.arange(cutoff + 1)
-    if lam == 0.0:
-        amps = (k == 0).astype(np.complex128)
-    else:
-        log_weights = k * math.log(lam) - lam - log_factorials(cutoff)
-        amps = np.exp(log_weights / 2.0) * np.exp(1j * k * np.angle(alpha))
-    return amps / np.linalg.norm(amps)
+    amps = np.exp((k * math.log(mean_photons) - mean_photons - log_factorials(cutoff)) / 2.0)
+    return amps / math.sqrt(math.fsum(amps * amps))

@@ -1,3 +1,4 @@
+import fockmzi  # noqa: F401  # before numpy, so BLAS runs one thread here as it does in the CLI
 import numpy as np
 import pytest
 

@@ -172,20 +172,20 @@ def port_a(amplitudes) -> TwoModeState:
     return TwoModeState(blocks)
 
 
-def poisson_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    """Photon-number amplitudes c_0..c_cutoff of |alpha> at any cutoff, renormalized:
-    |c_k|^2 the Poisson weight e^-lam lam^k / k!, taken from its logarithm, and arg c_k = k arg alpha."""
-    lam = abs(alpha) ** 2
+def poisson_amplitudes(mean_photons: float, cutoff: int) -> np.ndarray:
+    """Real photon-number amplitudes c_0..c_cutoff of coherent light of mean photon number mean_photons,
+    at any cutoff: c_k^2 the Poisson weight e^-lam lam^k / k!, taken from its logarithm, renormalized
+    by the exactly rounded norm coherent_amplitudes takes."""
     k = np.arange(cutoff + 1)
-    if lam == 0.0:
-        return (k == 0).astype(np.complex128)
-    amps = np.exp((k * math.log(lam) - lam - log_factorials(cutoff)) / 2.0) * np.exp(1j * k * np.angle(alpha))
-    return amps / np.linalg.norm(amps)
+    if mean_photons == 0.0:
+        return (k == 0).astype(float)
+    amps = np.exp((k * math.log(mean_photons) - mean_photons - log_factorials(cutoff)) / 2.0)
+    return amps / math.sqrt(math.fsum(amps * amps))
 
 
-def coherent_vacuum(alpha: complex, cutoff: int) -> TwoModeState:
+def coherent_vacuum(mean_photons: float, cutoff: int) -> TwoModeState:
     """Coherent state in port A, vacuum in port B, truncated at the given cutoff and renormalized."""
-    return port_a(poisson_amplitudes(alpha, cutoff))
+    return port_a(poisson_amplitudes(mean_photons, cutoff))
 
 
 def _poisson_mass(lam: float, ks) -> float:
@@ -202,14 +202,14 @@ def _poisson_mass(lam: float, ks) -> float:
     return math.fsum(terms)
 
 
-def coherent_tail_mass(alpha: complex, cutoff: int) -> float:
-    """Probability mass of the Poisson photon distribution beyond the cutoff.
+def coherent_tail_mass(mean_photons: float, cutoff: int) -> float:
+    """Probability mass beyond the cutoff of the Poisson photon distribution of mean mean_photons.
 
     From just below the mean upward the dropped weights are summed directly,
     so a small tail never comes from a cancellation.  Further below the mean
     the kept mass is under about one half, and 1 minus it loses nothing.
     """
-    lam = abs(alpha) ** 2
+    lam = mean_photons
     if lam == 0.0:
         return 0.0
     if cutoff + 1 < lam:
@@ -217,16 +217,16 @@ def coherent_tail_mass(alpha: complex, cutoff: int) -> float:
     return min(1.0, _poisson_mass(lam, itertools.count(cutoff + 1)))  # lgamma roundoff can pass 1
 
 
-def bisected_coherent_cutoff(alpha: complex) -> int:
+def bisected_coherent_cutoff(mean_photons: float) -> int:
     """Smallest cutoff whose coherent_tail_mass is below COHERENT_TAIL_TOL, by bisection over
     [0, COHERENT_CUTOFF_CAP]; TruncationError when the cap is not enough."""
-    if coherent_tail_mass(alpha, COHERENT_CUTOFF_CAP) >= COHERENT_TAIL_TOL:
+    if coherent_tail_mass(mean_photons, COHERENT_CUTOFF_CAP) >= COHERENT_TAIL_TOL:
         raise TruncationError(f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps the coherent tail mass "
                               f"below {COHERENT_TAIL_TOL:.1e}")
     lo, hi = -1, COHERENT_CUTOFF_CAP  # tail(lo) >= tol > tail(hi); the tail falls with the cutoff
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if coherent_tail_mass(alpha, mid) < COHERENT_TAIL_TOL:
+        if coherent_tail_mass(mean_photons, mid) < COHERENT_TAIL_TOL:
             hi = mid
         else:
             lo = mid

@@ -161,7 +161,7 @@ def test_criterion_11_coherent_shot_noise():
     grid = np.linspace(0.1, math.pi - 0.1, 301)
     for nbar in (1, 4, 9):
         setup = build_setup(SchemeTag("coherent", nbar))
-        assert coherent_tail_mass(math.sqrt(nbar), setup.cutoff) < COHERENT_TAIL_TOL
+        assert coherent_tail_mass(nbar, setup.cutoff) < COHERENT_TAIL_TOL
         _, _, delta = phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
         _, best = min_sensitivity(grid, delta)
         worst_rel = max(worst_rel, abs(best - 1 / math.sqrt(nbar)) * math.sqrt(nbar))
@@ -173,7 +173,7 @@ def test_criterion_12_cli_determinism(tmp_path):
         ["sample", "--scheme", "noon", "--n", "2", "--phi", "0.3",
          "--shots", "1000", "--seed", "7"],
         ["sensitivity", "--scheme", "yurke-bosonic", "--n", "6",
-         "--phi-grid", "0.05:3:40", "--threads", "4"],
+         "--phi-grid", "0.05:3:40"],
         ["scaling", "--scheme", "noon", "--n-range", "1:8", "--phi-grid", "0.01:3:40"],
     ]
     ok = True

@@ -85,12 +85,11 @@ def test_closed_form_split_fock_state_matches_splitter(n, extra):
 
 
 @settings(max_examples=20, deadline=None)
-@given(alpha=st.floats(0.0, 5.0), phase=st.floats(-math.pi, math.pi))
-def test_closed_form_split_coherent_state_matches_splitter(alpha, phase):
-    amplitude = alpha * complex(math.cos(phase), math.sin(phase))
-    cutoff = required_coherent_cutoff(amplitude)
-    ref = apply(beam_splitter(BALANCED, cutoff), coherent_vacuum(amplitude, cutoff))
-    split = split_port_a(dict(enumerate(coherent_amplitudes(amplitude))))
+@given(nbar=st.floats(0.0, 25.0))
+def test_closed_form_split_coherent_state_matches_splitter(nbar):
+    cutoff = required_coherent_cutoff(nbar)
+    ref = apply(beam_splitter(BALANCED, cutoff), coherent_vacuum(nbar, cutoff))
+    split = split_port_a(dict(enumerate(coherent_amplitudes(nbar))))
     assert set(split.blocks) == set(ref.blocks)
     for n, vec in ref.blocks.items():
         assert np.max(np.abs(split.blocks[n] - vec)) <= 1e-13

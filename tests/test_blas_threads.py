@@ -1,10 +1,12 @@
 """`import fockmzi` before numpy pins OpenBLAS to one thread unless the caller chose a count.
 
-Each case runs in a fresh interpreter, because OpenBLAS reads its thread
-count once, when numpy loads it.  The count is read with the ctypes getter
-of perfbench/probe_env.py.
+Each case but the last runs in a fresh interpreter, because OpenBLAS reads
+its thread count once, when numpy loads it; the last reads the count of the
+test process itself.  The count is read with the ctypes getter of
+perfbench/probe_env.py.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -59,3 +61,16 @@ def test_explicit_thread_count_wins_and_environment_is_kept(var):
     result = probe(**{var: "2"})
     assert result["threads"] == 2
     assert result["env"] == {**UNSET, var: "2"}
+
+
+def test_tests_run_one_openblas_thread():
+    # conftest.py imports fockmzi before numpy, so the tests run BLAS as the CLI does
+    if any(os.environ.get(k) for k in BLAS_VARS):
+        pytest.skip("a BLAS thread count was chosen in the environment")
+    spec = importlib.util.spec_from_file_location("probe_env", ROOT / "perfbench" / "probe_env.py")
+    probe_env = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe_env)
+    threads = probe_env.blas_info()["threads"]
+    if threads is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count getter")
+    assert threads == 1

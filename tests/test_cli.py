@@ -436,7 +436,7 @@ def test_config_file_not_utf8_is_usage_error_naming_it(tmp_path, capsys):
 def test_config_keys_of_other_subcommands_are_ignored(tmp_path, argv):
     cfg = tmp_path / "run.cfg"
     # retired keys are skipped too: a cutoff of 1 would drop the populated block 2
-    cfg.write_text("n-max = 3\npoints = 7\nnoon-framing = input\ncutoff = 1\n", encoding="utf-8")
+    cfg.write_text("n-max = 3\npoints = 7\nnoon-framing = input\ncutoff = 1\nthreads = 4\n", encoding="utf-8")
     code, via_config = run_cli(tmp_path, *argv, "--config", str(cfg), name="config.csv")
     _, defaults = run_cli(tmp_path, *argv, name="defaults.csv")
     assert code == 0
@@ -456,12 +456,17 @@ def test_retired_cutoff_is_an_unrecognized_argument(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_threads_do_not_change_output(tmp_path):
-    base = ("sensitivity", "--scheme", "yurke-bosonic", "--n", "6",
-            "--phi-grid", "0.05:3:50")
-    _, text1 = run_cli(tmp_path, *base, "--threads", "1", name="t1.csv")
-    _, text4 = run_cli(tmp_path, *base, "--threads", "4", name="t4.csv")
-    assert text1 == text4
+@pytest.mark.parametrize("argv", [
+    ("sensitivity", "--scheme", "yurke-bosonic", "--n", "6"),
+    ("scaling", "--scheme", "noon", "--n-range", "1:3"),
+    ("rosetta", "--n-max", "2"),
+], ids=lambda argv: argv[0])
+def test_retired_threads_is_an_unrecognized_argument(tmp_path, capsys, argv):
+    out = tmp_path / "never.csv"
+    assert main([*argv, "--threads", "4", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unrecognized arguments: --threads 4\n"
+    assert not out.exists()
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path):

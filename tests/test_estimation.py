@@ -201,9 +201,8 @@ def test_coherent_sweep_is_the_closed_form(nbar, tol, convention, invert):
 @pytest.mark.parametrize("nbar", [1, 2, 4, 25, 100])
 def test_no_larger_coherent_cutoff_changes_the_sweep(nbar, convention, invert):
     """The setup's truncation against one whose dropped tail is below 1e-30."""
-    alpha = math.sqrt(nbar)
-    cutoff = next(k for k in itertools.count() if coherent_tail_mass(alpha, k) < 1e-30)
-    wide = split_port_a(dict(enumerate(poisson_amplitudes(alpha, cutoff))))
+    cutoff = next(k for k in itertools.count() if coherent_tail_mass(nbar, k) < 1e-30)
+    wide = split_port_a(dict(enumerate(poisson_amplitudes(nbar, cutoff))))
     setup = build_setup(SchemeTag("coherent", nbar), convention=convention, invert_second_bs=invert)
     assert setup.cutoff < cutoff
     sweep = phase_sweep(setup.analysis, setup.input_state, setup.observable, COHERENT_GRID)
@@ -311,7 +310,7 @@ def reference_elements(tag, cutoff, invert):
         return noon(tag.n, 0.0), None, None, noon_readout(tag.n), observable_noon_flip(tag.n)
     jx = j_observable("x", cutoff)
     after = spectral_exponential(jx, -BALANCED if invert else BALANCED)
-    port = coherent_vacuum(math.sqrt(tag.n), cutoff) if tag.name == "coherent" else PORT_STATES[tag.name](tag.n)
+    port = coherent_vacuum(tag.n, cutoff) if tag.name == "coherent" else PORT_STATES[tag.name](tag.n)
     return port, spectral_exponential(jx, BALANCED), after, after, j_observable("z", cutoff)
 
 
@@ -402,6 +401,18 @@ def test_sweep_builds_no_splitter(monkeypatch):
 
 
 # ---------------------------------------------------------------- readout on the populated blocks
+
+def test_jx_eigensystem_cache_holds_the_one_block_a_readout_reuses():
+    cache = elements._jx_eigensystem
+    cache.cache_clear()
+    setup = build_setup(SchemeTag("dual-fock", 3))  # split builds block 6's eigensystem
+    setup.sampling  # the readout rebuilds block 6
+    assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 1)
+    setup = build_setup(SchemeTag("coherent", 25))
+    sample_outcomes(setup.sampling, setup.input_state, 0.7, 100, 7)
+    assert cache.cache_info().misses == 1 + setup.cutoff + 1  # no coherent block is built twice
+    assert cache.cache_info().currsize == 1
+
 
 def full_cutoff_readout(tag, setup, invert):
     """The sampling U_after on every block up to the cutoff: the whole splitter, or the

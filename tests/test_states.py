@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fockmzi import schemes
 from fockmzi.elements import ONE_ARM
 from fockmzi.states import (
     COHERENT_CUTOFF_CAP,
@@ -36,7 +37,7 @@ ALL_FACTORIES = [
     lambda: noon(5, 0.3),
     lambda: yurke_fermionic_analog(5),
     lambda: yurke_bosonic(6),
-    lambda: port_a(coherent_amplitudes(1.5)),
+    lambda: port_a(coherent_amplitudes(2.25)),
 ]
 
 
@@ -123,10 +124,9 @@ def test_coherent_zero_is_vacuum():
 
 def test_coherent_mean_photon_number():
     # oracle: direct summation of the Poisson series truncated where coherent_amplitudes truncates it
-    alpha = 2.0
-    amps = coherent_amplitudes(alpha)
+    lam = 4.0
+    amps = coherent_amplitudes(lam)
     cutoff = len(amps) - 1
-    lam = alpha**2
     weights = []
     term = math.exp(-lam)
     for k in range(cutoff + 1):
@@ -140,72 +140,72 @@ def test_coherent_mean_photon_number():
 
 
 def test_required_coherent_cutoff_is_tight():
-    needed = required_coherent_cutoff(2.0)
-    assert coherent_tail_mass(2.0, needed) < COHERENT_TAIL_TOL
-    assert coherent_tail_mass(2.0, needed - 1) >= COHERENT_TAIL_TOL
+    needed = required_coherent_cutoff(4.0)
+    assert coherent_tail_mass(4.0, needed) < COHERENT_TAIL_TOL
+    assert coherent_tail_mass(4.0, needed - 1) >= COHERENT_TAIL_TOL
 
 
 def test_coherent_tail_matches_poisson_survival():
     poisson = pytest.importorskip("scipy.stats").poisson
     # (740, 817) lost its whole tail to underflow when summed forward from exp(-lam)
     for lam, cutoff in [(0.001, 0), (4.0, 2), (2.0, 10), (25.0, 68), (740.0, 817), (800.0, 1000)]:
-        assert coherent_tail_mass(math.sqrt(lam), cutoff) == pytest.approx(poisson.sf(cutoff, lam), rel=1e-10)
+        assert coherent_tail_mass(lam, cutoff) == pytest.approx(poisson.sf(cutoff, lam), rel=1e-10)
     for lam in (0.3, 4.0, 25.0, 740.0):
-        needed = required_coherent_cutoff(math.sqrt(lam))
+        needed = required_coherent_cutoff(lam)
         assert poisson.sf(needed, lam) < COHERENT_TAIL_TOL <= poisson.sf(needed - 1, lam)
 
 
 def test_coherent_amplitudes_match_poisson_pmf_at_large_mean():
     poisson = pytest.importorskip("scipy.stats").poisson
     for lam in (1500.0, 5000.0):
-        cutoff = required_coherent_cutoff(math.sqrt(lam))
-        amps = coherent_amplitudes(math.sqrt(lam))
+        cutoff = required_coherent_cutoff(lam)
+        amps = coherent_amplitudes(lam)
         assert len(amps) == cutoff + 1
         assert np.all(np.isfinite(amps))
         assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
         pmf = poisson.pmf(np.arange(cutoff + 1), lam)
         kept = pmf > 1e-20
-        assert np.max(np.abs(np.abs(amps[kept]) ** 2 - pmf[kept]) / pmf[kept]) <= 1e-10
+        assert np.max(np.abs(amps[kept] ** 2 - pmf[kept]) / pmf[kept]) <= 1e-10
 
 
 def test_coherent_state_is_finite_where_the_forward_recurrence_underflowed():
     # exp(-lam/2) underflows to zero at lam = 1500, which left every amplitude NaN
-    alpha = math.sqrt(1500.0)
-    s = port_a(coherent_amplitudes(alpha))
+    s = port_a(coherent_amplitudes(1500.0))
     assert all(np.all(np.isfinite(vec)) for vec in s.blocks.values())
     assert abs(norm(s) - 1.0) <= 1e-12
 
 
 def test_required_coherent_cutoff_past_cap_is_truncation_error():
     # n = 97256 is the brightest coherent input whose tail the cap still cuts below the tolerance
-    assert required_coherent_cutoff(math.sqrt(97256)) <= COHERENT_CUTOFF_CAP
+    assert required_coherent_cutoff(97256) <= COHERENT_CUTOFF_CAP
     with pytest.raises(TruncationError, match=f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps"):
-        required_coherent_cutoff(math.sqrt(97257))
+        required_coherent_cutoff(97257)
 
 
 def test_required_coherent_cutoff_walk_equals_the_bisection():
-    # the cutoffs build_setup asks for, at alpha = sqrt(n), from the dim end and at the cap
+    # the cutoffs build_setup asks for, at the mean n, from the dim end and at the cap
     for n in [*range(301), *range(97200, 97257)]:
-        assert required_coherent_cutoff(math.sqrt(n)) == bisected_coherent_cutoff(math.sqrt(n)), n
+        assert required_coherent_cutoff(n) == bisected_coherent_cutoff(n), n
     for search in (required_coherent_cutoff, bisected_coherent_cutoff):
         with pytest.raises(TruncationError, match=f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps"):
-            search(math.sqrt(97257))
+            search(97257)
 
 
-@pytest.mark.parametrize("alpha", [math.nan, complex(math.nan, 0.0), complex(0.0, math.nan)])
-def test_nan_coherent_amplitude_is_a_value_error(alpha):
+@pytest.mark.parametrize("nbar", [math.nan, -1.0])
+def test_nan_or_negative_mean_photon_number_is_a_value_error(nbar):
     for build in (required_coherent_cutoff, coherent_amplitudes):
-        with pytest.raises(ValueError, match="NaN") as caught:
-            build(alpha)
+        with pytest.raises(ValueError, match="mean photon number must be a real >= 0") as caught:
+            build(nbar)
         assert not isinstance(caught.value, TruncationError)
 
 
-@pytest.mark.parametrize("alpha", [math.inf, -math.inf, complex(0.0, math.inf), 1e200, -1e200, complex(1e200, 1e200)])
-def test_infinite_or_overflowing_coherent_amplitude_is_a_truncation_error(alpha):
-    # |alpha|^2 is infinite or overflows, so no cutoff is searched and no infinity reaches math.ceil
+@pytest.mark.parametrize("nbar", [math.inf, 1e200, 97257])
+def test_mean_photon_number_past_the_cap_is_a_truncation_error(nbar):
+    # a mean past the cap is refused before any cutoff is searched, so no infinity reaches math.ceil;
+    # 97257 is below the cap, but the cutoff its tail needs is not
     for build in (required_coherent_cutoff, coherent_amplitudes):
         with pytest.raises(TruncationError, match=f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps"):
-            build(alpha)
+            build(nbar)
 
 
 def test_scheme_tag_validation():
@@ -222,3 +222,18 @@ def test_scheme_tag_validation():
         SchemeTag("yurke-bosonic", 0)
     with pytest.raises(ValueError):
         SchemeTag("noon", 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_build_setup_hands_coherent_amplitudes_the_mean_photon_number(monkeypatch, n):
+    # n is not a perfect square, so a square root squared back could land an ulp away
+    seen = []
+
+    def recorder(mean_photons):
+        seen.append(mean_photons)
+        return coherent_amplitudes(mean_photons)
+
+    monkeypatch.setattr(schemes, "coherent_amplitudes", recorder)
+    setup = schemes.build_setup(SchemeTag("coherent", n))
+    assert seen == [n]
+    assert setup.cutoff == required_coherent_cutoff(n)
