@@ -20,7 +20,7 @@ import numpy as np
 
 # only the modules the parser needs (and the fock they import); each run_*
 # imports the rest itself, so a command loads only the modules it runs
-from .elements import BALANCED, CONVENTIONS, ONE_ARM, split
+from .elements import CONVENTIONS, ONE_ARM, split
 from .fock import NumericalFailure, make_basis_state
 from .states import SCHEME_NAMES, SchemeTag
 
@@ -109,26 +109,19 @@ def load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-_BOOLEAN_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _NOT_OPTIONS = ("command", "run", "config")
 
 
 def _config_flags(path: str, options: dict) -> list[str]:
     """Config entries as flags of the subcommand whose parsed `options` are given.
 
-    A key becomes `--key=value` (so values starting with '-' parse), a boolean key
-    `--key` or `--no-key`; keys the subcommand does not define are skipped.
+    A key becomes `--key=value` (so values starting with '-' parse); keys the
+    subcommand does not define are skipped.
     """
     flags = []
     for key, value in load_config_file(path).items():
         dest = key.replace("-", "_")
-        if "_" in key or dest in _NOT_OPTIONS or dest not in options:
-            continue
-        if isinstance(options[dest], bool):
-            if value.lower() not in _BOOLEAN_WORDS:
-                raise UsageError(f"config key {key!r}: expected true/1/yes or false/0/no, got {value!r}")
-            flags.append(f"--{key}" if _BOOLEAN_WORDS[value.lower()] else f"--no-{key}")
-        else:
+        if "_" not in key and dest not in _NOT_OPTIONS and dest in options:
             flags.append(f"--{key}={value}")
     return flags
 
@@ -182,7 +175,7 @@ def _scheme_tag(args) -> SchemeTag:
 def _setup(args, tag: SchemeTag):
     from .schemes import build_setup
 
-    return build_setup(tag, convention=args.convention, invert_second_bs=args.invert_second_bs)
+    return build_setup(tag, convention=args.convention)
 
 
 def run_sensitivity(args) -> Table:
@@ -235,7 +228,7 @@ def run_scaling(args) -> Table:
 
 
 def run_hom(args) -> Table:
-    out = split(make_basis_state(1, 1), BALANCED)
+    out = split(make_basis_state(1, 1))
     rows = [[fmt(na), fmt(nb), fmt(p)] for (na, nb), p in out.probabilities().items()]
     return ["n_a", "n_b", "probability"], rows, []
 
@@ -335,7 +328,6 @@ def _add_scheme_options(sub, scheme: str, n: int | None):
     if n is not None:
         sub.add_argument("--n", type=int, default=n)
     sub.add_argument("--convention", choices=CONVENTIONS, default=ONE_ARM)
-    sub.add_argument("--invert-second-bs", action=argparse.BooleanOptionalAction, default=False)
 
 
 def _add_common(sub):

@@ -1,10 +1,11 @@
 """Optical elements and the canonical interferometer U_after . exp(i phi G), which
 acts on the state as it enters the phase stage.
 
-Every form of the beam splitter exp(i theta J_x) lives here: its blocks from
-the J_x eigensystem (splitter_blocks), its action on a state (split), the
-50/50 splitter on port-A inputs in closed form (split_port_a), and J_z pulled
-back through it (pulled_back_jz), the tridiagonal -J_y or +J_y.
+There is one beam splitter, the 50/50 exp(i pi/2 J_x), and every form of it
+lives here: its blocks from the J_x eigensystem (splitter_blocks), its action
+on a state (split), its action on port-A inputs in closed form
+(split_port_a), and J_z pulled back through it (pulled_back_jz), the
+tridiagonal -J_y.
 """
 
 import math
@@ -31,34 +32,33 @@ def _cross_ladder(n: int) -> np.ndarray:
     return np.sqrt((n - i + 1) * i)
 
 
-@lru_cache(maxsize=1)  # a single-block input's readout reuses the block its split just built
 def _jx_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of block n of J_x = (a†b + b†a)/2, held dense and complex."""
     half = _cross_ladder(n) / 2.0
     jx = np.zeros((n + 1, n + 1), dtype=np.complex128)
     jx += np.diag(half, 1)
     jx += np.diag(half, -1)
-    w, v = np.linalg.eigh(jx)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return w, v
+    return np.linalg.eigh(jx)
 
 
-def _splitter_block(theta: float, n: int) -> np.ndarray:
-    """Block n of the beam splitter exp(i theta J_x), from the cached J_x eigensystem."""
+@lru_cache(maxsize=1)  # a single-block input's readout reuses the block its split just built
+def _splitter_block(n: int) -> np.ndarray:
+    """Block n of the 50/50 splitter exp(i BALANCED J_x), from the J_x eigensystem; read-only."""
     w, v = _jx_eigensystem(n)
-    return (v * np.exp(1j * theta * w)) @ v.conj().T
+    block = (v * np.exp(1j * BALANCED * w)) @ v.conj().T
+    block.setflags(write=False)
+    return block
 
 
-def splitter_blocks(theta: float, blocks: Iterable[int]) -> BlockUnitary:
-    """The beam splitter exp(i theta J_x) on the given blocks alone."""
-    return BlockUnitary({n: _splitter_block(theta, n) for n in blocks})
+def splitter_blocks(blocks: Iterable[int]) -> BlockUnitary:
+    """The 50/50 splitter on the given blocks alone."""
+    return BlockUnitary({n: _splitter_block(n) for n in blocks})
 
 
-def split(state: TwoModeState, theta: float) -> TwoModeState:
-    """The state after the splitter exp(i theta J_x), each populated block rotated by
-    its own block of the splitter; no other block is built."""
-    return TwoModeState({n: _splitter_block(theta, n) @ vec for n, vec in state.blocks.items()})
+def split(state: TwoModeState) -> TwoModeState:
+    """The state after the 50/50 splitter, each populated block rotated by its own
+    block of the splitter; no other block is built."""
+    return TwoModeState({n: _splitter_block(n) @ vec for n, vec in state.blocks.items()})
 
 
 def split_port_a(amplitudes: dict[int, complex]) -> TwoModeState:
@@ -76,12 +76,11 @@ def split_port_a(amplitudes: dict[int, complex]) -> TwoModeState:
     return TwoModeState(blocks)
 
 
-def pulled_back_jz(blocks: Iterable[int], invert_second_bs: bool = False) -> BlockObservable:
-    """U_after† J_z U_after for U_after the splitter exp(±i BALANCED J_x), on the given blocks:
-    -J_y, or +J_y when inverted, where J_y = -i(a†b - b†a)/2."""
-    sign = 1.0 if invert_second_bs else -1.0
-    # J_y's band above the diagonal is -i/2 times a†b's; the band below, its conjugate, is implied
-    return BlockObservable({n: {1: sign * (-0.5j * _cross_ladder(n))} for n in blocks})
+def pulled_back_jz(blocks: Iterable[int]) -> BlockObservable:
+    """U_after† J_z U_after for U_after the 50/50 splitter, on the given blocks: -J_y, where
+    J_y = -i(a†b - b†a)/2."""
+    # -J_y's band above the diagonal is i/2 times a†b's; the band below, its conjugate, is implied
+    return BlockObservable({n: {1: 0.5j * _cross_ladder(n)} for n in blocks})
 
 
 def phase_exponent(convention: str, n: int) -> np.ndarray:

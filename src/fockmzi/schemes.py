@@ -2,16 +2,17 @@
 
 Each scheme carries two pipelines sharing one input state, the state as it
 enters the phase stage: the N00N state is prepared there, and every other
-input has the first splitter applied once, here.
+input has the first splitter applied once, here.  Both splitters are the one
+50/50 splitter of `elements`.
 'analysis' is the phase stage alone and feeds the scheme observable
 (expectation/variance/sensitivity): the flip observable for the
 path-entangled scheme and, for the balanced-splitter schemes, J_z pulled back
-through the second splitter, -J_y (+J_y when that splitter is inverted).
+through the second splitter, -J_y.
 'sampling' appends the readout unitary that makes the phase visible in
 number-resolved detection (the second splitter, or the flip-basis rotation);
 it is built on first use, by Fisher information, sampling and Bayes.  Every
 form of the splitter comes from `elements`; this module only chooses the
-input, the sign and the readout.  Input, observable and readout cover only
+input, the observable and the readout.  Input, observable and readout cover only
 the populated blocks.  The cutoff is read off the input, its largest block:
 the one block a Fock input populates, or for coherent light the truncation
 `states.coherent_amplitudes` chooses.
@@ -25,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elements import BALANCED, ONE_ARM, InterferometerPipeline, pulled_back_jz, split, split_port_a, splitter_blocks
+from .elements import ONE_ARM, InterferometerPipeline, pulled_back_jz, split, split_port_a, splitter_blocks
 from .fock import BlockObservable, BlockUnitary, TwoModeState
 from .states import (
     SchemeTag,
@@ -74,7 +75,7 @@ def noon_readout(n: int) -> BlockUnitary:
     return BlockUnitary({n: h})
 
 
-def build_setup(tag: SchemeTag, convention: str = ONE_ARM, invert_second_bs: bool = False) -> SchemeSetup:
+def build_setup(tag: SchemeTag, convention: str = ONE_ARM) -> SchemeSetup:
     """Assemble everything one scheme needs for sweeps, sampling, and Bayes, at the cutoff of its input,
     the input's largest block.  The N00N state is prepared at the phase stage; every other input passes
     the first splitter here.  Raises TruncationError for coherent light too bright for any cutoff up to
@@ -92,14 +93,13 @@ def build_setup(tag: SchemeTag, convention: str = ONE_ARM, invert_second_bs: boo
         elif tag.name == "coherent":
             inp = split_port_a(dict(enumerate(coherent_amplitudes(tag.n))))
         elif tag.name == "dual-fock":
-            inp = split(dual_fock(tag.n), BALANCED)
+            inp = split(dual_fock(tag.n))
         elif tag.name == "yurke-fermionic-analog":
-            inp = split(yurke_fermionic_analog(tag.n), BALANCED)
+            inp = split(yurke_fermionic_analog(tag.n))
         elif tag.name == "yurke-bosonic":
-            inp = split(yurke_bosonic(tag.n), BALANCED)
+            inp = split(yurke_bosonic(tag.n))
         else:
             raise ValueError(f"unhandled scheme {tag.name!r}")
-        observable, period = pulled_back_jz(inp.blocks, invert_second_bs), 2.0 * math.pi
-        readout = partial(splitter_blocks, -BALANCED if invert_second_bs else BALANCED, inp.blocks)
+        observable, period, readout = pulled_back_jz(inp.blocks), 2.0 * math.pi, partial(splitter_blocks, inp.blocks)
 
     return SchemeSetup(max(inp.blocks), inp, InterferometerPipeline(convention), observable, period, readout)

@@ -17,7 +17,6 @@ from fockmzi.elements import (
     SYMMETRIC,
     InterferometerPipeline,
     _jx_eigensystem,
-    _splitter_block,
     phase_exponent,
 )
 from fockmzi.estimation import _divergent
@@ -145,9 +144,14 @@ def variance(observable: BlockObservable, state: TwoModeState) -> float:
 # ---------------------------------------------------------------- whole-cutoff elements
 
 def beam_splitter(theta: float, cutoff: int) -> BlockUnitary:
-    """Beam splitter exp(i theta J_x) on every block up to the cutoff; theta = pi/2
-    is the 50/50 splitter.  Identical to spectral_exponential(j_observable('x', cutoff), theta)."""
-    return BlockUnitary({n: _splitter_block(theta, n) for n in range(cutoff + 1)})
+    """Beam splitter exp(i theta J_x) on every block up to the cutoff, at any angle; theta = pi/2
+    is the 50/50 splitter.  Built from the J_x eigensystem by the expression of
+    elements._splitter_block, so at BALANCED its blocks are that splitter's, bit for bit."""
+    blocks = {}
+    for n in range(cutoff + 1):
+        w, v = _jx_eigensystem(n)
+        blocks[n] = (v * np.exp(1j * theta * w)) @ v.conj().T
+    return BlockUnitary(blocks)
 
 
 def phase_shifter(phi: float, convention: str, cutoff: int) -> BlockUnitary:

@@ -41,7 +41,7 @@ SCALING_RANGES = {
     "yurke-fermionic-analog": "1:5:2",
     "yurke-bosonic": "2:6:2",
 }
-FRAMES = ([], ["--convention", "symmetric"], ["--invert-second-bs"])
+FRAMES = ([], ["--convention", "symmetric"])
 BAYES_7 = ["--phi", "0.7", "--shots", "1000", "--seed", "7", "--estimator", "bayes"]
 
 

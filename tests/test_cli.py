@@ -379,7 +379,7 @@ def test_non_finite_or_out_of_range_numbers_are_usage_errors(tmp_path, capsys, a
     (["scaling", "--n-range", "1:3"], "metric = bogus\n", "--metric"),
     (["sample"], "estimator = mle\n", "--estimator"),
     (["sensitivity"], "convention = both\n", "--convention"),
-    (["sensitivity"], "invert-second-bs = maybe\n", "invert-second-bs"),
+    (["sensitivity"], "scheme = laser\n", "--scheme"),
     (["scaling"], "n-range = 5:1\n", "--n-range"),
     (["scaling", "--n-range", "1:2"], None, "--n-range"),
     (["scaling", "--n", "5", "--n-range", "1:3"], None, "--n"),
@@ -401,8 +401,8 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, config, fl
 
 
 @pytest.mark.parametrize("command, config, flags", [
-    ("sensitivity", "invert-second-bs = true\nconvention = symmetric\nphi-grid = -1:1:7\n",
-     ["--invert-second-bs", "--convention", "symmetric", "--phi-grid=-1:1:7"]),
+    ("sensitivity", "n = 2\nconvention = symmetric\nphi-grid = -1:1:7\n",
+     ["--n", "2", "--convention", "symmetric", "--phi-grid=-1:1:7"]),
     ("sample", "phi = -0.4\nestimator = bayes\n", ["--phi=-0.4", "--estimator", "bayes"]),
     # a UTF-8 byte-order mark ahead of the first key, as some editors write one
     pytest.param("sensitivity", "\ufeffn = 3\nscheme = noon\n", ["--n", "3", "--scheme", "noon"],
@@ -436,7 +436,8 @@ def test_config_file_not_utf8_is_usage_error_naming_it(tmp_path, capsys):
 def test_config_keys_of_other_subcommands_are_ignored(tmp_path, argv):
     cfg = tmp_path / "run.cfg"
     # retired keys are skipped too: a cutoff of 1 would drop the populated block 2
-    cfg.write_text("n-max = 3\npoints = 7\nnoon-framing = input\ncutoff = 1\nthreads = 4\n", encoding="utf-8")
+    cfg.write_text("n-max = 3\npoints = 7\nnoon-framing = input\ncutoff = 1\nthreads = 4\ninvert-second-bs = true\n",
+                   encoding="utf-8")
     code, via_config = run_cli(tmp_path, *argv, "--config", str(cfg), name="config.csv")
     _, defaults = run_cli(tmp_path, *argv, name="defaults.csv")
     assert code == 0
@@ -446,26 +447,17 @@ def test_config_keys_of_other_subcommands_are_ignored(tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ("sensitivity", "--scheme", "coherent", "--n", "4"),
     ("scaling", "--scheme", "coherent", "--n-range", "1:3"),
-    ("sample", "--scheme", "coherent", "--n", "4"),
-], ids=lambda argv: argv[0])
-def test_retired_cutoff_is_an_unrecognized_argument(tmp_path, capsys, argv):
-    out = tmp_path / "never.csv"
-    assert main([*argv, "--cutoff", "60", "--output", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "error: unrecognized arguments: --cutoff 60\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ("sensitivity", "--scheme", "yurke-bosonic", "--n", "6"),
-    ("scaling", "--scheme", "noon", "--n-range", "1:3"),
+    ("sample", "--scheme", "noon", "--n", "2"),
     ("rosetta", "--n-max", "2"),
 ], ids=lambda argv: argv[0])
-def test_retired_threads_is_an_unrecognized_argument(tmp_path, capsys, argv):
+@pytest.mark.parametrize("retired", [
+    ("--cutoff", "60"), ("--threads", "4"), ("--invert-second-bs",), ("--no-invert-second-bs",),
+], ids=lambda retired: retired[0])
+def test_retired_option_is_an_unrecognized_argument(tmp_path, capsys, retired, argv):
     out = tmp_path / "never.csv"
-    assert main([*argv, "--threads", "4", "--output", str(out)]) == 1
+    assert main([*argv, *retired, "--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: unrecognized arguments: --threads 4\n"
+    assert err == f"error: unrecognized arguments: {' '.join(retired)}\n"
     assert not out.exists()
 
 
@@ -510,7 +502,7 @@ def test_seventeen_digit_cells(tmp_path):
     assert code == 0
     _, rows = rows_of(text)
     value = rows[0][3]
-    # <J_z> of one photon through the (non-inverted) interferometer is -cos(phi)/2
+    # <J_z> of one photon through the interferometer is -cos(phi)/2
     assert float(value) == pytest.approx(-math.cos(0.1) / 2, abs=1e-12)
     mantissa = value.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
     assert len(mantissa) >= 16

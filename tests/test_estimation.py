@@ -123,10 +123,9 @@ def test_dual_fock_jz_rows_are_divergent_in_every_frame():
     grid = np.linspace(0.0, math.pi, 100)
     for n in range(1, 11):
         for convention in CONVENTIONS:
-            for invert in (False, True):
-                setup = build_setup(SchemeTag("dual-fock", n), convention=convention, invert_second_bs=invert)
-                _, _, delta = phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
-                assert np.all(np.isinf(delta)), (n, convention, invert)
+            setup = build_setup(SchemeTag("dual-fock", n), convention=convention)
+            _, _, delta = phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
+            assert np.all(np.isinf(delta)), (n, convention)
 
 
 def test_noon_sweep_rows_are_one_over_n():
@@ -181,32 +180,28 @@ def test_coherent_min_sensitivity_hits_shot_noise():
 COHERENT_GRID = np.linspace(0.05, math.pi - 0.05, 97)
 
 
-@pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("nbar, tol", [(1, 5e-15), (4, 5e-15), (25, 5e-15), (100, 2e-14)])
-def test_coherent_sweep_is_the_closed_form(nbar, tol, convention, invert):
-    """<-J_y> = -(nbar/2) cos(phi) (+ with the second splitter inverted), Var = nbar/4 and
-    delta_phi = 1/(sqrt(nbar) |sin(phi)|) in either convention: the shot-noise limit, with
-    no digit lost to the truncated Poisson tail."""
-    setup = build_setup(SchemeTag("coherent", nbar), convention=convention, invert_second_bs=invert)
+def test_coherent_sweep_is_the_closed_form(nbar, tol, convention):
+    """<-J_y> = -(nbar/2) cos(phi), Var = nbar/4 and delta_phi = 1/(sqrt(nbar) |sin(phi)|) in
+    either convention: the shot-noise limit, with no digit lost to the truncated Poisson tail."""
+    setup = build_setup(SchemeTag("coherent", nbar), convention=convention)
     mean, var, delta = phase_sweep(setup.analysis, setup.input_state, setup.observable, COHERENT_GRID)
-    sign = 1.0 if invert else -1.0
-    assert np.max(np.abs(mean - sign * (nbar / 2) * np.cos(COHERENT_GRID))) <= tol * nbar / 2
+    assert np.max(np.abs(mean + (nbar / 2) * np.cos(COHERENT_GRID))) <= tol * nbar / 2
     assert np.max(np.abs(var / (nbar / 4) - 1.0)) <= tol
     assert np.max(np.abs(delta * math.sqrt(nbar) * np.abs(np.sin(COHERENT_GRID)) - 1.0)) <= tol
 
 
-@pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("nbar", [1, 2, 4, 25, 100])
-def test_no_larger_coherent_cutoff_changes_the_sweep(nbar, convention, invert):
+def test_no_larger_coherent_cutoff_changes_the_sweep(nbar, convention):
     """The setup's truncation against one whose dropped tail is below 1e-30."""
     cutoff = next(k for k in itertools.count() if coherent_tail_mass(nbar, k) < 1e-30)
     wide = split_port_a(dict(enumerate(poisson_amplitudes(nbar, cutoff))))
-    setup = build_setup(SchemeTag("coherent", nbar), convention=convention, invert_second_bs=invert)
+    setup = build_setup(SchemeTag("coherent", nbar), convention=convention)
     assert setup.cutoff < cutoff
     sweep = phase_sweep(setup.analysis, setup.input_state, setup.observable, COHERENT_GRID)
-    wide_sweep = phase_sweep(setup.analysis, wide, pulled_back_jz(wide.blocks, invert), COHERENT_GRID)
+    wide_sweep = phase_sweep(setup.analysis, wide, pulled_back_jz(wide.blocks), COHERENT_GRID)
     for column, wide_column in zip(sweep, wide_sweep):
         assert np.max(np.abs(column - wide_column) / np.abs(wide_column)) <= 1e-15
 
@@ -303,15 +298,14 @@ PORT_STATES = {
 }
 
 
-def reference_elements(tag, cutoff, invert):
+def reference_elements(tag, cutoff):
     """Port state, U_before, analysis U_after, sampling U_after and the observable read
     after U_after, all built independently of the pipeline code."""
     if tag.name == "noon":
         return noon(tag.n, 0.0), None, None, noon_readout(tag.n), observable_noon_flip(tag.n)
-    jx = j_observable("x", cutoff)
-    after = spectral_exponential(jx, -BALANCED if invert else BALANCED)
+    splitter = spectral_exponential(j_observable("x", cutoff), BALANCED)
     port = coherent_vacuum(tag.n, cutoff) if tag.name == "coherent" else PORT_STATES[tag.name](tag.n)
-    return port, spectral_exponential(jx, BALANCED), after, after, j_observable("z", cutoff)
+    return port, splitter, splitter, splitter, j_observable("z", cutoff)
 
 
 def reference_output(state, before, generator, after, phi):
@@ -340,14 +334,14 @@ def close(value, ref):
     return abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def check_against_reference(tag, convention, invert):
+def check_against_reference(tag, convention):
     """The setup's sweep and sampling distribution against dense matrices applied per point,
     starting from the port state; the setup's input must be that state at the phase stage,
     and its readout must be built on exactly the blocks that input populates."""
-    setup = build_setup(tag, convention=convention, invert_second_bs=invert)
+    setup = build_setup(tag, convention=convention)
     cut = setup.cutoff
     generator = number_observable("b", cut) if convention == ONE_ARM else j_observable("z", cut)
-    port, before, after, readout, observable = reference_elements(tag, cut, invert)
+    port, before, after, readout, observable = reference_elements(tag, cut)
     out_generator = generator if after is None else conjugated(generator, after)
 
     at_phase_stage = port if before is None else apply(before, port)
@@ -372,18 +366,16 @@ def check_against_reference(tag, convention, invert):
         assert all(close(probs[k, p], dist[label]) for k, label in enumerate(labels))
 
 
-@pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("scheme", sorted(SCHEME_SIZES))
-def test_batched_path_matches_per_point_reference(scheme, convention, invert):
-    check_against_reference(SchemeTag(scheme, SCHEME_SIZES[scheme]), convention, invert)
+def test_batched_path_matches_per_point_reference(scheme, convention):
+    check_against_reference(SchemeTag(scheme, SCHEME_SIZES[scheme]), convention)
 
 
-@pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
-def test_batched_path_matches_reference_at_benchmark_size(convention, invert):
+def test_batched_path_matches_reference_at_benchmark_size(convention):
     # coherent nbar = 25 at its cutoff 80, the size of the dense sweep benchmark
-    check_against_reference(SchemeTag("coherent", 25), convention, invert)
+    check_against_reference(SchemeTag("coherent", 25), convention)
 
 
 def test_sweep_builds_no_splitter(monkeypatch):
@@ -395,44 +387,44 @@ def test_sweep_builds_no_splitter(monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(fock.BlockUnitary, "__post_init__", refuse)
     for tag in (SchemeTag("coherent", 25), SchemeTag("single-port-fock", 6)):
-        for invert in (False, True):
-            setup = build_setup(tag, invert_second_bs=invert)
-            phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)
+        setup = build_setup(tag)
+        phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)
 
 
 # ---------------------------------------------------------------- readout on the populated blocks
 
-def test_jx_eigensystem_cache_holds_the_one_block_a_readout_reuses():
-    cache = elements._jx_eigensystem
+def test_splitter_block_cache_holds_the_one_block_a_readout_reuses():
+    cache = elements._splitter_block
     cache.cache_clear()
-    setup = build_setup(SchemeTag("dual-fock", 3))  # split builds block 6's eigensystem
-    setup.sampling  # the readout rebuilds block 6
+    setup = build_setup(SchemeTag("dual-fock", 3))  # split builds block 6
+    setup.sampling  # the readout takes that same block from the cache
     assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 1)
-    setup = build_setup(SchemeTag("coherent", 25))
+    assert not cache(6).flags.writeable
+    cache.cache_clear()
+    setup = build_setup(SchemeTag("coherent", 25))  # split_port_a builds no splitter block
     sample_outcomes(setup.sampling, setup.input_state, 0.7, 100, 7)
-    assert cache.cache_info().misses == 1 + setup.cutoff + 1  # no coherent block is built twice
-    assert cache.cache_info().currsize == 1
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, setup.cutoff + 1, 1)  # each block built once
 
 
-def full_cutoff_readout(tag, setup, invert):
+def full_cutoff_readout(tag, setup):
     """The sampling U_after on every block up to the cutoff: the whole splitter, or the
     flip-basis rotation on block N padded with identity blocks."""
     if tag.name == "noon":
         blocks = {m: np.eye(m + 1) for m in range(setup.cutoff + 1)}
         blocks[tag.n] = noon_readout(tag.n).blocks[tag.n]
         return fock.BlockUnitary(blocks)
-    return beam_splitter(-BALANCED if invert else BALANCED, setup.cutoff)
+    return beam_splitter(BALANCED, setup.cutoff)
 
 
-@pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("scheme, n", [
     ("single-port-fock", 6), ("dual-fock", 10), ("noon", 8), ("coherent", 4),
     ("yurke-fermionic-analog", 7), ("yurke-bosonic", 8),
 ])
-def test_populated_readout_gives_the_full_cutoff_results(scheme, n, invert, assert_same_products):
+def test_populated_readout_gives_the_full_cutoff_results(scheme, n, assert_same_products):
     tag = SchemeTag(scheme, n)
-    setup = build_setup(tag, invert_second_bs=invert)
-    full = replace(setup.analysis, after=full_cutoff_readout(tag, setup, invert))
+    setup = build_setup(tag)
+    full = replace(setup.analysis, after=full_cutoff_readout(tag, setup))
     grid = np.linspace(0.0, setup.likelihood_period, 256, endpoint=False)
     assert_same_products(classical_fisher(setup.sampling, setup.input_state, grid),
                          classical_fisher(full, setup.input_state, grid), rtol=1e-12)
@@ -586,17 +578,16 @@ def test_full_period_posterior_has_mirror_peaks_except_for_yurke_bosonic(scheme,
     points = 512
     index = np.arange(points)
     mirrors = {"-phi": -index % points, "pi-phi": (points // 2 - index) % points}
-    for invert in (False, True):
-        setup = build_setup(SchemeTag(scheme, n), convention=convention, invert_second_bs=invert)
-        grid = np.linspace(0.0, setup.likelihood_period, points, endpoint=False)
-        hist = sample_outcomes(setup.sampling, setup.input_state, 0.37 * setup.likelihood_period, 1000, seed=n)
-        weights = bayes_posterior(hist, setup.sampling, setup.input_state, grid).weights
-        for name, mirror in mirrors.items():
-            gap = np.max(np.abs(weights - weights[mirror]))
-            if name in LIKELIHOOD_MIRRORS[scheme]:
-                assert gap <= 1e-11, name
-            else:
-                assert gap > 0.1 * np.max(weights), name
+    setup = build_setup(SchemeTag(scheme, n), convention=convention)
+    grid = np.linspace(0.0, setup.likelihood_period, points, endpoint=False)
+    hist = sample_outcomes(setup.sampling, setup.input_state, 0.37 * setup.likelihood_period, 1000, seed=n)
+    weights = bayes_posterior(hist, setup.sampling, setup.input_state, grid).weights
+    for name, mirror in mirrors.items():
+        gap = np.max(np.abs(weights - weights[mirror]))
+        if name in LIKELIHOOD_MIRRORS[scheme]:
+            assert gap <= 1e-11, name
+        else:
+            assert gap > 0.1 * np.max(weights), name
 
 
 def test_dual_fock_posterior_std_scaling():
@@ -647,14 +638,13 @@ def dense_posterior(hist, pipeline, state, grid):
     return PosteriorDistribution(grid, weights)
 
 
-@pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("scheme, n", [
     ("coherent", 25), ("single-port-fock", 5), ("dual-fock", 3), ("yurke-fermionic-analog", 5),
     ("yurke-bosonic", 4), ("noon", 4),
 ])
-def test_streamed_posterior_equals_dense_posterior(scheme, n, convention, invert, assert_same_products):
-    setup = build_setup(SchemeTag(scheme, n), convention=convention, invert_second_bs=invert)
+def test_streamed_posterior_equals_dense_posterior(scheme, n, convention, assert_same_products):
+    setup = build_setup(SchemeTag(scheme, n), convention=convention)
     grid = np.linspace(0.0, setup.likelihood_period, 512, endpoint=False)
     hist = sample_outcomes(setup.sampling, setup.input_state, 0.37 * setup.likelihood_period, 3000, seed=n)
     items = list(hist.counts.items())  # shuffled, so one block's outcomes fall into several runs
