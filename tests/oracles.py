@@ -154,6 +154,20 @@ def beam_splitter(theta: float, cutoff: int) -> BlockUnitary:
     return BlockUnitary(blocks)
 
 
+def port_swap(cutoff: int) -> BlockUnitary:
+    """exp(-i pi J_x) on every block up to the cutoff, in closed form: |n_a, n_b> -> (-i)^n |n_b, n_a>
+    on block n, the ports exchanged.  It commutes with every splitter, and the inverted splitter
+    exp(-i pi/2 J_x) is the 50/50 one times it: inverting the second splitter only relabels the ports."""
+    phases = (1, -1j, -1, 1j)  # (-i)^n, exact for every n
+    return BlockUnitary({n: np.fliplr(np.eye(n + 1)) * phases[n % 4] for n in range(cutoff + 1)})
+
+
+def exchanged(readout: BlockUnitary) -> BlockUnitary:
+    """The readout followed by the port swap, on the readout's blocks alone."""
+    swap = port_swap(max(readout.blocks))
+    return BlockUnitary({n: swap.blocks[n] @ u for n, u in readout.blocks.items()})
+
+
 def phase_shifter(phi: float, convention: str, cutoff: int) -> BlockUnitary:
     """Phase shifter: exp(i phi J_z) for 'symmetric', exp(i phi n_b) for 'one-arm'."""
     return BlockUnitary({n: np.diag(np.exp(1j * phi * phase_exponent(convention, n))) for n in range(cutoff + 1)})

@@ -32,7 +32,17 @@ from fockmzi.states import (  # noqa: E402
     yurke_bosonic,
     yurke_fermionic_analog,
 )
-from oracles import apply, banded, beam_splitter, coherent_vacuum, dense, j_bands, j_observable, norm  # noqa: E402
+from oracles import (  # noqa: E402
+    apply,
+    banded,
+    beam_splitter,
+    coherent_vacuum,
+    dense,
+    j_bands,
+    j_observable,
+    norm,
+    port_swap,
+)
 
 
 def random_banded_hermitian(rng, n, offsets):
@@ -67,11 +77,13 @@ def test_banded_apply_equals_dense_product(n, offsets, columns, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(0, 80))
-def test_pulled_back_jz_is_minus_jy(n):
-    u = beam_splitter(BALANCED, n).blocks[n]
+@given(n=st.integers(0, 80), invert=st.booleans())
+def test_pulled_back_jz_is_minus_or_plus_jy(n, invert):
+    """-J_y through the 50/50 splitter, +J_y through the inverted one, the ports exchanged."""
+    u = beam_splitter(-BALANCED if invert else BALANCED, n).blocks[n]
     pulled = u.conj().T @ dense(j_observable("z", n), n) @ u
-    assert np.max(np.abs(pulled - dense(pulled_back_jz([n]), n))) <= 1e-13 * max(1, n)
+    sign = -1.0 if invert else 1.0
+    assert np.max(np.abs(pulled - sign * dense(pulled_back_jz([n]), n))) <= 1e-13 * max(1, n)
 
 
 @settings(max_examples=30, deadline=None)
@@ -95,14 +107,21 @@ def test_closed_form_split_coherent_state_matches_splitter(nbar):
         assert np.max(np.abs(split.blocks[n] - vec)) <= 1e-13
 
 
+@pytest.mark.parametrize("theta", [BALANCED, -BALANCED], ids=["balanced", "inverse"])
 @pytest.mark.parametrize("state", [dual_fock(3), dual_fock(5), yurke_fermionic_analog(7),
                                    yurke_bosonic(8), noon(4, 0.3), noon(7, 0.0)])
-def test_block_split_matches_splitter(state):
-    ref = apply(beam_splitter(BALANCED, max(state.blocks)), state)
-    rotated = split(state)
+def test_block_split_matches_splitter(state, theta):
+    """split is the oracle's exp(i theta J_x) at BALANCED, bit for bit; the inverted splitter, at
+    -BALANCED, is split with the input ports exchanged ahead of it."""
+    cutoff = max(state.blocks)
+    ref = apply(beam_splitter(theta, cutoff), state)
+    rotated = split(state if theta == BALANCED else apply(port_swap(cutoff), state))
     assert isinstance(rotated, TwoModeState) and set(rotated.blocks) == set(state.blocks)
     for n, vec in ref.blocks.items():
-        assert np.array_equal(rotated.blocks[n], vec)
+        if theta == BALANCED:
+            assert np.array_equal(rotated.blocks[n], vec)
+        else:  # the swap is exact; the oracle's eigensystem products at the two angles are not
+            assert np.max(np.abs(rotated.blocks[n] - vec)) <= 1e-13
 
 
 phases = st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=6)
@@ -159,26 +178,33 @@ def test_analysis_and_sampling_pipelines_preserve_the_norm(scheme, k, convention
         assert np.max(np.abs(norms - norm(setup.input_state) ** 2)) <= 1e-12
 
 
-def two_sided_observable(tag, n):
+def two_sided_observable(tag, n, invert):
     """Block n of the scheme observable as a full matrix, both halves written out: the flip
-    |N,0><0,N| + |0,N><N,0|, or -J_y: i up/2 above the diagonal and -i up/2 below it, for up
-    j_bands' ladder elements."""
+    |N,0><0,N| + |0,N><N,0|, or -J_y (+J_y after the inverted second splitter): i up/2 above
+    the diagonal and -i up/2 below it, for up j_bands' ladder elements."""
     mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
     if tag.name == "noon":
         mat[0, n] = mat[n, 0] = 1.0
         return mat
+    sign = -1.0 if invert else 1.0
     up = 2.0 * j_bands("x", n)[1]  # the ladder elements sqrt((n_a+1) n_b)
-    return np.diag(0.5j * up, 1) + np.diag(-0.5j * up, -1)
+    return sign * (np.diag(0.5j * up, 1) + np.diag(-0.5j * up, -1))
 
 
+@pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
-def test_scheme_observable_stores_its_upper_bands_alone(scheme):
+def test_scheme_observable_stores_its_upper_bands_alone(scheme, invert):
+    """With invert the stored observable is read with the ports exchanged, S† A S for S the port
+    swap: J_z pulled back through the inverted second splitter, +J_y, or the flip unchanged."""
     tag = scheme_tag(scheme, 3)
     setup = build_setup(tag)
+    swap = port_swap(setup.cutoff)
     for n, bands in setup.observable.blocks.items():
         assert all(k >= 0 for k in bands)
         full = dense(setup.observable, n)
-        assert np.array_equal(full, two_sided_observable(tag, n))
+        if invert:
+            full = swap.blocks[n].conj().T @ full @ swap.blocks[n]
+        assert np.array_equal(full, two_sided_observable(tag, n, invert))
         assert np.array_equal(full, full.conj().T)
 
 

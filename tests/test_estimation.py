@@ -40,11 +40,13 @@ from oracles import (
     coherent_vacuum,
     dense,
     ensemble_sensitivity,
+    exchanged,
     expectation,
     j_observable,
     number_observable,
     phase_derivative,
     poisson_amplitudes,
+    port_swap,
     sensitivity,
     single_port_fock,
     spectral_exponential,
@@ -180,28 +182,36 @@ def test_coherent_min_sensitivity_hits_shot_noise():
 COHERENT_GRID = np.linspace(0.05, math.pi - 0.05, 97)
 
 
+@pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("nbar, tol", [(1, 5e-15), (4, 5e-15), (25, 5e-15), (100, 2e-14)])
-def test_coherent_sweep_is_the_closed_form(nbar, tol, convention):
-    """<-J_y> = -(nbar/2) cos(phi), Var = nbar/4 and delta_phi = 1/(sqrt(nbar) |sin(phi)|) in
-    either convention: the shot-noise limit, with no digit lost to the truncated Poisson tail."""
+def test_coherent_sweep_is_the_closed_form(nbar, tol, convention, invert):
+    """<-J_y> = -(nbar/2) cos(phi) (<+J_y> = +(nbar/2) cos(phi) after the inverted second splitter),
+    Var = nbar/4 and delta_phi = 1/(sqrt(nbar) |sin(phi)|) in either convention: the shot-noise
+    limit, with no digit lost to the truncated Poisson tail."""
     setup = build_setup(SchemeTag("coherent", nbar), convention=convention)
-    mean, var, delta = phase_sweep(setup.analysis, setup.input_state, setup.observable, COHERENT_GRID)
-    assert np.max(np.abs(mean + (nbar / 2) * np.cos(COHERENT_GRID))) <= tol * nbar / 2
+    observable = j_observable("y", setup.cutoff) if invert else setup.observable  # J_z read after the inverted splitter
+    mean, var, delta = phase_sweep(setup.analysis, setup.input_state, observable, COHERENT_GRID)
+    sign = 1.0 if invert else -1.0
+    assert np.max(np.abs(mean - sign * (nbar / 2) * np.cos(COHERENT_GRID))) <= tol * nbar / 2
     assert np.max(np.abs(var / (nbar / 4) - 1.0)) <= tol
     assert np.max(np.abs(delta * math.sqrt(nbar) * np.abs(np.sin(COHERENT_GRID)) - 1.0)) <= tol
 
 
+@pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("nbar", [1, 2, 4, 25, 100])
-def test_no_larger_coherent_cutoff_changes_the_sweep(nbar, convention):
-    """The setup's truncation against one whose dropped tail is below 1e-30."""
+def test_no_larger_coherent_cutoff_changes_the_sweep(nbar, convention, invert):
+    """The setup's truncation against one whose dropped tail is below 1e-30, reading -J_y, or
+    +J_y after the inverted second splitter."""
     cutoff = next(k for k in itertools.count() if coherent_tail_mass(nbar, k) < 1e-30)
     wide = split_port_a(dict(enumerate(poisson_amplitudes(nbar, cutoff))))
     setup = build_setup(SchemeTag("coherent", nbar), convention=convention)
     assert setup.cutoff < cutoff
-    sweep = phase_sweep(setup.analysis, setup.input_state, setup.observable, COHERENT_GRID)
-    wide_sweep = phase_sweep(setup.analysis, wide, pulled_back_jz(wide.blocks), COHERENT_GRID)
+    observable = j_observable("y", setup.cutoff) if invert else setup.observable
+    wide_observable = j_observable("y", cutoff) if invert else pulled_back_jz(wide.blocks)
+    sweep = phase_sweep(setup.analysis, setup.input_state, observable, COHERENT_GRID)
+    wide_sweep = phase_sweep(setup.analysis, wide, wide_observable, COHERENT_GRID)
     for column, wide_column in zip(sweep, wide_sweep):
         assert np.max(np.abs(column - wide_column) / np.abs(wide_column)) <= 1e-15
 
@@ -298,14 +308,25 @@ PORT_STATES = {
 }
 
 
-def reference_elements(tag, cutoff):
+def reference_elements(tag, cutoff, invert):
     """Port state, U_before, analysis U_after, sampling U_after and the observable read
-    after U_after, all built independently of the pipeline code."""
+    after U_after, all built independently of the pipeline code.  With invert the second
+    splitter is the inverted exp(-i pi/2 J_x), and the N00N stages are followed by the port
+    swap; the observable is then read with the ports exchanged, so it must give the setup's
+    numbers."""
     if tag.name == "noon":
-        return noon(tag.n, 0.0), None, None, noon_readout(tag.n), observable_noon_flip(tag.n)
-    splitter = spectral_exponential(j_observable("x", cutoff), BALANCED)
-    port = coherent_vacuum(tag.n, cutoff) if tag.name == "coherent" else PORT_STATES[tag.name](tag.n)
-    return port, splitter, splitter, splitter, j_observable("z", cutoff)
+        port, before, after, readout, observable = (noon(tag.n, 0.0), None, None, noon_readout(tag.n),
+                                                    observable_noon_flip(tag.n))
+        if invert:
+            after, readout = port_swap(cutoff), exchanged(readout)
+    else:
+        jx = j_observable("x", cutoff)
+        after = readout = spectral_exponential(jx, -BALANCED if invert else BALANCED)
+        port = coherent_vacuum(tag.n, cutoff) if tag.name == "coherent" else PORT_STATES[tag.name](tag.n)
+        before, observable = spectral_exponential(jx, BALANCED), j_observable("z", cutoff)
+    if invert:
+        observable = conjugated(observable, port_swap(cutoff))
+    return port, before, after, readout, observable
 
 
 def reference_output(state, before, generator, after, phi):
@@ -334,14 +355,16 @@ def close(value, ref):
     return abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def check_against_reference(tag, convention):
+def check_against_reference(tag, convention, invert):
     """The setup's sweep and sampling distribution against dense matrices applied per point,
     starting from the port state; the setup's input must be that state at the phase stage,
-    and its readout must be built on exactly the blocks that input populates."""
+    and its readout must be built on exactly the blocks that input populates.  With invert
+    the reference's second splitter is inverted, and its outcomes are read with the ports
+    exchanged: (n_a, n_b) of the setup is (n_b, n_a) of the reference."""
     setup = build_setup(tag, convention=convention)
     cut = setup.cutoff
     generator = number_observable("b", cut) if convention == ONE_ARM else j_observable("z", cut)
-    port, before, after, readout, observable = reference_elements(tag, cut)
+    port, before, after, readout, observable = reference_elements(tag, cut, invert)
     out_generator = generator if after is None else conjugated(generator, after)
 
     at_phase_stage = port if before is None else apply(before, port)
@@ -363,19 +386,21 @@ def check_against_reference(tag, convention):
             assert close(deltas[p], ref_delta)
         dist = reference_output(port, before, generator, readout, phi).probabilities()
         assert labels == list(dist)
-        assert all(close(probs[k, p], dist[label]) for k, label in enumerate(labels))
+        assert all(close(probs[k, p], dist[label[::-1] if invert else label]) for k, label in enumerate(labels))
 
 
+@pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("scheme", sorted(SCHEME_SIZES))
-def test_batched_path_matches_per_point_reference(scheme, convention):
-    check_against_reference(SchemeTag(scheme, SCHEME_SIZES[scheme]), convention)
+def test_batched_path_matches_per_point_reference(scheme, convention, invert):
+    check_against_reference(SchemeTag(scheme, SCHEME_SIZES[scheme]), convention, invert)
 
 
+@pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
-def test_batched_path_matches_reference_at_benchmark_size(convention):
+def test_batched_path_matches_reference_at_benchmark_size(convention, invert):
     # coherent nbar = 25 at its cutoff 80, the size of the dense sweep benchmark
-    check_against_reference(SchemeTag("coherent", 25), convention)
+    check_against_reference(SchemeTag("coherent", 25), convention, invert)
 
 
 def test_sweep_builds_no_splitter(monkeypatch):
@@ -393,13 +418,18 @@ def test_sweep_builds_no_splitter(monkeypatch):
 
 # ---------------------------------------------------------------- readout on the populated blocks
 
-def test_splitter_block_cache_holds_the_one_block_a_readout_reuses():
+@pytest.mark.parametrize("scheme, n", [("dual-fock", 3), ("yurke-fermionic-analog", 5), ("yurke-bosonic", 4)])
+def test_splitter_block_cache_holds_the_one_block_a_readout_reuses(scheme, n):
     cache = elements._splitter_block
     cache.cache_clear()
-    setup = build_setup(SchemeTag("dual-fock", 3))  # split builds block 6
+    setup = build_setup(SchemeTag(scheme, n))  # split builds the input's one block
     setup.sampling  # the readout takes that same block from the cache
     assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 1)
-    assert not cache(6).flags.writeable
+    assert not cache(setup.cutoff).flags.writeable
+
+
+def test_coherent_sampling_builds_each_splitter_block_once():
+    cache = elements._splitter_block
     cache.cache_clear()
     setup = build_setup(SchemeTag("coherent", 25))  # split_port_a builds no splitter block
     sample_outcomes(setup.sampling, setup.input_state, 0.7, 100, 7)
@@ -417,21 +447,30 @@ def full_cutoff_readout(tag, setup):
     return beam_splitter(BALANCED, setup.cutoff)
 
 
+def sampling_pipeline(setup, invert):
+    """The setup's sampling pipeline, or with invert its readout followed by the port swap: the
+    inverted second splitter, or the N00N readout with its ports exchanged."""
+    return replace(setup.sampling, after=exchanged(setup.sampling.after)) if invert else setup.sampling
+
+
+@pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("scheme, n", [
     ("single-port-fock", 6), ("dual-fock", 10), ("noon", 8), ("coherent", 4),
     ("yurke-fermionic-analog", 7), ("yurke-bosonic", 8),
 ])
-def test_populated_readout_gives_the_full_cutoff_results(scheme, n, assert_same_products):
+def test_populated_readout_gives_the_full_cutoff_results(scheme, n, invert, assert_same_products):
     tag = SchemeTag(scheme, n)
     setup = build_setup(tag)
-    full = replace(setup.analysis, after=full_cutoff_readout(tag, setup))
+    sampling = sampling_pipeline(setup, invert)
+    full_after = full_cutoff_readout(tag, setup)
+    full = replace(setup.analysis, after=exchanged(full_after) if invert else full_after)
     grid = np.linspace(0.0, setup.likelihood_period, 256, endpoint=False)
-    assert_same_products(classical_fisher(setup.sampling, setup.input_state, grid),
+    assert_same_products(classical_fisher(sampling, setup.input_state, grid),
                          classical_fisher(full, setup.input_state, grid), rtol=1e-12)
     phi = 0.37 * setup.likelihood_period
     hist = sample_outcomes(full, setup.input_state, phi, 2000, seed=n)
-    assert sample_outcomes(setup.sampling, setup.input_state, phi, 2000, seed=n) == hist
-    assert_same_products(bayes_posterior(hist, setup.sampling, setup.input_state, grid).weights,
+    assert sample_outcomes(sampling, setup.input_state, phi, 2000, seed=n) == hist
+    assert_same_products(bayes_posterior(hist, sampling, setup.input_state, grid).weights,
                          bayes_posterior(hist, full, setup.input_state, grid).weights, rtol=1e-9, atol=1e-300)
 
 
@@ -638,20 +677,22 @@ def dense_posterior(hist, pipeline, state, grid):
     return PosteriorDistribution(grid, weights)
 
 
+@pytest.mark.parametrize("invert", [False, True])
 @pytest.mark.parametrize("convention", CONVENTIONS)
 @pytest.mark.parametrize("scheme, n", [
     ("coherent", 25), ("single-port-fock", 5), ("dual-fock", 3), ("yurke-fermionic-analog", 5),
     ("yurke-bosonic", 4), ("noon", 4),
 ])
-def test_streamed_posterior_equals_dense_posterior(scheme, n, convention, assert_same_products):
+def test_streamed_posterior_equals_dense_posterior(scheme, n, convention, invert, assert_same_products):
     setup = build_setup(SchemeTag(scheme, n), convention=convention)
+    sampling = sampling_pipeline(setup, invert)
     grid = np.linspace(0.0, setup.likelihood_period, 512, endpoint=False)
-    hist = sample_outcomes(setup.sampling, setup.input_state, 0.37 * setup.likelihood_period, 3000, seed=n)
+    hist = sample_outcomes(sampling, setup.input_state, 0.37 * setup.likelihood_period, 3000, seed=n)
     items = list(hist.counts.items())  # shuffled, so one block's outcomes fall into several runs
     shuffled = OutcomeHistogram(hist.shots, dict(items[i] for i in np.random.default_rng(n).permutation(len(items))))
     for data in (hist, shuffled):
-        streamed = bayes_posterior(data, setup.sampling, setup.input_state, grid)
-        dense = dense_posterior(data, setup.sampling, setup.input_state, grid)
+        streamed = bayes_posterior(data, sampling, setup.input_state, grid)
+        dense = dense_posterior(data, sampling, setup.input_state, grid)
         assert_same_products(streamed.weights, dense.weights, rtol=1e-9, atol=1e-300)
         assert_same_products(posterior_mean(streamed), posterior_mean(dense), rtol=1e-12)
         assert_same_products(posterior_std(streamed), posterior_std(dense), rtol=1e-9)

@@ -38,8 +38,11 @@ def readme_commands() -> list[list[str]]:
     return commands
 
 
-def test_readme_commands_are_manifest_entries_that_succeed():
+def test_readme_shows_commands():
+    assert readme_commands()
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_are_manifest_entries_that_succeed(argv):
     codes = {tuple(entry["argv"]): entry["code"] for entry in RECORDED["commands"]}
-    commands = readme_commands()
-    assert commands
-    assert [argv for argv in commands if codes.get(tuple(argv)) != 0] == []
+    assert codes.get(tuple(argv)) == 0
