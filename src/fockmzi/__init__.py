@@ -35,7 +35,6 @@ _EXPORTS = {
     ), "fock"),
     **dict.fromkeys((
         "BALANCED", "CONVENTIONS", "ONE_ARM", "SYMMETRIC", "InterferometerPipeline", "pulled_back_jz", "split",
-        "split_port_a",
     ), "elements"),
     **dict.fromkeys((
         "SCHEME_NAMES", "SchemeTag", "TruncationError", "coherent_amplitudes", "dual_fock", "noon",

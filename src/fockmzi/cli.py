@@ -178,13 +178,48 @@ def _setup(args, tag: SchemeTag):
     return build_setup(tag, convention=args.convention)
 
 
-def run_sensitivity(args) -> Table:
+# the four quantities of a setup, each in closed form for port-A light and from the Fock-space input otherwise
+
+def _sweep(setup, grid: np.ndarray):
+    """The setup's mean, variance and sensitivity over the grid."""
     from . import estimation
 
+    if setup.light is not None:
+        return estimation.photon_sweep(setup.analysis, setup.light, grid)
+    return estimation.phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
+
+
+def _fisher(setup, grid: np.ndarray) -> np.ndarray:
+    """The setup's Fisher information at each phase of the grid."""
+    from . import estimation
+
+    if setup.light is not None:
+        return estimation.photon_fisher(setup.light, grid)
+    return estimation.classical_fisher(setup.sampling, setup.input_state, grid)
+
+
+def _sample(setup, phi: float, shots: int, seed: int):
+    """The setup's seeded outcome histogram at phi."""
+    from . import estimation
+
+    if setup.light is not None:
+        return estimation.sample_photons(setup.light, phi, shots, seed)
+    return estimation.sample_outcomes(setup.sampling, setup.input_state, phi, shots, seed)
+
+
+def _posterior(hist, setup, grid: np.ndarray):
+    """The setup's posterior over the grid given the histogram."""
+    from . import estimation
+
+    if setup.light is not None:
+        return estimation.photon_posterior(hist, setup.light, grid)
+    return estimation.bayes_posterior(hist, setup.sampling, setup.input_state, grid)
+
+
+def run_sensitivity(args) -> Table:
     grid = parse_grid(args.phi_grid)
     tag = _scheme_tag(args)
-    setup = _setup(args, tag)
-    sweep = estimation.phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
+    sweep = _sweep(_setup(args, tag), grid)
     rows = list(zip(itertools.repeat(tag.name), itertools.repeat(fmt(tag.n)), *map(fmt_column, (grid, *sweep))))
     return ["scheme", "n", "phi", "expectation", "variance", "sensitivity"], rows, []
 
@@ -210,13 +245,12 @@ def run_scaling(args) -> Table:
         setup = _setup(args, tag)
         where = f"n={tag.n} metric={column}"
         if metric == "fisher":
-            value = float(np.max(estimation.classical_fisher(setup.sampling, setup.input_state, grid)))
+            value = float(np.max(_fisher(setup, grid)))
             if value == 0.0:  # the log-log fit needs a positive value
                 raise estimation.NoPhaseInformationError(f"{where}: Fisher information is 0 at every grid point")
             return value
-        _, _, delta = estimation.phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
         try:
-            return estimation.min_sensitivity(grid, delta)[1]
+            return estimation.min_sensitivity(grid, _sweep(setup, grid)[2])[1]
         except estimation.NoPhaseInformationError as exc:
             raise estimation.NoPhaseInformationError(f"{where}: {exc}") from None
 
@@ -310,13 +344,13 @@ def run_sample(args) -> Table:
         raise UsageError(f"--bayes-points must be >= 2, got {args.bayes_points}")
     tag = _scheme_tag(args)
     setup = _setup(args, tag)
-    hist = estimation.sample_outcomes(setup.sampling, setup.input_state, args.phi, args.shots, args.seed)
+    hist = _sample(setup, args.phi, args.shots, args.seed)
     ordered = sorted(hist.counts.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))
     rows = [[fmt(na), fmt(nb), fmt(c)] for (na, nb), c in ordered]
     footers = []
     if args.estimator == "bayes":
         grid = np.linspace(0.0, setup.likelihood_period, args.bayes_points, endpoint=False)
-        posterior = estimation.bayes_posterior(hist, setup.sampling, setup.input_state, grid)
+        posterior = _posterior(hist, setup, grid)
         footers.append(f"posterior_mean={fmt(estimation.posterior_mean(posterior))}")
         footers.append(f"posterior_std={fmt(estimation.posterior_std(posterior))}")
     return ["n_a", "n_b", "count"], rows, footers

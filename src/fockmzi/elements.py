@@ -3,27 +3,23 @@ acts on the state as it enters the phase stage.
 
 There is one beam splitter, the 50/50 exp(i pi/2 J_x), and every form of it
 lives here: its blocks from the J_x eigensystem (splitter_blocks), its action
-on a state (split), its action on port-A inputs in closed form
-(split_port_a), and J_z pulled back through it (pulled_back_jz), the
-tridiagonal -J_y.
+on a state (split), and J_z pulled back through it (pulled_back_jz), the
+tridiagonal -J_y, with the norm bound of its block (pulled_back_jz_bound).
 """
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fock import BlockObservable, BlockUnitary, NumericalFailure, TwoModeState, log_factorials
+from .fock import BlockObservable, BlockUnitary, NumericalFailure, ReadOnly, TwoModeState
 
 BALANCED = math.pi / 2  # splitter angle of the 50/50 beam splitter
 
 ONE_ARM = "one-arm"
 SYMMETRIC = "symmetric"
 CONVENTIONS = (ONE_ARM, SYMMETRIC)
-
-_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def _cross_ladder(n: int) -> np.ndarray:
@@ -61,26 +57,24 @@ def split(state: TwoModeState) -> TwoModeState:
     return TwoModeState({n: _splitter_block(n) @ vec for n, vec in state.blocks.items()})
 
 
-def split_port_a(amplitudes: dict[int, complex]) -> TwoModeState:
-    """sum_n c_n |n,0> after the 50/50 splitter exp(i pi/2 J_x), in closed form.
-
-    Block n becomes c_n sqrt(C(n,k)) / 2^{n/2} i^k on |n-k,k>: the binomial
-    weights come from log-factorials and i^k is taken exactly from a table.
-    """
-    log_fact = log_factorials(max(amplitudes, default=0))
-    blocks = {}
-    for n, c in amplitudes.items():
-        k = np.arange(n + 1)
-        log_binom = log_fact[n] - log_fact[: n + 1] - log_fact[n::-1]
-        blocks[n] = c * np.exp((log_binom - n * math.log(2.0)) / 2.0) * _I_POWERS[k % 4]
-    return TwoModeState(blocks)
-
-
 def pulled_back_jz(blocks: Iterable[int]) -> BlockObservable:
     """U_after† J_z U_after for U_after the 50/50 splitter, on the given blocks: -J_y, where
     J_y = -i(a†b - b†a)/2."""
     # -J_y's band above the diagonal is i/2 times a†b's; the band below, its conjugate, is implied
     return BlockObservable({n: {1: 0.5j * _cross_ladder(n)} for n in blocks})
+
+
+def pulled_back_jz_bound(n: int) -> float:
+    """pulled_back_jz([n]).norm_bound(n), bit for bit, in O(1) and with no array.
+
+    Row i of |-J_y| on block n sums half the ladder elements sqrt((n-i)(i+1))
+    and sqrt((n-i+1)i).  Both products grow up to the middle row and the row
+    sums are symmetric about it; sqrt and rounding are monotone, so the
+    rounded sums peak at row n // 2 too, and this is that row's sum, rounded
+    as norm_bound rounds it.
+    """
+    m = n // 2
+    return 0.5 * math.sqrt((n - m) * (m + 1)) + 0.5 * math.sqrt((n - m + 1) * m)
 
 
 def phase_exponent(convention: str, n: int) -> np.ndarray:
@@ -98,8 +92,7 @@ def _block(unitary: BlockUnitary, n: int) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class InterferometerPipeline:
+class InterferometerPipeline(ReadOnly):
     """The canonical interferometer U_after . exp(i phi G).
 
     Its input is the state as it enters the phase stage: any optics ahead of
@@ -110,11 +103,11 @@ class InterferometerPipeline:
     stands for the identity.
     """
 
-    convention: str = ONE_ARM
-    after: BlockUnitary | None = None
+    __slots__ = ("convention", "after")
 
-    def __post_init__(self):
-        phase_exponent(self.convention, 0)  # rejects an unknown convention
+    def __init__(self, convention: str = ONE_ARM, after: BlockUnitary | None = None):
+        phase_exponent(convention, 0)  # rejects an unknown convention
+        self._fill(convention=convention, after=after)
 
     def _phase_stage_over(self, state: TwoModeState, grid: np.ndarray):
         """A function giving block n of e^{i phi G} psi, one column per phase, for

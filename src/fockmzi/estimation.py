@@ -10,20 +10,29 @@ per-block kernel (evolve_blocks, output_rows) yields, over the whole phase
 grid at once, one photon-number block at a time; sampling draws from the
 output state the pipeline's evolve gives at one phase.  Which input,
 observable and readout a scheme uses is decided in `schemes`.
+
+Light in port A alone (`states.PortALight`) takes none of those paths.  Each
+of its photons leaves the balanced interferometer on its own, by port B with
+probability cos^2(phi/2) in either convention (Campos, Saleh & Teich, PRA 40,
+1371, 1989), and the photon-number blocks add with their weights and no cross
+term.  So photon_sweep, photon_fisher, sample_photons and photon_posterior
+give the same quantities in closed form, from the weights' mean and variance
+and one photon's exit probabilities, with no state, observable or splitter
+built.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
-from .elements import InterferometerPipeline, phase_exponent
-from .fock import BlockObservable, NumericalFailure, TwoModeState
+from .elements import ONE_ARM, InterferometerPipeline, phase_exponent, pulled_back_jz_bound
+from .fock import BlockObservable, NumericalFailure, ReadOnly, TwoModeState
 
 DERIVATIVE_RTOL = 1e-14
 PROBABILITY_FLOOR = 1e-15
 _GRID_SPACING_RTOL = 1e-9
+_DRAW_CHUNK = 1 << 16  # binomial draws made at once, so sampling memory does not grow with the shots
 
 
 class NoPhaseInformationError(RuntimeError, NumericalFailure):
@@ -35,31 +44,28 @@ class ModelMismatchError(RuntimeError, NumericalFailure):
     """Raised when observed outcomes have zero likelihood everywhere on the grid."""
 
 
-@dataclass(frozen=True)
-class OutcomeHistogram:
+class OutcomeHistogram(ReadOnly):
     """Counts of measured (n_a, n_b) outcomes from one seeded sampling run."""
 
-    shots: int
-    counts: dict[tuple[int, int], int]
+    __slots__ = ("shots", "counts")
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts.values()):
+    def __init__(self, shots: int, counts: dict[tuple[int, int], int]):
+        if any(c < 0 for c in counts.values()):
             raise ValueError("counts must be nonnegative")
-        total = sum(self.counts.values())
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, expected {self.shots}")
+        total = sum(counts.values())
+        if total != shots:
+            raise ValueError(f"counts sum to {total}, expected {shots}")
+        self._fill(shots=shots, counts=counts)
 
 
-@dataclass(frozen=True)
-class PosteriorDistribution:
+class PosteriorDistribution(ReadOnly):
     """Normalized posterior weights over a uniform phase grid covering one period."""
 
-    phi_grid: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("phi_grid", "weights")
 
-    def __post_init__(self):
-        grid = np.asarray(self.phi_grid, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, phi_grid: np.ndarray, weights: np.ndarray):
+        grid = np.asarray(phi_grid, dtype=float)
+        w = np.asarray(weights, dtype=float)
         if grid.shape != w.shape or grid.ndim != 1:
             raise ValueError("grid and weights must be matching 1-d arrays")
         if grid.size < 2:
@@ -75,8 +81,7 @@ class PosteriorDistribution:
             raise ValueError(f"weights sum to {w.sum()}, expected 1 within 1e-10")
         grid.setflags(write=False)
         w.setflags(write=False)
-        object.__setattr__(self, "phi_grid", grid)
-        object.__setattr__(self, "weights", w)
+        self._fill(phi_grid=grid, weights=w)
 
 
 def _divergent(slope, observable_bound: float, generator_bound: float):
@@ -85,6 +90,14 @@ def _divergent(slope, observable_bound: float, generator_bound: float):
     The norms are bounds over the populated blocks; a zero slope is always divergent.
     """
     return slope <= DERIVATIVE_RTOL * observable_bound * generator_bound
+
+
+def _sensitivity(var, slope, observable_bound: float, generator_bound: float) -> np.ndarray:
+    """sqrt(Var A) / |d<A>/dphi|, +inf where the slope is _divergent."""
+    divergent = _divergent(slope, observable_bound, generator_bound)
+    delta = np.sqrt(var) / np.where(divergent, 1.0, slope)
+    delta[divergent] = math.inf
+    return delta
 
 
 def phase_sweep(
@@ -116,11 +129,33 @@ def phase_sweep(
     for n, psi, _ in pipeline.evolve_blocks(input_state, grid):
         resid = observable.apply_block(n, psi) - mean * psi
         var += np.sum((resid.conj() * resid).real, axis=0)
-    slope = np.abs(deriv)
-    divergent = _divergent(slope, observable_bound, generator_bound)
-    delta = np.sqrt(var) / np.where(divergent, 1.0, slope)
-    delta[divergent] = math.inf
-    return mean, var, delta
+    return mean, var, _sensitivity(var, np.abs(deriv), observable_bound, generator_bound)
+
+
+def photon_sweep(pipeline: InterferometerPipeline, light, phi_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phase_sweep of port-A light (a states.PortALight) through the pipeline's phase stage, with J_z read
+    after the second splitter, in closed form.
+
+    One photon reads m1 = -cos(phi)/2, with variance v1 = sin(phi)^2/4 and
+    slope m1' = sin(phi)/2.  Block n is n independent photons, so for nbar
+    and s2 the mean and variance of the weights, <A> = nbar m1,
+    Var A = nbar v1 + s2 m1^2 and |d<A>/dphi| = nbar |m1'|.  The divergent
+    points are phase_sweep's: its bounds are taken on the largest block,
+    -J_y's from pulled_back_jz_bound and the generator's in closed form.
+    Light whose largest slope, nbar/2, is divergent has no finite point:
+    NoPhaseInformationError.
+    """
+    grid = np.asarray(phi_grid, dtype=float)
+    cutoff = light.first + light.weights.size - 1
+    observable_bound = pulled_back_jz_bound(cutoff)
+    generator_bound = cutoff if pipeline.convention == ONE_ARM else cutoff / 2.0  # the largest |g| of the block
+    if light.mean > 0.0 and _divergent(0.5 * light.mean, observable_bound, generator_bound):
+        raise NoPhaseInformationError(f"sensitivity is divergent at every phase: {light.mean:.17g} photons "
+                                      "give slopes below the roundoff bound 1e-14 ||A|| ||G||")
+    cos, sin = np.cos(grid), np.sin(grid)
+    mean = 0.0 - 0.5 * light.mean * cos  # a zero mean, of vacuum, is +0.0 and not -0.0
+    var = 0.25 * (light.mean * sin * sin + light.variance * cos * cos)
+    return mean, var, _sensitivity(var, 0.5 * light.mean * np.abs(sin), observable_bound, generator_bound)
 
 
 def min_sensitivity(phi_grid, delta_phi) -> tuple[float, float]:
@@ -152,6 +187,27 @@ def classical_fisher(pipeline: InterferometerPipeline, input_state: TwoModeState
     return info
 
 
+def photon_fisher(light, phi_grid) -> np.ndarray:
+    """classical_fisher of port-A light (a states.PortALight): nbar, the weights' mean, at every phase.
+
+    A photon's exit port is a Bernoulli trial with q = cos^2(phi/2), whose
+    Fisher information q'^2 / (q (1 - q)) is 1 for every phi; block n is n
+    such trials, and the block itself, read off the outcome, carries none.
+    No outcome is floored, so phi = 0 reads nbar too.
+    """
+    return np.full(np.asarray(phi_grid, dtype=float).size, light.mean)
+
+
+def _generator(shots: int, seed: int):
+    """The np.random.Generator of a sampling run, after checking its shots and seed.  (No annotation
+    names it: that would import numpy.random, and its memory, into every command.)"""
+    if not 0 <= shots < 2**63:
+        raise ValueError(f"shots must be in [0, 2**63), got {shots}")
+    if not -(2**63) <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit integer, signed or not, in [-2**63, 2**64), got {seed}")
+    return np.random.default_rng(seed & 0xFFFF_FFFF_FFFF_FFFF)
+
+
 def sample_outcomes(
     pipeline: InterferometerPipeline,
     input_state: TwoModeState,
@@ -169,18 +225,63 @@ def sample_outcomes(
     draws.  A seed is any 64-bit integer, signed or not, so in
     [-2**63, 2**64); a negative seed s draws as s + 2**64.
     """
-    if not 0 <= shots < 2**63:
-        raise ValueError(f"shots must be in [0, 2**63), got {shots}")
-    if not -(2**63) <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit integer, signed or not, in [-2**63, 2**64), got {seed}")
+    rng = _generator(shots, seed)
     distribution = pipeline.evolve(input_state, phi).probabilities()
     probs = np.array(list(distribution.values()))
     probs[probs < PROBABILITY_FLOOR] = 0.0
     probs /= probs.sum()
-    rng = np.random.default_rng(seed & 0xFFFF_FFFF_FFFF_FFFF)
     drawn = rng.multinomial(shots, probs) if shots else np.zeros(probs.size, dtype=int)
     counts = {lab: int(c) for lab, c in zip(distribution, drawn) if c > 0}
     return OutcomeHistogram(shots=shots, counts=counts)
+
+
+def sample_photons(light, phi: float, shots: int, seed: int) -> OutcomeHistogram:
+    """sample_outcomes for port-A light (a states.PortALight), in two stages: each block's shots from the
+    weights in one multinomial draw, then each shot's photons in the port less likely to take one,
+    Binomial(n, p) for p the lesser of cos^2(phi/2) (port B) and sin^2(phi/2).
+
+    A block's c shots are c binomial draws, _DRAW_CHUNK at a time, or one
+    multinomial draw over its _binomial_window if c is larger, so a block
+    costs the lesser of its shots and its window.  Outcomes come in block
+    order, n_b ascending.  Shots and seed are those of sample_outcomes; no
+    probability is floored.
+    """
+    rng = _generator(shots, seed)
+    in_b, in_a = math.cos(phi / 2.0) ** 2, math.sin(phi / 2.0) ** 2
+    p = min(in_a, in_b)  # each photon takes the drawn port with probability p
+    per_block = rng.multinomial(shots, light.weights)
+    counts = {}
+    for i in np.flatnonzero(per_block).tolist():
+        n, c = light.first + i, int(per_block[i])
+        lo, hi = _binomial_window(n, p)
+        if c > hi - lo:
+            drawn = dict(enumerate(rng.multinomial(c, _binomial_pmf(n, p, lo, hi)).tolist(), start=lo))
+        else:
+            drawn = {}
+            for start in range(0, c, _DRAW_CHUNK):
+                values, hits = np.unique(rng.binomial(n, p, size=min(_DRAW_CHUNK, c - start)), return_counts=True)
+                for k, hit in zip(values.tolist(), hits.tolist()):
+                    drawn[k] = drawn.get(k, 0) + hit
+        in_port_b = {(k if p == in_b else n - k): hit for k, hit in drawn.items() if hit}
+        counts.update(((n - n_b, n_b), in_port_b[n_b]) for n_b in sorted(in_port_b))
+    return OutcomeHistogram(shots, counts)
+
+
+def _binomial_window(n: int, p: float) -> tuple[int, int]:
+    """Counts lo..hi outside which Binomial(n, p) probabilities round to 0: below exp(-1458) at 27 sqrt(n)
+    from the mean (Hoeffding)."""
+    if p == 0.0:
+        return 0, 0
+    spread = 27.0 * math.sqrt(n)
+    return max(0, math.ceil(n * p - spread)), min(n, math.floor(n * p + spread))
+
+
+def _binomial_pmf(n: int, p: float, lo: int, hi: int) -> np.ndarray:
+    """Binomial(n, p) probabilities of counts lo..hi, normalized over them, from neighbours' ratios in log space."""
+    k = np.arange(lo, hi, dtype=float)
+    log_pmf = np.concatenate(([0.0], np.cumsum(np.log((n - k) * p) - np.log((k + 1) * (1.0 - p)))))
+    pmf = np.exp(log_pmf - np.max(log_pmf))
+    return pmf / math.fsum(pmf)
 
 
 def bayes_posterior(
@@ -211,6 +312,39 @@ def bayes_posterior(
         for (_, count), p in zip(run, probs):
             with np.errstate(divide="ignore"):
                 log_like += count * np.log(p)
+    return _posterior(grid, log_like)
+
+
+def photon_posterior(hist: OutcomeHistogram, light, phi_grid) -> PosteriorDistribution:
+    """bayes_posterior for port-A light (a states.PortALight), in O(P) whatever the number of outcomes.
+
+    Outcome (n_a, n_b) has likelihood w_n C(n, n_b) sin^2(phi/2)^n_a
+    cos^2(phi/2)^n_b, so up to a constant the log-likelihood is
+    S_a log sin^2(phi/2) + S_b log cos^2(phi/2), for S_a and S_b the
+    count-weighted photons in each port.  An outcome outside the populated
+    blocks raises ModelMismatchError, as in bayes_posterior, and so does one
+    in a block of weight 0.
+    """
+    grid = np.asarray(phi_grid, dtype=float)
+    totals = [0, 0]  # photons counted in port A and in port B
+    for (n_a, n_b), count in hist.counts.items():
+        if n_a < 0 or n_b < 0 or not 0 <= n_a + n_b - light.first < light.weights.size:
+            raise ModelMismatchError(f"observed outcome ({n_a}, {n_b}) has zero likelihood: "
+                                     "it is not a basis state of a populated block")
+        if light.weights[n_a + n_b - light.first] == 0.0:
+            raise ModelMismatchError("observed outcomes have zero likelihood everywhere on the grid")
+        totals[0] += count * n_a
+        totals[1] += count * n_b
+    log_like = np.zeros(grid.size)
+    for total, p in zip(totals, (np.sin(grid / 2.0) ** 2, np.cos(grid / 2.0) ** 2)):
+        if total:  # a port no photon left by adds nothing, not 0 * log 0
+            with np.errstate(divide="ignore"):
+                log_like += float(total) * np.log(p)
+    return _posterior(grid, log_like)
+
+
+def _posterior(grid: np.ndarray, log_like: np.ndarray) -> PosteriorDistribution:
+    """The posterior of a uniform prior on the grid, from its log-likelihood up to a constant."""
     peak = np.max(log_like)
     if not np.isfinite(peak):
         raise ModelMismatchError("observed outcomes have zero likelihood everywhere on the grid")

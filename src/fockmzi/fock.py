@@ -11,7 +11,6 @@ observable is Hermitian by its form.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,31 +28,73 @@ def block_labels(n: int) -> list[tuple[int, int]]:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr as a read-only complex128 array: a read-only copy, or arr itself when it already is one that
+    owns its data, so a cached splitter block is held once.  Such an array is shared with whoever made
+    it, and writes through it are refused only while its writeable flag stays off: numpy lets the
+    owner of an array turn the flag back on."""
+    if arr.dtype == np.complex128 and not arr.flags.writeable and arr.base is None:
+        return arr
     out = np.array(arr, dtype=np.complex128)
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True)
-class TwoModeState:
+class ReadOnly:
+    """Base of the value classes: each __init__ validates its arguments once and sets its __slots__
+    through _fill; after that, assignment and deletion raise AttributeError.  Instances
+    compare equal, hash and print by their public slots, in order, as frozen dataclasses do by their
+    fields."""
+
+    __slots__ = ()
+
+    def _fill(self, **values):
+        """Set slots: each public one once, from __init__, and a private cache slot on first use."""
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+    def __setstate__(self, state):
+        """Restore a copy or an unpickled value: copy and pickle give back the set slots, (None, {name: value})."""
+        self._fill(**state[1])
+
+    def _fields(self) -> dict:
+        """The public slots and their values, in slot order."""
+        return {name: getattr(self, name) for name in self.__slots__ if not name.startswith("_")}
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._fields().values()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in self._fields().items())})"
+
+
+class TwoModeState(ReadOnly):
     """Pure two-mode state held as one dense amplitude vector per populated block.
 
     Blocks absent from the map are exactly zero; number-conserving unitaries
     never create them, so unpopulated blocks stay zero by construction.
     """
 
-    blocks: dict[int, np.ndarray]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: dict[int, np.ndarray]):
         clean = {}
-        for n in sorted(self.blocks):
+        for n in sorted(blocks):
             if n < 0:
                 raise ValueError(f"block index must be nonnegative, got {n}")
-            vec = np.asarray(self.blocks[n])
+            vec = np.asarray(blocks[n])
             if vec.shape != (n + 1,):
                 raise ValueError(f"block {n} needs {n + 1} amplitudes, got shape {vec.shape}")
             clean[n] = _frozen(vec)
-        object.__setattr__(self, "blocks", clean)
+        self._fill(blocks=clean)
 
     def probabilities(self) -> dict[tuple[int, int], float]:
         """Outcome probabilities |amplitude|^2 over all populated basis states."""
@@ -79,8 +120,7 @@ def _bands(n: int, block: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     return bands
 
 
-@dataclass(frozen=True)
-class BlockObservable:
+class BlockObservable(ReadOnly):
     """Hermitian operator stored per total-photon-number block as its nonzero upper diagonals.
 
     blocks[n] maps an offset k >= 0 to the diagonal of entries (i, i + k) of
@@ -89,10 +129,10 @@ class BlockObservable:
     nonzero diagonals.  Absent blocks and absent diagonals are zero.
     """
 
-    blocks: dict[int, dict[int, np.ndarray]]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", {n: _bands(n, self.blocks[n]) for n in sorted(self.blocks)})
+    def __init__(self, blocks: dict[int, dict[int, np.ndarray]]):
+        self._fill(blocks={n: _bands(n, blocks[n]) for n in sorted(blocks)})
 
     def apply_block(self, n: int, x: np.ndarray) -> np.ndarray:
         """Block n of the operator applied to x, an (n+1)-vector or an (n+1) x P array of columns."""
@@ -114,22 +154,21 @@ class BlockObservable:
         return float(rows.max(initial=0.0))
 
 
-@dataclass(frozen=True)
-class BlockUnitary:
+class BlockUnitary(ReadOnly):
     """Number-conserving unitary stored per total-photon-number block."""
 
-    blocks: dict[int, np.ndarray]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: dict[int, np.ndarray]):
         clean = {}
-        for n in sorted(self.blocks):
-            mat = np.asarray(self.blocks[n])
+        for n in sorted(blocks):
+            mat = np.asarray(blocks[n])
             if mat.shape != (n + 1, n + 1):
                 raise ValueError(f"block {n} must be {n + 1}x{n + 1}, got {mat.shape}")
             if np.max(np.abs(mat.conj().T @ mat - np.eye(n + 1))) > UNITARY_TOL:
                 raise ValueError(f"block {n} is not unitary within {UNITARY_TOL}")
             clean[n] = _frozen(mat)
-        object.__setattr__(self, "blocks", clean)
+        self._fill(blocks=clean)
 
 
 def make_basis_state(n_a: int, n_b: int) -> TwoModeState:
@@ -144,4 +183,4 @@ def make_basis_state(n_a: int, n_b: int) -> TwoModeState:
 def log_factorials(k_max: int) -> np.ndarray:
     """log k! for k = 0..k_max, into an array allocated before the first lgamma, so a k_max too large
     to hold fails at once."""
-    return np.fromiter((math.lgamma(k + 1) for k in range(k_max + 1)), dtype=float, count=k_max + 1)
+    return np.fromiter(map(math.lgamma, range(1, k_max + 2)), dtype=float, count=k_max + 1)

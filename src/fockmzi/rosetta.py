@@ -8,11 +8,11 @@ photon taking arm A; |1> the photon taking arm B.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .estimation import phase_sweep
+from .fock import ReadOnly
 from .schemes import build_setup
 from .states import SchemeTag
 
@@ -21,20 +21,18 @@ MAX_QUBITS = 14
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class QubitRegister:
-    n_qubits: int
-    amplitudes: np.ndarray
+class QubitRegister(ReadOnly):
+    __slots__ = ("n_qubits", "amplitudes")
 
-    def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.n_qubits,):
-            raise ValueError(f"need {2**self.n_qubits} amplitudes, got shape {amps.shape}")
+    def __init__(self, n_qubits: int, amplitudes: np.ndarray):
+        if not 1 <= n_qubits <= MAX_QUBITS:
+            raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n_qubits}")
+        amps = np.asarray(amplitudes, dtype=np.complex128)
+        if amps.shape != (2**n_qubits,):
+            raise ValueError(f"need {2**n_qubits} amplitudes, got shape {amps.shape}")
         amps = amps.copy()
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        self._fill(n_qubits=n_qubits, amplitudes=amps)
 
 
 def zero_register(n_qubits: int) -> QubitRegister:

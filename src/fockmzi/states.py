@@ -1,16 +1,18 @@
 """Factories for the input states as they reach the first splitter, plus the scheme tag they travel under.
 
-Coherent light is truncated at the smallest cutoff whose dropped Poisson tail
-is below COHERENT_TAIL_TOL = 1e-18.  There a larger cutoff changes no printed
-digit of any command, so no caller chooses a cutoff or a tolerance.
+Light in port A alone (coherent light, |N,0>) is held as its photon-number
+weights (PortALight), since each of its photons crosses the interferometer on
+its own.  Coherent light is truncated at the smallest cutoff whose dropped
+Poisson tail is below COHERENT_TAIL_TOL = 1e-18.  There a larger cutoff
+changes no printed digit of any command, so no caller chooses a cutoff or a
+tolerance.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import NumericalFailure, TwoModeState, log_factorials, make_basis_state
+from .fock import NumericalFailure, ReadOnly, TwoModeState, log_factorials, make_basis_state
 
 SCHEME_NAMES = (
     "single-port-fock",
@@ -24,7 +26,7 @@ SCHEME_NAMES = (
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 COHERENT_TAIL_TOL = 1e-18  # the Poisson tail mass a truncated coherent state may drop
-COHERENT_CUTOFF_CAP = 100_000  # the largest coherent cutoff accepted; --n 97256 is the brightest that fits
+COHERENT_CUTOFF_CAP = 2_000_000  # the largest coherent cutoff accepted; --n 1987641 is the brightest that fits
 _PAST_CAP = f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps the coherent tail mass below {COHERENT_TAIL_TOL:.1e}"
 
 
@@ -32,24 +34,48 @@ class TruncationError(ValueError, NumericalFailure):
     """Raised when no coherent cutoff up to COHERENT_CUTOFF_CAP drops less tail mass than COHERENT_TAIL_TOL."""
 
 
-@dataclass(frozen=True)
-class SchemeTag:
+class SchemeTag(ReadOnly):
     """Canonical name + size of one input scheme, as used by the CLI."""
 
-    name: str
-    n: int
+    __slots__ = ("name", "n")
 
-    def __post_init__(self):
-        if self.name not in SCHEME_NAMES:
-            raise ValueError(f"unknown scheme {self.name!r}, expected one of {SCHEME_NAMES}")
-        if self.n < 0:
-            raise ValueError(f"scheme size must be nonnegative, got {self.n}")
-        if self.name == "yurke-fermionic-analog" and self.n % 2 == 0:
-            raise ValueError(f"yurke-fermionic-analog needs odd n, got {self.n}")
-        if self.name == "yurke-bosonic" and (self.n % 2 == 1 or self.n == 0):
-            raise ValueError(f"yurke-bosonic needs positive even n, got {self.n}")
-        if self.name == "noon" and self.n < 1:
-            raise ValueError(f"noon needs n >= 1, got {self.n}")
+    def __init__(self, name: str, n: int):
+        if name not in SCHEME_NAMES:
+            raise ValueError(f"unknown scheme {name!r}, expected one of {SCHEME_NAMES}")
+        if n < 0:
+            raise ValueError(f"scheme size must be nonnegative, got {n}")
+        if name == "yurke-fermionic-analog" and n % 2 == 0:
+            raise ValueError(f"yurke-fermionic-analog needs odd n, got {n}")
+        if name == "yurke-bosonic" and (n % 2 == 1 or n == 0):
+            raise ValueError(f"yurke-bosonic needs positive even n, got {n}")
+        if name == "noon" and n < 1:
+            raise ValueError(f"noon needs n >= 1, got {n}")
+        self._fill(name=name, n=n)
+
+
+class PortALight(ReadOnly):
+    """Light in port A and vacuum in port B, sum_n c_n |n,0>, held as its photon-number weights alone.
+
+    weights[i] = |c_n|^2 for block n = first + i.  Each photon leaves the
+    interferometer on its own (Campos, Saleh & Teich, PRA 40, 1371, 1989), so
+    these weights and their mean and variance, each an exactly rounded sum
+    (math.fsum), are all that sweeps, Fisher information, sampling and Bayes
+    read of the light.  The weights must be nonnegative and sum to 1 within
+    1e-12.
+    """
+
+    __slots__ = ("first", "weights", "mean", "variance")
+
+    def __init__(self, first: int, weights):
+        w = np.array(weights, dtype=float)
+        if first < 0:
+            raise ValueError(f"block index must be nonnegative, got {first}")
+        if w.ndim != 1 or w.size == 0 or not np.all(w >= 0.0) or abs(np.sum(w) - 1.0) > 1e-12:
+            raise ValueError("photon-number weights must be a nonempty 1-d array of nonnegative numbers summing to 1")
+        w.setflags(write=False)
+        n = first + np.arange(w.size)
+        mean = math.fsum(w * n)
+        self._fill(first=first, weights=w, mean=mean, variance=math.fsum(w * (n - mean) ** 2))
 
 
 def dual_fock(n: int) -> TwoModeState:

@@ -8,6 +8,7 @@ Poisson tail mass that coherent truncation is checked against."""
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,15 +19,20 @@ from fockmzi.elements import (
     InterferometerPipeline,
     _jx_eigensystem,
     phase_exponent,
+    pulled_back_jz,
+    splitter_blocks,
 )
 from fockmzi.estimation import _divergent
 from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, log_factorials, make_basis_state
 from fockmzi.lithography import InsufficientGridError
 from fockmzi.rosetta import QubitRegister, _bit
-from fockmzi.states import COHERENT_CUTOFF_CAP, COHERENT_TAIL_TOL, TruncationError
+from fockmzi.schemes import SchemeSetup, build_setup
+from fockmzi.states import COHERENT_CUTOFF_CAP, COHERENT_TAIL_TOL, SchemeTag, TruncationError, coherent_amplitudes
 
 NUMBER_MODES = ("a", "b", "total")
+PORT_A_SCHEMES = ("single-port-fock", "coherent")
 _ENSEMBLE_SIN_TOL = 1e-12
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 # ---------------------------------------------------------------- readings of one state, observable or register
@@ -199,6 +205,32 @@ def poisson_amplitudes(mean_photons: float, cutoff: int) -> np.ndarray:
         return (k == 0).astype(float)
     amps = np.exp((k * math.log(mean_photons) - mean_photons - log_factorials(cutoff)) / 2.0)
     return amps / math.sqrt(math.fsum(amps * amps))
+
+
+def split_port_a(amplitudes: dict[int, complex]) -> TwoModeState:
+    """sum_n c_n |n,0> after the 50/50 splitter exp(i pi/2 J_x), in closed form.
+
+    Block n becomes c_n sqrt(C(n,k)) / 2^{n/2} i^k on |n-k,k>: the binomial
+    weights come from log-factorials and i^k is taken exactly from a table.
+    """
+    log_fact = log_factorials(max(amplitudes, default=0))
+    blocks = {}
+    for n, c in amplitudes.items():
+        k = np.arange(n + 1)
+        log_binom = log_fact[n] - log_fact[: n + 1] - log_fact[n::-1]
+        blocks[n] = c * np.exp((log_binom - n * math.log(2.0)) / 2.0) * _I_POWERS[k % 4]
+    return TwoModeState(blocks)
+
+
+def fock_path_setup(tag: SchemeTag, convention: str = ONE_ARM) -> SchemeSetup:
+    """build_setup's setup with port-A light wired on the Fock path, as build_setup wired it before
+    independent photons: the split state from split_port_a, the -J_y observable and the 50/50 splitter
+    as the readout, on the populated blocks.  Every other scheme's setup is build_setup's."""
+    if tag.name not in PORT_A_SCHEMES:
+        return build_setup(tag, convention)
+    inp = split_port_a({tag.n: 1.0} if tag.name == "single-port-fock" else dict(enumerate(coherent_amplitudes(tag.n))))
+    return SchemeSetup(max(inp.blocks), InterferometerPipeline(convention), 2.0 * math.pi, input_state=inp,
+                       observable=pulled_back_jz(inp.blocks), readout=partial(splitter_blocks, inp.blocks))
 
 
 def coherent_vacuum(mean_photons: float, cutoff: int) -> TwoModeState:

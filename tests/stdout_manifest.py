@@ -95,6 +95,7 @@ def _coherent() -> list[list[str]]:
         ["sample", "--scheme", "coherent", "--n", "4", *BAYES_7],
         ["sample", "--scheme", "coherent", "--n", "100", *BAYES_7],
         ["sensitivity", "--scheme", "coherent", "--n", "2000", "--phi-grid", "0.1:3:3"],
+        ["sensitivity", "--scheme", "coherent", "--n", "1000000", "--phi-grid", "0.1:3:3"],
     ]
     return commands
 
@@ -102,7 +103,7 @@ def _coherent() -> list[list[str]]:
 def _failures() -> list[list[str]]:
     """The exit-2 cases that tests/test_cli.py runs in-process, and an input too large to allocate."""
     return [
-        ["sensitivity", "--scheme", "coherent", "--n", "97257"],
+        ["sensitivity", "--scheme", "coherent", "--n", "1987642"],
         ["scaling", "--scheme", "dual-fock", "--metric", "min-sensitivity", "--n-range", "1:3"],
         ["scaling", "--scheme", "noon", "--metric", "fisher", "--n-range", "1:3", "--phi-grid", "0:1e-300:2"],
         ["scaling", "--scheme", "dual-fock", "--n-range", "0:2"],

@@ -9,7 +9,7 @@ import numpy as np
 
 from fockmzi.cli import main
 from fockmzi.elements import BALANCED
-from fockmzi.estimation import classical_fisher, min_sensitivity, phase_sweep, scaling_fit
+from fockmzi.estimation import classical_fisher, min_sensitivity, phase_sweep, photon_sweep, scaling_fit
 from fockmzi.fock import make_basis_state
 from fockmzi.lithography import deposition_rate, fringe_period
 from fockmzi.rosetta import MAX_QUBITS, flip_expectations
@@ -162,7 +162,7 @@ def test_criterion_11_coherent_shot_noise():
     for nbar in (1, 4, 9):
         setup = build_setup(SchemeTag("coherent", nbar))
         assert coherent_tail_mass(nbar, setup.cutoff) < COHERENT_TAIL_TOL
-        _, _, delta = phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
+        _, _, delta = photon_sweep(setup.analysis, setup.light, grid)
         _, best = min_sensitivity(grid, delta)
         worst_rel = max(worst_rel, abs(best - 1 / math.sqrt(nbar)) * math.sqrt(nbar))
     report(11, worst_rel < 0.02, f"min sensitivity vs 1/sqrt(nbar), worst rel err {worst_rel:.2e}")

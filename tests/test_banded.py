@@ -17,8 +17,8 @@ from fockmzi.elements import (  # noqa: E402
     SYMMETRIC,
     InterferometerPipeline,
     pulled_back_jz,
+    pulled_back_jz_bound,
     split,
-    split_port_a,
 )
 from fockmzi.fock import BlockObservable, TwoModeState, make_basis_state  # noqa: E402
 from fockmzi.schemes import build_setup  # noqa: E402
@@ -38,10 +38,12 @@ from oracles import (  # noqa: E402
     beam_splitter,
     coherent_vacuum,
     dense,
+    fock_path_setup,
     j_bands,
     j_observable,
     norm,
     port_swap,
+    split_port_a,
 )
 
 
@@ -84,6 +86,11 @@ def test_pulled_back_jz_is_minus_or_plus_jy(n, invert):
     pulled = u.conj().T @ dense(j_observable("z", n), n) @ u
     sign = -1.0 if invert else 1.0
     assert np.max(np.abs(pulled - sign * dense(pulled_back_jz([n]), n))) <= 1e-13 * max(1, n)
+
+
+def test_pulled_back_jz_bound_is_the_norm_bound_bit_for_bit():
+    for n in [*range(300), 2047, 2048, 10**5, 10**5 + 1, 1_008_770, 2_000_000, 10**7 + 3]:
+        assert pulled_back_jz_bound(n) == pulled_back_jz([n]).norm_bound(n), n
 
 
 @settings(max_examples=30, deadline=None)
@@ -171,7 +178,7 @@ def scheme_tag(name, k):
     phis=phases,
 )
 def test_analysis_and_sampling_pipelines_preserve_the_norm(scheme, k, convention, phis):
-    setup = build_setup(scheme_tag(scheme, k), convention=convention)
+    setup = fock_path_setup(scheme_tag(scheme, k), convention=convention)
     grid = np.array(phis)
     for pipeline in (setup.analysis, setup.sampling):
         norms = sum(np.sum(np.abs(psi) ** 2, axis=0) for _, psi, _ in pipeline.evolve_blocks(setup.input_state, grid))
@@ -197,7 +204,7 @@ def test_scheme_observable_stores_its_upper_bands_alone(scheme, invert):
     """With invert the stored observable is read with the ports exchanged, S† A S for S the port
     swap: J_z pulled back through the inverted second splitter, +J_y, or the flip unchanged."""
     tag = scheme_tag(scheme, 3)
-    setup = build_setup(tag)
+    setup = fock_path_setup(tag)
     swap = port_swap(setup.cutoff)
     for n, bands in setup.observable.blocks.items():
         assert all(k >= 0 for k in bands)
@@ -212,6 +219,10 @@ def test_scheme_observable_stores_its_upper_bands_alone(scheme, invert):
 def test_setup_cutoff_is_the_largest_input_block(scheme):
     for k in range(3):
         setup = build_setup(scheme_tag(scheme, k))
-        assert setup.cutoff == max(setup.input_state.blocks)
+        if setup.light is None:
+            assert setup.cutoff == max(setup.input_state.blocks)
+        else:  # port-A light: the last block it weighs, the largest its split state populates
+            assert setup.cutoff == setup.light.first + setup.light.weights.size - 1
+            assert setup.cutoff == max(fock_path_setup(scheme_tag(scheme, k)).input_state.blocks)
     if scheme in ("single-port-fock", "coherent", "dual-fock"):
         assert build_setup(SchemeTag(scheme, 0)).cutoff == 0

@@ -134,7 +134,7 @@ def test_malformed_grid_exits_1_without_file(tmp_path):
 def test_truncation_failure_exits_2(tmp_path):
     out = tmp_path / "never.csv"
     # the first size whose tail needs a cutoff past states.COHERENT_CUTOFF_CAP
-    code = main(["sensitivity", "--scheme", "coherent", "--n", "97257", "--output", str(out)])
+    code = main(["sensitivity", "--scheme", "coherent", "--n", "1987642", "--output", str(out)])
     assert code == 2
     assert not out.exists()
 
@@ -143,9 +143,6 @@ def test_truncation_failure_exits_2(tmp_path):
     ("yurke-bosonic", 10**21),  # past the largest array numpy can index
     ("noon", 10**29),
     ("dual-fock", 10**24),
-    ("single-port-fock", 10**21),
-    ("coherent", 10**400),  # sqrt(n) would overflow a float
-    ("single-port-fock", 10**15),  # indexable, but its log-factorial table is allocated before any lgamma runs
     ("noon", 10**15),
 ])
 def test_size_too_large_to_hold_exits_2_at_once(capsys, scheme, n):
@@ -154,6 +151,53 @@ def test_size_too_large_to_hold_exits_2_at_once(capsys, scheme, n):
     assert code == 2
     assert out == ""
     assert err.startswith("out of memory: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["sensitivity", "--scheme", "single-port-fock", "--n", str(10**21)], "do not fit numpy's 64-bit integers"),
+    (["sample", "--scheme", "single-port-fock", "--n", str(2**63)], "do not fit numpy's 64-bit integers"),
+    (["sensitivity", "--scheme", "coherent", "--n", str(10**400)], "no cutoff up to"),  # sqrt(n) would overflow
+    (["sensitivity", "--scheme", "single-port-fock", "--n", str(10**15)], "divergent at every phase"),
+    (["sensitivity", "--scheme", "single-port-fock", "--n", str(2 * 10**14), "--convention", "symmetric"],
+     "divergent at every phase"),
+    (["scaling", "--scheme", "single-port-fock", "--n-range", f"{10**15}:{10**15 + 2}"], "divergent at every phase"),
+])
+def test_port_a_light_past_its_limits_exits_2_saying_which(capsys, argv, reason):
+    # its weights hold no array of the photon number, so the limits are the draws' integers, the coherent
+    # cutoff cap and, for a sweep, the light whose largest slope N/2 is below the divergence threshold
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure: ") and reason in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sensitivity", "--n", str(9 * 10**13), "--phi-grid", "1.5:1.6:2"],
+    ["sensitivity", "--n", str(18 * 10**13), "--phi-grid", "1.5:1.6:2", "--convention", "symmetric"],
+    ["scaling", "--n-range", f"{10**15}:{3 * 10**15}:{10**15}", "--metric", "fisher", "--phi-grid", "0:1:3"],
+    ["sample", "--n", str(2**63 - 1), "--shots", "10", "--estimator", "bayes"],
+])
+def test_port_a_light_just_inside_its_limits_runs(tmp_path, argv):
+    code, text = run_cli(tmp_path, *argv, "--scheme", "single-port-fock")
+    assert code == 0
+    _, rows = rows_of(text)
+    assert rows and all(math.isfinite(float(row[-1])) for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sensitivity", "--n", str(10**12), "--phi-grid", "0.5:2.5:5"],
+    ["sample", "--n", str(10**15), "--phi", "0.7", "--shots", "100", "--estimator", "bayes"],
+])
+def test_single_port_fock_holds_no_array_of_its_photon_number(tmp_path, argv):
+    # N photons in port A are one weight: no log-factorial table, split state or block is built
+    code, text = run_cli(tmp_path, *argv, "--scheme", "single-port-fock")
+    assert code == 0
+    header, rows = rows_of(text)
+    if header[-1] == "sensitivity":
+        assert len(rows) == 5 and all(float(row[-1]) == pytest.approx(1e-6, rel=1e-15) for row in rows)
+    else:
+        assert sum(int(row[2]) for row in rows) == 100 and all(int(a) + int(b) == 10**15 for a, b, _ in rows)
 
 
 @pytest.mark.parametrize("cls, base", [

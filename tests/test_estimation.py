@@ -1,13 +1,13 @@
 import itertools
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fockmzi import elements, fock, schemes
-from fockmzi.elements import BALANCED, CONVENTIONS, ONE_ARM, pulled_back_jz, split_port_a
+from fockmzi import elements, estimation, fock, schemes
+from fockmzi.cli import _posterior as posterior, _sample as sample, _sweep as sweep, main
+from fockmzi.elements import BALANCED, CONVENTIONS, ONE_ARM, InterferometerPipeline, pulled_back_jz
 from fockmzi.estimation import (
     ModelMismatchError,
     NoPhaseInformationError,
@@ -17,9 +17,13 @@ from fockmzi.estimation import (
     classical_fisher,
     min_sensitivity,
     phase_sweep,
+    photon_fisher,
+    photon_posterior,
+    photon_sweep,
     posterior_mean,
     posterior_std,
     sample_outcomes,
+    sample_photons,
     scaling_fit,
 )
 from fockmzi.fock import BlockObservable, TwoModeState, make_basis_state
@@ -40,8 +44,10 @@ from oracles import (
     coherent_vacuum,
     dense,
     ensemble_sensitivity,
+    PORT_A_SCHEMES,
     exchanged,
     expectation,
+    fock_path_setup,
     j_observable,
     number_observable,
     phase_derivative,
@@ -50,6 +56,7 @@ from oracles import (
     sensitivity,
     single_port_fock,
     spectral_exponential,
+    split_port_a,
     variance,
 )
 
@@ -157,8 +164,8 @@ def test_commutator_derivative_matches_finite_difference():
 
 
 def min_of_sweep(setup, grid):
-    """min_sensitivity of the setup's phase_sweep over the grid, as `scaling` takes it."""
-    _, _, delta = phase_sweep(setup.analysis, setup.input_state, setup.observable, grid)
+    """min_sensitivity of the setup's sweep over the grid, as `scaling` takes it."""
+    _, _, delta = sweep(setup, grid)
     return min_sensitivity(grid, delta)
 
 
@@ -188,8 +195,8 @@ COHERENT_GRID = np.linspace(0.05, math.pi - 0.05, 97)
 def test_coherent_sweep_is_the_closed_form(nbar, tol, convention, invert):
     """<-J_y> = -(nbar/2) cos(phi) (<+J_y> = +(nbar/2) cos(phi) after the inverted second splitter),
     Var = nbar/4 and delta_phi = 1/(sqrt(nbar) |sin(phi)|) in either convention: the shot-noise
-    limit, with no digit lost to the truncated Poisson tail."""
-    setup = build_setup(SchemeTag("coherent", nbar), convention=convention)
+    limit, with no digit lost to the truncated Poisson tail: the Fock-path oracle."""
+    setup = fock_path_setup(SchemeTag("coherent", nbar), convention=convention)
     observable = j_observable("y", setup.cutoff) if invert else setup.observable  # J_z read after the inverted splitter
     mean, var, delta = phase_sweep(setup.analysis, setup.input_state, observable, COHERENT_GRID)
     sign = 1.0 if invert else -1.0
@@ -206,7 +213,7 @@ def test_no_larger_coherent_cutoff_changes_the_sweep(nbar, convention, invert):
     +J_y after the inverted second splitter."""
     cutoff = next(k for k in itertools.count() if coherent_tail_mass(nbar, k) < 1e-30)
     wide = split_port_a(dict(enumerate(poisson_amplitudes(nbar, cutoff))))
-    setup = build_setup(SchemeTag("coherent", nbar), convention=convention)
+    setup = fock_path_setup(SchemeTag("coherent", nbar), convention=convention)
     assert setup.cutoff < cutoff
     observable = j_observable("y", setup.cutoff) if invert else setup.observable
     wide_observable = j_observable("y", cutoff) if invert else pulled_back_jz(wide.blocks)
@@ -214,6 +221,56 @@ def test_no_larger_coherent_cutoff_changes_the_sweep(nbar, convention, invert):
     wide_sweep = phase_sweep(setup.analysis, wide, wide_observable, COHERENT_GRID)
     for column, wide_column in zip(sweep, wide_sweep):
         assert np.max(np.abs(column - wide_column) / np.abs(wide_column)) <= 1e-15
+
+
+# every grid point of the oracle comparisons below, the nulls 0 and pi among them
+PORT_A_GRID = np.concatenate((np.linspace(0.0, math.pi, 201), [0.005, 3.1, 3.1365926535897931]))
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("scheme, n", [
+    *(("coherent", nbar) for nbar in (0, 1, 2, 4, 25, 100, 400)),
+    *(("single-port-fock", n) for n in (1, 2, 6, 40)),
+])
+def test_photon_sweep_matches_the_fock_path_oracle(scheme, n, convention):
+    """The closed form against phase_sweep of the split state: the same inf cells, and every other
+    cell within 1e-12, relative to the cell or, for the cells that are 0 in exact arithmetic (the
+    mean at pi/2, |N,0>'s variance at 0 and pi), to the column's scale n/4."""
+    tag = SchemeTag(scheme, n)
+    oracle = fock_path_setup(tag, convention)
+    want = phase_sweep(oracle.analysis, oracle.input_state, oracle.observable, PORT_A_GRID)
+    setup = build_setup(tag, convention)
+    got = photon_sweep(setup.analysis, setup.light, PORT_A_GRID)
+    assert np.array_equal(np.isinf(got[2]), np.isinf(want[2]))
+    finite = np.isfinite(want[2])
+    for column, (g, w) in enumerate(zip(got, want)):
+        g, w = (g[finite], w[finite]) if column == 2 else (g, w)
+        assert np.all(np.abs(g - w) <= 1e-12 * np.maximum(np.abs(w), max(n, 1) / 4)), column
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("n", [1, 3, 40, 10**6, 10**12])
+def test_single_port_sweep_is_shot_noise_everywhere_it_is_finite(n, convention):
+    """|N,0> reads delta_phi = 1/sqrt(N) at every finite grid point, and is finite wherever its slope
+    N |sin phi| / 2 passes the divergence threshold."""
+    setup = build_setup(SchemeTag("single-port-fock", n), convention)
+    _, _, delta = photon_sweep(setup.analysis, setup.light, PORT_A_GRID)
+    finite = np.isfinite(delta)
+    assert finite.sum() >= PORT_A_GRID.size - 4
+    assert np.max(np.abs(delta[finite] * math.sqrt(n) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_million_photon_coherent_sweep_is_shot_noise(convention):
+    """delta_phi sqrt(nbar) |sin phi| = 1 at nbar = 10**6, past the Fock path's reach; the truncated
+    weights' variance is nbar within 4e-10 relative, the one error left."""
+    grid = np.linspace(0.1, 3.0, 200)
+    setup = build_setup(SchemeTag("coherent", 10**6), convention)
+    mean, var, delta = photon_sweep(setup.analysis, setup.light, grid)
+    assert abs(setup.light.mean / 10**6 - 1.0) <= 1e-12
+    assert np.max(np.abs(delta * 1e3 * np.abs(np.sin(grid)) - 1.0)) <= 1e-9
+    assert np.max(np.abs(mean + 0.5e6 * np.cos(grid))) <= 1e-12 * 0.5e6
+    assert np.max(np.abs(var / 0.25e6 - 1.0)) <= 1e-9
 
 
 def test_min_sensitivity_skips_divergent_points_and_rejects_mismatched_arrays():
@@ -235,12 +292,38 @@ def test_ensemble_sensitivity_values():
 # ---------------------------------------------------------------- Fisher information
 
 def test_single_photon_fisher_is_one():
-    setup = build_setup(SchemeTag("single-port-fock", 1))
+    setup = fock_path_setup(SchemeTag("single-port-fock", 1))
     fisher = classical_fisher(setup.sampling, setup.input_state, [0.4, 1.2, 2.0])
     assert isinstance(fisher, np.ndarray) and fisher.shape == (3,)
     assert fisher == pytest.approx(np.ones(3), abs=1e-7)
     one = classical_fisher(setup.sampling, setup.input_state, [1.2])
     assert isinstance(one, np.ndarray) and one.shape == (1,)
+
+
+@pytest.mark.parametrize("nbar", [1, 4, 25, 100])
+def test_coherent_fisher_is_the_mean_photon_number_at_every_phase(nbar):
+    """nbar_w, the weights' mean, at every grid point, phi = 0 included, where the Fock path floors
+    every outcome away; nbar_w is nbar within 1e-12, and the Fock path agrees within 1e-9 wherever
+    its 1e-15 probability floor drops nothing that counts."""
+    grid = np.linspace(0.0, math.pi, 101)
+    light = build_setup(SchemeTag("coherent", nbar)).light
+    fisher = photon_fisher(light, grid)
+    assert fisher.shape == grid.shape and np.all(fisher == light.mean)
+    assert abs(light.mean - nbar) <= 1e-12 * nbar
+    oracle = fock_path_setup(SchemeTag("coherent", nbar))
+    away = grid[(grid > 0.05) & (grid < 3.0)]
+    want = classical_fisher(oracle.sampling, oracle.input_state, away)
+    assert np.max(np.abs(want / light.mean - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 10**15])
+def test_single_port_fisher_is_n(n):
+    light = build_setup(SchemeTag("single-port-fock", n)).light
+    assert np.all(photon_fisher(light, [0.0, 0.4, math.pi]) == n)
+    if n <= 30:
+        oracle = fock_path_setup(SchemeTag("single-port-fock", n))
+        want = classical_fisher(oracle.sampling, oracle.input_state, [0.4, 1.2, 2.0])
+        assert np.max(np.abs(want - n)) <= 1e-12 * n
 
 
 def test_dual_fock_fisher_is_exactly_holland_burnett():
@@ -281,7 +364,7 @@ def test_cramer_rao_bound_holds():
         ("yurke-fermionic-analog", 3), ("yurke-bosonic", 4), ("noon", 4),
     ]
     for name, n in cases:
-        setup = build_setup(SchemeTag(name, n))
+        setup = fock_path_setup(SchemeTag(name, n))
         gen = setup.analysis.output_generator(setup.cutoff)
         for phi in (0.3, 0.8, 1.4):
             fisher = classical_fisher(setup.sampling, setup.input_state, [phi])[0]
@@ -355,13 +438,22 @@ def close(value, ref):
     return abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def photon_probabilities(light, phi):
+    """The output distribution of port-A light at one phase, from its weights: block n is n photons
+    that each leave by port B with probability cos^2(phi/2), so (n - k, k) has probability
+    w_n C(n, k) sin^2(phi/2)^(n - k) cos^2(phi/2)^k."""
+    in_a, in_b = math.sin(phi / 2) ** 2, math.cos(phi / 2) ** 2
+    return {(n - k, k): w * math.comb(n, k) * in_a ** (n - k) * in_b**k
+            for n, w in enumerate(light.weights.tolist(), start=light.first) for k in range(n + 1)}
+
+
 def check_against_reference(tag, convention, invert):
     """The setup's sweep and sampling distribution against dense matrices applied per point,
     starting from the port state; the setup's input must be that state at the phase stage,
     and its readout must be built on exactly the blocks that input populates.  With invert
     the reference's second splitter is inverted, and its outcomes are read with the ports
     exchanged: (n_a, n_b) of the setup is (n_b, n_a) of the reference."""
-    setup = build_setup(tag, convention=convention)
+    setup = fock_path_setup(tag, convention=convention)
     cut = setup.cutoff
     generator = number_observable("b", cut) if convention == ONE_ARM else j_observable("z", cut)
     port, before, after, readout, observable = reference_elements(tag, cut, invert)
@@ -374,19 +466,26 @@ def check_against_reference(tag, convention, invert):
     assert setup.sampling.after.blocks.keys() == setup.input_state.blocks.keys()
     assert setup.observable.blocks.keys() == setup.input_state.blocks.keys()
 
-    means, variances, deltas = phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)
+    sweeps = [phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)]
+    light = build_setup(tag, convention=convention).light
+    if light is not None:  # the commands' closed form, against the same reference
+        sweeps.append(photon_sweep(setup.analysis, light, REFERENCE_GRID))
     labels, probs = dense_probabilities(setup.sampling, setup.input_state, REFERENCE_GRID)
     for p, phi in enumerate(REFERENCE_GRID):
         out = reference_output(port, before, generator, after, phi)
-        assert close(means[p], expectation(observable, out))
-        assert close(variances[p], variance(observable, out))
         ref_delta = sensitivity(out, observable, out_generator)
-        assert math.isinf(deltas[p]) == math.isinf(ref_delta)
-        if math.isfinite(ref_delta):
-            assert close(deltas[p], ref_delta)
+        for means, variances, deltas in sweeps:
+            assert close(means[p], expectation(observable, out))
+            assert close(variances[p], variance(observable, out))
+            assert math.isinf(deltas[p]) == math.isinf(ref_delta)
+            if math.isfinite(ref_delta):
+                assert close(deltas[p], ref_delta)
         dist = reference_output(port, before, generator, readout, phi).probabilities()
         assert labels == list(dist)
         assert all(close(probs[k, p], dist[label[::-1] if invert else label]) for k, label in enumerate(labels))
+        if light is not None:
+            closed = photon_probabilities(light, phi)
+            assert all(close(closed[label], dist[label[::-1] if invert else label]) for label in labels)
 
 
 @pytest.mark.parametrize("invert", [False, True])
@@ -403,17 +502,39 @@ def test_batched_path_matches_reference_at_benchmark_size(convention, invert):
     check_against_reference(SchemeTag("coherent", 25), convention, invert)
 
 
-def test_sweep_builds_no_splitter(monkeypatch):
+def refuse_fock_path(monkeypatch):
+    """Make every splitter build, every evolution over the phase grid, and every state, observable or
+    unitary construction raise."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a splitter or a dense unitary was built")
+        raise AssertionError("a splitter, a phase-stage evolution or a Fock-space operand was built")
 
-    for module, name in ((elements, "_splitter_block"), (schemes, "splitter_blocks"), (schemes, "split"),
-                         (elements, "_jx_eigensystem")):
-        monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(fock.BlockUnitary, "__post_init__", refuse)
+    for owner, name in ((elements, "_splitter_block"), (elements, "_jx_eigensystem"), (schemes, "splitter_blocks"),
+                        (schemes, "split"), (schemes, "pulled_back_jz"), (InterferometerPipeline, "evolve_blocks"),
+                        (InterferometerPipeline, "output_rows"), (fock.BlockUnitary, "__init__"),
+                        (fock.BlockObservable, "__init__"), (fock.TwoModeState, "__init__")):
+        monkeypatch.setattr(owner, name, refuse)
+
+
+def test_sweep_builds_no_splitter(monkeypatch):
+    refuse_fock_path(monkeypatch)
     for tag in (SchemeTag("coherent", 25), SchemeTag("single-port-fock", 6)):
         setup = build_setup(tag)
-        phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)
+        sweep(setup, REFERENCE_GRID)
+
+
+@pytest.mark.parametrize("scheme", PORT_A_SCHEMES)
+@pytest.mark.parametrize("argv", [
+    ["sensitivity", "--n", "25"],
+    ["scaling", "--metric", "fisher", "--n-range", "1:25:12"],
+    ["scaling", "--metric", "min-sensitivity", "--n-range", "1:25:12"],
+    ["sample", "--n", "25", "--phi", "0.7", "--estimator", "bayes"],
+    ["sample", "--n", "25", "--phi", "0.7", "--estimator", "bayes", "--convention", "symmetric"],
+], ids=" ".join)
+def test_port_a_commands_build_no_splitter_and_evolve_nothing(monkeypatch, tmp_path, scheme, argv):
+    refuse_fock_path(monkeypatch)
+    out = tmp_path / "table.csv"
+    assert main([*argv, "--scheme", scheme, "--output", str(out)]) == 0
+    assert out.exists()
 
 
 # ---------------------------------------------------------------- readout on the populated blocks
@@ -428,10 +549,19 @@ def test_splitter_block_cache_holds_the_one_block_a_readout_reuses(scheme, n):
     assert not cache(setup.cutoff).flags.writeable
 
 
+def test_readout_holds_the_cached_splitter_block_itself():
+    cache = elements._splitter_block
+    cache.cache_clear()
+    setup = build_setup(SchemeTag("dual-fock", 200))
+    block = setup.sampling.after.blocks[400]
+    assert block is cache(400) and np.shares_memory(block, cache(400))
+    assert not block.flags.writeable
+
+
 def test_coherent_sampling_builds_each_splitter_block_once():
     cache = elements._splitter_block
     cache.cache_clear()
-    setup = build_setup(SchemeTag("coherent", 25))  # split_port_a builds no splitter block
+    setup = fock_path_setup(SchemeTag("coherent", 25))  # split_port_a builds no splitter block
     sample_outcomes(setup.sampling, setup.input_state, 0.7, 100, 7)
     info = cache.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, setup.cutoff + 1, 1)  # each block built once
@@ -450,7 +580,7 @@ def full_cutoff_readout(tag, setup):
 def sampling_pipeline(setup, invert):
     """The setup's sampling pipeline, or with invert its readout followed by the port swap: the
     inverted second splitter, or the N00N readout with its ports exchanged."""
-    return replace(setup.sampling, after=exchanged(setup.sampling.after)) if invert else setup.sampling
+    return InterferometerPipeline(setup.analysis.convention, exchanged(setup.sampling.after)) if invert else setup.sampling
 
 
 @pytest.mark.parametrize("invert", [False, True])
@@ -460,10 +590,10 @@ def sampling_pipeline(setup, invert):
 ])
 def test_populated_readout_gives_the_full_cutoff_results(scheme, n, invert, assert_same_products):
     tag = SchemeTag(scheme, n)
-    setup = build_setup(tag)
+    setup = fock_path_setup(tag)
     sampling = sampling_pipeline(setup, invert)
     full_after = full_cutoff_readout(tag, setup)
-    full = replace(setup.analysis, after=exchanged(full_after) if invert else full_after)
+    full = InterferometerPipeline(setup.analysis.convention, exchanged(full_after) if invert else full_after)
     grid = np.linspace(0.0, setup.likelihood_period, 256, endpoint=False)
     assert_same_products(classical_fisher(sampling, setup.input_state, grid),
                          classical_fisher(full, setup.input_state, grid), rtol=1e-12)
@@ -476,10 +606,11 @@ def test_populated_readout_gives_the_full_cutoff_results(scheme, n, invert, asse
 
 # ---------------------------------------------------------------- sampling
 
-def test_sample_counts_sum_to_shots():
-    setup = build_setup(SchemeTag("single-port-fock", 3))
-    hist = sample_outcomes(setup.sampling, setup.input_state, 0.7, 1000, seed=42)
-    assert sum(hist.counts.values()) == 1000
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_sample_counts_sum_to_shots(scheme):
+    setup = build_setup(SchemeTag(scheme, SCHEME_SIZES[scheme]))
+    hist = sample(setup, 0.7, 1000, seed=42)
+    assert sum(hist.counts.values()) == 1000 and all(count > 0 for count in hist.counts.values())
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -522,7 +653,7 @@ def test_shots_must_fit_numpys_multinomial(shots, valid):
 
 def test_outcome_probabilities_have_one_form():
     # TwoModeState.probabilities and the sampling draw both square np.abs of the evolve_blocks column
-    setup = build_setup(SchemeTag("coherent", 25))
+    setup = fock_path_setup(SchemeTag("coherent", 25))
     for phi in (0.0, 0.37, 1.3, 2.9):
         dist = setup.sampling.evolve(setup.input_state, phi).probabilities()
         for n, psi, _ in setup.sampling.evolve_blocks(setup.input_state, [phi]):
@@ -555,6 +686,72 @@ def test_empirical_binomial_within_four_sigma():
         sigma = math.sqrt(shots * p * (1 - p))
         observed = hist.counts.get((k, n - k), 0)
         assert abs(observed - shots * p) < 4 * sigma
+
+
+def test_two_stage_draw_is_binomial_in_each_block():
+    """|N,0> at phi: n_b ~ Binomial(N, cos^2(phi/2)); coherent light: n_b and n_a are Poisson of means
+    nbar cos^2(phi/2) and nbar sin^2(phi/2), each within four standard errors."""
+    shots, phi = 100_000, 0.9
+    q = math.cos(phi / 2) ** 2
+    hist = sample_photons(build_setup(SchemeTag("single-port-fock", 6)).light, phi, shots, seed=2024)
+    assert all(n_a + n_b == 6 for n_a, n_b in hist.counts)
+    for k in range(7):
+        p = math.comb(6, k) * q**k * (1 - q) ** (6 - k)
+        assert abs(hist.counts.get((6 - k, k), 0) - shots * p) < 4 * math.sqrt(shots * p * (1 - p))
+    hist = sample_photons(build_setup(SchemeTag("coherent", 9)).light, phi, shots, seed=7)
+    for port, mean in ((1, 9 * q), (0, 9 * (1 - q))):
+        drawn = sum(count * outcome[port] for outcome, count in hist.counts.items()) / shots
+        assert abs(drawn - mean) < 4 * math.sqrt(mean / shots)
+
+
+def test_two_stage_draw_is_deterministic_per_seed_and_lists_blocks_in_order():
+    light = build_setup(SchemeTag("coherent", 25)).light
+    a, b, c = (sample_photons(light, 0.7, 5000, seed) for seed in (123, 123, 124))
+    assert a == b and a.counts != c.counts
+    assert list(a.counts) == sorted(a.counts, key=lambda outcome: (sum(outcome), outcome[1]))
+    assert sample_photons(light, 0.7, 0, seed=5).counts == {}
+    with pytest.raises(ValueError, match="seed"):
+        sample_photons(light, 0.7, 10, seed=2**64)
+    with pytest.raises(ValueError, match="shots"):
+        sample_photons(light, 0.7, -1, seed=0)
+
+
+@pytest.mark.parametrize("scheme, n", [("coherent", 4), ("single-port-fock", 3)])
+def test_two_stage_draw_takes_the_largest_shot_count_in_the_outcomes_time(scheme, n):
+    # each block draws one multinomial over its outcomes, not one binomial per shot
+    shots = 2**63 - 1
+    light = build_setup(SchemeTag(scheme, n)).light
+    hist = sample_photons(light, 0.7, shots, seed=1)
+    assert sum(hist.counts.values()) == shots and len(hist.counts) <= 1000
+    hist = sample_photons(light, 0.0, shots, seed=1)  # at phi = 0 every photon leaves by port B
+    assert sum(hist.counts.values()) == shots and all(n_a == 0 for n_a, _ in hist.counts)
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.5), (6, 0.3), (40, 0.07), (300, 0.5), (5000, 1e-3)])
+def test_binomial_pmf_over_its_window_is_the_exact_one(n, p):
+    lo, hi = estimation._binomial_window(n, p)
+    got = estimation._binomial_pmf(n, p, lo, hi)
+    exact = [math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                      + k * math.log(p) + (n - k) * math.log1p(-p)) for k in range(n + 1)]
+    assert math.fsum(exact[:lo]) + math.fsum(exact[hi + 1:]) < 1e-300
+    assert np.allclose(got, exact[lo:hi + 1], rtol=1e-10, atol=1e-300)
+
+
+@pytest.mark.parametrize("shots", [100_000, 1_000_000])
+def test_two_stage_draw_at_a_million_photons_is_binomial(shots):
+    """|N,0> at N = 10**6: 10**5 shots are drawn one binomial each, in chunks, and 10**6 as one multinomial
+    over the 54001 counts of the window; either way n_b has mean N q and variance N q (1 - q)."""
+    n, phi = 10**6, 1.1
+    q = math.cos(phi / 2) ** 2
+    hist = sample_photons(build_setup(SchemeTag("single-port-fock", n)).light, phi, shots, seed=3)
+    n_b = np.array([outcome[1] for outcome in hist.counts], dtype=float)
+    weights = np.array(list(hist.counts.values()), dtype=float)
+    assert weights.sum() == shots and all(n_a + n_b == n for n_a, n_b in hist.counts)
+    assert list(hist.counts) == sorted(hist.counts, key=lambda outcome: outcome[1])
+    var = n * q * (1 - q)
+    mean = np.sum(weights * n_b) / shots
+    assert abs(mean - n * q) < 4 * math.sqrt(var / shots)
+    assert abs(np.sum(weights * (n_b - n * q) ** 2) / shots / var - 1) < 4 * math.sqrt(2 / shots)
 
 
 # ---------------------------------------------------------------- Bayes
@@ -619,8 +816,8 @@ def test_full_period_posterior_has_mirror_peaks_except_for_yurke_bosonic(scheme,
     mirrors = {"-phi": -index % points, "pi-phi": (points // 2 - index) % points}
     setup = build_setup(SchemeTag(scheme, n), convention=convention)
     grid = np.linspace(0.0, setup.likelihood_period, points, endpoint=False)
-    hist = sample_outcomes(setup.sampling, setup.input_state, 0.37 * setup.likelihood_period, 1000, seed=n)
-    weights = bayes_posterior(hist, setup.sampling, setup.input_state, grid).weights
+    hist = sample(setup, 0.37 * setup.likelihood_period, 1000, seed=n)
+    weights = posterior(hist, setup, grid).weights
     for name, mirror in mirrors.items():
         gap = np.max(np.abs(weights - weights[mirror]))
         if name in LIKELIHOOD_MIRRORS[scheme]:
@@ -684,7 +881,7 @@ def dense_posterior(hist, pipeline, state, grid):
     ("yurke-bosonic", 4), ("noon", 4),
 ])
 def test_streamed_posterior_equals_dense_posterior(scheme, n, convention, invert, assert_same_products):
-    setup = build_setup(SchemeTag(scheme, n), convention=convention)
+    setup = fock_path_setup(SchemeTag(scheme, n), convention=convention)
     sampling = sampling_pipeline(setup, invert)
     grid = np.linspace(0.0, setup.likelihood_period, 512, endpoint=False)
     hist = sample_outcomes(sampling, setup.input_state, 0.37 * setup.likelihood_period, 3000, seed=n)
@@ -696,6 +893,58 @@ def test_streamed_posterior_equals_dense_posterior(scheme, n, convention, invert
         assert_same_products(streamed.weights, dense.weights, rtol=1e-9, atol=1e-300)
         assert_same_products(posterior_mean(streamed), posterior_mean(dense), rtol=1e-12)
         assert_same_products(posterior_std(streamed), posterior_std(dense), rtol=1e-9)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize("scheme, n", [("coherent", 25), ("coherent", 0), ("single-port-fock", 5), ("single-port-fock", 1)])
+def test_photon_posterior_equals_the_fock_path_posterior(scheme, n, convention):
+    """The O(P) log-likelihood S_a log sin^2(phi/2) + S_b log cos^2(phi/2) against the dense
+    posterior of the Fock path, on the same histogram, in its order and shuffled."""
+    tag = SchemeTag(scheme, n)
+    setup, oracle = build_setup(tag, convention), fock_path_setup(tag, convention)
+    grid = np.linspace(0.0, 2.0 * math.pi, 512, endpoint=False)
+    hist = sample_photons(setup.light, 0.37 * 2.0 * math.pi, 3000, seed=n)
+    items = list(hist.counts.items())
+    shuffled = OutcomeHistogram(hist.shots, dict(items[i] for i in np.random.default_rng(n).permutation(len(items))))
+    for data in (hist, shuffled):
+        want = dense_posterior(data, oracle.sampling, oracle.input_state, grid)
+        if n == 0:  # vacuum: every outcome is (0, 0), and the posterior is flat
+            assert np.all(photon_posterior(data, setup.light, grid).weights == 1.0 / grid.size)
+            continue
+        got = photon_posterior(data, setup.light, grid)
+        assert np.max(np.abs(got.weights - want.weights)) <= 1e-9 * np.max(want.weights)
+        # the mean of two mirror peaks sits near 0 or pi, where it is ill-conditioned
+        assert posterior_mean(got) == pytest.approx(posterior_mean(want), abs=1e-9)
+        assert posterior_std(got) == pytest.approx(posterior_std(want), rel=1e-9)
+
+
+@pytest.mark.parametrize("outcome, message", [
+    ((3, 0), "(3, 0) has zero likelihood"),  # block 3, below the populated block 4
+    ((4, 1), "(4, 1) has zero likelihood"),  # block 5, above it
+    ((-1, 5), "(-1, 5) has zero likelihood"),
+])
+def test_photon_posterior_refuses_outcomes_outside_the_populated_blocks(outcome, message):
+    light = build_setup(SchemeTag("single-port-fock", 4)).light
+    hist = OutcomeHistogram(shots=3, counts={(2, 2): 2, outcome: 1})
+    with pytest.raises(ModelMismatchError, match=re.escape(message)):
+        photon_posterior(hist, light, np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+
+
+def test_photon_posterior_refuses_a_block_of_weight_zero():
+    # coherent light of mean 10**4 weighs block 3 at exactly 0: its Poisson weight underflows
+    light = build_setup(SchemeTag("coherent", 10**4)).light
+    assert light.weights[3] == 0.0
+    hist = OutcomeHistogram(shots=2, counts={(5000, 5000): 1, (1, 2): 1})
+    with pytest.raises(ModelMismatchError, match="zero likelihood everywhere on the grid"):
+        photon_posterior(hist, light, np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+
+
+def test_photon_posterior_of_one_port_only_has_no_nan():
+    # every photon in port B: the port-A term is left out, not 0 * log 0 at phi = 0
+    light = build_setup(SchemeTag("single-port-fock", 3)).light
+    post = photon_posterior(OutcomeHistogram(shots=4, counts={(0, 3): 4}), light,
+                            np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+    assert np.all(np.isfinite(post.weights)) and np.argmax(post.weights) == 0
 
 
 def test_posterior_mean_wraps_across_period_seam():

@@ -1,15 +1,24 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from fockmzi import fock
+from fockmzi.elements import InterferometerPipeline
+from fockmzi.estimation import OutcomeHistogram, PosteriorDistribution
 from fockmzi.fock import (
     BlockObservable,
     BlockUnitary,
+    ReadOnly,
     TwoModeState,
     block_labels,
     make_basis_state,
 )
+from fockmzi.rosetta import zero_register
+from fockmzi.schemes import SchemeSetup, build_setup
+from fockmzi.states import PortALight, SchemeTag
 from oracles import (
     amplitude,
     apply,
@@ -215,3 +224,67 @@ def test_observable_rejects_wrong_block_dimension():
         BlockObservable({2: {0: np.ones(2)}})
     with pytest.raises(ValueError):
         BlockUnitary({1: np.eye(3)})
+
+
+VALUES = [
+    lambda: TwoModeState({1: np.array([1.0, 0.0])}),
+    lambda: BlockObservable({1: {1: np.ones(1)}}),
+    lambda: BlockUnitary({0: np.eye(1)}),
+    lambda: InterferometerPipeline(),
+    lambda: SchemeTag("noon", 2),
+    lambda: PortALight(3, [1.0]),
+    lambda: build_setup(SchemeTag("coherent", 2)),
+    lambda: OutcomeHistogram(2, {(1, 0): 2}),
+    lambda: PosteriorDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.5])),
+    lambda: zero_register(2),
+]
+
+
+@pytest.mark.parametrize("make", VALUES)
+def test_value_classes_are_slotted_and_read_only(make):
+    value = make()
+    assert isinstance(value, ReadOnly) and not hasattr(value, "__dict__")
+    name = type(value).__slots__[0]
+    with pytest.raises(AttributeError, match="read-only"):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError, match="read-only"):
+        delattr(value, name)
+    with pytest.raises(AttributeError, match="read-only"):
+        value.unlisted = 1
+    assert repr(value).startswith(f"{type(value).__name__}({name}=")
+    # copy and pickle restore the slots past the refusing __setattr__; arrays compare by their repr
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value) and repr(copied) == repr(value)
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(copied, name, None)
+
+
+def test_value_classes_compare_and_hash_by_their_fields():
+    assert SchemeTag("noon", 2) == SchemeTag("noon", 2) != SchemeTag("noon", 3)
+    assert hash(SchemeTag("noon", 2)) == hash(SchemeTag("noon", 2))
+    assert SchemeTag("noon", 2) != ("noon", 2)
+    assert OutcomeHistogram(2, {(1, 0): 2}) == OutcomeHistogram(2, {(1, 0): 2}) != OutcomeHistogram(2, {(0, 1): 2})
+    assert InterferometerPipeline() == InterferometerPipeline("one-arm", None)
+    for value in (SchemeTag("noon", 2), OutcomeHistogram(2, {(1, 0): 2}), InterferometerPipeline()):
+        assert copy.deepcopy(value) == value == pickle.loads(pickle.dumps(value))
+
+
+def test_setup_holds_port_a_light_or_a_state_never_both():
+    light, state = PortALight(1, [1.0]), make_basis_state(1, 0)
+    for fields in ({}, {"light": light, "input_state": state}):
+        with pytest.raises(ValueError, match="either port-A light or a Fock-space input state"):
+            SchemeSetup(1, InterferometerPipeline(), 1.0, **fields)
+
+
+def test_read_only_owned_complex_arrays_are_kept_and_everything_else_is_copied():
+    owned = np.ones(3, dtype=np.complex128)
+    owned.setflags(write=False)
+    assert fock._frozen(owned) is owned
+    owned.setflags(write=True)  # kept, not copied: its owner can still turn writing back on
+    owned.setflags(write=False)
+    view = owned[:2]  # read-only, but it does not own its data
+    writable = np.ones(3, dtype=np.complex128)
+    for arr in (view, writable, np.ones(3), np.arange(3)):
+        kept = fock._frozen(arr)
+        assert kept is not arr and not np.shares_memory(kept, arr)
+        assert kept.dtype == np.complex128 and not kept.flags.writeable

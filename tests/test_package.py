@@ -17,8 +17,7 @@ SRC = Path(fockmzi.__file__).resolve().parents[1]
 # every name `fockmzi` exports, by the submodule that defines it
 EXPORTED = {
     "fock": ("BlockObservable", "BlockUnitary", "TwoModeState", "make_basis_state"),
-    "elements": ("BALANCED", "CONVENTIONS", "ONE_ARM", "SYMMETRIC", "InterferometerPipeline", "pulled_back_jz", "split",
-                 "split_port_a"),
+    "elements": ("BALANCED", "CONVENTIONS", "ONE_ARM", "SYMMETRIC", "InterferometerPipeline", "pulled_back_jz", "split"),
     "states": ("SCHEME_NAMES", "SchemeTag", "TruncationError", "coherent_amplitudes", "dual_fock", "noon",
                "yurke_bosonic", "yurke_fermionic_analog"),
     "schemes": ("SchemeSetup", "build_setup", "observable_noon_flip"),
@@ -40,7 +39,7 @@ def test_exported_name_is_the_submodule_object(module, name):
 # criteria use moved to tests/oracles.py, by their old submodule
 MOVED_TO_ORACLES = {
     "fock": ("apply", "expectation", "j_observable", "number_observable", "spectral_exponential", "variance"),
-    "elements": ("beam_splitter", "phase_shifter"),
+    "elements": ("beam_splitter", "phase_shifter", "split_port_a"),
     "states": ("coherent_tail_mass", "coherent_vacuum", "single_port_fock"),
     "estimation": ("ensemble_sensitivity", "sensitivity"),
     "lithography": ("noon_fidelity_sweep",),
@@ -74,7 +73,7 @@ def test_from_import_and_unknown_names():
 
 # public methods of public src classes that no src code calls, by the benchmark script that does
 UNCALLED_METHODS = {"InterferometerPipeline.output_generator": "perfbench/setup_time.py"}
-# fields of public src dataclasses that no src code reads, by the benchmark script that does
+# fields of public src value classes that no src code reads, by the benchmark script that does
 UNREAD_FIELDS = {"SchemeSetup.cutoff": "perfbench/setup_time.py"}
 
 
@@ -85,15 +84,17 @@ def attribute_root(node: ast.Attribute) -> ast.expr:
     return node
 
 
-def is_dataclass(node: ast.ClassDef) -> bool:
-    """Decorated `@dataclass` or `@dataclass(...)`."""
-    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
-    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+def slots(node: ast.ClassDef) -> list[str]:
+    """The names a class body lists in its `__slots__ = (...)`."""
+    for item in node.body:
+        if isinstance(item, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+            return [ast.literal_eval(elt) for elt in item.value.elts]
+    return []
 
 
 def src_names() -> dict[str, set[str]]:
     """What src/ defines and uses: its public top-level names ('defined'), the public
-    methods and dataclass fields of its public classes as 'Class.name' ('methods',
+    methods and public slots (fields) of its public classes as 'Class.name' ('methods',
     'fields'), every name it names ('named') and every attribute it reads off anything
     but an imported module ('read'), so `np.linalg.norm` reads no `norm`."""
     found = {key: set() for key in ("defined", "methods", "fields", "named", "read")}
@@ -106,9 +107,7 @@ def src_names() -> dict[str, set[str]]:
             if isinstance(node, ast.ClassDef):
                 found["methods"].update(f"{node.name}.{item.name}" for item in node.body
                                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
-                if is_dataclass(node):
-                    found["fields"].update(f"{node.name}.{item.target.id}" for item in node.body
-                                           if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+                found["fields"].update(f"{node.name}.{name}" for name in slots(node) if not name.startswith("_"))
         modules = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -138,10 +137,11 @@ def test_every_public_src_name_has_a_src_caller():
     assert sorted(m for m in found["methods"] if m.partition(".")[2] not in found["read"]) == sorted(UNCALLED_METHODS)
 
 
-def test_every_field_of_a_public_src_dataclass_is_read_in_src():
-    """A field no command reads is dead weight in every instance.  The check matches the
-    attribute name only, so a field that shares its name with one read elsewhere (as
-    `args.seed` would cover a `seed` field) gets past it."""
+def test_every_field_of_a_public_src_value_class_is_read_in_src():
+    """A field no command reads is dead weight in every instance.  The fields are the public
+    names of each class's `__slots__`.  The check matches the attribute name only, so a field
+    that shares its name with one read elsewhere (as `args.seed` would cover a `seed` field)
+    gets past it."""
     found = src_names()
     assert found["fields"]
     assert sorted(f for f in found["fields"] if f.partition(".")[2] not in found["read"]) == sorted(UNREAD_FIELDS)
@@ -182,7 +182,7 @@ ALLOWED_IMPORTS = {
     "schemes": {"elements", "fock", "states"},
     "estimation": {"elements", "fock"},
     "lithography": {"fock"},
-    "rosetta": {"estimation", "schemes", "states"},
+    "rosetta": {"estimation", "fock", "schemes", "states"},
     "cli": {"elements", "estimation", "fock", "lithography", "rosetta", "schemes", "states"},
 }
 
@@ -220,12 +220,13 @@ def test_no_src_module_imports_a_private_name_of_another():
 LOADED = """
 import json, sys
 {code}
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("fockmzi."))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("fockmzi.") or m in ("dataclasses", "numpy.random"))))
 """
 
 
 def loaded_after(code: str) -> set[str]:
-    """The `fockmzi.*` modules a fresh interpreter holds after running code."""
+    """The `fockmzi.*` modules a fresh interpreter holds after running code, and `dataclasses` and
+    `numpy.random` if it holds them."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", LOADED.format(code=code)], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
@@ -236,17 +237,36 @@ def test_import_fockmzi_loads_no_submodule():
     assert loaded_after("import fockmzi") == set()
 
 
+RUN = {"cli", "fock", "elements", "states", "schemes", "estimation"}  # what a scheme command loads
+
+
 @pytest.mark.parametrize("argv, modules", [
     (["hom"], {"cli", "fock", "elements", "states"}),
     (["litho"], {"cli", "fock", "elements", "states", "lithography"}),
-    (["rosetta", "--n-max", "2", "--phi-grid", "0:1:3"],
-     {"cli", "fock", "elements", "states", "schemes", "estimation", "rosetta"}),
+    (["rosetta", "--n-max", "2", "--phi-grid", "0:1:3"], RUN | {"rosetta"}),
+    (["sensitivity", "--scheme", "coherent", "--n", "4"], RUN),
+    (["sensitivity", "--scheme", "noon", "--n", "4"], RUN),
+    (["scaling", "--scheme", "single-port-fock", "--n-range", "1:3", "--metric", "fisher"], RUN),
+    (["scaling", "--scheme", "dual-fock", "--n-range", "1:3"], RUN),
+    (["sample", "--scheme", "coherent", "--n", "4", "--estimator", "bayes"], RUN | {"numpy.random"}),
+    (["sample", "--scheme", "dual-fock", "--n", "2", "--estimator", "bayes"], RUN | {"numpy.random"}),
 ])
 def test_command_loads_only_what_it_runs(tmp_path, argv, modules):
+    """Each subcommand loads its own modules and no `dataclasses`: the value classes are plain
+    slotted classes, with no generated methods to compile at import.  Only `sample` loads
+    `numpy.random`, several MB of extension modules."""
     out = tmp_path / "table.csv"
     loaded = loaded_after(f"from fockmzi.cli import main\nassert main({argv + ['--output', str(out)]!r}) == 0")
     assert out.exists()
     assert loaded == modules
+
+
+def test_no_src_module_imports_dataclasses():
+    imported = [path.stem for path in sorted((SRC / "fockmzi").glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert imported == []
 
 
 def test_wiring_loads_no_reduction():

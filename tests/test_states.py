@@ -6,6 +6,7 @@ import pytest
 from fockmzi import schemes
 from fockmzi.elements import ONE_ARM
 from fockmzi.states import (
+    PortALight,
     COHERENT_CUTOFF_CAP,
     COHERENT_TAIL_TOL,
     SchemeTag,
@@ -176,19 +177,19 @@ def test_coherent_state_is_finite_where_the_forward_recurrence_underflowed():
 
 
 def test_required_coherent_cutoff_past_cap_is_truncation_error():
-    # n = 97256 is the brightest coherent input whose tail the cap still cuts below the tolerance
-    assert required_coherent_cutoff(97256) <= COHERENT_CUTOFF_CAP
+    # n = 1987641 is the brightest coherent input whose tail the cap still cuts below the tolerance
+    assert required_coherent_cutoff(1987641) == COHERENT_CUTOFF_CAP
     with pytest.raises(TruncationError, match=f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps"):
-        required_coherent_cutoff(97257)
+        required_coherent_cutoff(1987642)
 
 
 def test_required_coherent_cutoff_walk_equals_the_bisection():
     # the cutoffs build_setup asks for, at the mean n, from the dim end and at the cap
-    for n in [*range(301), *range(97200, 97257)]:
+    for n in [*range(301), *range(1987630, 1987642)]:
         assert required_coherent_cutoff(n) == bisected_coherent_cutoff(n), n
     for search in (required_coherent_cutoff, bisected_coherent_cutoff):
         with pytest.raises(TruncationError, match=f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps"):
-            search(97257)
+            search(1987642)
 
 
 @pytest.mark.parametrize("nbar", [math.nan, -1.0])
@@ -199,10 +200,10 @@ def test_nan_or_negative_mean_photon_number_is_a_value_error(nbar):
         assert not isinstance(caught.value, TruncationError)
 
 
-@pytest.mark.parametrize("nbar", [math.inf, 1e200, 97257])
+@pytest.mark.parametrize("nbar", [math.inf, 1e200, 1987642])
 def test_mean_photon_number_past_the_cap_is_a_truncation_error(nbar):
     # a mean past the cap is refused before any cutoff is searched, so no infinity reaches math.ceil;
-    # 97257 is below the cap, but the cutoff its tail needs is not
+    # 1987642 is below the cap, but the cutoff its tail needs is not
     for build in (required_coherent_cutoff, coherent_amplitudes):
         with pytest.raises(TruncationError, match=f"no cutoff up to {COHERENT_CUTOFF_CAP} keeps"):
             build(nbar)
@@ -237,3 +238,27 @@ def test_build_setup_hands_coherent_amplitudes_the_mean_photon_number(monkeypatc
     setup = schemes.build_setup(SchemeTag("coherent", n))
     assert seen == [n]
     assert setup.cutoff == required_coherent_cutoff(n)
+
+
+def test_port_a_light_holds_the_weights_mean_and_variance():
+    light = PortALight(2, [0.25, 0.5, 0.25])  # blocks 2, 3, 4
+    assert (light.first, light.mean, light.variance) == (2, 3.0, 0.5)
+    assert not light.weights.flags.writeable
+    fock_light = PortALight(10**15, [1.0])
+    assert (fock_light.mean, fock_light.variance) == (1e15, 0.0)
+
+
+@pytest.mark.parametrize("nbar", [1, 4, 25, 400, 10**5])
+def test_coherent_weights_are_poisson_of_mean_and_variance_nbar(nbar):
+    amps = coherent_amplitudes(nbar)
+    light = PortALight(0, amps * amps)
+    assert abs(light.mean / nbar - 1.0) <= 1e-12
+    assert abs(light.variance / nbar - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("first, weights", [
+    (-1, [1.0]), (0, []), (0, [[1.0]]), (0, [0.5, 0.4]), (0, [1.5, -0.5]), (0, [math.nan, 1.0]),
+])
+def test_port_a_light_rejects_what_is_not_a_distribution(first, weights):
+    with pytest.raises(ValueError):
+        PortALight(first, weights)
