@@ -7,8 +7,8 @@ the manifest with
 
     PYTHONPATH=src python tests/stdout_manifest.py
 
-and lists each moved command with its old and new hash in CHANGES.md.  Every command stays
-below the block sizes where the BLAS thread count moves the last digits.
+and lists each moved command with its old and new hash in CHANGES.md.  Both run BLAS on one
+thread, as the command line does: the largest blocks here would move their last digits on more.
 """
 
 import contextlib
@@ -19,9 +19,9 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
+from fockmzi import cli  # before numpy, so BLAS runs one thread here as it does in the CLI
 
-from fockmzi import cli
+import numpy as np  # noqa: E402
 
 MANIFEST = Path(__file__).with_name("stdout_manifest.json")
 
@@ -124,8 +124,22 @@ def _failures() -> list[list[str]]:
     ]
 
 
+def _large_blocks() -> list[list[str]]:
+    """Fock blocks of 40 photons and more, where a phase-stage array reaches 256 KB and numpy elides its
+    temporaries, which rounds complex products on another path."""
+    return [
+        ["sensitivity", "--scheme", "dual-fock", "--n", "100", "--phi-grid", "0:3.1:200"],
+        ["sensitivity", "--scheme", "yurke-bosonic", "--n", "300", "--phi-grid", "0:3.1:200", "--convention", "symmetric"],
+        ["scaling", "--scheme", "dual-fock", "--metric", "fisher", "--n-range", "60:100:20", "--phi-grid", "0.005:3.1:200"],
+        ["sample", "--scheme", "dual-fock", "--n", "100", "--phi", "0.3", "--shots", "1000", "--estimator", "bayes",
+         "--bayes-points", "512"],
+        ["sample", "--scheme", "noon", "--n", "300", "--phi", "0.001", "--shots", "1000", "--estimator", "bayes",
+         "--bayes-points", "256"],
+    ]
+
+
 def commands() -> list[list[str]]:
-    listed = [*_benchmark(), *_readme(), *_per_scheme(), *_coherent(), *_failures()]
+    listed = [*_benchmark(), *_readme(), *_per_scheme(), *_coherent(), *_failures(), *_large_blocks()]
     return [argv for i, argv in enumerate(listed) if argv not in listed[:i]]
 
 

@@ -297,6 +297,35 @@ def test_benchmark_set_up_script_runs_every_workload_setup(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+def benchmark_commands() -> list[list[str]]:
+    """The command lines of every benchmark workload at seed 1, as perfbench/run.py runs them."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is checked out
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = saved
+    return [list(c.argv) for w in workloads.WORKLOADS.values() for c in w.commands(1)]
+
+
+@pytest.mark.parametrize("argv", benchmark_commands(), ids=" ".join)
+def test_benchmark_tracer_runs_every_benchmark_command_as_untraced(tmp_path, argv):
+    """tracer.py runs each benchmark command, every boundary wrapped and every hook reading its
+    arguments, to exit 0 and a JSON spans file, and prints the untraced command's bytes: the
+    digest check of perfbench/run.py --trace 1."""
+    spans = tmp_path / "spans.json"
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    traced, plain = (subprocess.run([sys.executable, *head, *argv], env=env, cwd=tmp_path, capture_output=True,
+                                    timeout=120)
+                     for head in ([str(PERFBENCH / "tracer.py"), str(spans), "--"], ["-m", "fockmzi.cli"]))
+    assert traced.returncode == 0, traced.stderr
+    assert json.loads(spans.read_text(encoding="utf-8"))["exit"] == 0
+    assert plain.returncode == 0, plain.stderr
+    assert traced.stdout == plain.stdout
+
+
 def test_benchmark_tracer_resolves_every_boundary_it_wraps(tmp_path):
     """tracer.py's install looks up every LAYER_MODULES module and CLASS_BOUNDARIES attribute."""
     out = tmp_path / "spans.json"
