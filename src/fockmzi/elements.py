@@ -2,13 +2,13 @@
 acts on the state as it enters the phase stage.
 
 There is one beam splitter, the 50/50 exp(i pi/2 J_x), and every form of it
-lives here: its blocks from the J_x eigensystem (splitter_blocks), its action
-on a state (split), and J_z pulled back through it (pulled_back_jz), the
-tridiagonal -J_y, with the norm bound of its block (pulled_back_jz_bound).
+lives here, each on the one photon-number block a Fock input populates: the
+block from the J_x eigensystem (splitter_blocks), its action on a state
+(split), and J_z pulled back through it (pulled_back_jz), the tridiagonal
+-J_y, with its norm bound (pulled_back_jz_bound).
 """
 
 import math
-from collections.abc import Iterable
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +37,7 @@ def _jx_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(jx)
 
 
-@lru_cache(maxsize=1)  # a single-block input's readout reuses the block its split just built
+@lru_cache(maxsize=1)  # an input's readout reuses the block its split just built
 def _splitter_block(n: int) -> np.ndarray:
     """Block n of the 50/50 splitter exp(i BALANCED J_x), from the J_x eigensystem; read-only."""
     w, v = _jx_eigensystem(n)
@@ -46,26 +46,24 @@ def _splitter_block(n: int) -> np.ndarray:
     return block
 
 
-def splitter_blocks(blocks: Iterable[int]) -> BlockUnitary:
-    """The 50/50 splitter on the given blocks alone."""
-    return BlockUnitary({n: _splitter_block(n) for n in blocks})
+def splitter_blocks(n: int) -> BlockUnitary:
+    """The 50/50 splitter on block n."""
+    return BlockUnitary({n: _splitter_block(n)})
 
 
 def split(state: TwoModeState) -> TwoModeState:
-    """The state after the 50/50 splitter, each populated block rotated by its own
-    block of the splitter; no other block is built."""
-    return TwoModeState({n: _splitter_block(n) @ vec for n, vec in state.blocks.items()})
+    """The state after the 50/50 splitter, its block rotated by that block of the splitter."""
+    return TwoModeState({state.n: _splitter_block(state.n) @ state.amplitudes})
 
 
-def pulled_back_jz(blocks: Iterable[int]) -> BlockObservable:
-    """U_after† J_z U_after for U_after the 50/50 splitter, on the given blocks: -J_y, where
-    J_y = -i(a†b - b†a)/2."""
+def pulled_back_jz(n: int) -> BlockObservable:
+    """U_after† J_z U_after for U_after the 50/50 splitter, on block n: -J_y, where J_y = -i(a†b - b†a)/2."""
     # -J_y's band above the diagonal is i/2 times a†b's; the band below, its conjugate, is implied
-    return BlockObservable({n: {1: 0.5j * _cross_ladder(n)} for n in blocks})
+    return BlockObservable({n: {1: 0.5j * _cross_ladder(n)}})
 
 
 def pulled_back_jz_bound(n: int) -> float:
-    """pulled_back_jz([n]).norm_bound(n), bit for bit, in O(1) and with no array.
+    """pulled_back_jz(n).norm_bound(), bit for bit, in O(1) and with no array.
 
     Row i of |-J_y| on block n sums half the ladder elements sqrt((n-i)(i+1))
     and sqrt((n-i+1)i).  Both products grow up to the middle row and the row
@@ -85,13 +83,6 @@ def phase_exponent(convention: str, n: int) -> np.ndarray:
     return n_b if convention == ONE_ARM else (n / 2.0 - n_b)
 
 
-def _block(unitary: BlockUnitary, n: int) -> np.ndarray:
-    mat = unitary.blocks.get(n)
-    if mat is None:
-        raise ValueError(f"unitary has no block for total photon number {n}")
-    return mat
-
-
 class InterferometerPipeline(ReadOnly):
     """The canonical interferometer U_after . exp(i phi G).
 
@@ -99,8 +90,7 @@ class InterferometerPipeline(ReadOnly):
     the phase are applied once, when the input is prepared.  G is the
     convention's phase generator, n_b ('one-arm') or J_z ('symmetric'),
     diagonal in the number basis.  U_after is built, and checked unitary,
-    once; it needs a block for each block the input populates.  None
-    stands for the identity.
+    once; it must be on the input's block.  None stands for the identity.
     """
 
     __slots__ = ("convention", "after")
@@ -109,71 +99,57 @@ class InterferometerPipeline(ReadOnly):
         phase_exponent(convention, 0)  # rejects an unknown convention
         self._fill(convention=convention, after=after)
 
-    def _phase_stage_over(self, state: TwoModeState, grid: np.ndarray):
-        """A function giving block n of e^{i phi G} psi, one column per phase, for
-        psi the phase-stage state.
+    def _phase_stage(self, state: TwoModeState, phi_grid) -> tuple[np.ndarray, np.ndarray]:
+        """g, the diagonal of G on the state's block, and e^{i phi g} psi, one column per phase.
 
-        The factors e^{i phi g} are rows of one table, exp(i phi j/2) for the
-        values j = 2g of the populated blocks (every second one when they
-        share a parity), so each is computed once and not once per block.
         A phase whose product with the largest |g| is not finite raises
-        NumericalFailure: its factors would be NaN.
+        NumericalFailure: its factors would be NaN.  A U_after on another
+        block than the state's raises ValueError.
         """
-        # g is n_b or n/2 - n_b, so j = 2g is an integer
-        doubled = {n: (2 * phase_exponent(self.convention, n)).astype(int) for n in state.blocks}
-        low = min((j.min() for j in doubled.values()), default=0)
-        high = max((j.max() for j in doubled.values()), default=0)
-        largest = max(-low, high) / 2.0
+        if self.after is not None and self.after.n != state.n:
+            raise ValueError(f"U_after is on block {self.after.n}, the input on block {state.n}")
+        grid = np.asarray(phi_grid, dtype=float)
+        g = phase_exponent(self.convention, state.n)
+        largest = float(np.max(np.abs(g)))
         with np.errstate(over="ignore", invalid="ignore"):
             unbounded = ~np.isfinite(grid * largest)
         if unbounded.any():
             raise NumericalFailure(f"phase {float(grid[unbounded][0])!r} times the phase generator's largest |g|, "
                                    f"{largest:g}, is not finite")
-        step = 1 if any(np.any((j - low) % 2) for j in doubled.values()) else 2
-        table = np.exp(1j * np.outer(np.arange(low, high + 1, step) / 2.0, grid))
-        return lambda n: table[(doubled[n] - low) // step] * state.blocks[n][:, None]
+        return g, np.exp(1j * np.outer(g, grid)) * state.amplitudes[:, None]
 
-    def evolve_blocks(self, state: TwoModeState, phi_grid):
-        """Yield (n, output block n, G_out applied to it) per populated block, one column per phase.
+    def evolve_grid(self, state: TwoModeState, phi_grid) -> tuple[np.ndarray, np.ndarray]:
+        """The output psi and G_out psi, one column per phase: U_after . (e^{i phi g} * psi) and
+        U_after . (g * e^{i phi g} * psi), each one (n+1) x P product."""
+        g, phased = self._phase_stage(state, phi_grid)
+        moved = g[:, None] * phased
+        if self.after is None:
+            return phased, moved
+        return self.after.matrix @ phased, self.after.matrix @ moved
 
-        Block n of the output is U_after . (e^{i phi g} * psi) and G_out psi
-        is U_after . (g * e^{i phi g} * psi), each one (n+1) x P product.
-        """
-        phased_block = self._phase_stage_over(state, np.asarray(phi_grid, dtype=float))
-        for n in state.blocks:
-            phased = phased_block(n)
-            moved = phase_exponent(self.convention, n)[:, None] * phased
-            if self.after is not None:
-                u = _block(self.after, n)
-                phased, moved = u @ phased, u @ moved
-            yield n, phased, moved
+    def output_rows(self, state: TwoModeState, phi_grid, rows) -> np.ndarray:
+        """The given rows of the output, one column per phase.
 
-    def output_rows(self, state: TwoModeState, phi_grid, requests):
-        """Yield, for each (n, rows) of requests in turn, those rows of output block n, one column per phase.
-
-        Only the requested rows are formed: U_after[n][rows] . (e^{i phi g} * psi),
-        from the phase table evolve_blocks uses, so every row has the same
-        terms as the same row of evolve_blocks' block.  The sums are
+        Only those rows are formed: U_after[rows] . (e^{i phi g} * psi),
+        from the phase stage evolve_grid uses, so every row has the same
+        terms as the same row of evolve_grid's output.  The sums are
         bit-identical only where the BLAS gives each output row the same sums
         whatever the row count, as OpenBLAS does at these sizes on one thread;
-        other builds may differ in the last bits.  Each n must be a populated block.
+        other builds may differ in the last bits.
         """
-        phased_block = self._phase_stage_over(state, np.asarray(phi_grid, dtype=float))
-        for n, rows in requests:
-            phased = phased_block(n)
-            if self.after is None:
-                yield phased[rows]
-                continue
-            # a single row would go to gemv, whose sums can differ from gemm's in the last bit
-            picked = _block(self.after, n)[rows if len(rows) > 1 else [rows[0], rows[0]]]
-            yield (picked @ phased)[: len(rows)]
+        _, phased = self._phase_stage(state, phi_grid)
+        if self.after is None:
+            return phased[rows]
+        # a single row would go to gemv, whose sums can differ from gemm's in the last bit
+        picked = self.after.matrix[rows if len(rows) > 1 else [rows[0], rows[0]]]
+        return (picked @ phased)[: len(rows)]
 
     def evolve(self, state: TwoModeState, phi: float) -> TwoModeState:
-        """Output state at one phase: the single column of evolve_blocks."""
-        return TwoModeState({n: amps[:, 0] for n, amps, _ in self.evolve_blocks(state, [phi])})
+        """Output state at one phase: the single column of evolve_grid."""
+        return TwoModeState({state.n: self.evolve_grid(state, [phi])[0][:, 0]})
 
-    def output_generator(self, cutoff: int) -> BlockObservable:
-        """The phase generator G on every block up to the cutoff, for a pipeline with no U_after.
+    def output_generator(self, n: int) -> BlockObservable:
+        """The phase generator G on block n, for a pipeline with no U_after.
 
         The evolved state then obeys d|psi>/dphi = i G |psi>, so the returned
         observable drives exact phase derivatives of expectations.  A pipeline
@@ -182,4 +158,4 @@ class InterferometerPipeline(ReadOnly):
         """
         if self.after is not None:
             raise ValueError("output_generator needs a pipeline without U_after")
-        return BlockObservable({n: {0: phase_exponent(self.convention, n)} for n in range(cutoff + 1)})
+        return BlockObservable({n: {0: phase_exponent(self.convention, n)}})

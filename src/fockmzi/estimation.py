@@ -5,11 +5,11 @@ The central quantity is the error-propagation sensitivity
 delta_phi = sqrt(Var A) / |d<A>/dphi|, with the derivative taken exactly as
 the expectation of i[A, G] for the phase generator G, never by finite
 differences (those are kept as a test oracle only).  Sweeps, Fisher
-information and posteriors only reduce the arrays that the pipeline's
-per-block kernel (evolve_blocks, output_rows) yields, over the whole phase
-grid at once, one photon-number block at a time; sampling draws from the
-output state the pipeline's evolve gives at one phase.  Which input,
-observable and readout a scheme uses is decided in `schemes`.
+information and posteriors only reduce the arrays of the pipeline's output
+on the input's one photon-number block (evolve_grid, output_rows), over the
+whole phase grid at once; sampling draws from the output state the
+pipeline's evolve gives at one phase.  Which input, observable and readout a
+scheme uses is decided in `schemes`.
 
 Light in port A alone (`states.PortALight`) takes none of those paths.  Each
 of its photons leaves the balanced interferometer on its own, by port B with
@@ -22,7 +22,6 @@ built.
 """
 
 import math
-from itertools import groupby
 
 import numpy as np
 
@@ -87,7 +86,7 @@ class PosteriorDistribution(ReadOnly):
 def _divergent(slope, observable_bound: float, generator_bound: float):
     """Where |d<A>/dphi| <= 1e-14 ||A|| ||G||, the roundoff scale of -2 Im <A psi|G psi>.
 
-    The norms are bounds over the populated blocks; a zero slope is always divergent.
+    The norms are bounds on the input's block; a zero slope is always divergent.
     """
     return slope <= DERIVATIVE_RTOL * observable_bound * generator_bound
 
@@ -106,30 +105,23 @@ def phase_sweep(
     observable: BlockObservable,
     phi_grid,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """<A>, Var A and delta_phi at every grid point, streamed block by block.
+    """<A>, Var A and delta_phi at every grid point.
 
-    Pass 1 takes the mean and the exact derivative <i[A, G_out]> =
-    -2 Im <A psi|G_out psi> from each block evolve_blocks yields; pass 2
-    evolves each block again for the residual form ||(A - <A>)|psi>||^2 of
-    the variance, so one block's (n+1) x P arrays are alive at a time.
-    Divergence is a value, not an error: delta_phi is +inf where the
-    derivative cannot be told from roundoff (see _divergent); ||G_out|| is
-    the largest |g| of the populated blocks.
+    The mean, the exact derivative <i[A, G_out]> = -2 Im <A psi|G_out psi>
+    and the residual form ||(A - <A>)|psi>||^2 of the variance all come from
+    one evolve_grid.  Divergence is a value, not an error: delta_phi is +inf
+    where the derivative cannot be told from roundoff (see _divergent);
+    ||G_out|| is the largest |g| of the block.
     """
     grid = np.asarray(phi_grid, dtype=float)
-    mean, deriv = np.zeros(grid.size), np.zeros(grid.size)
-    observable_bound = generator_bound = 0.0
-    for n, psi, generated in pipeline.evolve_blocks(input_state, grid):
-        applied = observable.apply_block(n, psi)
-        mean += np.sum(psi.conj() * applied, axis=0).real
-        deriv -= 2.0 * np.sum(applied.conj() * generated, axis=0).imag
-        observable_bound = max(observable_bound, observable.norm_bound(n))
-        generator_bound = max(generator_bound, float(np.max(np.abs(phase_exponent(pipeline.convention, n)))))
-    var = np.zeros(grid.size)
-    for n, psi, _ in pipeline.evolve_blocks(input_state, grid):
-        resid = observable.apply_block(n, psi) - mean * psi
-        var += np.sum((resid.conj() * resid).real, axis=0)
-    return mean, var, _sensitivity(var, np.abs(deriv), observable_bound, generator_bound)
+    psi, generated = pipeline.evolve_grid(input_state, grid)
+    applied = observable.apply(psi)
+    mean = 0.0 + np.sum(psi.conj() * applied, axis=0).real  # +0.0 and not -0.0 where the sum is a zero
+    slope = np.abs(2.0 * np.sum(applied.conj() * generated, axis=0).imag)
+    resid = applied - mean * psi
+    var = np.sum((resid.conj() * resid).real, axis=0)
+    generator_bound = float(np.max(np.abs(phase_exponent(pipeline.convention, input_state.n))))
+    return mean, var, _sensitivity(var, slope, observable.norm_bound(), generator_bound)
 
 
 def photon_sweep(pipeline: InterferometerPipeline, light, phi_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,14 +169,11 @@ def classical_fisher(pipeline: InterferometerPipeline, input_state: TwoModeState
     Each outcome's slope is exact, dp_k/dphi = -2 Im(psi_k* (G_out psi)_k);
     outcomes with probability below 1e-15 are skipped.
     """
-    grid = np.asarray(phi_grid, dtype=float)
-    info = np.zeros(grid.size)
-    for _, psi, generated in pipeline.evolve_blocks(input_state, grid):
-        probs = np.abs(psi) ** 2
-        slopes = -2.0 * (psi.conj() * generated).imag
-        kept = probs >= PROBABILITY_FLOOR
-        info += np.sum(np.divide(slopes * slopes, probs, out=np.zeros_like(probs), where=kept), axis=0)
-    return info
+    psi, generated = pipeline.evolve_grid(input_state, np.asarray(phi_grid, dtype=float))
+    probs = np.abs(psi) ** 2
+    slopes = -2.0 * (psi.conj() * generated).imag
+    kept = probs >= PROBABILITY_FLOOR
+    return np.sum(np.divide(slopes * slopes, probs, out=np.zeros_like(probs), where=kept), axis=0)
 
 
 def photon_fisher(light, phi_grid) -> np.ndarray:
@@ -218,7 +207,7 @@ def sample_outcomes(
     """Draw i.i.d. (n_a, n_b) outcomes from the exact output distribution.
 
     The probabilities are the output state's at phi,
-    pipeline.evolve(input_state, phi).probabilities(), in block order.  Those
+    pipeline.evolve(input_state, phi).probabilities(), n_b ascending.  Those
     below 1e-15 are zeroed (and the rest renormalized) before sampling, so
     interference nulls never fire.  Identical seeds give identical
     histograms.  Shots number at most 2**63 - 1, the most numpy's multinomial
@@ -294,22 +283,19 @@ def bayes_posterior(
 
     Uniform prior times the product of per-outcome likelihoods, accumulated in
     log space so large shot counts cannot underflow.  Only the observed rows
-    of the output are formed, one block at a time; each run of consecutive
-    outcomes in one block is one product.  The terms are added in the
+    of the output are formed, in one product.  The terms are added in the
     histogram's order.  The grid should cover one period of the scheme's
     likelihood.
     """
     grid = np.asarray(phi_grid, dtype=float)
     for n_a, n_b in hist.counts:
-        if n_a < 0 or n_b < 0 or n_a + n_b not in input_state.blocks:
+        if n_a < 0 or n_b < 0 or n_a + n_b != input_state.n:
             raise ModelMismatchError(f"observed outcome ({n_a}, {n_b}) has zero likelihood: "
                                      "it is not a basis state of a populated block")
-    runs = [(n, list(run)) for n, run in groupby(hist.counts.items(), key=lambda item: sum(item[0]))]
-    requests = ((n, [n_b for (_, n_b), _ in run]) for n, run in runs)
     log_like = np.zeros(grid.size)
-    for (_, run), amplitudes in zip(runs, pipeline.output_rows(input_state, grid, requests)):
-        probs = np.abs(amplitudes) ** 2
-        for (_, count), p in zip(run, probs):
+    if hist.counts:
+        probs = np.abs(pipeline.output_rows(input_state, grid, [n_b for _, n_b in hist.counts])) ** 2
+        for count, p in zip(hist.counts.values(), probs):
             with np.errstate(divide="ignore"):
                 log_like += count * np.log(p)
     return _posterior(grid, log_like)
@@ -382,7 +368,12 @@ def posterior_std(posterior: PosteriorDistribution) -> float:
 
 
 def scaling_fit(points) -> tuple[float, float]:
-    """Least-squares line through (log n, log value); returns (slope, intercept)."""
+    """Least-squares line through (log n, log value); returns (slope, intercept).
+
+    Sizes so close that the rounding of log n alone, 2^-52 max|log n|, could
+    move the slope by more than 1e-9 relative (more than 1e-9 times the
+    spread of log n) raise NumericalFailure.
+    """
     pts = list(points)
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
@@ -390,5 +381,11 @@ def scaling_fit(points) -> tuple[float, float]:
     vals = np.array([p[1] for p in pts], dtype=float)
     if np.any(ns <= 0) or np.any(vals <= 0):
         raise ValueError("scaling fit needs positive sizes and values")
-    slope, intercept = np.polyfit(np.log(ns), np.log(vals), 1)
+    logs = np.log(ns)
+    spread = float(np.max(logs) - np.min(logs))
+    if spread == 0.0 or np.finfo(float).eps * float(np.max(np.abs(logs))) > 1e-9 * spread:
+        raise NumericalFailure(f"sizes {min(p[0] for p in pts)} to {max(p[0] for p in pts)} are too close to fit: "
+                               f"log n spans {spread:.3g}, and its rounding alone could move the slope by more than "
+                               "1e-9 relative")
+    slope, intercept = np.polyfit(logs, np.log(vals), 1)
     return float(slope), float(intercept)

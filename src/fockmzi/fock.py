@@ -1,11 +1,12 @@
 """Two-mode bosonic Fock space: states, banded observables and exact unitaries,
 the forms every optical element of `elements` is written in.
 
-Basis states are occupation pairs (n_a, n_b).  Everything is stored per
-fixed-total-photon-number block: block n covers {|n,0>, |n-1,1>, ..., |0,n>}
-in descending n_a order, so number-conserving unitaries are block diagonal
-and can be exponentiated exactly by Hermitian eigendecomposition.  An
-observable block is given and kept as its diagonals on and above the main
+Basis states are occupation pairs (n_a, n_b), grouped by total photon number:
+block n covers {|n,0>, |n-1,1>, ..., |0,n>} in descending n_a order.  Every
+input the commands run on the Fock path has a definite photon number, and a
+number-conserving interferometer keeps it, so each state, observable and
+unitary here lives in one block n: it is given as {n: value} and holds n and
+that value.  An observable is kept as its diagonals on and above the main
 one, offset k >= 0 -> diagonal; the lower half is their conjugate, so every
 observable is Hermitian by its form.
 """
@@ -76,32 +77,32 @@ class ReadOnly:
         return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in self._fields().items())})"
 
 
+def _one_block(given: dict) -> tuple[int, object]:
+    """The (n, value) of a {n: value} map with exactly one entry and n >= 0."""
+    if len(given) != 1:
+        raise ValueError(f"a Fock-space value holds one photon-number block, got {len(given)}")
+    ((n, value),) = given.items()
+    if n < 0:
+        raise ValueError(f"block index must be nonnegative, got {n}")
+    return n, value
+
+
 class TwoModeState(ReadOnly):
-    """Pure two-mode state held as one dense amplitude vector per populated block.
+    """Pure two-mode state of n photons, given as {n: amplitudes} and held as n and its dense
+    amplitude vector, every other block exactly zero.  Number-conserving unitaries keep it in block n."""
 
-    Blocks absent from the map are exactly zero; number-conserving unitaries
-    never create them, so unpopulated blocks stay zero by construction.
-    """
-
-    __slots__ = ("blocks",)
+    __slots__ = ("n", "amplitudes")
 
     def __init__(self, blocks: dict[int, np.ndarray]):
-        clean = {}
-        for n in sorted(blocks):
-            if n < 0:
-                raise ValueError(f"block index must be nonnegative, got {n}")
-            vec = np.asarray(blocks[n])
-            if vec.shape != (n + 1,):
-                raise ValueError(f"block {n} needs {n + 1} amplitudes, got shape {vec.shape}")
-            clean[n] = _frozen(vec)
-        self._fill(blocks=clean)
+        n, vec = _one_block(blocks)
+        vec = np.asarray(vec)
+        if vec.shape != (n + 1,):
+            raise ValueError(f"block {n} needs {n + 1} amplitudes, got shape {vec.shape}")
+        self._fill(n=n, amplitudes=_frozen(vec))
 
     def probabilities(self) -> dict[tuple[int, int], float]:
-        """Outcome probabilities |amplitude|^2 over all populated basis states."""
-        probs = {}
-        for n, vec in self.blocks.items():
-            probs.update(zip(block_labels(n), (np.abs(vec) ** 2).tolist()))
-        return probs
+        """Outcome probabilities |amplitude|^2 over the basis states of block n."""
+        return dict(zip(block_labels(self.n), (np.abs(self.amplitudes) ** 2).tolist()))
 
 
 def _bands(n: int, block: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -121,33 +122,36 @@ def _bands(n: int, block: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
 
 
 class BlockObservable(ReadOnly):
-    """Hermitian operator stored per total-photon-number block as its nonzero upper diagonals.
+    """Hermitian operator on block n, given as {n: {k: diagonal}} and held as n and its nonzero upper
+    diagonals.
 
-    blocks[n] maps an offset k >= 0 to the diagonal of entries (i, i + k) of
-    block n; entry (i + k, i) is the conjugate of entry (i, i + k), so the
-    operator is Hermitian by its form.  The constructor keeps only the
-    nonzero diagonals.  Absent blocks and absent diagonals are zero.
+    bands maps an offset k >= 0 to the diagonal of entries (i, i + k); entry
+    (i + k, i) is the conjugate of entry (i, i + k), so the operator is
+    Hermitian by its form.  Absent diagonals are zero.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("n", "bands")
 
     def __init__(self, blocks: dict[int, dict[int, np.ndarray]]):
-        self._fill(blocks={n: _bands(n, blocks[n]) for n in sorted(blocks)})
+        n, bands = _one_block(blocks)
+        self._fill(n=n, bands=_bands(n, bands))
 
-    def apply_block(self, n: int, x: np.ndarray) -> np.ndarray:
-        """Block n of the operator applied to x, an (n+1)-vector or an (n+1) x P array of columns."""
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The operator applied to x, an (n+1)-vector or an (n+1) x P array of columns."""
+        n = self.n
         out = np.zeros(x.shape, dtype=np.complex128)
-        for k, diag in self.blocks.get(n, {}).items():
+        for k, diag in self.bands.items():
             diag = diag.reshape(diag.shape + (1,) * (x.ndim - 1))
             out[: n + 1 - k] += diag * x[k:]
             if k > 0:
                 out[k:] += diag.conj() * x[: n + 1 - k]
         return out
 
-    def norm_bound(self, n: int) -> float:
-        """The largest absolute row sum of block n, a bound on its spectral norm."""
+    def norm_bound(self) -> float:
+        """The largest absolute row sum, a bound on the spectral norm."""
+        n = self.n
         rows = np.zeros(n + 1)
-        for k, diag in self.blocks.get(n, {}).items():
+        for k, diag in self.bands.items():
             rows[: n + 1 - k] += np.abs(diag)
             if k > 0:
                 rows[k:] += np.abs(diag)
@@ -155,20 +159,19 @@ class BlockObservable(ReadOnly):
 
 
 class BlockUnitary(ReadOnly):
-    """Number-conserving unitary stored per total-photon-number block."""
+    """Number-conserving unitary on block n, given as {n: matrix} and held as n and its matrix,
+    checked unitary once."""
 
-    __slots__ = ("blocks",)
+    __slots__ = ("n", "matrix")
 
     def __init__(self, blocks: dict[int, np.ndarray]):
-        clean = {}
-        for n in sorted(blocks):
-            mat = np.asarray(blocks[n])
-            if mat.shape != (n + 1, n + 1):
-                raise ValueError(f"block {n} must be {n + 1}x{n + 1}, got {mat.shape}")
-            if np.max(np.abs(mat.conj().T @ mat - np.eye(n + 1))) > UNITARY_TOL:
-                raise ValueError(f"block {n} is not unitary within {UNITARY_TOL}")
-            clean[n] = _frozen(mat)
-        self._fill(blocks=clean)
+        n, mat = _one_block(blocks)
+        mat = np.asarray(mat)
+        if mat.shape != (n + 1, n + 1):
+            raise ValueError(f"block {n} must be {n + 1}x{n + 1}, got {mat.shape}")
+        if np.max(np.abs(mat.conj().T @ mat - np.eye(n + 1))) > UNITARY_TOL:
+            raise ValueError(f"block {n} is not unitary within {UNITARY_TOL}")
+        self._fill(n=n, matrix=_frozen(mat))
 
 
 def make_basis_state(n_a: int, n_b: int) -> TwoModeState:

@@ -16,10 +16,10 @@ through the second splitter, -J_y.
 number-resolved detection (the second splitter, or the flip-basis rotation);
 it is built on first use, by Fisher information, sampling and Bayes.  Every
 form of the splitter comes from `elements`; this module only chooses the
-input, the observable and the readout.  Input, observable and readout cover only
-the populated blocks.  The cutoff is read off the input, its largest block:
-the one block a Fock input populates, or for coherent light the truncation
-`states.coherent_amplitudes` chooses.
+input, the observable and the readout.  A Fock-space input has a definite
+photon number N, so input, observable and readout are all on its one block
+N.  The cutoff is read off the input: that block N, or for coherent light
+the truncation `states.coherent_amplitudes` chooses.
 """
 
 import math
@@ -46,7 +46,7 @@ class SchemeSetup(ReadOnly):
     """What one scheme needs for sweeps, Fisher information, sampling and Bayes: the cutoff, the phase
     stage ('analysis', which fixes the convention) and the likelihood period, and then either `light`,
     for port-A inputs, or the Fock-space input state at the phase stage, the observable and the readout,
-    a function that builds the sampling U_after on the input's populated blocks."""
+    a function that builds the sampling U_after on the input's block."""
 
     __slots__ = ("cutoff", "analysis", "likelihood_period", "light", "input_state", "observable", "readout",
                  "_sampling")
@@ -90,12 +90,12 @@ def noon_readout(n: int) -> BlockUnitary:
 
 
 def build_setup(tag: SchemeTag, convention: str = ONE_ARM) -> SchemeSetup:
-    """Assemble everything one scheme needs for sweeps, sampling, and Bayes, at the cutoff of its input,
-    the input's largest block.  Port-A light is its photon-number weights; the N00N state is prepared at
-    the phase stage; every other input passes the first splitter here.  Raises TruncationError for coherent
-    light too bright for any cutoff up to states.COHERENT_CUTOFF_CAP, NumericalFailure for |N,0> with N
-    past numpy's 64-bit integers, and MemoryError, before any factory runs, for a Fock-space input whose
-    largest block no array can index."""
+    """Assemble everything one scheme needs for sweeps, sampling, and Bayes, at the cutoff of its input:
+    the block of a Fock-space input, the largest block of port-A light.  Port-A light is its photon-number
+    weights; the N00N state is prepared at the phase stage; every other input passes the first splitter
+    here.  Raises TruncationError for coherent light too bright for any cutoff up to
+    states.COHERENT_CUTOFF_CAP, NumericalFailure for |N,0> with N past numpy's 64-bit integers, and
+    MemoryError, before any factory runs, for a Fock-space input whose block no array can index."""
     analysis = InterferometerPipeline(convention)
     if tag.name in ("single-port-fock", "coherent"):
         if tag.name == "coherent":
@@ -107,9 +107,9 @@ def build_setup(tag: SchemeTag, convention: str = ONE_ARM) -> SchemeSetup:
             raise NumericalFailure(f"single-port-fock at n={tag.n}: photon numbers from 2**63 on do not fit "
                                    "numpy's 64-bit integers")
         return SchemeSetup(light.first + light.weights.size - 1, analysis, 2.0 * math.pi, light=light)
-    block = 2 * tag.n if tag.name == "dual-fock" else tag.n  # the input's largest block
+    block = 2 * tag.n if tag.name == "dual-fock" else tag.n  # the input's photon number
     if (block + 1) * 16 > sys.maxsize:  # the bytes of its complex128 amplitudes
-        raise MemoryError(f"{tag.name} at n={tag.n}: its largest block needs more bytes than any array can index")
+        raise MemoryError(f"{tag.name} at n={tag.n}: its block needs more bytes than any array can index")
     if tag.name == "noon":
         inp = noon(tag.n, 0.0)
         observable, period, readout = observable_noon_flip(tag.n), 2.0 * math.pi / tag.n, partial(noon_readout, tag.n)
@@ -122,6 +122,6 @@ def build_setup(tag: SchemeTag, convention: str = ONE_ARM) -> SchemeSetup:
             inp = split(yurke_bosonic(tag.n))
         else:
             raise ValueError(f"unhandled scheme {tag.name!r}")
-        observable, period, readout = pulled_back_jz(inp.blocks), 2.0 * math.pi, partial(splitter_blocks, inp.blocks)
+        observable, period, readout = pulled_back_jz(inp.n), 2.0 * math.pi, partial(splitter_blocks, inp.n)
 
-    return SchemeSetup(max(inp.blocks), analysis, period, input_state=inp, observable=observable, readout=readout)
+    return SchemeSetup(inp.n, analysis, period, input_state=inp, observable=observable, readout=readout)

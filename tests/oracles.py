@@ -3,7 +3,13 @@ that the batched command paths are compared against, the readings of a state,
 an observable or a register that no command needs, and the closed forms that
 acceptance criteria 01 (1/sqrt(N) for independent trials) and 09 (no single
 splitter makes a N00N state beyond two photons) are stated on, and the
-Poisson tail mass that coherent truncation is checked against."""
+Poisson tail mass that coherent truncation is checked against.
+
+`src` holds each Fock-space value on one photon-number block.  Here a value
+may span several, as a block map {n: block n}: a state's amplitude vectors, a
+unitary's matrices, or an observable's one-block `BlockObservable`s.  Every
+reading below accepts a `src` value or a block map, and reads each block
+through `src`'s one-block form."""
 
 import itertools
 import math
@@ -22,8 +28,14 @@ from fockmzi.elements import (
     pulled_back_jz,
     splitter_blocks,
 )
-from fockmzi.estimation import _divergent
-from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, log_factorials, make_basis_state
+from fockmzi.estimation import (
+    PosteriorDistribution,
+    _divergent,
+    _posterior,
+    _sensitivity,
+    classical_fisher,
+)
+from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, block_labels, log_factorials, make_basis_state
 from fockmzi.lithography import InsufficientGridError
 from fockmzi.rosetta import QubitRegister, _bit
 from fockmzi.schemes import SchemeSetup, build_setup
@@ -35,29 +47,67 @@ _ENSEMBLE_SIN_TOL = 1e-12
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
+# ---------------------------------------------------------------- block maps
+
+def blocks(value) -> dict:
+    """The block map of a Fock-space value: a src state's {n: amplitudes}, a src unitary's
+    {n: matrix} or a src observable's {n: itself}, or a block map as it is."""
+    if isinstance(value, TwoModeState):
+        return {value.n: value.amplitudes}
+    if isinstance(value, BlockUnitary):
+        return {value.n: value.matrix}
+    if isinstance(value, BlockObservable):
+        return {value.n: value}
+    return value
+
+
+def like(state, out: dict):
+    """out, a block map, as a TwoModeState where state is one."""
+    return TwoModeState(out) if isinstance(state, TwoModeState) else out
+
+
+def observable_map(bands: dict[int, dict[int, np.ndarray]]) -> dict[int, BlockObservable]:
+    """The block map of an observable given as each block's {offset: diagonal}."""
+    return {n: BlockObservable({n: block}) for n, block in bands.items()}
+
+
+def observable_block(observable, n: int) -> BlockObservable:
+    """Block n of an observable, src's or a block map; zero where it has no block n."""
+    block = blocks(observable).get(n)
+    return BlockObservable({n: {}}) if block is None else block
+
+
 # ---------------------------------------------------------------- readings of one state, observable or register
 
-def amplitude(state: TwoModeState, n_a: int, n_b: int) -> complex:
+def amplitude(state, n_a: int, n_b: int) -> complex:
     """The amplitude of |n_a, n_b>; 0 in a block the state does not populate."""
     if n_a < 0 or n_b < 0:
         raise ValueError(f"occupation ({n_a}, {n_b}) has a negative photon number")
-    vec = state.blocks.get(n_a + n_b)
+    vec = blocks(state).get(n_a + n_b)
     return 0j if vec is None else complex(vec[n_b])
 
 
-def norm(state: TwoModeState) -> float:
-    return math.sqrt(sum(float(np.vdot(v, v).real) for v in state.blocks.values()))
+def norm(state) -> float:
+    return math.sqrt(sum(float(np.vdot(v, v).real) for v in blocks(state).values()))
+
+
+def probabilities(state) -> dict[tuple[int, int], float]:
+    """TwoModeState.probabilities over every block of a state, block by block."""
+    probs = {}
+    for n, vec in blocks(state).items():
+        probs.update(TwoModeState({n: vec}).probabilities())
+    return probs
 
 
 def register_norm(reg: QubitRegister) -> float:
     return float(np.linalg.norm(reg.amplitudes))
 
 
-def dense(observable: BlockObservable, n: int) -> np.ndarray:
+def dense(observable, n: int) -> np.ndarray:
     """Block n of an observable as an (n+1) x (n+1) matrix: each stored diagonal k and, for k > 0,
     its conjugate at offset -k."""
     mat = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    for k, diag in observable.blocks.get(n, {}).items():
+    for k, diag in observable_block(observable, n).bands.items():
         mat += np.diag(diag, k)
         if k > 0:
             mat += np.diag(diag.conj(), -k)
@@ -81,59 +131,56 @@ def j_bands(axis: str, n: int) -> dict[int, np.ndarray]:
     return {"x": {1: up / 2.0}, "y": {1: -0.5j * up}}[axis]
 
 
-def j_observable(axis: str, cutoff: int) -> BlockObservable:
-    """Schwinger operator assembled over every block up to the cutoff: j_bands' 'x' and 'y',
+def j_observable(axis: str, cutoff: int) -> dict[int, BlockObservable]:
+    """Schwinger operator as a block map over every block up to the cutoff: j_bands' 'x' and 'y',
     'z' from the symmetric phase exponent, or 'squared', J^2 = (n/2)(n/2 + 1) on block n."""
     if axis == "z":
-        blocks = {n: {0: phase_exponent(SYMMETRIC, n)} for n in range(cutoff + 1)}
-    elif axis == "squared":
-        blocks = {n: {0: np.full(n + 1, (n / 2.0) * (n / 2.0 + 1.0))} for n in range(cutoff + 1)}
-    else:
-        blocks = {n: j_bands(axis, n) for n in range(cutoff + 1)}
-    return BlockObservable(blocks)
+        return observable_map({n: {0: phase_exponent(SYMMETRIC, n)} for n in range(cutoff + 1)})
+    if axis == "squared":
+        return observable_map({n: {0: np.full(n + 1, (n / 2.0) * (n / 2.0 + 1.0))} for n in range(cutoff + 1)})
+    return observable_map({n: j_bands(axis, n) for n in range(cutoff + 1)})
 
 
-def number_observable(mode: str, cutoff: int) -> BlockObservable:
-    """Photon-number operator for mode 'a', mode 'b', or 'total'."""
+def number_observable(mode: str, cutoff: int) -> dict[int, BlockObservable]:
+    """Photon-number operator for mode 'a', mode 'b', or 'total', as a block map up to the cutoff."""
     if mode not in NUMBER_MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {NUMBER_MODES}")
-    blocks = {}
+    bands = {}
     for n in range(cutoff + 1):
         n_b = np.arange(n + 1)
-        diag = {"a": n - n_b, "b": n_b, "total": np.full(n + 1, n)}[mode]
-        blocks[n] = {0: diag}
-    return BlockObservable(blocks)
+        bands[n] = {0: {"a": n - n_b, "b": n_b, "total": np.full(n + 1, n)}[mode]}
+    return observable_map(bands)
 
 
-def spectral_exponential(observable: BlockObservable, scale: float) -> BlockUnitary:
-    """exp(i * scale * H) per block, via eigendecomposition of the Hermitian block."""
-    blocks = {}
-    for n in observable.blocks:
+def spectral_exponential(observable, scale: float) -> dict[int, np.ndarray]:
+    """exp(i * scale * H) per block of an observable, via eigendecomposition of the Hermitian block."""
+    mats = {}
+    for n in blocks(observable):
         w, v = np.linalg.eigh(dense(observable, n))
-        blocks[n] = (v * np.exp(1j * scale * w)) @ v.conj().T
-    return BlockUnitary(blocks)
+        mats[n] = (v * np.exp(1j * scale * w)) @ v.conj().T
+    return mats
 
 
-def apply(unitary: BlockUnitary, state: TwoModeState) -> TwoModeState:
-    """Per-block matrix-vector product; preserves the norm and the populated blocks."""
-    out = {}
-    for n, vec in state.blocks.items():
-        mat = unitary.blocks.get(n)
-        if mat is None:
+def apply(unitary, state):
+    """Per-block matrix-vector product; preserves the norm and the populated blocks, and returns a
+    TwoModeState for one."""
+    mats, out = blocks(unitary), {}
+    for n, vec in blocks(state).items():
+        if n not in mats:
             raise ValueError(f"unitary has no block for total photon number {n}")
-        out[n] = mat @ vec
-    return TwoModeState(out)
+        out[n] = mats[n] @ vec
+    return like(state, out)
 
 
-def expectation(observable: BlockObservable, state: TwoModeState) -> float:
+def expectation(observable, state) -> float:
     """<s|A|s>; the imaginary part (below 1e-12 for Hermitian A) is discarded."""
     val = 0j
-    for n, vec in state.blocks.items():
-        val += np.vdot(vec, observable.apply_block(n, vec))
+    for n, vec in blocks(state).items():
+        val += np.vdot(vec, observable_block(observable, n).apply(vec))
     return float(val.real)
 
 
-def variance(observable: BlockObservable, state: TwoModeState) -> float:
+def variance(observable, state) -> float:
     """<A^2> - <A>^2, evaluated as ||(A - <A>)|s>||^2, a sum of squares.
 
     The residual form avoids the cancellation of the textbook difference of
@@ -141,42 +188,41 @@ def variance(observable: BlockObservable, state: TwoModeState) -> float:
     """
     mean = expectation(observable, state)
     total = 0.0
-    for n, vec in state.blocks.items():
-        resid = observable.apply_block(n, vec) - mean * vec
+    for n, vec in blocks(state).items():
+        resid = observable_block(observable, n).apply(vec) - mean * vec
         total += float(np.vdot(resid, resid).real)
     return total
 
 
 # ---------------------------------------------------------------- whole-cutoff elements
 
-def beam_splitter(theta: float, cutoff: int) -> BlockUnitary:
-    """Beam splitter exp(i theta J_x) on every block up to the cutoff, at any angle; theta = pi/2
-    is the 50/50 splitter.  Built from the J_x eigensystem by the expression of
+def beam_splitter(theta: float, cutoff: int) -> dict[int, np.ndarray]:
+    """Beam splitter exp(i theta J_x) as a block map over every block up to the cutoff, at any angle;
+    theta = pi/2 is the 50/50 splitter.  Built from the J_x eigensystem by the expression of
     elements._splitter_block, so at BALANCED its blocks are that splitter's, bit for bit."""
-    blocks = {}
+    mats = {}
     for n in range(cutoff + 1):
         w, v = _jx_eigensystem(n)
-        blocks[n] = (v * np.exp(1j * theta * w)) @ v.conj().T
-    return BlockUnitary(blocks)
+        mats[n] = (v * np.exp(1j * theta * w)) @ v.conj().T
+    return mats
 
 
-def port_swap(cutoff: int) -> BlockUnitary:
-    """exp(-i pi J_x) on every block up to the cutoff, in closed form: |n_a, n_b> -> (-i)^n |n_b, n_a>
+def port_swap(cutoff: int) -> dict[int, np.ndarray]:
+    """exp(-i pi J_x) as a block map up to the cutoff, in closed form: |n_a, n_b> -> (-i)^n |n_b, n_a>
     on block n, the ports exchanged.  It commutes with every splitter, and the inverted splitter
     exp(-i pi/2 J_x) is the 50/50 one times it: inverting the second splitter only relabels the ports."""
     phases = (1, -1j, -1, 1j)  # (-i)^n, exact for every n
-    return BlockUnitary({n: np.fliplr(np.eye(n + 1)) * phases[n % 4] for n in range(cutoff + 1)})
+    return {n: np.fliplr(np.eye(n + 1)) * phases[n % 4] for n in range(cutoff + 1)}
 
 
 def exchanged(readout: BlockUnitary) -> BlockUnitary:
-    """The readout followed by the port swap, on the readout's blocks alone."""
-    swap = port_swap(max(readout.blocks))
-    return BlockUnitary({n: swap.blocks[n] @ u for n, u in readout.blocks.items()})
+    """The readout followed by the port swap, on the readout's block."""
+    return BlockUnitary({readout.n: port_swap(readout.n)[readout.n] @ readout.matrix})
 
 
-def phase_shifter(phi: float, convention: str, cutoff: int) -> BlockUnitary:
-    """Phase shifter: exp(i phi J_z) for 'symmetric', exp(i phi n_b) for 'one-arm'."""
-    return BlockUnitary({n: np.diag(np.exp(1j * phi * phase_exponent(convention, n))) for n in range(cutoff + 1)})
+def phase_shifter(phi: float, convention: str, cutoff: int) -> dict[int, np.ndarray]:
+    """Phase shifter as a block map up to the cutoff: exp(i phi J_z) for 'symmetric', exp(i phi n_b) for 'one-arm'."""
+    return {n: np.diag(np.exp(1j * phi * phase_exponent(convention, n))) for n in range(cutoff + 1)}
 
 
 # ---------------------------------------------------------------- port states
@@ -186,14 +232,14 @@ def single_port_fock(n: int) -> TwoModeState:
     return make_basis_state(n, 0)
 
 
-def port_a(amplitudes) -> TwoModeState:
-    """sum_k c_k |k,0>: photon-number amplitudes in port A, vacuum in port B."""
-    blocks = {}
+def port_a(amplitudes) -> dict[int, np.ndarray]:
+    """sum_k c_k |k,0> as a block map: photon-number amplitudes in port A, vacuum in port B."""
+    vecs = {}
     for k, amp in enumerate(amplitudes):
         vec = np.zeros(k + 1, dtype=np.complex128)
         vec[0] = amp  # photon count k all in mode a
-        blocks[k] = vec
-    return TwoModeState(blocks)
+        vecs[k] = vec
+    return vecs
 
 
 def poisson_amplitudes(mean_photons: float, cutoff: int) -> np.ndarray:
@@ -207,34 +253,129 @@ def poisson_amplitudes(mean_photons: float, cutoff: int) -> np.ndarray:
     return amps / math.sqrt(math.fsum(amps * amps))
 
 
-def split_port_a(amplitudes: dict[int, complex]) -> TwoModeState:
-    """sum_n c_n |n,0> after the 50/50 splitter exp(i pi/2 J_x), in closed form.
+def split_port_a(amplitudes: dict[int, complex]) -> dict[int, np.ndarray]:
+    """sum_n c_n |n,0> after the 50/50 splitter exp(i pi/2 J_x), as a block map, in closed form.
 
     Block n becomes c_n sqrt(C(n,k)) / 2^{n/2} i^k on |n-k,k>: the binomial
     weights come from log-factorials and i^k is taken exactly from a table.
     """
     log_fact = log_factorials(max(amplitudes, default=0))
-    blocks = {}
+    vecs = {}
     for n, c in amplitudes.items():
         k = np.arange(n + 1)
         log_binom = log_fact[n] - log_fact[: n + 1] - log_fact[n::-1]
-        blocks[n] = c * np.exp((log_binom - n * math.log(2.0)) / 2.0) * _I_POWERS[k % 4]
-    return TwoModeState(blocks)
+        vecs[n] = c * np.exp((log_binom - n * math.log(2.0)) / 2.0) * _I_POWERS[k % 4]
+    return vecs
 
 
-def fock_path_setup(tag: SchemeTag, convention: str = ONE_ARM) -> SchemeSetup:
-    """build_setup's setup with port-A light wired on the Fock path, as build_setup wired it before
-    independent photons: the split state from split_port_a, the -J_y observable and the 50/50 splitter
-    as the readout, on the populated blocks.  Every other scheme's setup is build_setup's."""
-    if tag.name not in PORT_A_SCHEMES:
-        return build_setup(tag, convention)
-    inp = split_port_a({tag.n: 1.0} if tag.name == "single-port-fock" else dict(enumerate(coherent_amplitudes(tag.n))))
-    return SchemeSetup(max(inp.blocks), InterferometerPipeline(convention), 2.0 * math.pi, input_state=inp,
-                       observable=pulled_back_jz(inp.blocks), readout=partial(splitter_blocks, inp.blocks))
+class FockPath:
+    """A scheme on the Fock path as photon-number blocks, each a one-block SchemeSetup run through
+    src: block n carries amplitude c_n, so weight w_n = |c_n|^2.
+
+    A reading combines the blocks' readings, which add with their weights and
+    no cross term (every operator here conserves the photon number): the mean
+    is sum w_n m_n, the variance sum w_n (v_n + m_n^2) - mean^2, the slope of
+    the mean sum w_n m_n', the Fisher information sum w_n F_n, and an
+    outcome of block n has likelihood w_n p_n.  Divergence is phase_sweep's
+    rule, with its bounds the largest over the blocks.
+    """
+
+    def __init__(self, amplitudes: dict[int, float], setups: dict[int, SchemeSetup]):
+        self.amplitudes, self.setups = amplitudes, setups
+        self.cutoff = max(setups)
+        self.convention = setups[self.cutoff].analysis.convention
+        self.likelihood_period = setups[self.cutoff].likelihood_period
+
+    def weight(self, n: int) -> float:
+        return abs(self.amplitudes[n]) ** 2
+
+    @property
+    def input_state(self) -> dict[int, np.ndarray]:
+        """The input at the phase stage as a block map: c_n times block n's state."""
+        return {n: self.amplitudes[n] * setup.input_state.amplitudes for n, setup in self.setups.items()}
+
+    def sweep(self, phi_grid, observable=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """phase_sweep over the blocks: <A>, Var A and delta_phi, for A each block's observable or, if given,
+        the observable (src's or a block map), read block by block.
+
+        Each block's output psi_n and G_out psi_n come from its evolve_grid.
+        The variance is taken in the residual form sum w_n ||(A - <A>) psi_n||^2,
+        about the overall mean: it equals sum w_n (v_n + m_n^2) - <A>^2 from the
+        blocks' own variances and means, but without the cancellation, which
+        loses about 1e-14 relative at nbar = 25.  The blocks are evolved again
+        for it, so one block's arrays are alive at a time.
+        """
+        grid = np.asarray(phi_grid, dtype=float)
+        mean, slope, observable_bound, generator_bound = 0.0, 0.0, 0.0, 0.0
+        for n, obs, psi, generated in self._outputs(grid, observable):
+            applied = obs.apply(psi)
+            mean = mean + self.weight(n) * np.sum(psi.conj() * applied, axis=0).real
+            slope = slope + self.weight(n) * 2.0 * np.sum(applied.conj() * generated, axis=0).imag
+            observable_bound = max(observable_bound, obs.norm_bound())
+            generator_bound = max(generator_bound, float(np.max(np.abs(phase_exponent(self.convention, n)))))
+        var = 0.0
+        for n, obs, psi, _ in self._outputs(grid, observable):
+            resid = obs.apply(psi) - mean * psi
+            var = var + self.weight(n) * np.sum((resid.conj() * resid).real, axis=0)
+        return mean, var, _sensitivity(var, np.abs(slope), observable_bound, generator_bound)
+
+    def _outputs(self, grid: np.ndarray, observable):
+        """Per block: n, the observable read on it, and its output psi and G_out psi over the grid."""
+        for n, setup in self.setups.items():
+            obs = setup.observable if observable is None else observable_block(observable, n)
+            yield n, obs, *setup.analysis.evolve_grid(setup.input_state, grid)
+
+    def fisher(self, phi_grid) -> np.ndarray:
+        """classical_fisher over the blocks."""
+        return sum(self.weight(n) * classical_fisher(setup.sampling, setup.input_state, phi_grid)
+                   for n, setup in self.setups.items())
+
+    def probabilities(self, phi_grid) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """Every outcome of every block, in block order, and its probability w_n |output|^2 at each
+        phase, one column per phase."""
+        labels, rows = [], []
+        for n, setup in self.setups.items():
+            labels += block_labels(n)
+            rows.append(self.weight(n) * np.abs(setup.sampling.evolve_grid(setup.input_state, phi_grid)[0]) ** 2)
+        return labels, np.vstack(rows)
+
+    def posterior(self, hist, phi_grid) -> PosteriorDistribution:
+        """bayes_posterior over the blocks: each outcome (n_a, n_b) adds its count times the log of w_n
+        |row n_b of block n's output|^2, in the histogram's order."""
+        grid = np.asarray(phi_grid, dtype=float)
+        log_like = np.zeros(grid.size)
+        for (n_a, n_b), count in hist.counts.items():
+            setup = self.setups[n_a + n_b]
+            amps = setup.sampling.output_rows(setup.input_state, grid, [n_b])[0]
+            with np.errstate(divide="ignore"):
+                log_like += count * np.log(self.weight(n_a + n_b) * np.abs(amps) ** 2)
+        return _posterior(grid, log_like)
 
 
-def coherent_vacuum(mean_photons: float, cutoff: int) -> TwoModeState:
-    """Coherent state in port A, vacuum in port B, truncated at the given cutoff and renormalized."""
+def port_a_fock_path(amplitudes: dict[int, float], convention: str = ONE_ARM) -> FockPath:
+    """Port-A light sum_n c_n |n,0> on the Fock path, as build_setup wired it before independent photons:
+    block n is the split |n,0> from split_port_a, the -J_y observable and the 50/50 splitter as the readout."""
+    setups = {}
+    for n, vec in split_port_a(dict.fromkeys(amplitudes, 1.0)).items():
+        setups[n] = SchemeSetup(n, InterferometerPipeline(convention), 2.0 * math.pi,
+                                input_state=TwoModeState({n: vec}), observable=pulled_back_jz(n),
+                                readout=partial(splitter_blocks, n))
+    return FockPath(amplitudes, setups)
+
+
+def fock_path_setup(tag: SchemeTag, convention: str = ONE_ARM) -> FockPath:
+    """The scheme on the Fock path: port-A light by port_a_fock_path, every other scheme as
+    build_setup's setup alone, of amplitude 1."""
+    if tag.name == "single-port-fock":
+        return port_a_fock_path({tag.n: 1.0}, convention)
+    if tag.name == "coherent":
+        return port_a_fock_path(dict(enumerate(coherent_amplitudes(tag.n))), convention)
+    setup = build_setup(tag, convention)
+    return FockPath({setup.cutoff: 1.0}, {setup.cutoff: setup})
+
+
+def coherent_vacuum(mean_photons: float, cutoff: int) -> dict[int, np.ndarray]:
+    """Coherent state in port A, vacuum in port B, as a block map truncated at the given cutoff and renormalized."""
     return port_a(poisson_amplitudes(mean_photons, cutoff))
 
 
@@ -285,15 +426,15 @@ def bisected_coherent_cutoff(mean_photons: float) -> int:
 
 # ---------------------------------------------------------------- per-point sensitivity
 
-def phase_derivative(state: TwoModeState, observable: BlockObservable, generator: BlockObservable) -> float:
+def phase_derivative(state, observable, generator) -> float:
     """Exact d<A>/dphi for evolution exp(i phi G): the expectation of i[A, G], -2 Im <A psi|G psi>."""
     val = 0.0
-    for n, vec in state.blocks.items():
-        val -= 2.0 * np.vdot(observable.apply_block(n, vec), generator.apply_block(n, vec)).imag
+    for n, vec in blocks(state).items():
+        val -= 2.0 * np.vdot(observable_block(observable, n).apply(vec), observable_block(generator, n).apply(vec)).imag
     return float(val)
 
 
-def sensitivity(state: TwoModeState, observable: BlockObservable, generator: BlockObservable) -> float:
+def sensitivity(state, observable, generator) -> float:
     """Error-propagation phase uncertainty sqrt(Var A) / |d<A>/dphi|.
 
     The state must already be evolved to the working phase.  Divergence is a
@@ -301,7 +442,8 @@ def sensitivity(state: TwoModeState, observable: BlockObservable, generator: Blo
     most 1e-14 ||A|| ||G||, where it cannot be told from roundoff.
     """
     deriv = abs(phase_derivative(state, observable, generator))
-    bounds = [max((op.norm_bound(n) for n in state.blocks), default=0.0) for op in (observable, generator)]
+    bounds = [max((observable_block(op, n).norm_bound() for n in blocks(state)), default=0.0)
+              for op in (observable, generator)]
     if _divergent(deriv, *bounds):
         return math.inf
     return math.sqrt(variance(observable, state)) / deriv
@@ -318,29 +460,35 @@ def noon_fidelity(out_state, n: int) -> float:
 
 @dataclass(frozen=True)
 class PortPipeline:
-    """A pipeline that takes port states: `first` is applied before the phase stage."""
+    """A pipeline that takes port states, on every block of its block maps: `first` is applied before
+    the phase stage and `second` after it, each block through src's one-block pipeline."""
 
-    first: BlockUnitary
-    pipeline: InterferometerPipeline
+    first: dict[int, np.ndarray]
+    second: dict[int, np.ndarray]
+    convention: str = ONE_ARM
 
-    def evolve(self, state: TwoModeState, phi: float) -> TwoModeState:
-        return self.pipeline.evolve(apply(self.first, state), phi)
+    def evolve(self, state, phi: float):
+        out = {}
+        for n, vec in blocks(state).items():
+            pipeline = InterferometerPipeline(self.convention, after=BlockUnitary({n: self.second[n]}))
+            out[n] = pipeline.evolve(TwoModeState({n: self.first[n] @ vec}), phi).amplitudes
+        return like(state, out)
 
-    def output_generator(self, cutoff: int) -> BlockObservable:
-        """The phase generator in the output frame, U_after G U_after†, on every block up to the
+    def output_generator(self, cutoff: int) -> dict[int, BlockObservable]:
+        """The phase generator in the output frame, U_after G U_after†, as a block map up to the
         cutoff: the evolved state obeys d|psi>/dphi = i (U_after G U_after†) |psi>."""
-        blocks = {}
+        bands = {}
         for n in range(cutoff + 1):
-            u = self.pipeline.after.blocks[n]
-            m = (u * phase_exponent(self.pipeline.convention, n)) @ u.conj().T
-            blocks[n] = banded((m + m.conj().T) / 2.0)  # re-hermitize roundoff
-        return BlockObservable(blocks)
+            u = self.second[n]
+            m = (u * phase_exponent(self.convention, n)) @ u.conj().T
+            bands[n] = banded((m + m.conj().T) / 2.0)  # re-hermitize roundoff
+        return observable_map(bands)
 
 
 def mach_zehnder_pipeline(cutoff: int, convention: str = ONE_ARM, invert_second_bs: bool = False) -> PortPipeline:
     """Balanced splitter, phase, balanced splitter; the second splitter optionally inverted."""
     second = beam_splitter(-BALANCED if invert_second_bs else BALANCED, cutoff)
-    return PortPipeline(beam_splitter(BALANCED, cutoff), InterferometerPipeline(convention, after=second))
+    return PortPipeline(beam_splitter(BALANCED, cutoff), second, convention)
 
 
 # ---------------------------------------------------------------- register and loop forms of the qubit and lithography paths
@@ -419,7 +567,7 @@ def noon_fidelity_sweep(n_a: int, n_b: int, theta_grid) -> tuple[float, float]:
     n = n_a + n_b
     thetas = np.asarray(theta_grid, dtype=float)
     w, v = _jx_eigensystem(n)
-    source = v.conj().T @ make_basis_state(n_a, n_b).blocks[n]
+    source = v.conj().T @ make_basis_state(n_a, n_b).amplitudes
     edges = v[[0, n], :] * source[None, :]
     # amplitudes on |N,0> and |0,N> for every theta at once
     amps = edges @ np.exp(1j * np.outer(w, thetas))

@@ -125,12 +125,14 @@ def _failures() -> list[list[str]]:
 
 
 def _large_blocks() -> list[list[str]]:
-    """Fock blocks of 40 photons and more, where a phase-stage array reaches 256 KB and numpy elides its
-    temporaries, which rounds complex products on another path."""
+    """Fock blocks of 120 to 300 photons, whose phase-stage arrays of (n+1) x P amplitudes reach 256 KB: there
+    numpy elides their temporaries, which rounds complex products on another path."""
     return [
         ["sensitivity", "--scheme", "dual-fock", "--n", "100", "--phi-grid", "0:3.1:200"],
-        ["sensitivity", "--scheme", "yurke-bosonic", "--n", "300", "--phi-grid", "0:3.1:200", "--convention", "symmetric"],
-        ["scaling", "--scheme", "dual-fock", "--metric", "fisher", "--n-range", "60:100:20", "--phi-grid", "0.005:3.1:200"],
+        ["sensitivity", "--scheme", "yurke-bosonic", "--n", "300", "--phi-grid", "0:3.1:200",
+         "--convention", "symmetric"],
+        ["scaling", "--scheme", "dual-fock", "--metric", "fisher", "--n-range", "60:100:20",
+         "--phi-grid", "0.005:3.1:200"],
         ["sample", "--scheme", "dual-fock", "--n", "100", "--phi", "0.3", "--shots", "1000", "--estimator", "bayes",
          "--bayes-points", "512"],
         ["sample", "--scheme", "noon", "--n", "300", "--phi", "0.001", "--shots", "1000", "--estimator", "bayes",

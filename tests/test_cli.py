@@ -172,6 +172,21 @@ def test_port_a_light_past_its_limits_exits_2_saying_which(capsys, argv, reason)
     assert err.startswith("numerical failure: ") and reason in err and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("n_range, spread", [
+    (f"{10**15}:{10**15 + 2}", "log n spans 0,"),  # the three logs are one float
+    (f"{10**12}:{10**12 + 2}", "log n spans 2e-12,"),  # distinct logs, whose rounding still moves the slope 0.5 %
+])
+def test_scaling_refuses_sizes_too_close_to_fit_in_log(capsys, n_range, spread):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy RankWarning on the way
+        code = main(["scaling", "--scheme", "single-port-fock", "--n-range", n_range, "--metric", "fisher",
+                     "--phi-grid", "0:1:3"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure: sizes ") and spread in err and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("argv", [
     ["sensitivity", "--n", str(9 * 10**13), "--phi-grid", "1.5:1.6:2"],
     ["sensitivity", "--n", str(18 * 10**13), "--phi-grid", "1.5:1.6:2", "--convention", "symmetric"],

@@ -10,7 +10,7 @@ from fockmzi.elements import (
     InterferometerPipeline,
     phase_exponent,
 )
-from fockmzi.fock import make_basis_state
+from fockmzi.fock import BlockUnitary, make_basis_state
 from fockmzi.states import dual_fock, noon, yurke_bosonic, yurke_fermionic_analog
 from oracles import (
     amplitude,
@@ -27,12 +27,12 @@ from oracles import (
 
 
 def mz_distribution(state, phi, convention):
-    return mach_zehnder_pipeline(max(state.blocks), convention).evolve(state, phi).probabilities()
+    return mach_zehnder_pipeline(state.n, convention).evolve(state, phi).probabilities()
 
 
 def pipeline_block(pipeline, phi, n):
     """Block n of the pipeline's unitary at phi, one evolved basis state per column."""
-    columns = [pipeline.evolve(make_basis_state(n - i, i), phi).blocks[n] for i in range(n + 1)]
+    columns = [pipeline.evolve(make_basis_state(n - i, i), phi).amplitudes for i in range(n + 1)]
     return np.column_stack(columns)
 
 
@@ -41,12 +41,12 @@ def test_beam_splitter_matches_spectral_exponential():
     fast = beam_splitter(theta, 6)
     ref = spectral_exponential(j_observable("x", 6), theta)
     for n in range(7):
-        assert np.max(np.abs(fast.blocks[n] - ref.blocks[n])) < 1e-13
+        assert np.max(np.abs(fast[n] - ref[n])) < 1e-13
 
 
 def test_beam_splitter_zero_angle_is_identity():
     u = beam_splitter(0.0, 4)
-    for n, mat in u.blocks.items():
+    for n, mat in u.items():
         assert np.allclose(mat, np.eye(n + 1), atol=1e-14)
 
 
@@ -89,7 +89,7 @@ def test_symmetric_shifter_fixes_balanced_states():
 def test_zero_phase_is_identity():
     for conv in (ONE_ARM, SYMMETRIC):
         u = phase_shifter(0.0, conv, 4)
-        for n, mat in u.blocks.items():
+        for n, mat in u.items():
             assert np.allclose(mat, np.eye(n + 1), atol=1e-15)
 
 
@@ -107,7 +107,7 @@ def test_convention_relation_global_phase_and_reflection():
     sym = phase_shifter(-phi, SYMMETRIC, 10)
     for n in range(11):
         scale = np.exp(1j * phi * n / 2)
-        assert np.max(np.abs(one.blocks[n] - scale * sym.blocks[n])) < 1e-13
+        assert np.max(np.abs(one[n] - scale * sym[n])) < 1e-13
 
 
 def test_conventions_give_identical_distributions_for_number_inputs():
@@ -171,8 +171,8 @@ def test_pipeline_unitary_matches_mach_zehnder():
             s = make_basis_state(n_a, n_b)
             direct = apply(beam_splitter(-BALANCED, 4), apply(phase_shifter(phi, SYMMETRIC, 4), apply(beam_splitter(BALANCED, 4), s)))
             via = pipeline.evolve(s, phi)
-            for n in direct.blocks:
-                assert np.max(np.abs(via.blocks[n] - direct.blocks[n])) < 1e-13
+            assert via.n == direct.n == n_a + n_b
+            assert np.max(np.abs(via.amplitudes - direct.amplitudes)) < 1e-13
 
 
 def test_output_generator_drives_exact_derivative():
@@ -193,24 +193,23 @@ def test_output_generator_drives_exact_derivative():
 
 @pytest.mark.parametrize("convention", [ONE_ARM, SYMMETRIC])
 def test_output_generator_is_the_phase_generator_and_refuses_a_readout(convention):
-    cutoff = 5
-    gen = InterferometerPipeline(convention).output_generator(cutoff)
-    assert sorted(gen.blocks) == list(range(cutoff + 1))
-    for n in range(cutoff + 1):
+    for n in range(6):
+        gen = InterferometerPipeline(convention).output_generator(n)
+        assert gen.n == n
         assert np.array_equal(dense(gen, n), np.diag(phase_exponent(convention, n)))
     with pytest.raises(ValueError, match="without U_after"):
-        InterferometerPipeline(convention, after=beam_splitter(BALANCED, cutoff)).output_generator(cutoff)
+        InterferometerPipeline(convention, after=BlockUnitary({5: beam_splitter(BALANCED, 5)[5]})).output_generator(5)
 
 
 @pytest.mark.parametrize("convention", [ONE_ARM, SYMMETRIC])
 @pytest.mark.parametrize("with_after", [False, True])
-def test_output_rows_are_bit_identical_to_rows_of_evolve_blocks(convention, with_after, assert_same_products):
-    cutoff = 9
-    state = apply(beam_splitter(BALANCED, cutoff), yurke_bosonic(4))
-    pipeline = InterferometerPipeline(convention, after=beam_splitter(BALANCED, cutoff) if with_after else None)
+def test_output_rows_are_bit_identical_to_rows_of_evolve_grid(convention, with_after, assert_same_products):
+    n = 4
+    state = apply(beam_splitter(BALANCED, n), yurke_bosonic(n))
+    after = BlockUnitary({n: beam_splitter(BALANCED, n)[n]}) if with_after else None
+    pipeline = InterferometerPipeline(convention, after=after)
     grid = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-    blocks = {n: psi for n, psi, _ in pipeline.evolve_blocks(state, grid)}
-    requests = [(n, [r]) for n in blocks for r in range(n + 1)]  # one row per product
-    requests += [(n, [n, 0]) for n in blocks] + [(n, list(range(n + 1))) for n in blocks]
-    for (n, rows), got in zip(requests, pipeline.output_rows(state, grid, requests), strict=True):
-        assert_same_products(got, blocks[n][rows], rtol=1e-15, atol=1e-15)
+    psi, _ = pipeline.evolve_grid(state, grid)
+    requests = [[r] for r in range(n + 1)] + [[n, 0], list(range(n + 1))]  # one row per product, then several
+    for rows in requests:
+        assert_same_products(pipeline.output_rows(state, grid, rows), psi[rows], rtol=1e-15, atol=1e-15)

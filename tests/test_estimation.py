@@ -7,7 +7,7 @@ import pytest
 
 from fockmzi import elements, estimation, fock, schemes
 from fockmzi.cli import _posterior as posterior, _sample as sample, _sweep as sweep, main
-from fockmzi.elements import BALANCED, CONVENTIONS, ONE_ARM, InterferometerPipeline, pulled_back_jz
+from fockmzi.elements import BALANCED, CONVENTIONS, ONE_ARM, InterferometerPipeline
 from fockmzi.estimation import (
     ModelMismatchError,
     NoPhaseInformationError,
@@ -26,7 +26,7 @@ from fockmzi.estimation import (
     sample_photons,
     scaling_fit,
 )
-from fockmzi.fock import BlockObservable, TwoModeState, make_basis_state
+from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, make_basis_state
 from fockmzi.schemes import build_setup, noon_readout, observable_noon_flip
 from fockmzi.states import (
     SCHEME_NAMES,
@@ -40,6 +40,7 @@ from oracles import (
     apply,
     banded,
     beam_splitter,
+    blocks,
     coherent_tail_mass,
     coherent_vacuum,
     dense,
@@ -50,13 +51,15 @@ from oracles import (
     fock_path_setup,
     j_observable,
     number_observable,
+    observable_map,
     phase_derivative,
     poisson_amplitudes,
+    port_a_fock_path,
     port_swap,
+    probabilities,
     sensitivity,
     single_port_fock,
     spectral_exponential,
-    split_port_a,
     variance,
 )
 
@@ -75,7 +78,7 @@ def test_flip_observable_is_pauli_x_for_one_photon():
 
 def test_flip_observable_has_two_entries_and_one_block():
     obs = observable_noon_flip(5)
-    assert list(obs.blocks) == [5]
+    assert obs.n == 5
     assert np.count_nonzero(dense(obs, 5)) == 2
 
 
@@ -196,9 +199,9 @@ def test_coherent_sweep_is_the_closed_form(nbar, tol, convention, invert):
     """<-J_y> = -(nbar/2) cos(phi) (<+J_y> = +(nbar/2) cos(phi) after the inverted second splitter),
     Var = nbar/4 and delta_phi = 1/(sqrt(nbar) |sin(phi)|) in either convention: the shot-noise
     limit, with no digit lost to the truncated Poisson tail: the Fock-path oracle."""
-    setup = fock_path_setup(SchemeTag("coherent", nbar), convention=convention)
-    observable = j_observable("y", setup.cutoff) if invert else setup.observable  # J_z read after the inverted splitter
-    mean, var, delta = phase_sweep(setup.analysis, setup.input_state, observable, COHERENT_GRID)
+    oracle = fock_path_setup(SchemeTag("coherent", nbar), convention=convention)
+    observable = j_observable("y", oracle.cutoff) if invert else None  # J_z read after the inverted splitter
+    mean, var, delta = oracle.sweep(COHERENT_GRID, observable)
     sign = 1.0 if invert else -1.0
     assert np.max(np.abs(mean - sign * (nbar / 2) * np.cos(COHERENT_GRID))) <= tol * nbar / 2
     assert np.max(np.abs(var / (nbar / 4) - 1.0)) <= tol
@@ -212,13 +215,11 @@ def test_no_larger_coherent_cutoff_changes_the_sweep(nbar, convention, invert):
     """The setup's truncation against one whose dropped tail is below 1e-30, reading -J_y, or
     +J_y after the inverted second splitter."""
     cutoff = next(k for k in itertools.count() if coherent_tail_mass(nbar, k) < 1e-30)
-    wide = split_port_a(dict(enumerate(poisson_amplitudes(nbar, cutoff))))
-    setup = fock_path_setup(SchemeTag("coherent", nbar), convention=convention)
-    assert setup.cutoff < cutoff
-    observable = j_observable("y", setup.cutoff) if invert else setup.observable
-    wide_observable = j_observable("y", cutoff) if invert else pulled_back_jz(wide.blocks)
-    sweep = phase_sweep(setup.analysis, setup.input_state, observable, COHERENT_GRID)
-    wide_sweep = phase_sweep(setup.analysis, wide, wide_observable, COHERENT_GRID)
+    wide = port_a_fock_path(dict(enumerate(poisson_amplitudes(nbar, cutoff))), convention)
+    oracle = fock_path_setup(SchemeTag("coherent", nbar), convention=convention)
+    assert oracle.cutoff < cutoff
+    sweep = oracle.sweep(COHERENT_GRID, j_observable("y", oracle.cutoff) if invert else None)
+    wide_sweep = wide.sweep(COHERENT_GRID, j_observable("y", cutoff) if invert else None)
     for column, wide_column in zip(sweep, wide_sweep):
         assert np.max(np.abs(column - wide_column) / np.abs(wide_column)) <= 1e-15
 
@@ -237,8 +238,7 @@ def test_photon_sweep_matches_the_fock_path_oracle(scheme, n, convention):
     cell within 1e-12, relative to the cell or, for the cells that are 0 in exact arithmetic (the
     mean at pi/2, |N,0>'s variance at 0 and pi), to the column's scale n/4."""
     tag = SchemeTag(scheme, n)
-    oracle = fock_path_setup(tag, convention)
-    want = phase_sweep(oracle.analysis, oracle.input_state, oracle.observable, PORT_A_GRID)
+    want = fock_path_setup(tag, convention).sweep(PORT_A_GRID)
     setup = build_setup(tag, convention)
     got = photon_sweep(setup.analysis, setup.light, PORT_A_GRID)
     assert np.array_equal(np.isinf(got[2]), np.isinf(want[2]))
@@ -292,7 +292,7 @@ def test_ensemble_sensitivity_values():
 # ---------------------------------------------------------------- Fisher information
 
 def test_single_photon_fisher_is_one():
-    setup = fock_path_setup(SchemeTag("single-port-fock", 1))
+    setup = fock_path_setup(SchemeTag("single-port-fock", 1)).setups[1]  # the split |1,0>
     fisher = classical_fisher(setup.sampling, setup.input_state, [0.4, 1.2, 2.0])
     assert isinstance(fisher, np.ndarray) and fisher.shape == (3,)
     assert fisher == pytest.approx(np.ones(3), abs=1e-7)
@@ -310,9 +310,8 @@ def test_coherent_fisher_is_the_mean_photon_number_at_every_phase(nbar):
     fisher = photon_fisher(light, grid)
     assert fisher.shape == grid.shape and np.all(fisher == light.mean)
     assert abs(light.mean - nbar) <= 1e-12 * nbar
-    oracle = fock_path_setup(SchemeTag("coherent", nbar))
     away = grid[(grid > 0.05) & (grid < 3.0)]
-    want = classical_fisher(oracle.sampling, oracle.input_state, away)
+    want = fock_path_setup(SchemeTag("coherent", nbar)).fisher(away)
     assert np.max(np.abs(want / light.mean - 1.0)) <= 1e-9
 
 
@@ -321,8 +320,7 @@ def test_single_port_fisher_is_n(n):
     light = build_setup(SchemeTag("single-port-fock", n)).light
     assert np.all(photon_fisher(light, [0.0, 0.4, math.pi]) == n)
     if n <= 30:
-        oracle = fock_path_setup(SchemeTag("single-port-fock", n))
-        want = classical_fisher(oracle.sampling, oracle.input_state, [0.4, 1.2, 2.0])
+        want = fock_path_setup(SchemeTag("single-port-fock", n)).fisher([0.4, 1.2, 2.0])
         assert np.max(np.abs(want - n)) <= 1e-12 * n
 
 
@@ -364,14 +362,16 @@ def test_cramer_rao_bound_holds():
         ("yurke-fermionic-analog", 3), ("yurke-bosonic", 4), ("noon", 4),
     ]
     for name, n in cases:
-        setup = fock_path_setup(SchemeTag(name, n))
-        gen = setup.analysis.output_generator(setup.cutoff)
+        oracle = fock_path_setup(SchemeTag(name, n))
         for phi in (0.3, 0.8, 1.4):
-            fisher = classical_fisher(setup.sampling, setup.input_state, [phi])[0]
+            fisher = oracle.fisher([phi])[0]
             if fisher <= 0:
                 continue
-            evolved = setup.analysis.evolve(setup.input_state, phi)
-            dphi = sensitivity(evolved, setup.observable, gen)
+            evolved = {m: oracle.amplitudes[m] * setup.analysis.evolve(setup.input_state, phi).amplitudes
+                       for m, setup in oracle.setups.items()}
+            generator = {m: setup.analysis.output_generator(m) for m, setup in oracle.setups.items()}
+            observable = {m: setup.observable for m, setup in oracle.setups.items()}
+            dphi = sensitivity(evolved, observable, generator)
             assert dphi >= 1 / math.sqrt(fisher) - 1e-9
 
 
@@ -419,19 +419,18 @@ def reference_output(state, before, generator, after, phi):
 
 
 def conjugated(generator, unitary):
-    blocks = {}
-    for n, u in unitary.blocks.items():
+    """U G U† on every block of the unitary, as a block map."""
+    bands = {}
+    for n, u in blocks(unitary).items():
         m = u @ dense(generator, n) @ u.conj().T
-        blocks[n] = banded((m + m.conj().T) / 2)
-    return BlockObservable(blocks)
+        bands[n] = banded((m + m.conj().T) / 2)
+    return observable_map(bands)
 
 
 def dense_probabilities(pipeline, state, grid):
     """Outcome labels in canonical order and their probabilities with one column per phase,
-    from every output block over the whole grid stacked into one array."""
-    blocks = [(n, psi) for n, psi, _ in pipeline.evolve_blocks(state, grid)]
-    labels = [label for n, _ in blocks for label in fock.block_labels(n)]
-    return labels, np.abs(np.vstack([psi for _, psi in blocks])) ** 2
+    from the whole output over the grid."""
+    return fock.block_labels(state.n), np.abs(pipeline.evolve_grid(state, grid)[0]) ** 2
 
 
 def close(value, ref):
@@ -450,27 +449,26 @@ def photon_probabilities(light, phi):
 def check_against_reference(tag, convention, invert):
     """The setup's sweep and sampling distribution against dense matrices applied per point,
     starting from the port state; the setup's input must be that state at the phase stage,
-    and its readout must be built on exactly the blocks that input populates.  With invert
-    the reference's second splitter is inverted, and its outcomes are read with the ports
-    exchanged: (n_a, n_b) of the setup is (n_b, n_a) of the reference."""
-    setup = fock_path_setup(tag, convention=convention)
-    cut = setup.cutoff
+    block by block, and each block's observable and readout must be built on that block.
+    With invert the reference's second splitter is inverted, and its outcomes are read with
+    the ports exchanged: (n_a, n_b) of the setup is (n_b, n_a) of the reference."""
+    oracle = fock_path_setup(tag, convention=convention)
+    cut = oracle.cutoff
     generator = number_observable("b", cut) if convention == ONE_ARM else j_observable("z", cut)
     port, before, after, readout, observable = reference_elements(tag, cut, invert)
     out_generator = generator if after is None else conjugated(generator, after)
 
-    at_phase_stage = port if before is None else apply(before, port)
-    assert set(setup.input_state.blocks) == set(at_phase_stage.blocks)
-    for n, vec in at_phase_stage.blocks.items():
-        assert np.max(np.abs(setup.input_state.blocks[n] - vec)) <= 1e-13
-    assert setup.sampling.after.blocks.keys() == setup.input_state.blocks.keys()
-    assert setup.observable.blocks.keys() == setup.input_state.blocks.keys()
+    at_phase_stage = blocks(port if before is None else apply(before, port))
+    assert set(oracle.input_state) == set(at_phase_stage)
+    for n, vec in at_phase_stage.items():
+        assert np.max(np.abs(oracle.input_state[n] - vec)) <= 1e-13
+    assert all(setup.sampling.after.n == setup.observable.n == n for n, setup in oracle.setups.items())
 
-    sweeps = [phase_sweep(setup.analysis, setup.input_state, setup.observable, REFERENCE_GRID)]
-    light = build_setup(tag, convention=convention).light
-    if light is not None:  # the commands' closed form, against the same reference
-        sweeps.append(photon_sweep(setup.analysis, light, REFERENCE_GRID))
-    labels, probs = dense_probabilities(setup.sampling, setup.input_state, REFERENCE_GRID)
+    sweeps = [oracle.sweep(REFERENCE_GRID)]
+    setup = build_setup(tag, convention=convention)
+    if setup.light is not None:  # the commands' closed form, against the same reference
+        sweeps.append(photon_sweep(setup.analysis, setup.light, REFERENCE_GRID))
+    labels, probs = oracle.probabilities(REFERENCE_GRID)
     for p, phi in enumerate(REFERENCE_GRID):
         out = reference_output(port, before, generator, after, phi)
         ref_delta = sensitivity(out, observable, out_generator)
@@ -480,11 +478,11 @@ def check_against_reference(tag, convention, invert):
             assert math.isinf(deltas[p]) == math.isinf(ref_delta)
             if math.isfinite(ref_delta):
                 assert close(deltas[p], ref_delta)
-        dist = reference_output(port, before, generator, readout, phi).probabilities()
+        dist = probabilities(reference_output(port, before, generator, readout, phi))
         assert labels == list(dist)
         assert all(close(probs[k, p], dist[label[::-1] if invert else label]) for k, label in enumerate(labels))
-        if light is not None:
-            closed = photon_probabilities(light, phi)
+        if setup.light is not None:
+            closed = photon_probabilities(setup.light, phi)
             assert all(close(closed[label], dist[label[::-1] if invert else label]) for label in labels)
 
 
@@ -509,7 +507,7 @@ def refuse_fock_path(monkeypatch):
         raise AssertionError("a splitter, a phase-stage evolution or a Fock-space operand was built")
 
     for owner, name in ((elements, "_splitter_block"), (elements, "_jx_eigensystem"), (schemes, "splitter_blocks"),
-                        (schemes, "split"), (schemes, "pulled_back_jz"), (InterferometerPipeline, "evolve_blocks"),
+                        (schemes, "split"), (schemes, "pulled_back_jz"), (InterferometerPipeline, "evolve_grid"),
                         (InterferometerPipeline, "output_rows"), (fock.BlockUnitary, "__init__"),
                         (fock.BlockObservable, "__init__"), (fock.TwoModeState, "__init__")):
         monkeypatch.setattr(owner, name, refuse)
@@ -537,7 +535,7 @@ def test_port_a_commands_build_no_splitter_and_evolve_nothing(monkeypatch, tmp_p
     assert out.exists()
 
 
-# ---------------------------------------------------------------- readout on the populated blocks
+# ---------------------------------------------------------------- readout on the input's block
 
 @pytest.mark.parametrize("scheme, n", [("dual-fock", 3), ("yurke-fermionic-analog", 5), ("yurke-bosonic", 4)])
 def test_splitter_block_cache_holds_the_one_block_a_readout_reuses(scheme, n):
@@ -553,28 +551,19 @@ def test_readout_holds_the_cached_splitter_block_itself():
     cache = elements._splitter_block
     cache.cache_clear()
     setup = build_setup(SchemeTag("dual-fock", 200))
-    block = setup.sampling.after.blocks[400]
+    block = setup.sampling.after.matrix
     assert block is cache(400) and np.shares_memory(block, cache(400))
     assert not block.flags.writeable
 
 
-def test_coherent_sampling_builds_each_splitter_block_once():
-    cache = elements._splitter_block
-    cache.cache_clear()
-    setup = fock_path_setup(SchemeTag("coherent", 25))  # split_port_a builds no splitter block
-    sample_outcomes(setup.sampling, setup.input_state, 0.7, 100, 7)
-    info = cache.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, setup.cutoff + 1, 1)  # each block built once
-
-
-def full_cutoff_readout(tag, setup):
-    """The sampling U_after on every block up to the cutoff: the whole splitter, or the
-    flip-basis rotation on block N padded with identity blocks."""
+def full_cutoff_readout(tag, cutoff):
+    """The sampling U_after as a block map over every block up to the cutoff: the whole splitter,
+    or the flip-basis rotation on block N padded with identity blocks."""
     if tag.name == "noon":
-        blocks = {m: np.eye(m + 1) for m in range(setup.cutoff + 1)}
-        blocks[tag.n] = noon_readout(tag.n).blocks[tag.n]
-        return fock.BlockUnitary(blocks)
-    return beam_splitter(BALANCED, setup.cutoff)
+        mats = {m: np.eye(m + 1) for m in range(cutoff + 1)}
+        mats[tag.n] = noon_readout(tag.n).matrix
+        return mats
+    return beam_splitter(BALANCED, cutoff)
 
 
 def sampling_pipeline(setup, invert):
@@ -589,19 +578,24 @@ def sampling_pipeline(setup, invert):
     ("yurke-fermionic-analog", 7), ("yurke-bosonic", 8),
 ])
 def test_populated_readout_gives_the_full_cutoff_results(scheme, n, invert, assert_same_products):
+    """Each block's readout is that block of the readout over every block up to the cutoff, bit for bit,
+    and gives its Fisher information, samples and posterior."""
     tag = SchemeTag(scheme, n)
-    setup = fock_path_setup(tag)
-    sampling = sampling_pipeline(setup, invert)
-    full_after = full_cutoff_readout(tag, setup)
-    full = InterferometerPipeline(setup.analysis.convention, exchanged(full_after) if invert else full_after)
-    grid = np.linspace(0.0, setup.likelihood_period, 256, endpoint=False)
-    assert_same_products(classical_fisher(sampling, setup.input_state, grid),
-                         classical_fisher(full, setup.input_state, grid), rtol=1e-12)
-    phi = 0.37 * setup.likelihood_period
-    hist = sample_outcomes(full, setup.input_state, phi, 2000, seed=n)
-    assert sample_outcomes(sampling, setup.input_state, phi, 2000, seed=n) == hist
-    assert_same_products(bayes_posterior(hist, sampling, setup.input_state, grid).weights,
-                         bayes_posterior(hist, full, setup.input_state, grid).weights, rtol=1e-9, atol=1e-300)
+    oracle = fock_path_setup(tag)
+    full_after = full_cutoff_readout(tag, oracle.cutoff)
+    grid = np.linspace(0.0, oracle.likelihood_period, 256, endpoint=False)
+    phi = 0.37 * oracle.likelihood_period
+    for m, setup in oracle.setups.items():
+        sampling = sampling_pipeline(setup, invert)
+        block = BlockUnitary({m: full_after[m]})
+        full = InterferometerPipeline(setup.analysis.convention, exchanged(block) if invert else block)
+        assert np.array_equal(sampling.after.matrix, full.after.matrix)
+        assert_same_products(classical_fisher(sampling, setup.input_state, grid),
+                             classical_fisher(full, setup.input_state, grid), rtol=1e-12)
+        hist = sample_outcomes(full, setup.input_state, phi, 2000, seed=n)
+        assert sample_outcomes(sampling, setup.input_state, phi, 2000, seed=n) == hist
+        assert_same_products(bayes_posterior(hist, sampling, setup.input_state, grid).weights,
+                             bayes_posterior(hist, full, setup.input_state, grid).weights, rtol=1e-9, atol=1e-300)
 
 
 # ---------------------------------------------------------------- sampling
@@ -652,23 +646,18 @@ def test_shots_must_fit_numpys_multinomial(shots, valid):
 
 
 def test_outcome_probabilities_have_one_form():
-    # TwoModeState.probabilities and the sampling draw both square np.abs of the evolve_blocks column
-    setup = fock_path_setup(SchemeTag("coherent", 25))
-    for phi in (0.0, 0.37, 1.3, 2.9):
-        dist = setup.sampling.evolve(setup.input_state, phi).probabilities()
-        for n, psi, _ in setup.sampling.evolve_blocks(setup.input_state, [phi]):
+    # TwoModeState.probabilities and the sampling draw both square np.abs of the evolve_grid column
+    for n, setup in fock_path_setup(SchemeTag("coherent", 25)).setups.items():
+        for phi in (0.0, 0.37, 1.3, 2.9):
+            dist = setup.sampling.evolve(setup.input_state, phi).probabilities()
+            psi, _ = setup.sampling.evolve_grid(setup.input_state, [phi])
             assert [dist[label] for label in fock.block_labels(n)] == (np.abs(psi[:, 0]) ** 2).tolist()
-
-
-def test_state_with_no_populated_block_samples_an_empty_histogram():
-    hist = sample_outcomes(elements.InterferometerPipeline(ONE_ARM), TwoModeState({}), 0.4, 0, seed=5)
-    assert hist.counts == {} and hist.shots == 0
 
 
 def test_hom_interference_null_never_fires():
     from fockmzi.elements import BALANCED, InterferometerPipeline
 
-    pipeline = InterferometerPipeline(ONE_ARM, after=beam_splitter(BALANCED, 2))
+    pipeline = InterferometerPipeline(ONE_ARM, after=BlockUnitary({2: beam_splitter(BALANCED, 2)[2]}))
     twin = make_basis_state(1, 1)
     for seed in range(5):
         hist = sample_outcomes(pipeline, twin, 0.0, 2000, seed=seed)
@@ -679,7 +668,7 @@ def test_empirical_binomial_within_four_sigma():
     from fockmzi.elements import BALANCED, InterferometerPipeline
 
     n, shots = 6, 100_000
-    pipeline = InterferometerPipeline(ONE_ARM, after=beam_splitter(BALANCED, n))
+    pipeline = InterferometerPipeline(ONE_ARM, after=BlockUnitary({n: beam_splitter(BALANCED, n)[n]}))
     hist = sample_outcomes(pipeline, make_basis_state(n, 0), 0.0, shots, seed=2024)
     for k in range(n + 1):
         p = math.comb(n, k) / 2**n
@@ -861,8 +850,8 @@ def test_model_mismatch_for_outcomes_the_model_cannot_produce(outcome, message):
 
 
 def dense_posterior(hist, pipeline, state, grid):
-    """The posterior from the probabilities of every outcome of every populated block over
-    the grid, with the log-likelihood terms added in the histogram's order."""
+    """The posterior from the probabilities of every outcome of the input's block over the
+    grid, with the log-likelihood terms added in the histogram's order."""
     labels, probs = dense_probabilities(pipeline, state, grid)
     row = {label: i for i, label in enumerate(labels)}
     log_like = np.zeros(grid.size)
@@ -881,11 +870,12 @@ def dense_posterior(hist, pipeline, state, grid):
     ("yurke-bosonic", 4), ("noon", 4),
 ])
 def test_streamed_posterior_equals_dense_posterior(scheme, n, convention, invert, assert_same_products):
-    setup = fock_path_setup(SchemeTag(scheme, n), convention=convention)
+    oracle = fock_path_setup(SchemeTag(scheme, n), convention=convention)
+    setup = oracle.setups[oracle.cutoff]  # port-A light: its largest block, the split |N,0>
     sampling = sampling_pipeline(setup, invert)
     grid = np.linspace(0.0, setup.likelihood_period, 512, endpoint=False)
     hist = sample_outcomes(sampling, setup.input_state, 0.37 * setup.likelihood_period, 3000, seed=n)
-    items = list(hist.counts.items())  # shuffled, so one block's outcomes fall into several runs
+    items = list(hist.counts.items())  # shuffled, so the rows are not requested in order
     shuffled = OutcomeHistogram(hist.shots, dict(items[i] for i in np.random.default_rng(n).permutation(len(items))))
     for data in (hist, shuffled):
         streamed = bayes_posterior(data, sampling, setup.input_state, grid)
@@ -907,7 +897,7 @@ def test_photon_posterior_equals_the_fock_path_posterior(scheme, n, convention):
     items = list(hist.counts.items())
     shuffled = OutcomeHistogram(hist.shots, dict(items[i] for i in np.random.default_rng(n).permutation(len(items))))
     for data in (hist, shuffled):
-        want = dense_posterior(data, oracle.sampling, oracle.input_state, grid)
+        want = oracle.posterior(data, grid)
         if n == 0:  # vacuum: every outcome is (0, 0), and the posterior is flat
             assert np.all(photon_posterior(data, setup.light, grid).weights == 1.0 / grid.size)
             continue
@@ -1005,8 +995,7 @@ def test_yurke_min_sensitivity_scaling_band():
 def test_noon_setup_is_the_noon_state_at_the_phase_stage(n):
     setup = build_setup(SchemeTag("noon", n))
     ref = noon(n, 0.0)
-    assert set(setup.input_state.blocks) == set(ref.blocks)
-    assert all(np.array_equal(setup.input_state.blocks[k], ref.blocks[k]) for k in ref.blocks)
+    assert setup.input_state.n == ref.n and np.array_equal(setup.input_state.amplitudes, ref.amplitudes)
     # <flip> at phi = 0 stays inside the observable's spectrum [-1, 1]
     expect, _, _ = phase_sweep(setup.analysis, setup.input_state, setup.observable, np.array([0.0]))
     assert 1.0 - 1e-15 <= expect[0] <= 1.0

@@ -28,16 +28,18 @@ from oracles import (
     j_observable,
     norm,
     number_observable,
+    observable_map,
     spectral_exponential,
     variance,
 )
 
 
 def random_state(rng, cutoff, blocks=None):
+    """A normalized random block map over the given blocks, every block up to the cutoff by default."""
     picked = blocks if blocks is not None else range(cutoff + 1)
     vecs = {n: rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1) for n in picked}
     scale = math.sqrt(sum(float(np.vdot(v, v).real) for v in vecs.values()))
-    return TwoModeState({n: v / scale for n, v in vecs.items()})
+    return {n: v / scale for n, v in vecs.items()}
 
 
 def test_make_basis_state_vacuum():
@@ -85,7 +87,7 @@ def test_commutator_algebra_closes():
 
 def test_spectral_exponential_zero_scale_is_identity():
     u = spectral_exponential(j_observable("x", 5), 0.0)
-    for n, mat in u.blocks.items():
+    for n, mat in u.items():
         assert np.allclose(mat, np.eye(n + 1), atol=1e-14)
 
 
@@ -100,7 +102,7 @@ def test_spectral_exponential_jx_half_pi():
 def test_spectral_exponential_jz_is_diagonal_phases():
     phi = 0.73
     u = spectral_exponential(j_observable("z", 4), phi)
-    for n, mat in u.blocks.items():
+    for n, mat in u.items():
         expected = np.diag([np.exp(1j * phi * (n - 2 * i) / 2) for i in range(n + 1)])
         assert np.max(np.abs(mat - expected)) < 1e-13
 
@@ -123,10 +125,11 @@ def test_block_unitary_rejects_non_unitary():
 def test_apply_identity_returns_same_amplitudes():
     rng = np.random.default_rng(3)
     s = random_state(rng, 6)
-    ident = BlockUnitary({n: np.eye(n + 1) for n in range(7)})
-    out = apply(ident, s)
-    for n in s.blocks:
-        assert np.allclose(out.blocks[n], s.blocks[n], atol=0)
+    out = apply({n: np.eye(n + 1) for n in range(7)}, s)
+    for n in s:
+        assert np.allclose(out[n], s[n], atol=0)
+    one = TwoModeState({4: s[4]})
+    assert np.array_equal(apply(BlockUnitary({4: np.eye(5)}), one).amplitudes, one.amplitudes)
 
 
 def test_apply_cutoff_mismatch_raises():
@@ -152,10 +155,10 @@ def test_number_conservation_per_block():
     s = random_state(rng, 7, blocks=[2, 5])
     u = spectral_exponential(j_observable("x", 7), 1.1)
     out = apply(u, s)
-    assert set(out.blocks) == {2, 5}
+    assert set(out) == {2, 5}
     for n in (2, 5):
-        before = float(np.vdot(s.blocks[n], s.blocks[n]).real)
-        after = float(np.vdot(out.blocks[n], out.blocks[n]).real)
+        before = float(np.vdot(s[n], s[n]).real)
+        after = float(np.vdot(out[n], out[n]).real)
         assert abs(before - after) < 1e-12
 
 
@@ -166,8 +169,8 @@ def test_inverse_composition_roundtrip():
         fwd = spectral_exponential(j_observable("x", 6), theta)
         back = spectral_exponential(j_observable("x", 6), -theta)
         out = apply(back, apply(fwd, s))
-        for n in s.blocks:
-            assert np.max(np.abs(out.blocks[n] - s.blocks[n])) < 1e-12
+        for n in s:
+            assert np.max(np.abs(out[n] - s[n])) < 1e-12
 
 
 def test_expectation_jz_on_31():
@@ -196,7 +199,7 @@ def test_variance_matches_moment_difference():
     obs = j_observable("x", 6)
     for _ in range(10):
         s = random_state(rng, 6)
-        sq = BlockObservable({n: banded(dense(obs, n) @ dense(obs, n)) for n in obs.blocks})
+        sq = observable_map({n: banded(dense(obs, n) @ dense(obs, n)) for n in obs})
         direct = expectation(sq, s) - expectation(obs, s) ** 2
         assert variance(obs, s) == pytest.approx(direct, abs=1e-10)
 
@@ -217,6 +220,32 @@ def test_state_rejects_bad_blocks():
         TwoModeState({-1: np.zeros(0)})
     with pytest.raises(ValueError):
         TwoModeState({2: np.zeros(5)})
+
+
+ONE_BLOCK_VALUES = {
+    TwoModeState: lambda n: np.ones(n + 1),
+    BlockObservable: lambda n: {0: np.ones(n + 1)},
+    BlockUnitary: lambda n: np.eye(n + 1),
+}
+
+
+@pytest.mark.parametrize("cls", ONE_BLOCK_VALUES, ids=lambda cls: cls.__name__)
+def test_fock_space_value_holds_exactly_one_block(cls):
+    block = ONE_BLOCK_VALUES[cls]
+    value = cls({3: block(3)})
+    assert value.n == 3 and "blocks" not in type(value).__slots__
+    for given in ({}, {1: block(1), 3: block(3)}):
+        with pytest.raises(ValueError, match=f"holds one photon-number block, got {len(given)}"):
+            cls(given)
+
+
+def test_pipeline_refuses_a_readout_on_another_block_than_its_input():
+    pipeline = InterferometerPipeline(after=BlockUnitary({3: np.eye(4)}))
+    state = make_basis_state(1, 1)
+    for run in (lambda: pipeline.evolve(state, 0.3), lambda: pipeline.evolve_grid(state, [0.3]),
+                lambda: pipeline.output_rows(state, [0.3], [0, 1])):
+        with pytest.raises(ValueError, match="U_after is on block 3, the input on block 2"):
+            run()
 
 
 def test_observable_rejects_wrong_block_dimension():
@@ -244,6 +273,7 @@ VALUES = [
 def test_value_classes_are_slotted_and_read_only(make):
     value = make()
     assert isinstance(value, ReadOnly) and not hasattr(value, "__dict__")
+    assert "blocks" not in type(value).__slots__  # a Fock-space value holds one block, never a map of them
     name = type(value).__slots__[0]
     with pytest.raises(AttributeError, match="read-only"):
         setattr(value, name, None)

@@ -92,8 +92,8 @@ def test_noon_phase_accumulation_identity():
         phi = 0.47
         shifted = apply(phase_shifter(phi, ONE_ARM, n), noon(n, 0.0))
         direct = noon(n, phi)
-        for block in direct.blocks:
-            assert np.max(np.abs(shifted.blocks[block] - direct.blocks[block])) < 1e-12
+        assert shifted.n == direct.n == n
+        assert np.max(np.abs(shifted.amplitudes - direct.amplitudes)) < 1e-12
 
 
 def test_yurke_fermionic_analog_composition():
@@ -103,7 +103,7 @@ def test_yurke_fermionic_analog_composition():
     assert abs(amplitude(s, 1, 2) - r) < 1e-15
     one = yurke_fermionic_analog(1)
     ref = noon(1, 0.0)
-    assert np.max(np.abs(one.blocks[1] - ref.blocks[1])) < 1e-15
+    assert one.n == ref.n == 1 and np.max(np.abs(one.amplitudes - ref.amplitudes)) < 1e-15
     with pytest.raises(ValueError):
         yurke_fermionic_analog(4)
 
@@ -172,7 +172,7 @@ def test_coherent_amplitudes_match_poisson_pmf_at_large_mean():
 def test_coherent_state_is_finite_where_the_forward_recurrence_underflowed():
     # exp(-lam/2) underflows to zero at lam = 1500, which left every amplitude NaN
     s = port_a(coherent_amplitudes(1500.0))
-    assert all(np.all(np.isfinite(vec)) for vec in s.blocks.values())
+    assert all(np.all(np.isfinite(vec)) for vec in s.values())
     assert abs(norm(s) - 1.0) <= 1e-12
 
 
