@@ -5,12 +5,10 @@ Exact phase-sensitivity curves for classical and entangled inputs (shot-noise
 sampling with Bayesian post-processing, lithography fringe curves, and an
 independent N-qubit circuit cross-check.
 
-Importing the package before numpy runs BLAS on one thread: most products
-here act on one small block at a time, where OpenBLAS's worker threads cost
-CPU and save no time.  The exception is whole-block work at large cutoffs:
-the eigensolver and products that build the dense output splitter, and
-classical_fisher's (n+1) x (n+1) by (n+1) x P products; a second thread
-saves wall time there.  OPENBLAS_NUM_THREADS=1 is set only while numpy loads
+Importing the package before numpy runs BLAS on one thread: only the N00N
+readout's products and the qubit cross-check still call BLAS, on operands so
+small that OpenBLAS's worker threads cost CPU and save no time; twin-Fock and
+Yurke inputs use none.  OPENBLAS_NUM_THREADS=1 is set only while numpy loads
 OpenBLAS, which reads it once, and only when none of OPENBLAS_NUM_THREADS,
 GOTO_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS is set to a non-empty
 value, so an explicit choice wins.  The environment is left as it was, so
@@ -34,7 +32,7 @@ _EXPORTS = {
         "BlockObservable", "BlockUnitary", "TwoModeState", "make_basis_state",
     ), "fock"),
     **dict.fromkeys((
-        "BALANCED", "CONVENTIONS", "ONE_ARM", "SYMMETRIC", "InterferometerPipeline", "pulled_back_jz", "split",
+        "BALANCED", "CONVENTIONS", "ONE_ARM", "SPLITTER", "SYMMETRIC", "InterferometerPipeline", "pulled_back_jz",
     ), "elements"),
     **dict.fromkeys((
         "SCHEME_NAMES", "SchemeTag", "TruncationError", "coherent_amplitudes", "dual_fock", "noon",

@@ -20,7 +20,7 @@ import numpy as np
 
 # only the modules the parser needs (and the fock they import); each run_*
 # imports the rest itself, so a command loads only the modules it runs
-from .elements import CONVENTIONS, ONE_ARM, split
+from .elements import CONVENTIONS, ONE_ARM, SPLITTER, InterferometerPipeline
 from .fock import NumericalFailure, make_basis_state
 from .states import SCHEME_NAMES, SchemeTag
 
@@ -88,7 +88,11 @@ def parse_n_range(spec: str) -> list[int]:
         raise UsageError(f"--n-range {spec!r}: {exc}") from None
     if step < 1 or stop < start:
         raise UsageError(f"--n-range {spec!r}: need stop >= start and step >= 1")
-    return list(range(start, stop + 1, step))
+    sizes = range(start, stop + 1, step)
+    try:
+        return list(sizes)
+    except MemoryError:
+        raise MemoryError(f"--n-range {spec!r} holds {len(sizes)} sizes, more than memory can list") from None
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -262,7 +266,7 @@ def run_scaling(args) -> Table:
 
 
 def run_hom(args) -> Table:
-    out = split(make_basis_state(1, 1))
+    out = InterferometerPipeline(ONE_ARM, before=SPLITTER).evolve(make_basis_state(1, 1), 0.0)
     rows = [[fmt(na), fmt(nb), fmt(p)] for (na, nb), p in out.probabilities().items()]
     return ["n_a", "n_b", "probability"], rows, []
 

@@ -6,10 +6,10 @@ delta_phi = sqrt(Var A) / |d<A>/dphi|, with the derivative taken exactly as
 the expectation of i[A, G] for the phase generator G, never by finite
 differences (those are kept as a test oracle only).  Sweeps, Fisher
 information and posteriors only reduce the arrays of the pipeline's output
-on the input's one photon-number block (evolve_grid, output_rows), over the
-whole phase grid at once; sampling draws from the output state the
-pipeline's evolve gives at one phase.  Which input, observable and readout a
-scheme uses is decided in `schemes`.
+on the input's one photon-number block (evolve_grid, distribution_grid,
+output_rows), over the whole phase grid at once; sampling draws from the
+output state the pipeline's evolve gives at one phase.  Which input,
+observable and readout a scheme uses is decided in `schemes`.
 
 Light in port A alone (`states.PortALight`) takes none of those paths.  Each
 of its photons leaves the balanced interferometer on its own, by port B with
@@ -166,12 +166,10 @@ def min_sensitivity(phi_grid, delta_phi) -> tuple[float, float]:
 def classical_fisher(pipeline: InterferometerPipeline, input_state: TwoModeState, phi_grid) -> np.ndarray:
     """Fisher information of the output number distribution at each phase of the grid.
 
-    Each outcome's slope is exact, dp_k/dphi = -2 Im(psi_k* (G_out psi)_k);
-    outcomes with probability below 1e-15 are skipped.
+    Each outcome's slope is exact, the pipeline's distribution_grid; outcomes
+    with probability below 1e-15 are skipped.
     """
-    psi, generated = pipeline.evolve_grid(input_state, np.asarray(phi_grid, dtype=float))
-    probs = np.abs(psi) ** 2
-    slopes = -2.0 * (psi.conj() * generated).imag
+    probs, slopes = pipeline.distribution_grid(input_state, np.asarray(phi_grid, dtype=float))
     kept = probs >= PROBABILITY_FLOOR
     return np.sum(np.divide(slopes * slopes, probs, out=np.zeros_like(probs), where=kept), axis=0)
 

@@ -29,12 +29,7 @@ def block_labels(n: int) -> list[tuple[int, int]]:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """arr as a read-only complex128 array: a read-only copy, or arr itself when it already is one that
-    owns its data, so a cached splitter block is held once.  Such an array is shared with whoever made
-    it, and writes through it are refused only while its writeable flag stays off: numpy lets the
-    owner of an array turn the flag back on."""
-    if arr.dtype == np.complex128 and not arr.flags.writeable and arr.base is None:
-        return arr
+    """A read-only complex128 copy of arr, so no caller can write through it."""
     out = np.array(arr, dtype=np.complex128)
     out.setflags(write=False)
     return out
@@ -183,7 +178,7 @@ def make_basis_state(n_a: int, n_b: int) -> TwoModeState:
     return TwoModeState({n_a + n_b: vec})
 
 
-def log_factorials(k_max: int) -> np.ndarray:
-    """log k! for k = 0..k_max, into an array allocated before the first lgamma, so a k_max too large
+def log_factorials(k_max: int, k_min: int = 0) -> np.ndarray:
+    """log k! for k = k_min..k_max, into an array allocated before the first lgamma, so a k_max too large
     to hold fails at once."""
-    return np.fromiter(map(math.lgamma, range(1, k_max + 2)), dtype=float, count=k_max + 1)
+    return np.fromiter(map(math.lgamma, range(k_min + 1, k_max + 2)), dtype=float, count=k_max - k_min + 1)

@@ -4,15 +4,14 @@ Light in port A alone, `single-port-fock` and `coherent`, is wired as its
 photon-number weights (`states.PortALight`): every photon crosses the
 balanced interferometer on its own, so `estimation` reads these inputs in
 closed form, with no state, observable or readout built.
-Every other scheme carries two pipelines sharing one input state, the state
-as it enters the phase stage: the N00N state is prepared there, and the
-twin-Fock and Yurke inputs have the first splitter applied once, here.  Both
-splitters are the one 50/50 splitter of `elements`.
-'analysis' is the phase stage alone and feeds the scheme observable
+Every other scheme carries two pipelines sharing one input state: the N00N
+state as it enters the phase stage, and the twin-Fock and Yurke inputs ahead
+of the first splitter, the 50/50 `elements.SPLITTER`.
+'analysis' ends at the phase stage and feeds the scheme observable
 (expectation/variance/sensitivity): the flip observable for the
 path-entangled scheme and, for the balanced-splitter schemes, J_z pulled back
 through the second splitter, -J_y.
-'sampling' appends the readout unitary that makes the phase visible in
+'sampling' appends the readout that makes the phase visible in
 number-resolved detection (the second splitter, or the flip-basis rotation);
 it is built on first use, by Fisher information, sampling and Bayes.  Every
 form of the splitter comes from `elements`; this module only chooses the
@@ -29,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .elements import ONE_ARM, InterferometerPipeline, pulled_back_jz, split, splitter_blocks
+from .elements import ONE_ARM, SPLITTER, InterferometerPipeline, pulled_back_jz
 from .fock import BlockObservable, BlockUnitary, NumericalFailure, ReadOnly, TwoModeState
 from .states import (
     PortALight,
@@ -43,17 +42,17 @@ from .states import (
 
 
 class SchemeSetup(ReadOnly):
-    """What one scheme needs for sweeps, Fisher information, sampling and Bayes: the cutoff, the phase
-    stage ('analysis', which fixes the convention) and the likelihood period, and then either `light`,
-    for port-A inputs, or the Fock-space input state at the phase stage, the observable and the readout,
-    a function that builds the sampling U_after on the input's block."""
+    """What one scheme needs for sweeps, Fisher information, sampling and Bayes: the cutoff, the pipeline
+    up to the phase stage ('analysis', which fixes the convention) and the likelihood period, and then
+    either `light`, for port-A inputs, or the Fock-space input state 'analysis' takes, the observable and
+    the readout, a function that gives the sampling U_after on the input's block."""
 
     __slots__ = ("cutoff", "analysis", "likelihood_period", "light", "input_state", "observable", "readout",
                  "_sampling")
 
     def __init__(self, cutoff: int, analysis: InterferometerPipeline, likelihood_period: float,
                  light: PortALight | None = None, input_state: TwoModeState | None = None,
-                 observable: BlockObservable | None = None, readout: Callable[[], BlockUnitary] | None = None):
+                 observable: BlockObservable | None = None, readout: Callable[[], BlockUnitary | str] | None = None):
         if (light is None) == (input_state is None):
             raise ValueError("a setup needs either port-A light or a Fock-space input state")
         self._fill(cutoff=cutoff, analysis=analysis, likelihood_period=likelihood_period, light=light,
@@ -61,9 +60,9 @@ class SchemeSetup(ReadOnly):
 
     @property
     def sampling(self) -> InterferometerPipeline:
-        """The analysis pipeline followed by the readout unitary, built on first use."""
+        """The analysis pipeline followed by the readout, built on first use."""
         if self._sampling is None:
-            self._fill(_sampling=InterferometerPipeline(self.analysis.convention, self.readout()))
+            self._fill(_sampling=InterferometerPipeline(self.analysis.convention, self.readout(), self.analysis.before))
         return self._sampling
 
 
@@ -92,15 +91,15 @@ def noon_readout(n: int) -> BlockUnitary:
 def build_setup(tag: SchemeTag, convention: str = ONE_ARM) -> SchemeSetup:
     """Assemble everything one scheme needs for sweeps, sampling, and Bayes, at the cutoff of its input:
     the block of a Fock-space input, the largest block of port-A light.  Port-A light is its photon-number
-    weights; the N00N state is prepared at the phase stage; every other input passes the first splitter
-    here.  Raises TruncationError for coherent light too bright for any cutoff up to
+    weights; the N00N state is prepared at the phase stage; every other input enters ahead of the first
+    splitter.  Raises TruncationError for coherent light too bright for any cutoff up to
     states.COHERENT_CUTOFF_CAP, NumericalFailure for |N,0> with N past numpy's 64-bit integers, and
     MemoryError, before any factory runs, for a Fock-space input whose block no array can index."""
     analysis = InterferometerPipeline(convention)
     if tag.name in ("single-port-fock", "coherent"):
         if tag.name == "coherent":
-            amplitudes = coherent_amplitudes(tag.n)
-            light = PortALight(0, amplitudes * amplitudes)
+            first, amplitudes = coherent_amplitudes(tag.n)
+            light = PortALight(first, amplitudes * amplitudes)
         elif tag.n < 2**63:
             light = PortALight(tag.n, np.ones(1))
         else:
@@ -114,14 +113,9 @@ def build_setup(tag: SchemeTag, convention: str = ONE_ARM) -> SchemeSetup:
         inp = noon(tag.n, 0.0)
         observable, period, readout = observable_noon_flip(tag.n), 2.0 * math.pi / tag.n, partial(noon_readout, tag.n)
     else:
-        if tag.name == "dual-fock":
-            inp = split(dual_fock(tag.n))
-        elif tag.name == "yurke-fermionic-analog":
-            inp = split(yurke_fermionic_analog(tag.n))
-        elif tag.name == "yurke-bosonic":
-            inp = split(yurke_bosonic(tag.n))
-        else:
-            raise ValueError(f"unhandled scheme {tag.name!r}")
-        observable, period, readout = pulled_back_jz(inp.n), 2.0 * math.pi, partial(splitter_blocks, inp.n)
+        inp = {"dual-fock": dual_fock, "yurke-fermionic-analog": yurke_fermionic_analog,
+               "yurke-bosonic": yurke_bosonic}[tag.name](tag.n)
+        analysis = InterferometerPipeline(convention, before=SPLITTER)
+        observable, period, readout = pulled_back_jz(inp.n), 2.0 * math.pi, lambda: SPLITTER
 
     return SchemeSetup(inp.n, analysis, period, input_state=inp, observable=observable, readout=readout)

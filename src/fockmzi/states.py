@@ -149,9 +149,11 @@ def required_coherent_cutoff(mean_photons: float) -> int:
     return k
 
 
-def coherent_amplitudes(mean_photons: float) -> np.ndarray:
-    """Real photon-number amplitudes c_0..c_K of coherent light of mean photon number mean_photons,
-    truncated at K = required_coherent_cutoff(mean_photons) and renormalized.
+def coherent_amplitudes(mean_photons: float) -> tuple[int, np.ndarray]:
+    """(first, c) for c the real photon-number amplitudes c_first..c_K of coherent light of mean photon
+    number mean_photons, truncated at K = required_coherent_cutoff(mean_photons) and renormalized, and
+    first the first block whose weight c_k^2 is not 0: a walk down from the mean stops at weights below
+    e^-800, and the blocks below them weigh exactly 0.
 
     Each c_k is the square root of its Poisson weight, taken from its
     logarithm, so none underflows before its own value does.  The norm is an
@@ -161,7 +163,12 @@ def coherent_amplitudes(mean_photons: float) -> np.ndarray:
     """
     cutoff = required_coherent_cutoff(mean_photons)
     if mean_photons == 0.0:
-        return np.ones(1)
-    k = np.arange(cutoff + 1)
-    amps = np.exp((k * math.log(mean_photons) - mean_photons - log_factorials(cutoff)) / 2.0)
-    return amps / math.sqrt(math.fsum(amps * amps))
+        return 0, np.ones(1)
+    log_mean = math.log(mean_photons)
+    first = min(math.floor(mean_photons), cutoff)
+    while first > 0 and (first - 1) * log_mean - mean_photons - math.lgamma(first) > -800.0:
+        first -= 1
+    amps = np.exp((np.arange(first, cutoff + 1) * log_mean - mean_photons - log_factorials(cutoff, first)) / 2.0)
+    amps /= math.sqrt(math.fsum(amps * amps))
+    skip = int(np.argmax(amps * amps > 0.0))
+    return first + skip, amps[skip:]

@@ -14,7 +14,7 @@ through `src`'s one-block form."""
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -23,10 +23,9 @@ from fockmzi.elements import (
     ONE_ARM,
     SYMMETRIC,
     InterferometerPipeline,
-    _jx_eigensystem,
+    _cross_ladder,
     phase_exponent,
     pulled_back_jz,
-    splitter_blocks,
 )
 from fockmzi.estimation import (
     PosteriorDistribution,
@@ -194,6 +193,46 @@ def variance(observable, state) -> float:
     return total
 
 
+# ---------------------------------------------------------------- the dense splitter
+
+def _jx_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of block n of J_x = (a†b + b†a)/2, held dense and complex."""
+    half = _cross_ladder(n) / 2.0
+    jx = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    jx += np.diag(half, 1)
+    jx += np.diag(half, -1)
+    return np.linalg.eigh(jx)
+
+
+@lru_cache(maxsize=1)  # an input's readout reuses the block its split just built
+def _splitter_block(n: int) -> np.ndarray:
+    """Block n of the 50/50 splitter exp(i BALANCED J_x), from the J_x eigensystem; read-only."""
+    w, v = _jx_eigensystem(n)
+    block = (v * np.exp(1j * BALANCED * w)) @ v.conj().T
+    block.setflags(write=False)
+    return block
+
+
+def splitter_blocks(n: int) -> BlockUnitary:
+    """The 50/50 splitter on block n, dense."""
+    return BlockUnitary({n: _splitter_block(n)})
+
+
+def split(state: TwoModeState) -> TwoModeState:
+    """The state after the 50/50 splitter, its block rotated by the dense block of the splitter: the
+    form src applied before its rotation columns."""
+    return TwoModeState({state.n: _splitter_block(state.n) @ state.amplitudes})
+
+
+def dense_sampling(setup: SchemeSetup) -> tuple[InterferometerPipeline, TwoModeState]:
+    """The setup's sampling pipeline and input in the dense form src ran before its rotation columns:
+    the input split by the dense splitter, and the dense splitter as U_after.  Other setups as they are."""
+    if setup.analysis.before is None:
+        return setup.sampling, setup.input_state
+    return (InterferometerPipeline(setup.analysis.convention, splitter_blocks(setup.input_state.n)),
+            split(setup.input_state))
+
+
 # ---------------------------------------------------------------- whole-cutoff elements
 
 def beam_splitter(theta: float, cutoff: int) -> dict[int, np.ndarray]:
@@ -291,8 +330,10 @@ class FockPath:
 
     @property
     def input_state(self) -> dict[int, np.ndarray]:
-        """The input at the phase stage as a block map: c_n times block n's state."""
-        return {n: self.amplitudes[n] * setup.input_state.amplitudes for n, setup in self.setups.items()}
+        """The input at the phase stage as a block map: c_n times block n's state after its U_before, the
+        analysis output at phase 0."""
+        return {n: self.amplitudes[n] * setup.analysis.evolve(setup.input_state, 0.0).amplitudes
+                for n, setup in self.setups.items()}
 
     def sweep(self, phi_grid, observable=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """phase_sweep over the blocks: <A>, Var A and delta_phi, for A each block's observable or, if given,
@@ -369,7 +410,8 @@ def fock_path_setup(tag: SchemeTag, convention: str = ONE_ARM) -> FockPath:
     if tag.name == "single-port-fock":
         return port_a_fock_path({tag.n: 1.0}, convention)
     if tag.name == "coherent":
-        return port_a_fock_path(dict(enumerate(coherent_amplitudes(tag.n))), convention)
+        first, amps = coherent_amplitudes(tag.n)
+        return port_a_fock_path(dict(enumerate(amps, start=first)), convention)
     setup = build_setup(tag, convention)
     return FockPath({setup.cutoff: 1.0}, {setup.cutoff: setup})
 

@@ -140,8 +140,16 @@ def _large_blocks() -> list[list[str]]:
     ]
 
 
+# commands whose bytes once followed the BLAS thread count; tests/test_blas_threads.py runs them at one and two
+BLAS_THREAD_COMMANDS = [
+    ["scaling", "--scheme", "dual-fock", "--metric", "fisher", "--n-range", "200:400:100", "--phi-grid", "0.005:3.1:200"],
+    ["sensitivity", "--scheme", "dual-fock", "--n", "300", "--phi-grid", "0:3.1:200"],
+]
+
+
 def commands() -> list[list[str]]:
-    listed = [*_benchmark(), *_readme(), *_per_scheme(), *_coherent(), *_failures(), *_large_blocks()]
+    listed = [*_benchmark(), *_readme(), *_per_scheme(), *_coherent(), *_failures(), *_large_blocks(),
+              *BLAS_THREAD_COMMANDS]
     return [argv for i, argv in enumerate(listed) if argv not in listed[:i]]
 
 

@@ -1,9 +1,9 @@
-"""`import fockmzi` before numpy pins OpenBLAS to one thread unless the caller chose a count.
+"""`import fockmzi` before numpy pins OpenBLAS to one thread unless the caller chose a count, and no
+command's stdout depends on that count.
 
-Each case but the last runs in a fresh interpreter, because OpenBLAS reads
-its thread count once, when numpy loads it; the last reads the count of the
-test process itself.  The count is read with the ctypes getter of
-perfbench/probe_env.py.
+The pin cases run in a fresh interpreter, because OpenBLAS reads its thread
+count once, when numpy loads it; one reads the count of the test process
+itself.  The count is read with the ctypes getter of perfbench/probe_env.py.
 """
 
 import importlib.util
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import fockmzi
+from stdout_manifest import BLAS_THREAD_COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(fockmzi.__file__).resolve().parents[1]
@@ -74,3 +75,17 @@ def test_tests_run_one_openblas_thread():
     if threads is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count getter")
     assert threads == 1
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS caps its thread count at the CPUs it sees")
+@pytest.mark.parametrize("argv", BLAS_THREAD_COMMANDS, ids=" ".join)
+def test_stdout_does_not_depend_on_the_blas_thread_count(argv):
+    assert probe(OPENBLAS_NUM_THREADS="2")["threads"] == 2
+    printed = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-m", "fockmzi.cli", *argv], env=env, capture_output=True, timeout=120,
+                              check=True)
+        printed.append(proc.stdout)
+    assert printed[0] == printed[1]

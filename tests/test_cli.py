@@ -626,6 +626,27 @@ def test_out_of_memory_is_one_error_line_and_exit_two():
     assert proc.stderr.startswith("out of memory: Unable to allocate"), proc.stderr
 
 
+def test_n_range_too_long_to_list_names_the_flag_and_its_size_count():
+    """The sizes of --n-range are listed before anything counts them; a range no memory can list exits 2 with
+    a line naming the flag and how many sizes it holds.  The child's address space is capped, so no
+    allocation of that list can succeed."""
+    resource = pytest.importorskip("resource")
+    limit = 1_000_000 * 1024
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    spec = "1000000000000:1000000000000002"
+    proc = subprocess.run([sys.executable, "-m", "fockmzi.cli", "scaling", "--scheme", "single-port-fock",
+                           "--n-range", spec, "--metric", "fisher", "--phi-grid", "0:1:3"], env=env,
+                          capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"out of memory: --n-range '{spec}' holds {10**15 - 10**12 + 3} sizes, "
+                           "more than memory can list\n")
+
+
 def test_largest_shot_count_accepted(tmp_path):
     code, text = run_cli(tmp_path, "sample", "--scheme", "noon", "--n", "2", "--shots", str(2**63 - 1))
     assert code == 0

@@ -7,7 +7,7 @@ import pytest
 
 from fockmzi import elements, estimation, fock, schemes
 from fockmzi.cli import _posterior as posterior, _sample as sample, _sweep as sweep, main
-from fockmzi.elements import BALANCED, CONVENTIONS, ONE_ARM, InterferometerPipeline
+from fockmzi.elements import BALANCED, CONVENTIONS, ONE_ARM, SPLITTER, InterferometerPipeline
 from fockmzi.estimation import (
     ModelMismatchError,
     NoPhaseInformationError,
@@ -30,6 +30,7 @@ from fockmzi.fock import BlockObservable, BlockUnitary, TwoModeState, make_basis
 from fockmzi.schemes import build_setup, noon_readout, observable_noon_flip
 from fockmzi.states import (
     SCHEME_NAMES,
+    PortALight,
     SchemeTag,
     dual_fock,
     noon,
@@ -44,6 +45,7 @@ from oracles import (
     coherent_tail_mass,
     coherent_vacuum,
     dense,
+    dense_sampling,
     ensemble_sensitivity,
     PORT_A_SCHEMES,
     exchanged,
@@ -462,7 +464,8 @@ def check_against_reference(tag, convention, invert):
     assert set(oracle.input_state) == set(at_phase_stage)
     for n, vec in at_phase_stage.items():
         assert np.max(np.abs(oracle.input_state[n] - vec)) <= 1e-13
-    assert all(setup.sampling.after.n == setup.observable.n == n for n, setup in oracle.setups.items())
+    assert all(setup.observable.n == n and (setup.sampling.after == SPLITTER or setup.sampling.after.n == n)
+               for n, setup in oracle.setups.items())
 
     sweeps = [oracle.sweep(REFERENCE_GRID)]
     setup = build_setup(tag, convention=convention)
@@ -506,8 +509,8 @@ def refuse_fock_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a splitter, a phase-stage evolution or a Fock-space operand was built")
 
-    for owner, name in ((elements, "_splitter_block"), (elements, "_jx_eigensystem"), (schemes, "splitter_blocks"),
-                        (schemes, "split"), (schemes, "pulled_back_jz"), (InterferometerPipeline, "evolve_grid"),
+    for owner, name in ((elements, "_rotation_columns"), (schemes, "pulled_back_jz"),
+                        (InterferometerPipeline, "evolve_grid"), (InterferometerPipeline, "distribution_grid"),
                         (InterferometerPipeline, "output_rows"), (fock.BlockUnitary, "__init__"),
                         (fock.BlockObservable, "__init__"), (fock.TwoModeState, "__init__")):
         monkeypatch.setattr(owner, name, refuse)
@@ -537,23 +540,28 @@ def test_port_a_commands_build_no_splitter_and_evolve_nothing(monkeypatch, tmp_p
 
 # ---------------------------------------------------------------- readout on the input's block
 
-@pytest.mark.parametrize("scheme, n", [("dual-fock", 3), ("yurke-fermionic-analog", 5), ("yurke-bosonic", 4)])
-def test_splitter_block_cache_holds_the_one_block_a_readout_reuses(scheme, n):
-    cache = elements._splitter_block
-    cache.cache_clear()
-    setup = build_setup(SchemeTag(scheme, n))  # split builds the input's one block
-    setup.sampling  # the readout takes that same block from the cache
-    assert (cache.cache_info().hits, cache.cache_info().misses) == (1, 1)
-    assert not cache(setup.cutoff).flags.writeable
+@pytest.mark.parametrize("argv", [
+    ["sensitivity", "--scheme", "dual-fock", "--n", "6"],
+    ["sensitivity", "--scheme", "yurke-bosonic", "--n", "6", "--convention", "symmetric"],
+    ["scaling", "--scheme", "dual-fock", "--metric", "fisher", "--n-range", "1:3"],
+    ["scaling", "--scheme", "yurke-fermionic-analog", "--metric", "fisher", "--n-range", "1:5:2"],
+    ["sample", "--scheme", "dual-fock", "--n", "6", "--phi", "0.7", "--estimator", "bayes"],
+    ["sample", "--scheme", "yurke-bosonic", "--n", "6", "--phi", "0.7", "--estimator", "bayes"],
+    ["hom"],
+], ids=" ".join)
+def test_twin_fock_yurke_and_hom_run_no_linear_algebra_and_no_matrix(monkeypatch, tmp_path, argv):
+    """The splitters are rotation columns: no BlockUnitary, so no dense product, is built and no numpy.linalg
+    routine is called.  (numpy.polyfit, scaling's log-log fit of the table, holds its own lstsq.)"""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense unitary was built or numpy.linalg was called")
 
-
-def test_readout_holds_the_cached_splitter_block_itself():
-    cache = elements._splitter_block
-    cache.cache_clear()
-    setup = build_setup(SchemeTag("dual-fock", 200))
-    block = setup.sampling.after.matrix
-    assert block is cache(400) and np.shares_memory(block, cache(400))
-    assert not block.flags.writeable
+    monkeypatch.setattr(fock.BlockUnitary, "__init__", refuse)
+    for name in dir(np.linalg):
+        if callable(getattr(np.linalg, name)) and not name.startswith("_"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    out = tmp_path / "table.csv"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert out.exists()
 
 
 def full_cutoff_readout(tag, cutoff):
@@ -567,9 +575,13 @@ def full_cutoff_readout(tag, cutoff):
 
 
 def sampling_pipeline(setup, invert):
-    """The setup's sampling pipeline, or with invert its readout followed by the port swap: the
-    inverted second splitter, or the N00N readout with its ports exchanged."""
-    return InterferometerPipeline(setup.analysis.convention, exchanged(setup.sampling.after)) if invert else setup.sampling
+    """The setup's sampling pipeline and its input, or with invert the dense ones of oracles.dense_sampling
+    with the readout followed by the port swap: the inverted second splitter, or the N00N readout with its
+    ports exchanged."""
+    if not invert:
+        return setup.sampling, setup.input_state
+    pipeline, state = dense_sampling(setup)
+    return InterferometerPipeline(setup.analysis.convention, exchanged(pipeline.after)), state
 
 
 @pytest.mark.parametrize("invert", [False, True])
@@ -579,23 +591,30 @@ def sampling_pipeline(setup, invert):
 ])
 def test_populated_readout_gives_the_full_cutoff_results(scheme, n, invert, assert_same_products):
     """Each block's readout is that block of the readout over every block up to the cutoff, bit for bit,
-    and gives its Fisher information, samples and posterior."""
+    and gives its Fisher information, samples and posterior.  A readout by rotation columns gives
+    them within roundoff of the dense splitter, from the input split by it, with the same samples."""
     tag = SchemeTag(scheme, n)
     oracle = fock_path_setup(tag)
     full_after = full_cutoff_readout(tag, oracle.cutoff)
     grid = np.linspace(0.0, oracle.likelihood_period, 256, endpoint=False)
     phi = 0.37 * oracle.likelihood_period
     for m, setup in oracle.setups.items():
-        sampling = sampling_pipeline(setup, invert)
+        sampling, state = sampling_pipeline(setup, invert)
         block = BlockUnitary({m: full_after[m]})
         full = InterferometerPipeline(setup.analysis.convention, exchanged(block) if invert else block)
+        full_state = dense_sampling(setup)[1]
+        hist = sample_outcomes(full, full_state, phi, 2000, seed=n)
+        assert sample_outcomes(sampling, state, phi, 2000, seed=n) == hist
+        if sampling.after == SPLITTER:
+            np.testing.assert_allclose(classical_fisher(sampling, state, grid), classical_fisher(full, full_state, grid),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(bayes_posterior(hist, sampling, state, grid).weights,
+                                       bayes_posterior(hist, full, full_state, grid).weights, rtol=1e-9, atol=1e-300)
+            continue
         assert np.array_equal(sampling.after.matrix, full.after.matrix)
-        assert_same_products(classical_fisher(sampling, setup.input_state, grid),
-                             classical_fisher(full, setup.input_state, grid), rtol=1e-12)
-        hist = sample_outcomes(full, setup.input_state, phi, 2000, seed=n)
-        assert sample_outcomes(sampling, setup.input_state, phi, 2000, seed=n) == hist
-        assert_same_products(bayes_posterior(hist, sampling, setup.input_state, grid).weights,
-                             bayes_posterior(hist, full, setup.input_state, grid).weights, rtol=1e-9, atol=1e-300)
+        assert_same_products(classical_fisher(sampling, state, grid), classical_fisher(full, state, grid), rtol=1e-12)
+        assert_same_products(bayes_posterior(hist, sampling, state, grid).weights,
+                             bayes_posterior(hist, full, state, grid).weights, rtol=1e-9, atol=1e-300)
 
 
 # ---------------------------------------------------------------- sampling
@@ -872,14 +891,14 @@ def dense_posterior(hist, pipeline, state, grid):
 def test_streamed_posterior_equals_dense_posterior(scheme, n, convention, invert, assert_same_products):
     oracle = fock_path_setup(SchemeTag(scheme, n), convention=convention)
     setup = oracle.setups[oracle.cutoff]  # port-A light: its largest block, the split |N,0>
-    sampling = sampling_pipeline(setup, invert)
+    sampling, state = sampling_pipeline(setup, invert)
     grid = np.linspace(0.0, setup.likelihood_period, 512, endpoint=False)
-    hist = sample_outcomes(sampling, setup.input_state, 0.37 * setup.likelihood_period, 3000, seed=n)
+    hist = sample_outcomes(sampling, state, 0.37 * setup.likelihood_period, 3000, seed=n)
     items = list(hist.counts.items())  # shuffled, so the rows are not requested in order
     shuffled = OutcomeHistogram(hist.shots, dict(items[i] for i in np.random.default_rng(n).permutation(len(items))))
     for data in (hist, shuffled):
-        streamed = bayes_posterior(data, sampling, setup.input_state, grid)
-        dense = dense_posterior(data, sampling, setup.input_state, grid)
+        streamed = bayes_posterior(data, sampling, state, grid)
+        dense = dense_posterior(data, sampling, state, grid)
         assert_same_products(streamed.weights, dense.weights, rtol=1e-9, atol=1e-300)
         assert_same_products(posterior_mean(streamed), posterior_mean(dense), rtol=1e-12)
         assert_same_products(posterior_std(streamed), posterior_std(dense), rtol=1e-9)
@@ -921,12 +940,15 @@ def test_photon_posterior_refuses_outcomes_outside_the_populated_blocks(outcome,
 
 
 def test_photon_posterior_refuses_a_block_of_weight_zero():
-    # coherent light of mean 10**4 weighs block 3 at exactly 0: its Poisson weight underflows
-    light = build_setup(SchemeTag("coherent", 10**4)).light
-    assert light.weights[3] == 0.0
+    grid = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     hist = OutcomeHistogram(shots=2, counts={(5000, 5000): 1, (1, 2): 1})
     with pytest.raises(ModelMismatchError, match="zero likelihood everywhere on the grid"):
-        photon_posterior(hist, light, np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+        photon_posterior(hist, PortALight(3, [0.0] + [1.0 / 9997] * 9997), grid)  # block 3 weighs exactly 0
+    # coherent light of mean 10**4 holds no block whose Poisson weight underflows, as block 3's does
+    light = build_setup(SchemeTag("coherent", 10**4)).light
+    assert light.first > 3 and np.all(light.weights > 0.0)
+    with pytest.raises(ModelMismatchError, match="not a basis state of a populated block"):
+        photon_posterior(hist, light, grid)
 
 
 def test_photon_posterior_of_one_port_only_has_no_nan():

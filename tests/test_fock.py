@@ -306,15 +306,12 @@ def test_setup_holds_port_a_light_or_a_state_never_both():
             SchemeSetup(1, InterferometerPipeline(), 1.0, **fields)
 
 
-def test_read_only_owned_complex_arrays_are_kept_and_everything_else_is_copied():
+def test_every_array_a_value_holds_is_a_read_only_copy():
     owned = np.ones(3, dtype=np.complex128)
-    owned.setflags(write=False)
-    assert fock._frozen(owned) is owned
-    owned.setflags(write=True)  # kept, not copied: its owner can still turn writing back on
-    owned.setflags(write=False)
-    view = owned[:2]  # read-only, but it does not own its data
+    owned.setflags(write=False)  # read-only, but its owner can turn writing back on
+    view = owned[:2]
     writable = np.ones(3, dtype=np.complex128)
-    for arr in (view, writable, np.ones(3), np.arange(3)):
+    for arr in (owned, view, writable, np.ones(3), np.arange(3)):
         kept = fock._frozen(arr)
         assert kept is not arr and not np.shares_memory(kept, arr)
         assert kept.dtype == np.complex128 and not kept.flags.writeable

@@ -17,7 +17,8 @@ SRC = Path(fockmzi.__file__).resolve().parents[1]
 # every name `fockmzi` exports, by the submodule that defines it
 EXPORTED = {
     "fock": ("BlockObservable", "BlockUnitary", "TwoModeState", "make_basis_state"),
-    "elements": ("BALANCED", "CONVENTIONS", "ONE_ARM", "SYMMETRIC", "InterferometerPipeline", "pulled_back_jz", "split"),
+    "elements": ("BALANCED", "CONVENTIONS", "ONE_ARM", "SPLITTER", "SYMMETRIC", "InterferometerPipeline",
+                 "pulled_back_jz"),
     "states": ("SCHEME_NAMES", "SchemeTag", "TruncationError", "coherent_amplitudes", "dual_fock", "noon",
                "yurke_bosonic", "yurke_fermionic_analog"),
     "schemes": ("SchemeSetup", "build_setup", "observable_noon_flip"),
@@ -39,7 +40,8 @@ def test_exported_name_is_the_submodule_object(module, name):
 # criteria use moved to tests/oracles.py, by their old submodule
 MOVED_TO_ORACLES = {
     "fock": ("apply", "expectation", "j_observable", "number_observable", "spectral_exponential", "variance"),
-    "elements": ("beam_splitter", "phase_shifter", "split_port_a"),
+    "elements": ("beam_splitter", "phase_shifter", "split_port_a", "_jx_eigensystem", "_splitter_block",
+                 "splitter_blocks", "split"),
     "states": ("coherent_tail_mass", "coherent_vacuum", "single_port_fock"),
     "estimation": ("ensemble_sensitivity", "sensitivity"),
     "lithography": ("noon_fidelity_sweep",),

@@ -28,6 +28,7 @@ from oracles import (
     norm,
     number_observable,
     phase_shifter,
+    poisson_amplitudes,
     port_a,
     single_port_fock,
 )
@@ -38,7 +39,7 @@ ALL_FACTORIES = [
     lambda: noon(5, 0.3),
     lambda: yurke_fermionic_analog(5),
     lambda: yurke_bosonic(6),
-    lambda: port_a(coherent_amplitudes(2.25)),
+    lambda: port_a(coherent_amplitudes(2.25)[1]),
 ]
 
 
@@ -120,14 +121,16 @@ def test_yurke_bosonic_composition():
 
 
 def test_coherent_zero_is_vacuum():
-    assert np.array_equal(coherent_amplitudes(0.0), [1.0])
+    first, amps = coherent_amplitudes(0.0)
+    assert first == 0 and np.array_equal(amps, [1.0])
 
 
 def test_coherent_mean_photon_number():
     # oracle: direct summation of the Poisson series truncated where coherent_amplitudes truncates it
     lam = 4.0
-    amps = coherent_amplitudes(lam)
+    first, amps = coherent_amplitudes(lam)
     cutoff = len(amps) - 1
+    assert first == 0
     weights = []
     term = math.exp(-lam)
     for k in range(cutoff + 1):
@@ -160,18 +163,19 @@ def test_coherent_amplitudes_match_poisson_pmf_at_large_mean():
     poisson = pytest.importorskip("scipy.stats").poisson
     for lam in (1500.0, 5000.0):
         cutoff = required_coherent_cutoff(lam)
-        amps = coherent_amplitudes(lam)
-        assert len(amps) == cutoff + 1
+        first, amps = coherent_amplitudes(lam)
+        assert first + len(amps) == cutoff + 1
         assert np.all(np.isfinite(amps))
         assert abs(np.linalg.norm(amps) - 1.0) <= 1e-12
-        pmf = poisson.pmf(np.arange(cutoff + 1), lam)
+        pmf = poisson.pmf(np.arange(first, cutoff + 1), lam)
         kept = pmf > 1e-20
         assert np.max(np.abs(amps[kept] ** 2 - pmf[kept]) / pmf[kept]) <= 1e-10
 
 
 def test_coherent_state_is_finite_where_the_forward_recurrence_underflowed():
     # exp(-lam/2) underflows to zero at lam = 1500, which left every amplitude NaN
-    s = port_a(coherent_amplitudes(1500.0))
+    first, amps = coherent_amplitudes(1500.0)
+    s = port_a(np.concatenate((np.zeros(first), amps)))
     assert all(np.all(np.isfinite(vec)) for vec in s.values())
     assert abs(norm(s) - 1.0) <= 1e-12
 
@@ -250,8 +254,8 @@ def test_port_a_light_holds_the_weights_mean_and_variance():
 
 @pytest.mark.parametrize("nbar", [1, 4, 25, 400, 10**5])
 def test_coherent_weights_are_poisson_of_mean_and_variance_nbar(nbar):
-    amps = coherent_amplitudes(nbar)
-    light = PortALight(0, amps * amps)
+    first, amps = coherent_amplitudes(nbar)
+    light = PortALight(first, amps * amps)
     assert abs(light.mean / nbar - 1.0) <= 1e-12
     assert abs(light.variance / nbar - 1.0) <= 1e-9
 
@@ -262,3 +266,18 @@ def test_coherent_weights_are_poisson_of_mean_and_variance_nbar(nbar):
 def test_port_a_light_rejects_what_is_not_a_distribution(first, weights):
     with pytest.raises(ValueError):
         PortALight(first, weights)
+
+
+@pytest.mark.parametrize("nbar", [0.3, 4, 25, 1500, 10**4, 10**6, 1987641])
+def test_coherent_amplitudes_start_at_the_first_nonzero_weight(nbar):
+    """The amplitudes from block first on are those of every block from 0, bit for bit, and every weight
+    dropped below first is exactly 0."""
+    first, amps = coherent_amplitudes(nbar)
+    cutoff = required_coherent_cutoff(nbar)
+    assert first + amps.size == cutoff + 1 and amps[0] ** 2 > 0.0
+    if nbar <= 10**4:  # every block from 0 costs O(cutoff); past it the weights below first are not built
+        full = poisson_amplitudes(nbar, cutoff)
+        assert not np.any(full[:first] ** 2)
+        assert np.array_equal(full[first:], amps)
+    held = {10**4: 4480, 10**6: 46925, 1987641: 66240}.get(nbar)
+    assert held is None or amps.size == held
