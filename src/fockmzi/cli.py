@@ -4,8 +4,9 @@ Subcommands configure a scheme, sweep the phase or the photon number, and
 emit deterministic comma-separated tables: header line first, `#`-prefixed
 footer lines for fit results, LF endings, every numeric cell at 17
 significant digits.  Each run_* returns its table as (header, rows,
-footers) and main writes it.  Exit codes: 0 success, 1 usage error, 2
-numerical failure or out of memory.
+footers), rows a Rows, and main writes it; rows must be re-iterable, not a
+generator, as perfbench's tracer reads them again after write_table.  Exit
+codes: 0 success, 1 usage error, 2 numerical failure or out of memory.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import itertools
 import math
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,6 @@ from .states import SCHEME_NAMES, SchemeTag
 
 OUTDIR_ENV = "FOCKMZI_OUTDIR"
 _LINES_PER_WRITE = 1000
-
-Table = tuple[list[str], list[Sequence[str]], list[str]]  # header, rows, footers
 
 
 class UsageError(ValueError):
@@ -56,6 +55,22 @@ def fmt_column(values) -> list[str]:
     if column.dtype.kind in "iu":
         return list(map(str, column.tolist()))
     return list(map(float.__format__, column.astype(float, copy=False).tolist(), itertools.repeat(".17g")))
+
+
+class Rows:
+    """Table rows from columns, each a 1-d numeric array or one string on every row, formatted
+    _LINES_PER_WRITE rows at a time as they are read, so the text held never grows with the rows."""
+
+    def __init__(self, *columns):
+        self.columns, self.size = columns, min(len(c) for c in columns if not isinstance(c, str))
+
+    def __iter__(self):
+        for i in range(0, self.size, _LINES_PER_WRITE):
+            yield from zip(*(itertools.repeat(c) if isinstance(c, str) else fmt_column(c[i:i + _LINES_PER_WRITE])
+                             for c in self.columns))
+
+
+Table = tuple[list[str], Rows, list[str]]  # header, rows, footers
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -140,7 +155,7 @@ def resolve_output_path(output: str | None) -> Path | None:
     return path
 
 
-def write_table(path: Path | None, header: list[str], rows: list[Sequence[str]], footers: list[str]) -> None:
+def write_table(path: Path | None, header: list[str], rows: Iterable[Sequence[str]], footers: list[str]) -> None:
     lines = itertools.chain([",".join(header)], (",".join(row) for row in rows),
                             (f"# {footer}" for footer in footers))
     if path is None:
@@ -224,7 +239,7 @@ def run_sensitivity(args) -> Table:
     grid = parse_grid(args.phi_grid)
     tag = _scheme_tag(args)
     sweep = _sweep(_setup(args, tag), grid)
-    rows = list(zip(itertools.repeat(tag.name), itertools.repeat(fmt(tag.n)), *map(fmt_column, (grid, *sweep))))
+    rows = Rows(tag.name, fmt(tag.n), grid, *sweep)
     return ["scheme", "n", "phi", "expectation", "variance", "sensitivity"], rows, []
 
 
@@ -260,14 +275,15 @@ def run_scaling(args) -> Table:
 
     values = [point(tag) for tag in tags]
     slope, intercept = estimation.scaling_fit(list(zip(ns, values)))
-    rows = [[args.scheme, fmt(n), fmt(v)] for n, v in zip(ns, values)]
+    rows = Rows(args.scheme, np.array(ns), np.array(values))
     footers = [f"slope={fmt(slope)} intercept={fmt(intercept)} metric={column}"]
     return ["scheme", "n", column], rows, footers
 
 
 def run_hom(args) -> Table:
     out = InterferometerPipeline(ONE_ARM, before=SPLITTER).evolve(make_basis_state(1, 1), 0.0)
-    rows = [[fmt(na), fmt(nb), fmt(p)] for (na, nb), p in out.probabilities().items()]
+    labels, probabilities = zip(*out.probabilities().items())
+    rows = Rows(*np.array(labels).T, np.array(probabilities))
     return ["n_a", "n_b", "probability"], rows, []
 
 
@@ -299,7 +315,7 @@ def run_litho(args) -> Table:
         "classical_two_photon": deposition_rate("classical-two-photon", 2, shared_x, lam),
         f"noon_{n}": deposition_rate("noon", n, shared_x, lam),
     }
-    rows = list(zip(*map(fmt_column, (shared_x, *curves.values()))))
+    rows = Rows(shared_x, *curves.values())
 
     def measured_period(kind: str, nn: int) -> float:
         period = single_period / (nn if kind == "noon" else 1)
@@ -325,14 +341,12 @@ def run_rosetta(args) -> Table:
         raise UsageError(f"--n-max must be in [1, {rosetta.MAX_QUBITS}], got {args.n_max}")
     grid = parse_grid(args.phi_grid)
 
-    phis = fmt_column(grid)
-    rows, worst = [], 0.0
-    for n in range(1, args.n_max + 1):
-        qubit_values, fock_values = rosetta.flip_expectations(n, grid)
-        discrepancy = np.abs(qubit_values - fock_values)
-        rows.extend(zip(itertools.repeat(fmt(n)), phis, *map(fmt_column, (qubit_values, fock_values, discrepancy))))
-        worst = max(worst, float(np.max(discrepancy)))
-    return ["n", "phi", "qubit_value", "fock_value", "discrepancy"], rows, [f"max_discrepancy={fmt(worst)}"]
+    ns = range(1, args.n_max + 1)
+    qubit_values, fock_values = map(np.concatenate, zip(*(rosetta.flip_expectations(n, grid) for n in ns)))
+    discrepancy = np.abs(qubit_values - fock_values)
+    rows = Rows(np.repeat(ns, grid.size), np.tile(grid, len(ns)), qubit_values, fock_values, discrepancy)
+    footers = [f"max_discrepancy={fmt(np.max(discrepancy))}"]
+    return ["n", "phi", "qubit_value", "fock_value", "discrepancy"], rows, footers
 
 
 def run_sample(args) -> Table:
@@ -349,8 +363,7 @@ def run_sample(args) -> Table:
     tag = _scheme_tag(args)
     setup = _setup(args, tag)
     hist = _sample(setup, args.phi, args.shots, args.seed)
-    ordered = sorted(hist.counts.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))
-    rows = [[fmt(na), fmt(nb), fmt(c)] for (na, nb), c in ordered]
+    rows = Rows(*np.array([(*label, c) for label, c in hist.counts.items()], dtype=np.int64).reshape(-1, 3).T)
     footers = []
     if args.estimator == "bayes":
         grid = np.linspace(0.0, setup.likelihood_period, args.bayes_points, endpoint=False)

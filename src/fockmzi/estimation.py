@@ -204,21 +204,21 @@ def sample_outcomes(
 ) -> OutcomeHistogram:
     """Draw i.i.d. (n_a, n_b) outcomes from the exact output distribution.
 
-    The probabilities are the output state's at phi,
-    pipeline.evolve(input_state, phi).probabilities(), n_b ascending.  Those
-    below 1e-15 are zeroed (and the rest renormalized) before sampling, so
-    interference nulls never fire.  Identical seeds give identical
-    histograms.  Shots number at most 2**63 - 1, the most numpy's multinomial
-    draws.  A seed is any 64-bit integer, signed or not, so in
-    [-2**63, 2**64); a negative seed s draws as s + 2**64.
+    The probabilities are |amplitude|^2 of pipeline.evolve(input_state, phi),
+    n_b ascending, and only drawn outcomes are labelled.  Those below 1e-15
+    are zeroed (and the rest renormalized) before sampling, so interference
+    nulls never fire.  Identical seeds give identical histograms.  Shots
+    number at most 2**63 - 1, the most numpy's multinomial draws.  A seed is
+    any 64-bit integer, signed or not, so in [-2**63, 2**64); a negative seed
+    s draws as s + 2**64.
     """
     rng = _generator(shots, seed)
-    distribution = pipeline.evolve(input_state, phi).probabilities()
-    probs = np.array(list(distribution.values()))
+    out = pipeline.evolve(input_state, phi)
+    probs = np.abs(out.amplitudes) ** 2
     probs[probs < PROBABILITY_FLOOR] = 0.0
     probs /= probs.sum()
     drawn = rng.multinomial(shots, probs) if shots else np.zeros(probs.size, dtype=int)
-    counts = {lab: int(c) for lab, c in zip(distribution, drawn) if c > 0}
+    counts = {(out.n - n_b, n_b): int(drawn[n_b]) for n_b in np.flatnonzero(drawn).tolist()}
     return OutcomeHistogram(shots=shots, counts=counts)
 
 
@@ -366,7 +366,7 @@ def posterior_std(posterior: PosteriorDistribution) -> float:
 
 
 def scaling_fit(points) -> tuple[float, float]:
-    """Least-squares line through (log n, log value); returns (slope, intercept).
+    """Least-squares line through (log n, log value), in closed form with math.fsum sums; returns (slope, intercept).
 
     Sizes so close that the rounding of log n alone, 2^-52 max|log n|, could
     move the slope by more than 1e-9 relative (more than 1e-9 times the
@@ -375,15 +375,16 @@ def scaling_fit(points) -> tuple[float, float]:
     pts = list(points)
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
-    ns = np.array([p[0] for p in pts], dtype=float)
-    vals = np.array([p[1] for p in pts], dtype=float)
-    if np.any(ns <= 0) or np.any(vals <= 0):
+    if any(n <= 0 or value <= 0 for n, value in pts):
         raise ValueError("scaling fit needs positive sizes and values")
-    logs = np.log(ns)
-    spread = float(np.max(logs) - np.min(logs))
-    if spread == 0.0 or np.finfo(float).eps * float(np.max(np.abs(logs))) > 1e-9 * spread:
+    xs = [math.log(n) for n, _ in pts]
+    ys = [math.log(value) for _, value in pts]
+    spread = max(xs) - min(xs)
+    if spread == 0.0 or math.ulp(1.0) * max(map(abs, xs)) > 1e-9 * spread:
         raise NumericalFailure(f"sizes {min(p[0] for p in pts)} to {max(p[0] for p in pts)} are too close to fit: "
                                f"log n spans {spread:.3g}, and its rounding alone could move the slope by more than "
                                "1e-9 relative")
-    slope, intercept = np.polyfit(logs, np.log(vals), 1)
-    return float(slope), float(intercept)
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    slope = math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(dx * dx for dx in dxs)
+    return slope, y_mean - slope * x_mean

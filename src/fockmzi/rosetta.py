@@ -61,10 +61,12 @@ def hadamard(reg: QubitRegister, k: int) -> QubitRegister:
 def cnot(reg: QubitRegister, control: int, target: int) -> QubitRegister:
     if control == target:
         raise ValueError("control and target must differ")
-    cmask, tmask = _bit(reg, control), _bit(reg, target)
-    idx = np.arange(reg.amplitudes.size)
-    perm = np.where(idx & cmask, idx ^ tmask, idx)
-    return QubitRegister(reg.n_qubits, reg.amplitudes[perm])
+    _bit(reg, control), _bit(reg, target)  # range checks
+    t = reg.amplitudes.reshape((2,) * reg.n_qubits)
+    on = (slice(None),) * control + (1,)  # the control = 1 half, without the control axis
+    out = t.copy()
+    out[on] = np.flip(t[on], axis=target - (target > control))
+    return QubitRegister(reg.n_qubits, out.reshape(-1))
 
 
 def ghz_prepare(n: int) -> QubitRegister:

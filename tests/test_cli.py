@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import fockmzi
-from fockmzi.cli import UsageError, fmt, fmt_column, main, parse_grid, parse_n_range, write_table
+from fockmzi.cli import UsageError, build_parser, fmt, fmt_column, main, parse_grid, parse_n_range, write_table
 from fockmzi.estimation import ModelMismatchError, NoPhaseInformationError
 from fockmzi.fock import NumericalFailure
 from fockmzi.lithography import InsufficientGridError
@@ -85,6 +86,53 @@ def test_write_table_writes_bounded_pieces(tmp_path, monkeypatch):
     assert path.read_bytes() == expected.encode("utf-8")
     with pytest.raises(UsageError, match="cannot be written"):
         write_table(tmp_path, ["i", "sq"], rows, [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sensitivity", "--scheme", "noon", "--n", "3", "--phi-grid", "0:3.1:2500"],
+    ["scaling", "--n-range", "1:5"],
+    ["hom"],
+    ["litho", "--points", "2500"],
+    ["rosetta", "--n-max", "3", "--phi-grid", "0:6.2832:700"],
+    ["sample", "--scheme", "dual-fock", "--n", "6", "--phi", "0.7", "--estimator", "bayes"],
+    ["sample", "--shots", "0"],
+], ids=" ".join)
+def test_rows_read_twice_give_the_lines_written(tmp_path, argv):
+    """The rows a run_* returns are re-iterable, not a generator: perfbench's tracer reads them again
+    after write_table.  Both readings give the table's lines."""
+    args = build_parser().parse_args(argv)
+    _, rows, _ = args.run(args)
+    first = [",".join(row) for row in rows]
+    assert [",".join(row) for row in rows] == first
+    _, text = run_cli(tmp_path, *argv)
+    assert first == [line for line in text.splitlines()[1:] if not line.startswith("#")]
+
+
+class _Sink:
+    """A stdout that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["litho", "--points", "200000"],
+    ["sensitivity", "--scheme", "coherent", "--n", "25", "--phi-grid", "0:3.1:200000"],
+], ids=" ".join)
+def test_table_text_is_not_held_whole(monkeypatch, argv):
+    """A table is formatted a write at a time, so what a command allocates is its numeric columns,
+    8 B a cell (litho's 200 000 rows: four columns, 6.4 MB), not ~75 B of text a cell."""
+    monkeypatch.setattr("sys.stdout", _Sink())
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_parse_grid():

@@ -551,11 +551,13 @@ def test_port_a_commands_build_no_splitter_and_evolve_nothing(monkeypatch, tmp_p
 ], ids=" ".join)
 def test_twin_fock_yurke_and_hom_run_no_linear_algebra_and_no_matrix(monkeypatch, tmp_path, argv):
     """The splitters are rotation columns: no BlockUnitary, so no dense product, is built and no numpy.linalg
-    routine is called.  (numpy.polyfit, scaling's log-log fit of the table, holds its own lstsq.)"""
+    routine is called.  scaling's log-log fit is closed form, so numpy.polyfit, which holds its own lstsq,
+    is refused too."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a dense unitary was built or numpy.linalg was called")
+        raise AssertionError("a dense unitary was built, or numpy.linalg or numpy.polyfit was called")
 
     monkeypatch.setattr(fock.BlockUnitary, "__init__", refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
     for name in dir(np.linalg):
         if callable(getattr(np.linalg, name)) and not name.startswith("_"):
             monkeypatch.setattr(np.linalg, name, refuse)
